@@ -204,7 +204,7 @@ def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcom
             out.note("negative control: c(v1 (x) v2) is not alternating at n=2")
         return out
     if n < 3:
-        raise UsageError("the trace-zero inclusion needs n >= 3 (n = 2 is the negative control)")
+        raise EligibilityError("the trace-zero inclusion needs n >= 3 (n = 2 is the negative control)")
     for label, combo in sl_proof_rows(n):
         m = tensor_combo_matrix(ring, n, combo)
         if not ring.is_zero(m.trace()):

@@ -222,8 +222,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    problem = None
     if args.n is not None and args.n < 1:
-        print("error: --n must be positive", file=sys.stderr)
+        problem = "--n must be positive"
+    elif args.trials < 1:
+        problem = "--trials must be at least 1, or the cells would check nothing"
+    if problem:
+        parser.print_usage(sys.stderr)
+        print(f"error: {problem}", file=sys.stderr)
         return 2
 
     ring = ring_by_name(args.ring) if args.ring else None

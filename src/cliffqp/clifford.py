@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, UnsupportedRingError, UsageError
+from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
 from .exterior import mask_size, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram
 from .linalg import Matrix, signed_perm_inverse
@@ -584,7 +584,7 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
     symplectic one, and in characteristic 2 both can hold at once.
     """
     if n < 2:
-        raise UsageError("the even involution type needs n >= 2")
+        raise EligibilityError("the even involution type needs n >= 2")
     from .forms import classify_bilinear
 
     half = 1 << (n - 1)

@@ -19,7 +19,6 @@ from .clifford import (
     canonical_involution,
     flatten_even,
     parity_masks,
-    reduced_trace,
     tau_unit,
 )
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -180,10 +179,28 @@ class SemiTrace:
         self.ring = ring
         self.n = n
         self.rep = rep
+        # trace(rep * s) = sum of rep[r, c] * s[c, r]: keep rep's nonzeros,
+        # each with the flat index of the entry of s it pairs with
+        m = rep.matrix
+        self._pairs = [
+            (c * m.cols + r, v)
+            for r in range(m.rows)
+            for c, v in enumerate(m.row(r))
+            if not ring.is_zero(v)
+        ]
 
     def evaluate(self, s: CliffordElement) -> Element:
-        """Value on a symmetric element: the reduced trace of rep * s."""
-        return reduced_trace(self.rep * s)
+        """Value on a symmetric element: the reduced trace of rep * s,
+        summed over the nonzeros of rep without forming the product."""
+        if s.ring != self.ring or s.n != self.n:
+            raise UsageError("the element lives in a different algebra")
+        ring = self.ring
+        add, mul = ring.add, ring.mul
+        entries = s.matrix.entries
+        total = ring.zero
+        for index, v in self._pairs:
+            total = add(total, mul(v, entries[index]))
+        return total
 
     def evaluate_combo(self, combo: UnitCombo) -> Element:
         """Fast path on a sum of matrix units: trace(rep * E_ab) = rep[b, a]."""

@@ -1,6 +1,8 @@
 """Dense exact matrices over a generic ring.
 
-Products, transpose and trace work over any ring in the palette.
+Products, transpose and trace work over any ring in the palette; the
+product skips zeros row by row and accumulates in Python ints wherever the
+ring lifts its elements exactly (`Ring.lift`).
 Row reduction (solve, rank, kernel and image bases, span membership) is
 restricted to fields; integer problems are expected to route through the
 rationals.  Signed permutation matrices invert without division, which
@@ -9,6 +11,7 @@ keeps the Gram-matrix machinery available over the integers as well.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -142,26 +145,52 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Row-sparse product: the nonzeros of each row of b are listed once and
+    zero entries of a are skipped, so a factor with one nonzero per row (a
+    signed permutation such as the Gram matrix) costs O(dim^2), not dim^3.
+
+    Rings whose elements lift exactly to ints (GF(p), Z, Q) accumulate in
+    Python ints and lower each output row once; the others, GF(4) among
+    them, run the same loop through the ring methods.
+    """
     if a.cols != b.rows or a.ring != b.ring:
         raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     ring = a.ring
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     n, m, p = a.rows, a.cols, b.cols
-    out = [ring.zero] * (n * p)
-    ae, be = a.entries, b.entries
-    for i in range(n):
-        abase = i * m
-        obase = i * p
-        for k in range(m):
-            aik = ae[abase + k]
-            if is_zero(aik):
-                continue
-            bbase = k * p
-            for j in range(p):
-                bkj = be[bbase + j]
-                if is_zero(bkj):
+    lifted_b = ring.lift(b.entries)
+    lifted_a = ring.lift(a.entries) if lifted_b is not None else None
+    out: list = []
+    if lifted_a is None:
+        add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero
+        ae, be = a.entries, b.entries
+        brows = [
+            [(j, v) for j, v in enumerate(be[k * p : (k + 1) * p]) if not is_zero(v)]
+            for k in range(m)
+        ]
+        for i in range(n):
+            acc = [zero] * p
+            for k, aik in enumerate(ae[i * m : (i + 1) * m]):
+                if is_zero(aik):
                     continue
-                out[obase + j] = add(out[obase + j], mul(aik, bkj))
+                for j, v in brows[k]:
+                    acc[j] = add(acc[j], mul(aik, v))
+            out.extend(acc)
+        return Matrix(ring, n, p, out)
+    (ai, ascale), (bi, bscale) = lifted_a, lifted_b
+    scale, lower = ascale * bscale, ring.lower
+    cols, inner = range(p), range(m)
+    brows = []
+    for k in inner:
+        row = bi[k * p : (k + 1) * p]
+        brows.append([(j, row[j]) for j in compress(cols, row)])
+    for i in range(n):
+        arow = ai[i * m : (i + 1) * m]
+        acc = [0] * p
+        for k in compress(inner, arow):
+            aik = arow[k]
+            for j, v in brows[k]:
+                acc[j] += aik * v
+        out.extend(lower(acc, scale))
     return Matrix(ring, n, p, out)
 
 

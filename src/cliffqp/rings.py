@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from math import lcm
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 
@@ -56,6 +57,23 @@ class Ring:
     def sign(self, parity: int) -> Element:
         """(-1)**parity as a ring element."""
         return self.one if parity % 2 == 0 else self.neg(self.one)
+
+    def lift(self, entries: Sequence[Element]) -> Optional[tuple[list[int], int]]:
+        """Exact integer images with one common scale: entry i is ints[i] / scale.
+
+        Matrix kernels accumulate lifted products in Python ints and map
+        each finished sum back once through `lower`.  None means the ring
+        has no such lift and kernels go through the ring methods instead.
+        """
+        return None
+
+    def lower(self, ints: list[int], scale: int) -> list[Element]:
+        """Ring elements ints[i] / scale, for sums of products of lifts.
+
+        scale is the product of the scales `lift` returned; a ring whose
+        lift is the identity may return ints itself.
+        """
+        raise NotImplementedError
 
     def elements(self) -> Iterator[Element]:
         """All elements, for finite rings only."""
@@ -106,6 +124,13 @@ class PrimeField(Ring):
 
     def from_int(self, k):
         return k % self.p
+
+    def lift(self, entries):
+        return entries, 1
+
+    def lower(self, ints, scale):
+        p = self.p  # scale is always 1 here
+        return [v % p for v in ints]
 
     def elements(self):
         return iter(range(self.p))
@@ -181,6 +206,14 @@ class Rationals(Ring):
     def from_int(self, k):
         return Fraction(k)
 
+    def lift(self, entries):
+        scale = lcm(*{x.denominator for x in entries})
+        return [x.numerator * (scale // x.denominator) for x in entries], scale
+
+    def lower(self, ints, scale):
+        zero = self.zero
+        return [Fraction(v, scale) if v else zero for v in ints]
+
     def sample(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -211,6 +244,12 @@ class Integers(Ring):
 
     def from_int(self, k):
         return k
+
+    def lift(self, entries):
+        return entries, 1
+
+    def lower(self, ints, scale):
+        return ints  # scale is always 1 here
 
     def sample(self, rng):
         return rng.randint(-9, 9)

@@ -1,6 +1,7 @@
 """The verification CLI: grids, statuses, JSON shape, determinism, exit codes."""
 
 import json
+import re
 
 from cliffqp.cli import main, run
 from cliffqp.rings import ring_by_name
@@ -92,3 +93,41 @@ def test_degree4_counterexample_details(capsys):
     assert code == 0
     assert doc["reports"][0]["status"] == "pass"
     assert any("4096 candidates, all moved" in d for d in doc["reports"][0]["details"])
+
+
+def test_trials_below_one_is_usage_error(capsys):
+    for args in (
+        ["relations", "--n", "2", "--ring", "gf2", "--trials", "-5"],
+        ["pgo-invariance", "--n", "4", "--ring", "gf2", "--trials", "0"],
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: cliffqp" in captured.err and "--trials" in captured.err
+
+
+def test_rank_below_range_is_declared_skip(capsys):
+    for check, reason in (("sl-into-alt", "needs n >= 3"), ("classify", "needs n >= 2")):
+        code, doc = run_json(capsys, [check, "--n", "1"])
+        assert code == 0
+        assert doc["failed"] == 0 and doc["skipped"] == len(doc["reports"]) > 0
+        for report in doc["reports"]:
+            assert report["status"] == "skipped"
+            assert reason in report["details"][0]
+
+
+def test_same_seed_gives_identical_json_in_one_process(capsys):
+    # the README contract: same seed and flags, same JSON text apart from elapsed_ms
+    for args in (
+        ["rho-xi", "--n", "3", "--ring", "q"],
+        ["rho-xi", "--n", "3", "--ring", "z"],
+        ["gram", "--n", "3", "--ring", "gf4"],
+        ["canonical-semitrace", "--n", "4", "--ring", "gf2"],
+    ):
+        texts = []
+        for _ in range(2):
+            assert main(args + ["--seed", "3", "--json"]) == 0
+            text = capsys.readouterr().out
+            assert json.loads(text)["passed"] == 1
+            texts.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text))
+        assert texts[0] == texts[1]

@@ -234,3 +234,25 @@ def test_evaluate_combo_matches_matrix_route():
             m.put(r, c, ring.add(m.at(r, c), coef))
         s = CliffordElement(ring, n, m)
         assert ring.eq(f.evaluate_combo(combo), f.evaluate(s))
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, GF4, QQ), ids=lambda r: r.name)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_evaluate_matches_trace_of_product(ring, n):
+    rng = fresh_rng(f"evaluate:{ring.name}:{n}")
+    base = phi_word(ring, n, ["v1", "v1*"])
+    y = random_even_element(ring, n, rng)
+    # the sparse v1 v1* and a dense representative of the same class
+    for rep in (base, base + y - canonical_involution(y)):
+        f = semi_trace_from(rep)
+        for _ in range(10):
+            s = random_even_element(ring, n, rng)
+            assert f.evaluate(s) == reduced_trace(rep * s)
+
+
+def test_evaluate_rejects_a_foreign_element():
+    f = semi_trace_from(phi_word(GF3, 2, ["v1", "v1*"]))
+    with pytest.raises(UsageError):
+        f.evaluate(CliffordElement.identity(GF3, 3))
+    with pytest.raises(UsageError):
+        f.evaluate(CliffordElement.identity(GF2, 2))

@@ -1,6 +1,11 @@
 """Exact matrix arithmetic and field elimination."""
 
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.forms import b_wedge_gram
@@ -17,7 +22,7 @@ from cliffqp.linalg import (
     signed_perm_inverse,
     solve,
 )
-from cliffqp.rings import GF2, GF3, GF5, QQ, ZZ
+from cliffqp.rings import GF2, GF3, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
 
 from conftest import FIELDS, fresh_rng
@@ -127,3 +132,135 @@ def test_span_checker_matches_in_span(rng):
             v = [GF5.add(x, GF5.mul(c, y)) for x, y in zip(v, b)]
         assert checker.contains(v)
         assert in_span(GF5, v, basis)
+
+
+# --- the product kernel against the ring-method loop ---------------------------
+
+KERNEL_RINGS = tuple(RING_BY_NAME.values())
+
+
+def element_strategy(ring):
+    """Ring elements, zero-heavy so that operands come out sparse."""
+    if ring is QQ:
+        # large numerators over large, unrelated denominators
+        value = st.builds(
+            Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 40)
+        )
+    elif ring is ZZ:
+        value = st.integers(-(2 ** 80), 2 ** 80)
+    elif hasattr(ring, "p"):
+        value = st.integers(0, ring.p - 1)
+    else:
+        value = st.sampled_from(list(ring.elements()))
+    return st.one_of(st.just(ring.zero), value)
+
+
+def matrix_strategy(ring, rows, cols):
+    entries = st.lists(element_strategy(ring), min_size=rows * cols, max_size=rows * cols)
+    return entries.map(lambda e: Matrix(ring, rows, cols, e))
+
+
+@st.composite
+def product_operands(draw, ring):
+    n, m, p = (draw(st.integers(1, 7)) for _ in range(3))
+    return draw(matrix_strategy(ring, n, m)), draw(matrix_strategy(ring, m, p))
+
+
+def textbook_product(a, b):
+    """Sum over every k of a[i, k] * b[k, j], through the ring methods only."""
+    ring = a.ring
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = ring.zero
+            for k in range(a.cols):
+                total = ring.add(total, ring.mul(a.at(i, k), b.at(k, j)))
+            out.append(total)
+    return Matrix(ring, a.rows, b.cols, out)
+
+
+@contextmanager
+def ring_method_path(ring):
+    """Force matmul onto its ring-method loop by hiding the ring's int lift."""
+    ring.lift = lambda entries: None
+    try:
+        yield
+    finally:
+        del ring.lift
+
+
+def assert_product_exact(a, b):
+    """The kernel, its ring-method loop and the textbook sum agree entry for
+    entry, down to the Python type of every entry."""
+    want = textbook_product(a, b)
+    got = matmul(a, b)
+    with ring_method_path(a.ring):
+        generic = matmul(a, b)
+    for m in (got, generic):
+        assert (m.rows, m.cols) == (want.rows, want.cols)
+        assert m.entries == want.entries
+        assert [type(x) for x in m.entries] == [type(x) for x in want.entries]
+
+
+def random_signed_permutation(ring, size, rng):
+    cols = list(range(size))
+    rng.shuffle(cols)
+    m = Matrix.zeros(ring, size, size)
+    for r, c in enumerate(cols):
+        m.put(r, c, ring.one if rng.random() < 0.5 else ring.neg(ring.one))
+    return m
+
+
+def test_kernel_rings_cover_the_int_lift_and_the_ring_methods():
+    lifted = {r.name for r in KERNEL_RINGS if r.lift([r.one]) is not None}
+    assert lifted == {"gf2", "gf3", "gf5", "q", "z"}  # gf4 keeps the ring methods
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_ring_methods_on_rectangular_shapes(ring, data):
+    a, b = data.draw(product_operands(ring))
+    assert_product_exact(a, b)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_ring_methods_on_structured_operands(ring, data):
+    size = data.draw(st.integers(1, 8))
+    x = data.draw(matrix_strategy(ring, size, size))
+    perm = random_signed_permutation(ring, size, fresh_rng(f"perm:{ring.name}:{size}"))
+    for special in (Matrix.zeros(ring, size, size), Matrix.identity(ring, size), perm):
+        assert_product_exact(special, x)
+        assert_product_exact(x, special)
+    assert matmul(Matrix.identity(ring, size), x) == x
+    assert matmul(x, Matrix.zeros(ring, size, size)) == Matrix.zeros(ring, size, size)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_kernel_matches_ring_methods_on_gram_sandwich(ring, n):
+    # the canonical involution's G^-1 x^T G, factor by factor
+    g = b_wedge_gram(ring, n)
+    ginv = signed_perm_inverse(g)
+    x = random_matrix(ring, 1 << n, 1 << n, fresh_rng(f"sandwich:{ring.name}:{n}"))
+    assert_product_exact(g, ginv)
+    assert_product_exact(ginv, x.transpose())
+    assert_product_exact(matmul(ginv, x.transpose()), g)
+    assert matmul(g, ginv) == Matrix.identity(ring, 1 << n)
+
+
+def test_q_kernel_lowers_to_lowest_terms():
+    a = Matrix.from_rows(QQ, [[Fraction(1, 6), Fraction(2 ** 65, 3)]])
+    b = Matrix.from_rows(QQ, [[Fraction(3, 4)], [Fraction(9, 2 ** 64)]])
+    product = matmul(a, b).at(0, 0)
+    assert product == Fraction(1, 8) + Fraction(6) and product.denominator == 8
+    assert matmul(a, Matrix.zeros(QQ, 2, 1)).entries == [QQ.zero]
+
+
+def test_z_kernel_keeps_big_integers_exact():
+    big = 2 ** 64 + 1
+    a = Matrix.from_rows(ZZ, [[big, -big]])
+    b = Matrix.from_rows(ZZ, [[big], [big - 2]])
+    assert matmul(a, b).entries == [big * big - big * (big - 2)]
