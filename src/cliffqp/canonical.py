@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from .clifford import (
     CliffordElement,
-    _saxpy,
-    _smul,
-    _sto_matrix,
-    _szero,
     canonical_involution,
-    generator_sparse,
+    generator_matrix,
     phi_word,
     reduced_trace,
 )
@@ -45,13 +41,11 @@ from .sampling import (
 _PAIR_CACHE: dict = {}
 
 
-def _pair_sparse(ring: Ring, n: int, k: int, l: int) -> list[dict]:
-    """Sparse matrix of the generator pair product Phi(e_k) Phi(e_l)."""
+def _pair_matrix(ring: Ring, n: int, k: int, l: int) -> Matrix:
+    """The generator pair product Phi(e_k) Phi(e_l); cached and shared."""
     key = (ring, n, k, l)
     if key not in _PAIR_CACHE:
-        _PAIR_CACHE[key] = _smul(
-            ring, generator_sparse(ring, n, k), generator_sparse(ring, n, l)
-        )
+        _PAIR_CACHE[key] = generator_matrix(ring, n, k) * generator_matrix(ring, n, l)
     return _PAIR_CACHE[key]
 
 
@@ -79,16 +73,10 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
         raise UsageError("the canonical mapping needs a square even-size matrix")
     ring = m.ring
     n = m.rows // 2
-    dim2 = 2 * n
-    acc = _szero(1 << n)
-    for l in range(dim2):
-        base = l * dim2
-        for j in range(dim2):
-            coef = m.entries[base + j]
-            if ring.is_zero(coef):
-                continue
-            _saxpy(ring, acc, coef, _pair_sparse(ring, n, dim2 - 1 - j, l))
-    return CliffordElement(ring, n, _sto_matrix(ring, 1 << n, acc))
+    acc = Matrix.zeros(ring, 1 << n, 1 << n)
+    for l, j, coef in m.nonzeros():
+        acc.axpy(coef, _pair_matrix(ring, n, 2 * n - 1 - j, l))
+    return CliffordElement(ring, n, acc)
 
 
 def split_adjoint(m: Matrix) -> Matrix:
@@ -98,11 +86,9 @@ def split_adjoint(m: Matrix) -> Matrix:
     if m.rows != m.cols or m.rows % 2 != 0:
         raise UsageError("the adjoint involution needs a square even-size matrix")
     size = m.rows
-    ring = m.ring
-    out = Matrix.zeros(ring, size, size)
-    for r in range(size):
-        for c in range(size):
-            out.put(size - 1 - c, size - 1 - r, m.at(r, c))
+    out = Matrix.zeros(m.ring, size, size)
+    for r, c, v in m.nonzeros():
+        out.put(size - 1 - c, size - 1 - r, v)
     return out
 
 

@@ -24,6 +24,9 @@ from .rings import GF2, GF3, GF4, QQ, RING_BY_NAME, Ring, ring_by_name
 DEFAULT_RINGS = (GF2, GF3, GF4, QQ)
 DEFAULT_TRIALS = 100
 PGO_SAMPLES = 50
+# The largest rank whose dense even elements stay under a million entries
+# (2 * 4^(n-1)); a larger --n is refused before any matrix is built.
+MAX_N = 10
 
 CHECK_NAMES = (
     "relations",
@@ -169,6 +172,8 @@ def _dispatch(check: str, n: int | None, ring: Ring | None, rng, trials: int) ->
             raise EligibilityError("action decomposition sized for n <= 4")
         samples = PGO_SAMPLES if trials == DEFAULT_TRIALS else trials
         return group.pgo_invariance(ring, n, rng, samples=samples)
+    if check in ("degree4-alt", "degree4-counterexample") and n != 2:
+        raise EligibilityError(f"the degree-4 results live at n = 2, not n = {n}")
     if check == "degree4-alt":
         if ring.char != 2:
             raise EligibilityError(f"needs characteristic 2, not {ring.name}")
@@ -223,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     problem = None
-    if args.n is not None and args.n < 1:
-        problem = "--n must be positive"
+    if args.n is not None and not 1 <= args.n <= MAX_N:
+        problem = f"--n must lie in 1..{MAX_N}"
     elif args.trials < 1:
         problem = "--trials must be at least 1, or the cells would check nothing"
     if problem:

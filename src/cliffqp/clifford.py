@@ -3,10 +3,14 @@ as endomorphisms of wedge V.
 
 The generator v_i acts as left wedge multiplication and v_i^* as the
 dual-basis contraction, so every algebra element is a concrete
-2^n x 2^n matrix and equality is decidable.  The canonical involution is
-the adjoint of the subset pairing, and the 4^n ordered generator
-products form a monomial basis with a division-free coordinate
-decomposition (their leading entries are +-1 and triangular by degree).
+2^n x 2^n `Matrix` and equality is decidable.  Generator matrices have
+at most one nonzero per column, so generator words and monomials stay
+sparse in that one format.  The canonical involution is the adjoint of
+the subset pairing, G^-1 x^T G; since it permutes matrix units up to
+sign, `tau_relabel` computes the same map by moving each nonzero.  The
+4^n ordered generator products form a monomial basis with a
+division-free coordinate decomposition (their leading entries are +-1
+and triangular by degree).
 """
 
 from __future__ import annotations
@@ -21,85 +25,6 @@ from .linalg import Matrix, signed_perm_inverse
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
-# --- sparse columns -------------------------------------------------------
-#
-# Internal format for hot paths: a matrix is a list of per-column dicts
-# {row: value}.  Generator matrices have at most one entry per column, so
-# generator words and random Phi images multiply in near-linear time.
-
-
-def _szero(dim: int) -> list[dict]:
-    return [dict() for _ in range(dim)]
-
-
-def _sidentity(ring: Ring, dim: int) -> list[dict]:
-    return [{c: ring.one} for c in range(dim)]
-
-
-def _smul(ring: Ring, a: list[dict], b: list[dict]) -> list[dict]:
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    out = []
-    for bcol in b:
-        acc: dict = {}
-        for r, v in bcol.items():
-            for rr, vv in a[r].items():
-                w = mul(vv, v)
-                cur = acc.get(rr)
-                if cur is None:
-                    acc[rr] = w
-                else:
-                    acc[rr] = add(cur, w)
-        out.append({r: v for r, v in acc.items() if not is_zero(v)})
-    return out
-
-
-def _saxpy(ring: Ring, acc: list[dict], c: Element, m: list[dict]) -> None:
-    """acc += c * m, in place."""
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    if is_zero(c):
-        return
-    for col, mcol in enumerate(m):
-        accc = acc[col]
-        for r, v in mcol.items():
-            w = mul(c, v)
-            cur = accc.get(r)
-            total = w if cur is None else add(cur, w)
-            if is_zero(total):
-                accc.pop(r, None)
-            else:
-                accc[r] = total
-
-
-def _sfrom_matrix(m: Matrix) -> list[dict]:
-    ring = m.ring
-    out = _szero(m.cols)
-    for r in range(m.rows):
-        base = r * m.cols
-        for c in range(m.cols):
-            v = m.entries[base + c]
-            if not ring.is_zero(v):
-                out[c][r] = v
-    return out
-
-
-def _sto_matrix(ring: Ring, dim: int, cols: list[dict]) -> Matrix:
-    m = Matrix.zeros(ring, dim, dim)
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            m.entries[r * dim + c] = v
-    return m
-
-
-def _sequal(ring: Ring, a: list[dict], b: list[dict]) -> bool:
-    for acol, bcol in zip(a, b):
-        if set(acol) != set(bcol):
-            return False
-        for r, v in acol.items():
-            if not ring.eq(v, bcol[r]):
-                return False
-    return True
-
-
 # --- generators -----------------------------------------------------------
 
 
@@ -110,36 +35,28 @@ def generator_label(n: int, k: int) -> str:
     return f"v{k + 1}" if k < n else f"v{2 * n - k}*"
 
 
-def _generator_cols(ring: Ring, n: int, k: int) -> list[dict]:
-    dim = 1 << n
-    cols = _szero(dim)
-    if k < n:
-        bit = 1 << k  # left multiplication by v_{k+1}
-        for col in range(dim):
-            if col & bit:
-                continue
-            cols[col][col | bit] = ring.sign(mask_size(col & (bit - 1)))
-    else:
-        bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
-        for col in range(dim):
-            if not col & bit:
-                continue
-            cols[col][col & ~bit] = ring.sign(mask_size(col & (bit - 1)))
-    return cols
-
-
 _GEN_CACHE: dict = {}
 
 
-def generator_sparse(ring: Ring, n: int, k: int) -> list[dict]:
+def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
+    """The matrix of the k-th generator; cached and shared, never to be
+    modified in place."""
     key = (ring, n, k)
     if key not in _GEN_CACHE:
-        _GEN_CACHE[key] = _generator_cols(ring, n, k)
+        dim = 1 << n
+        m = Matrix.zeros(ring, dim, dim)
+        if k < n:
+            bit = 1 << k  # left multiplication by v_{k+1}
+            for col in range(dim):
+                if not col & bit:
+                    m.put(col | bit, col, ring.sign(mask_size(col & (bit - 1))))
+        else:
+            bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
+            for col in range(dim):
+                if col & bit:
+                    m.put(col & ~bit, col, ring.sign(mask_size(col & (bit - 1))))
+        _GEN_CACHE[key] = m
     return _GEN_CACHE[key]
-
-
-def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
-    return _sto_matrix(ring, 1 << n, generator_sparse(ring, n, k))
 
 
 # --- algebra elements -----------------------------------------------------
@@ -194,19 +111,12 @@ class CliffordElement:
     @property
     def parity(self) -> str:
         """'even', 'odd' or 'mixed' from the matrix support; zero is even."""
-        ring = self.ring
-        m = self.matrix
         has_even = has_odd = False
-        for r in range(m.rows):
-            rp = mask_size(r) & 1
-            base = r * m.cols
-            for c in range(m.cols):
-                if ring.is_zero(m.entries[base + c]):
-                    continue
-                if (mask_size(c) & 1) == rp:
-                    has_even = True
-                else:
-                    has_odd = True
+        for r, c, _ in self.matrix.nonzeros():
+            if (mask_size(r) ^ mask_size(c)) & 1:
+                has_odd = True
+            else:
+                has_even = True
         if has_even and has_odd:
             return "mixed"
         return "odd" if has_odd else "even"
@@ -218,34 +128,20 @@ class CliffordElement:
 def phi_word(ring: Ring, n: int, labels: Sequence[str]) -> CliffordElement:
     """Image of a generator word, e.g. ("v1", "v2*"), as a matrix product."""
     hs = HyperbolicSpace(ring, n)
-    cols = _sidentity(ring, 1 << n)
+    m = Matrix.identity(ring, 1 << n)
     for label in labels:
-        cols = _smul(ring, cols, generator_sparse(ring, n, hs.index_of(label)))
-    return CliffordElement(ring, n, _sto_matrix(ring, 1 << n, cols))
+        m = m * generator_matrix(ring, n, hs.index_of(label))
+    return CliffordElement(ring, n, m)
 
 
 def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement:
     """Image of a module element of H(V): the sum of scaled generators."""
     if len(coeffs) != 2 * n:
         raise UsageError(f"expected {2 * n} coefficients")
-    dim = 1 << n
-    m = Matrix.zeros(ring, dim, dim)
+    m = Matrix.zeros(ring, 1 << n, 1 << n)
     for k, c in enumerate(coeffs):
-        if ring.is_zero(c):
-            continue
-        for col, gcol in enumerate(generator_sparse(ring, n, k)):
-            for r, v in gcol.items():
-                idx = r * dim + col
-                m.entries[idx] = ring.add(m.entries[idx], ring.mul(c, v))
+        m.axpy(c, generator_matrix(ring, n, k))
     return CliffordElement(ring, n, m)
-
-
-def _phi_vector_sparse(ring: Ring, n: int, coeffs: Sequence[Element]) -> list[dict]:
-    dim = 1 << n
-    acc = _szero(dim)
-    for k, c in enumerate(coeffs):
-        _saxpy(ring, acc, c, generator_sparse(ring, n, k))
-    return acc
 
 
 # --- canonical involution and trace ---------------------------------------
@@ -278,13 +174,15 @@ def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     return parity, full ^ b, full ^ a
 
 
-def _tau_sparse(ring: Ring, n: int, cols: list[dict]) -> list[dict]:
-    out = _szero(1 << n)
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            parity, rr, cc = tau_unit(n, r, c)
-            out[cc][rr] = ring.neg(v) if parity else v
-    return out
+def tau_relabel(x: CliffordElement) -> CliffordElement:
+    """The canonical involution computed unit by unit: each nonzero entry
+    moves to the position tau_unit gives it, with its sign."""
+    ring, n = x.ring, x.n
+    out = Matrix.zeros(ring, 1 << n, 1 << n)
+    for r, c, v in x.matrix.nonzeros():
+        parity, rr, cc = tau_unit(n, r, c)
+        out.put(rr, cc, ring.neg(v) if parity else v)
+    return CliffordElement(ring, n, out)
 
 
 def reduced_trace(x: CliffordElement) -> Element:
@@ -335,7 +233,7 @@ def embed_blocks(ring: Ring, n: int, block_even: Matrix, block_odd: Matrix) -> C
 def flatten_even(x: CliffordElement) -> list:
     """An even element as a vector of length 2 * 4^(n-1): both blocks row-major."""
     b0, b1 = even_blocks(x)
-    return list(b0.entries) + list(b1.entries)
+    return b0.entries + b1.entries
 
 
 def unflatten_even(ring: Ring, n: int, vec: Sequence[Element]) -> CliffordElement:
@@ -360,34 +258,19 @@ def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutc
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
-    dim = 1 << n
-    gens = [generator_sparse(ring, n, k) for k in range(2 * n)]
-    zero = _szero(dim)
+    gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
+    zero = Matrix.zeros(ring, 1 << n, 1 << n)
+    ident = Matrix.identity(ring, 1 << n)
 
-    def check(name: str, got: list[dict], want: list[dict]) -> None:
-        if not _sequal(ring, got, want):
-            got_m = _sto_matrix(ring, dim, got)
-            want_m = _sto_matrix(ring, dim, want)
-            out.fail(f"{name}: got {got_m!r}, want {want_m!r}")
-
-    def sneg(cols: list[dict]) -> list[dict]:
-        return [{r: ring.neg(v) for r, v in col.items()} for col in cols]
+    def check(name: str, got: Matrix, want: Matrix) -> None:
+        if got != want:
+            out.fail(f"{name}: got {got!r}, want {want!r}")
 
     for i in range(n):
         vi, di = gens[i], gens[hs.dual_index(i + 1)]
-        check(f"v{i + 1}^2 = 0", _smul(ring, vi, vi), zero)
-        check(f"(v{i + 1}*)^2 = 0", _smul(ring, di, di), zero)
-        vd = _smul(ring, vi, di)
-        dv = _smul(ring, di, vi)
-        one_minus_dv = [dict(col) for col in sneg(dv)]
-        for c in range(dim):
-            cur = one_minus_dv[c].get(c, ring.zero)
-            total = ring.add(cur, ring.one)
-            if ring.is_zero(total):
-                one_minus_dv[c].pop(c, None)
-            else:
-                one_minus_dv[c][c] = total
-        check(f"v{i + 1} v{i + 1}* = 1 - v{i + 1}* v{i + 1}", vd, one_minus_dv)
+        check(f"v{i + 1}^2 = 0", vi * vi, zero)
+        check(f"(v{i + 1}*)^2 = 0", di * di, zero)
+        check(f"v{i + 1} v{i + 1}* = 1 - v{i + 1}* v{i + 1}", vi * di, ident - di * vi)
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -396,33 +279,20 @@ def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutc
             di = gens[hs.dual_index(i + 1)]
             dj = gens[hs.dual_index(j + 1)]
             if i < j:
-                check(
-                    f"v{i + 1} v{j + 1} = -v{j + 1} v{i + 1}",
-                    _smul(ring, vi, vj),
-                    sneg(_smul(ring, vj, vi)),
-                )
-                check(
-                    f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*",
-                    _smul(ring, di, dj),
-                    sneg(_smul(ring, dj, di)),
-                )
-            check(
-                f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}",
-                _smul(ring, vi, dj),
-                sneg(_smul(ring, dj, vi)),
-            )
+                check(f"v{i + 1} v{j + 1} = -v{j + 1} v{i + 1}", vi * vj, -(vj * vi))
+                check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", di * dj, -(dj * di))
+            check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", vi * dj, -(dj * vi))
 
     if rng is not None:
         for t in range(trials):
             coeffs = [ring.sample(rng) for _ in range(2 * n)]
-            phi = _phi_vector_sparse(ring, n, coeffs)
-            square = _smul(ring, phi, phi)
+            phi = phi_vector(ring, n, coeffs).matrix
+            square = phi * phi
             qm = hs.q(coeffs)
-            want = _szero(dim) if ring.is_zero(qm) else [{c: qm} for c in range(dim)]
-            if not _sequal(ring, square, want):
+            if square != ident.scale(qm):
                 out.fail(
                     f"Phi(m)^2 != q(m) Id for m={coeffs!r} (trial {t}): "
-                    f"q(m)={ring.show(qm)}, square={_sto_matrix(ring, dim, square)!r}"
+                    f"q(m)={ring.show(qm)}, square={square!r}"
                 )
     if out.passed:
         out.note(f"relations hold for n={n} over {ring.name}" + (
@@ -453,11 +323,11 @@ class MonomialBasis:
         self.n = n
         self.size = 1 << (2 * n)
         self.dim = 1 << n
-        self._sparse: list[list[dict]] = [_sidentity(ring, self.dim)]
+        self._monomials: list[Matrix] = [Matrix.identity(ring, self.dim)]
         for mask in range(1, self.size):
             low = (mask & -mask).bit_length() - 1
-            rest = self._sparse[mask & (mask - 1)]
-            self._sparse.append(_smul(ring, generator_sparse(ring, n, low), rest))
+            rest = self._monomials[mask & (mask - 1)]
+            self._monomials.append(generator_matrix(ring, n, low) * rest)
         self._leads = [self._lead_entry(mask) for mask in range(self.size)]
         self.peel_order = sorted(range(self.size), key=lambda m: (mask_size(m), m))
 
@@ -468,14 +338,12 @@ class MonomialBasis:
         for k in range(n, 2 * n):
             if mask >> k & 1:
                 col |= 1 << (2 * n - k - 1)
-        val = self._sparse[mask][col][row]
-        return row, col, val
-
-    def monomial_sparse(self, mask: int) -> list[dict]:
-        return self._sparse[mask]
+        return row, col, self._monomials[mask].at(row, col)
 
     def monomial(self, mask: int) -> CliffordElement:
-        return CliffordElement(self.ring, self.n, _sto_matrix(self.ring, self.dim, self._sparse[mask]))
+        """The monomial of a subset mask; its matrix is shared, never to be
+        modified in place."""
+        return CliffordElement(self.ring, self.n, self._monomials[mask])
 
     def labels(self, mask: int) -> tuple[str, ...]:
         return tuple(
@@ -484,31 +352,33 @@ class MonomialBasis:
 
     def decompose(self, x: CliffordElement) -> list:
         """Coordinates of x in the monomial basis, indexed by subset mask."""
-        return self.decompose_sparse(_sfrom_matrix(x.matrix))
+        return self.decompose_sparse(x.matrix)
 
-    def decompose_sparse(self, cols: list[dict]) -> list:
+    def decompose_sparse(self, m: Matrix) -> list:
+        """Coordinates of a 2^n x 2^n matrix, peeling one leading nonzero
+        per monomial off a copy of it."""
         ring = self.ring
-        residual = [dict(col) for col in cols]
+        residual = m.copy()
         coords = [ring.zero] * self.size
         for mask in self.peel_order:
             row, col, lead = self._leads[mask]
-            entry = residual[col].get(row)
-            if entry is None:
+            entry = residual.at(row, col)
+            if ring.is_zero(entry):
                 continue
             c = entry if ring.is_one(lead) else ring.neg(entry)
             coords[mask] = c
-            _saxpy(ring, residual, ring.neg(c), self._sparse[mask])
-        if any(residual[c] for c in range(self.dim)):
+            residual.axpy(ring.neg(c), self._monomials[mask])
+        if not residual.is_zero():
             raise DomainError("decomposition left a nonzero residual")
         return coords
 
     def recompose(self, coords: Sequence[Element]) -> CliffordElement:
         if len(coords) != self.size:
             raise UsageError(f"expected {self.size} coordinates")
-        acc = _szero(self.dim)
+        acc = Matrix.zeros(self.ring, self.dim, self.dim)
         for mask, c in enumerate(coords):
-            _saxpy(self.ring, acc, c, self._sparse[mask])
-        return CliffordElement(self.ring, self.n, _sto_matrix(self.ring, self.dim, acc))
+            acc.axpy(c, self._monomials[mask])
+        return CliffordElement(self.ring, self.n, acc)
 
 
 _MONOMIAL_CACHE: dict = {}

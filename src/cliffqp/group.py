@@ -13,18 +13,7 @@ parity-preserving matrix.
 from __future__ import annotations
 
 from .canonical import canonical_semitrace, semitrace_eligibility
-from .clifford import (
-    CliffordElement,
-    _phi_vector_sparse,
-    _saxpy,
-    _sequal,
-    _sidentity,
-    _smul,
-    _sto_matrix,
-    _szero,
-    _tau_sparse,
-    monomial_basis,
-)
+from .clifford import CliffordElement, monomial_basis, phi_vector, tau_relabel
 from .errors import DomainError, UsageError
 from .forms import HyperbolicSpace
 from .involution import sym_basis
@@ -200,13 +189,13 @@ def sample_orthogonal(ring: Ring, n: int, rng, max_word: int = 3) -> tuple[str, 
 # --- the induced action --------------------------------------------------------
 
 
-def _transformed_monomials(ring: Ring, n: int, b: Matrix) -> list[list[dict]]:
+def _transformed_monomials(ring: Ring, n: int, b: Matrix) -> list[CliffordElement]:
     """Images of all monomials: each generator replaced by Phi(B e_k)."""
-    images = [_phi_vector_sparse(ring, n, b.col(k)) for k in range(2 * n)]
-    out = [_sidentity(ring, 1 << n)]
+    images = [phi_vector(ring, n, b.col(k)) for k in range(2 * n)]
+    out = [CliffordElement.identity(ring, n)]
     for mask in range(1, 1 << (2 * n)):
         low = (mask & -mask).bit_length() - 1
-        out.append(_smul(ring, images[low], out[mask & (mask - 1)]))
+        out.append(images[low] * out[mask & (mask - 1)])
     return out
 
 
@@ -219,22 +208,11 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     ring, n = x.ring, x.n
     if b.rows != 2 * n or b.cols != 2 * n or b.ring != ring:
         raise UsageError("the acting matrix must be 2n x 2n over the same ring")
-    mb = monomial_basis(ring, n)
-    coords = mb.decompose(x)
-    transformed = _transformed_monomials(ring, n, b)
-    acc = _szero(1 << n)
-    for mask, c in enumerate(coords):
-        _saxpy(ring, acc, c, transformed[mask])
-    return CliffordElement(ring, n, _sto_matrix(ring, 1 << n, acc))
-
-
-def _trace_prod(ring: Ring, rep: Matrix, cols: list[dict]) -> Element:
-    """trace(rep * M) for sparse M, in one pass over the nonzero entries."""
-    total = ring.zero
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            total = ring.add(total, ring.mul(rep.at(c, r), v))
-    return total
+    coords = monomial_basis(ring, n).decompose(x)
+    acc = Matrix.zeros(ring, 1 << n, 1 << n)
+    for c, image in zip(coords, _transformed_monomials(ring, n, b)):
+        acc.axpy(c, image.matrix)
+    return CliffordElement(ring, n, acc)
 
 
 _TAU_COORD_CACHE: dict = {}
@@ -247,7 +225,7 @@ def _tau_monomial_coords(ring: Ring, n: int) -> list[list[tuple[int, Element]]]:
         mb = monomial_basis(ring, n)
         table = []
         for mask in range(mb.size):
-            coords = mb.decompose_sparse(_tau_sparse(ring, n, mb.monomial_sparse(mask)))
+            coords = mb.decompose(tau_relabel(mb.monomial(mask)))
             table.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
         _TAU_COORD_CACHE[key] = table
     return _TAU_COORD_CACHE[key]
@@ -268,26 +246,21 @@ def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
         raise UsageError("the action decomposition is sized for n <= 4")
     out = CheckOutcome()
     f = canonical_semitrace(ring, n)
-    rep = f.rep.matrix
     mb = monomial_basis(ring, n)
-    w0 = [_trace_prod(ring, rep, mb.monomial_sparse(mask)) for mask in range(mb.size)]
-    sym = sym_basis(ring, n)
+    w0 = [f.evaluate(mb.monomial(mask)) for mask in range(mb.size)]
     sym_coords = []
-    for combo in sym.combos:
-        cols = _szero(1 << n)
-        for coef, (r, c) in combo:
-            cols[c][r] = ring.add(cols[c].get(r, ring.zero), coef)
-        coords = mb.decompose_sparse(cols)
+    for elem in sym_basis(ring, n).elements():
+        coords = mb.decompose(elem)
         sym_coords.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
     tau_table = _tau_monomial_coords(ring, n)
-    ident_sparse = _sidentity(ring, 1 << n)
+    ident = CliffordElement.identity(ring, n)
 
     for s in range(samples):
         desc, b = sample_orthogonal(ring, n, rng)
         transformed = _transformed_monomials(ring, n, b)
-        if not _sequal(ring, transformed[0], ident_sparse):
+        if transformed[0] != ident:
             out.fail(f"{desc}: image of the identity is not the identity")
-        wb = [_trace_prod(ring, rep, transformed[mask]) for mask in range(mb.size)]
+        wb = [f.evaluate(image) for image in transformed]
         for idx, coords in enumerate(sym_coords):
             delta = ring.zero
             for mask, c in coords:
@@ -298,12 +271,11 @@ def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
                     f"by {ring.show(delta)}"
                 )
                 break
-        for mask in range(mb.size):
-            lhs = _tau_sparse(ring, n, transformed[mask])
-            rhs = _szero(1 << n)
+        for mask, image in enumerate(transformed):
+            rhs = Matrix.zeros(ring, 1 << n, 1 << n)
             for tmask, c in tau_table[mask]:
-                _saxpy(ring, rhs, c, transformed[tmask])
-            if not _sequal(ring, lhs, rhs):
+                rhs.axpy(c, transformed[tmask].matrix)
+            if tau_relabel(image).matrix != rhs:
                 out.fail(f"{desc}: involution does not commute on monomial {mask}")
                 break
     if out.passed:

@@ -65,7 +65,7 @@ class SubspaceBasis:
     def vectors(self) -> list[list]:
         if self.even_only:
             return [flatten_even(e) for e in self.elements()]
-        return [list(e.matrix.entries) for e in self.elements()]
+        return [e.matrix.entries for e in self.elements()]
 
 
 def _even_units(n: int) -> list[tuple[int, int]]:
@@ -179,27 +179,19 @@ class SemiTrace:
         self.ring = ring
         self.n = n
         self.rep = rep
-        # trace(rep * s) = sum of rep[r, c] * s[c, r]: keep rep's nonzeros,
-        # each with the flat index of the entry of s it pairs with
-        m = rep.matrix
-        self._pairs = [
-            (c * m.cols + r, v)
-            for r in range(m.rows)
-            for c, v in enumerate(m.row(r))
-            if not ring.is_zero(v)
-        ]
+        # trace(rep * s) = sum of rep[r, c] * s[c, r] over the nonzeros of rep
+        self._pairs = [(c, r, v) for r, c, v in rep.matrix.nonzeros()]
 
     def evaluate(self, s: CliffordElement) -> Element:
         """Value on a symmetric element: the reduced trace of rep * s,
         summed over the nonzeros of rep without forming the product."""
         if s.ring != self.ring or s.n != self.n:
             raise UsageError("the element lives in a different algebra")
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        entries = s.matrix.entries
-        total = ring.zero
-        for index, v in self._pairs:
-            total = add(total, mul(v, entries[index]))
+        add, mul = self.ring.add, self.ring.mul
+        at = s.matrix.at
+        total = self.ring.zero
+        for r, c, v in self._pairs:
+            total = add(total, mul(v, at(r, c)))
         return total
 
     def evaluate_combo(self, combo: UnitCombo) -> Element:

@@ -1,8 +1,12 @@
-"""Dense exact matrices over a generic ring.
+"""Exact matrices over a generic ring, stored as one {col: nonzero} dict
+per row.
 
-Products, transpose and trace work over any ring in the palette; the
-product skips zeros row by row and accumulates in Python ints wherever the
-ring lifts its elements exactly (`Ring.lift`).
+Every endomorphism in the package is a `Matrix`: dense random elements,
+signed permutations such as the Gram matrix, and the generator matrices
+with one nonzero per column all share this one format.  The product runs
+an int accumulator when both factors are dense and the ring lifts its
+elements exactly to ints (`Ring.lift`), and a row-dict loop through the
+ring methods otherwise.
 Row reduction (solve, rank, kernel and image bases, span membership) is
 restricted to fields; integer problems are expected to route through the
 rationals.  Signed permutation matrices invert without division, which
@@ -11,8 +15,8 @@ keeps the Gram-matrix machinery available over the integers as well.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Optional, Sequence
+from itertools import compress, islice
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
 from .rings import Element, Ring
@@ -21,29 +25,42 @@ Vector = list
 
 
 class Matrix:
-    """A rows x cols matrix stored row-major as a flat list of ring elements."""
+    """A rows x cols matrix holding, per row, a dict {col: value} of its
+    nonzero entries; zero entries are never stored."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "_rows")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: Sequence[Element]):
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
             raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
+        is_zero = ring.is_zero
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = list(entries)
+        self._rows = [
+            {c: v for c, v in enumerate(entries[r * cols : (r + 1) * cols]) if not is_zero(v)}
+            for r in range(rows)
+        ]
+
+    @classmethod
+    def _of(cls, ring: Ring, rows: int, cols: int, row_dicts: list) -> "Matrix":
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m._rows = ring, rows, cols, row_dicts
+        return m
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols, [ring.zero] * (rows * cols))
+        if rows <= 0 or cols <= 0:
+            raise UsageError("matrix dimensions must be positive")
+        return cls._of(ring, rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "Matrix":
         m = cls.zeros(ring, size, size)
         for i in range(size):
-            m.entries[i * size + i] = ring.one
+            m.put(i, i, ring.one)
         return m
 
     @classmethod
@@ -57,75 +74,115 @@ class Matrix:
             flat.extend(row)
         return cls(ring, nrows, ncols, flat)
 
+    @property
+    def entries(self) -> list:
+        """All entries, row-major, as a new list: a dense read-only view."""
+        zero = self.ring.zero
+        cols = range(self.cols)
+        return [row.get(c, zero) for row in self._rows for c in cols]
+
     def at(self, r: int, c: int) -> Element:
-        return self.entries[r * self.cols + c]
+        return self._rows[r].get(c, self.ring.zero)
 
     def put(self, r: int, c: int, value: Element) -> None:
-        self.entries[r * self.cols + c] = value
+        if self.ring.is_zero(value):
+            self._rows[r].pop(c, None)
+        else:
+            self._rows[r][c] = value
 
-    def row(self, r: int) -> Vector:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
+    def nonzeros(self) -> Iterator[tuple[int, int, Element]]:
+        """(row, col, value) for every stored nonzero entry."""
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                yield r, c, v
 
     def col(self, c: int) -> Vector:
-        return self.entries[c :: self.cols]
+        zero = self.ring.zero
+        return [row.get(c, zero) for row in self._rows]
 
     def copy(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, self.entries)
+        return Matrix._of(self.ring, self.rows, self.cols, [dict(row) for row in self._rows])
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, Matrix)
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and all(self.ring.eq(a, b) for a, b in zip(self.entries, other.entries))
-        )
+        ):
+            return False
+        eq = self.ring.eq
+        for mine, theirs in zip(self._rows, other._rows):
+            if mine == theirs:  # structurally equal elements are equal
+                continue
+            if mine.keys() != theirs.keys():
+                return False
+            if not all(eq(v, theirs[c]) for c, v in mine.items()):
+                return False
+        return True
+
+    def axpy(self, c: Element, other: "Matrix") -> None:
+        """self += c * other, in place."""
+        self._check_shape(other)
+        if not self.ring.is_zero(c):
+            for mine, theirs in zip(self._rows, other._rows):
+                if theirs:
+                    _row_axpy(self.ring, mine, c, theirs)
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        self._check_shape(other)
+        zero, is_zero = self.ring.zero, self.ring.is_zero
+        rows = []
+        for mine, theirs in zip(self._rows, other._rows):
+            row = dict(mine)
+            for c, v in theirs.items():
+                w = op(row.get(c, zero), v)
+                if is_zero(w):
+                    row.pop(c, None)
+                else:
+                    row[c] = w
+            rows.append(row)
+        return Matrix._of(self.ring, self.rows, self.cols, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        add = self.ring.add
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [add(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, self.ring.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        sub = self.ring.sub
-        return Matrix(
-            self.ring, self.rows, self.cols,
-            [sub(a, b) for a, b in zip(self.entries, other.entries)],
-        )
+        return self._combine(other, self.ring.sub)
 
     def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix(self.ring, self.rows, self.cols, [neg(a) for a in self.entries])
+        return self._map_nonzeros(self.ring.neg)
 
     def scale(self, c: Element) -> "Matrix":
         mul = self.ring.mul
-        return Matrix(self.ring, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        return self._map_nonzeros(lambda v: mul(c, v))
+
+    def _map_nonzeros(self, fn) -> "Matrix":
+        is_zero = self.ring.is_zero
+        rows = [{c: w for c, v in row.items() if not is_zero(w := fn(v))} for row in self._rows]
+        return Matrix._of(self.ring, self.rows, self.cols, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return matmul(self, other)
 
     def transpose(self) -> "Matrix":
-        out = [self.ring.zero] * (self.rows * self.cols)
-        for r in range(self.rows):
-            base = r * self.cols
-            for c in range(self.cols):
-                out[c * self.rows + r] = self.entries[base + c]
-        return Matrix(self.ring, self.cols, self.rows, out)
+        out: list = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                out[c][r] = v
+        return Matrix._of(self.ring, self.cols, self.rows, out)
 
     def trace(self) -> Element:
         if self.rows != self.cols:
             raise UsageError("trace needs a square matrix")
         total = self.ring.zero
-        for i in range(self.rows):
-            total = self.ring.add(total, self.entries[i * self.cols + i])
+        for i, row in enumerate(self._rows):
+            if i in row:
+                total = self.ring.add(total, row[i])
         return total
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(a) for a in self.entries)
+        return not any(self._rows)
 
     def map_entries(self, fn, ring: Optional[Ring] = None) -> "Matrix":
         """Apply a coefficient map entrywise, e.g. a ring morphism."""
@@ -145,53 +202,54 @@ class Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Row-sparse product: the nonzeros of each row of b are listed once and
-    zero entries of a are skipped, so a factor with one nonzero per row (a
-    signed permutation such as the Gram matrix) costs O(dim^2), not dim^3.
+    """The product, over the stored nonzeros only: a factor with one nonzero
+    per row (a signed permutation such as the Gram matrix) costs O(dim^2).
 
-    Rings whose elements lift exactly to ints (GF(p), Z, Q) accumulate in
-    Python ints and lower each output row once; the others, GF(4) among
-    them, run the same loop through the ring methods.
+    When both factors are dense (4 * nonzeros >= entries, summed over the
+    two) and the ring lifts its elements exactly to ints (GF(p), Z, Q),
+    each output row is accumulated in a list of Python ints and lowered
+    once.  Otherwise, GF(4) always among them, a dict per output row
+    collects the products through the ring methods; that loop is also the
+    oracle the int path is tested against.
     """
     if a.cols != b.rows or a.ring != b.ring:
         raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     ring = a.ring
-    n, m, p = a.rows, a.cols, b.cols
-    lifted_b = ring.lift(b.entries)
-    lifted_a = ring.lift(a.entries) if lifted_b is not None else None
-    out: list = []
-    if lifted_a is None:
-        add, mul, is_zero, zero = ring.add, ring.mul, ring.is_zero, ring.zero
-        ae, be = a.entries, b.entries
-        brows = [
-            [(j, v) for j, v in enumerate(be[k * p : (k + 1) * p]) if not is_zero(v)]
-            for k in range(m)
-        ]
-        for i in range(n):
-            acc = [zero] * p
-            for k, aik in enumerate(ae[i * m : (i + 1) * m]):
-                if is_zero(aik):
-                    continue
-                for j, v in brows[k]:
-                    acc[j] = add(acc[j], mul(aik, v))
-            out.extend(acc)
-        return Matrix(ring, n, p, out)
-    (ai, ascale), (bi, bscale) = lifted_a, lifted_b
+    nonzeros = sum(map(len, a._rows)) + sum(map(len, b._rows))
+    if 4 * nonzeros >= a.rows * a.cols + b.rows * b.cols:
+        lifted_a = ring.lift([v for row in a._rows for v in row.values()])
+        if lifted_a is not None:
+            return _matmul_lifted(a, b, lifted_a)
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    brows = b._rows
+    out = []
+    for row in a._rows:
+        acc: dict = {}
+        for k, aik in row.items():
+            for j, v in brows[k].items():
+                cur = acc.get(j)
+                acc[j] = mul(aik, v) if cur is None else add(cur, mul(aik, v))
+        out.append({j: v for j, v in acc.items() if not is_zero(v)})
+    return Matrix._of(ring, a.rows, b.cols, out)
+
+
+def _matmul_lifted(a: Matrix, b: Matrix, lifted_a: tuple[list[int], int]) -> Matrix:
+    ring = a.ring
+    (ai, ascale), (bi, bscale) = lifted_a, ring.lift([v for row in b._rows for v in row.values()])
     scale, lower = ascale * bscale, ring.lower
-    cols, inner = range(p), range(m)
-    brows = []
-    for k in inner:
-        row = bi[k * p : (k + 1) * p]
-        brows.append([(j, row[j]) for j in compress(cols, row)])
-    for i in range(n):
-        arow = ai[i * m : (i + 1) * m]
-        acc = [0] * p
-        for k in compress(inner, arow):
-            aik = arow[k]
+    values = iter(bi)
+    brows = [list(zip(row, islice(values, len(row)))) for row in b._rows]
+    values = iter(ai)
+    cols = range(b.cols)
+    out = []
+    for row in a._rows:
+        acc = [0] * b.cols
+        for k, aik in zip(row, islice(values, len(row))):
             for j, v in brows[k]:
                 acc[j] += aik * v
-        out.extend(lower(acc, scale))
-    return Matrix(ring, n, p, out)
+        lowered = lower(acc, scale)
+        out.append({j: lowered[j] for j in compress(cols, lowered)})
+    return Matrix._of(ring, a.rows, b.cols, out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -199,13 +257,11 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
         raise UsageError("vector length does not match matrix columns")
     ring = a.ring
     out = []
-    for r in range(a.rows):
+    for row in a._rows:
         total = ring.zero
-        base = r * a.cols
-        for c, x in enumerate(v):
-            if ring.is_zero(x):
-                continue
-            total = ring.add(total, ring.mul(a.entries[base + c], x))
+        for c, x in row.items():
+            if not ring.is_zero(v[c]):
+                total = ring.add(total, ring.mul(x, v[c]))
         out.append(total)
     return out
 
@@ -213,6 +269,19 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
 def _require_field(ring: Ring, what: str) -> None:
     if not ring.is_field:
         raise UnsupportedRingError(f"{what} needs a field, not {ring.name}")
+
+
+def _row_axpy(ring: Ring, row: dict, c: Element, other: dict) -> None:
+    """row += c * other for two rows stored as {col: nonzero} dicts."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    for col, v in other.items():
+        w = mul(c, v)
+        if col in row:
+            w = add(row[col], w)
+        if is_zero(w):
+            row.pop(col, None)
+        else:
+            row[col] = w
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -224,33 +293,20 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     _require_field(m.ring, "row reduction")
     ring = m.ring
     out = m.copy()
-    e = out.entries
-    ncols = out.cols
+    rows = out._rows
     pivots: list[int] = []
     prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, out.rows):
-            if not ring.is_zero(e[r * ncols + col]):
-                sel = r
-                break
+    for col in range(out.cols):
+        sel = next((r for r in range(prow, out.rows) if col in rows[r]), None)
         if sel is None:
             continue
-        if sel != prow:
-            for c in range(ncols):
-                e[prow * ncols + c], e[sel * ncols + c] = e[sel * ncols + c], e[prow * ncols + c]
-        inv = ring.inv(e[prow * ncols + col])
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        inv = ring.inv(rows[prow][col])
         if not ring.is_one(inv):
-            for c in range(ncols):
-                e[prow * ncols + c] = ring.mul(inv, e[prow * ncols + c])
-        for r in range(out.rows):
-            if r == prow:
-                continue
-            factor = e[r * ncols + col]
-            if ring.is_zero(factor):
-                continue
-            for c in range(ncols):
-                e[r * ncols + c] = ring.sub(e[r * ncols + c], ring.mul(factor, e[prow * ncols + c]))
+            rows[prow] = {c: ring.mul(inv, v) for c, v in rows[prow].items()}
+        for r, row in enumerate(rows):
+            if r != prow and col in row:
+                _row_axpy(ring, row, ring.neg(row[col]), rows[prow])
         pivots.append(col)
         prow += 1
         if prow == out.rows:
@@ -266,15 +322,15 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One solution of A x = b over a field, or None when inconsistent."""
     if len(b) != a.rows:
         raise UsageError("right-hand side length does not match rows")
-    ring = a.ring
-    aug = Matrix(ring, a.rows, a.cols + 1, [ring.zero] * (a.rows * (a.cols + 1)))
-    for r in range(a.rows):
-        aug.entries[r * aug.cols : r * aug.cols + a.cols] = a.row(r)
-        aug.entries[r * aug.cols + a.cols] = b[r]
+    aug = Matrix.zeros(a.ring, a.rows, a.cols + 1)
+    for r, c, v in a.nonzeros():
+        aug.put(r, c, v)
+    for r, v in enumerate(b):
+        aug.put(r, a.cols, v)
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None
-    x = [ring.zero] * a.cols
+    x = [a.ring.zero] * a.cols
     for prow, col in enumerate(pivots):
         x[col] = red.at(prow, a.cols)
     return x
@@ -370,12 +426,8 @@ def signed_perm_inverse(b: Matrix) -> Matrix:
     size = b.rows
     out = Matrix.zeros(ring, size, size)
     seen_cols = set()
-    for r in range(size):
-        hits = [
-            (c, b.at(r, c))
-            for c in range(size)
-            if not ring.is_zero(b.at(r, c))
-        ]
+    for r, row in enumerate(b._rows):
+        hits = list(row.items())
         if len(hits) != 1:
             raise DomainError(f"row {r} does not have exactly one nonzero entry")
         c, val = hits[0]

@@ -71,7 +71,8 @@ class Ring:
         """Ring elements ints[i] / scale, for sums of products of lifts.
 
         scale is the product of the scales `lift` returned; a ring whose
-        lift is the identity may return ints itself.
+        lift is the identity may return ints itself.  The results must be
+        falsy exactly when they are zero, as Python numbers are.
         """
         raise NotImplementedError
 
@@ -202,6 +203,9 @@ class Rationals(Ring):
         if a == 0:
             raise DomainError("zero is not invertible in q")
         return 1 / a
+
+    def is_zero(self, a):
+        return not a  # Fraction.__bool__ is cheaper than comparing with zero
 
     def from_int(self, k):
         return Fraction(k)

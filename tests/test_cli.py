@@ -3,7 +3,7 @@
 import json
 import re
 
-from cliffqp.cli import main, run
+from cliffqp.cli import MAX_N, main, run
 from cliffqp.rings import ring_by_name
 
 
@@ -106,6 +106,24 @@ def test_trials_below_one_is_usage_error(capsys):
         assert "usage: cliffqp" in captured.err and "--trials" in captured.err
 
 
+def test_rank_above_max_is_usage_error(capsys):
+    assert main(["relations", "--n", "30"]) == 2  # refused before any matrix is built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: cliffqp" in captured.err and f"1..{MAX_N}" in captured.err
+
+
+def test_degree4_checks_skip_other_ranks(capsys):
+    for check in ("degree4-alt", "degree4-counterexample"):
+        for n in ("1", "3"):
+            code, doc = run_json(capsys, [check, "--n", n])
+            assert code == 0
+            assert doc["passed"] == doc["failed"] == 0 and doc["skipped"] == len(doc["reports"]) > 0
+            for report in doc["reports"]:
+                assert report["n"] == int(n)
+                assert "n = 2" in report["details"][0]
+
+
 def test_rank_below_range_is_declared_skip(capsys):
     for check, reason in (("sl-into-alt", "needs n >= 3"), ("classify", "needs n >= 2")):
         code, doc = run_json(capsys, [check, "--n", "1"])
@@ -118,16 +136,19 @@ def test_rank_below_range_is_declared_skip(capsys):
 
 def test_same_seed_gives_identical_json_in_one_process(capsys):
     # the README contract: same seed and flags, same JSON text apart from elapsed_ms
-    for args in (
-        ["rho-xi", "--n", "3", "--ring", "q"],
-        ["rho-xi", "--n", "3", "--ring", "z"],
-        ["gram", "--n", "3", "--ring", "gf4"],
-        ["canonical-semitrace", "--n", "4", "--ring", "gf2"],
+    # the whole grid as well: the cached generator, pair and monomial matrices
+    # are shared between cells and must come out of every run unchanged
+    for args, passed in (
+        (["rho-xi", "--n", "3", "--ring", "q", "--seed", "3"], 1),
+        (["rho-xi", "--n", "3", "--ring", "z", "--seed", "3"], 1),
+        (["gram", "--n", "3", "--ring", "gf4", "--seed", "3"], 1),
+        (["canonical-semitrace", "--n", "4", "--ring", "gf2", "--seed", "3"], 1),
+        (["all", "--trials", "1", "--seed", "0"], 107),
     ):
         texts = []
         for _ in range(2):
-            assert main(args + ["--seed", "3", "--json"]) == 0
+            assert main(args + ["--json"]) == 0
             text = capsys.readouterr().out
-            assert json.loads(text)["passed"] == 1
+            assert json.loads(text)["passed"] == passed
             texts.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text))
         assert texts[0] == texts[1]

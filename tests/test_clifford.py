@@ -17,6 +17,7 @@ from cliffqp.clifford import (
     phi_word,
     reduced_trace,
     relation_suite,
+    tau_relabel,
 )
 from cliffqp.errors import UnsupportedRingError, UsageError
 from cliffqp.exterior import mask_size
@@ -255,16 +256,9 @@ def test_parity_masks_order():
 
 
 def test_sparse_paths_match_dense():
-    # the fast internal representation agrees with the public dense one
-    from cliffqp.clifford import _phi_vector_sparse, _sfrom_matrix, _sto_matrix, _tau_sparse
-
+    # the involution moved nonzero by nonzero agrees with G^-1 x^T G
     ring, n = GF5, 3
     rng = fresh_rng("sparse-dense")
     for _ in range(10):
-        coeffs = [ring.sample(rng) for _ in range(2 * n)]
-        dense = phi_vector(ring, n, coeffs).matrix
-        sparse = _sto_matrix(ring, 1 << n, _phi_vector_sparse(ring, n, coeffs))
-        assert dense == sparse
         x = random_clifford_element(ring, n, rng)
-        via_sparse = _sto_matrix(ring, 1 << n, _tau_sparse(ring, n, _sfrom_matrix(x.matrix)))
-        assert via_sparse == canonical_involution(x).matrix
+        assert tau_relabel(x) == canonical_involution(x)

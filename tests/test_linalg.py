@@ -140,24 +140,32 @@ KERNEL_RINGS = tuple(RING_BY_NAME.values())
 
 
 def element_strategy(ring):
-    """Ring elements, zero-heavy so that operands come out sparse."""
+    """Ring elements; operands get most of their zeros from
+    `matrix_strategy`."""
     if ring is QQ:
         # large numerators over large, unrelated denominators
-        value = st.builds(
-            Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 40)
+        return st.builds(Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 2 ** 40))
+    if ring is ZZ:
+        return st.integers(-(2 ** 80), 2 ** 80)
+    if hasattr(ring, "p"):
+        return st.integers(0, ring.p - 1)
+    return st.sampled_from(list(ring.elements()))
+
+
+@st.composite
+def matrix_strategy(draw, ring, rows, cols):
+    """A matrix whose entries are zero with a drawn probability, so that
+    operands range from empty through sparse to dense and the product meets
+    both its int path and its row-dict path."""
+    zero_percent = draw(st.integers(0, 100))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, 99), element_strategy(ring)),
+            min_size=rows * cols,
+            max_size=rows * cols,
         )
-    elif ring is ZZ:
-        value = st.integers(-(2 ** 80), 2 ** 80)
-    elif hasattr(ring, "p"):
-        value = st.integers(0, ring.p - 1)
-    else:
-        value = st.sampled_from(list(ring.elements()))
-    return st.one_of(st.just(ring.zero), value)
-
-
-def matrix_strategy(ring, rows, cols):
-    entries = st.lists(element_strategy(ring), min_size=rows * cols, max_size=rows * cols)
-    return entries.map(lambda e: Matrix(ring, rows, cols, e))
+    )
+    return Matrix(ring, rows, cols, [ring.zero if roll < zero_percent else v for roll, v in cells])
 
 
 @st.composite
