@@ -86,10 +86,8 @@ def split_adjoint(m: Matrix) -> Matrix:
     if m.rows != m.cols or m.rows % 2 != 0:
         raise UsageError("the adjoint involution needs a square even-size matrix")
     size = m.rows
-    out = Matrix.zeros(m.ring, size, size)
-    for r, c, v in m.nonzeros():
-        out.put(size - 1 - c, size - 1 - r, v)
-    return out
+    moved = ((size - 1 - c, size - 1 - r, v) for r, c, v in m.nonzeros())
+    return Matrix.from_nonzeros(m.ring, size, size, moved)
 
 
 # --- rho/xi compatibility ----------------------------------------------------

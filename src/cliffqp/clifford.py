@@ -38,25 +38,27 @@ def generator_label(n: int, k: int) -> str:
 _GEN_CACHE: dict = {}
 
 
-def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
-    """The matrix of the k-th generator; cached and shared, never to be
-    modified in place."""
+def _generator(ring: Ring, n: int, k: int) -> Matrix:
+    """The cached matrix of the k-th generator, shared by this module's
+    products; it is never modified in place."""
     key = (ring, n, k)
     if key not in _GEN_CACHE:
         dim = 1 << n
-        m = Matrix.zeros(ring, dim, dim)
         if k < n:
             bit = 1 << k  # left multiplication by v_{k+1}
-            for col in range(dim):
-                if not col & bit:
-                    m.put(col | bit, col, ring.sign(mask_size(col & (bit - 1))))
+            units = ((col | bit, col) for col in range(dim) if not col & bit)
         else:
             bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
-            for col in range(dim):
-                if col & bit:
-                    m.put(col & ~bit, col, ring.sign(mask_size(col & (bit - 1))))
-        _GEN_CACHE[key] = m
+            units = ((col & ~bit, col) for col in range(dim) if col & bit)
+        _GEN_CACHE[key] = Matrix.from_nonzeros(
+            ring, dim, dim, ((r, c, ring.sign(mask_size(c & (bit - 1)))) for r, c in units)
+        )
     return _GEN_CACHE[key]
+
+
+def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
+    """The matrix of the k-th generator, a copy the caller may modify."""
+    return _generator(ring, n, k).copy()
 
 
 # --- algebra elements -----------------------------------------------------
@@ -130,7 +132,7 @@ def phi_word(ring: Ring, n: int, labels: Sequence[str]) -> CliffordElement:
     hs = HyperbolicSpace(ring, n)
     m = Matrix.identity(ring, 1 << n)
     for label in labels:
-        m = m * generator_matrix(ring, n, hs.index_of(label))
+        m = m * _generator(ring, n, hs.index_of(label))
     return CliffordElement(ring, n, m)
 
 
@@ -140,7 +142,7 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
         raise UsageError(f"expected {2 * n} coefficients")
     m = Matrix.zeros(ring, 1 << n, 1 << n)
     for k, c in enumerate(coeffs):
-        m.axpy(c, generator_matrix(ring, n, k))
+        m.axpy(c, _generator(ring, n, k))
     return CliffordElement(ring, n, m)
 
 
@@ -178,11 +180,11 @@ def tau_relabel(x: CliffordElement) -> CliffordElement:
     """The canonical involution computed unit by unit: each nonzero entry
     moves to the position tau_unit gives it, with its sign."""
     ring, n = x.ring, x.n
-    out = Matrix.zeros(ring, 1 << n, 1 << n)
+    moved = []
     for r, c, v in x.matrix.nonzeros():
         parity, rr, cc = tau_unit(n, r, c)
-        out.put(rr, cc, ring.neg(v) if parity else v)
-    return CliffordElement(ring, n, out)
+        moved.append((rr, cc, ring.neg(v) if parity else v))
+    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, moved))
 
 
 def reduced_trace(x: CliffordElement) -> Element:
@@ -258,7 +260,7 @@ def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutc
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
-    gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
+    gens = [_generator(ring, n, k) for k in range(2 * n)]
     zero = Matrix.zeros(ring, 1 << n, 1 << n)
     ident = Matrix.identity(ring, 1 << n)
 
@@ -327,7 +329,7 @@ class MonomialBasis:
         for mask in range(1, self.size):
             low = (mask & -mask).bit_length() - 1
             rest = self._monomials[mask & (mask - 1)]
-            self._monomials.append(generator_matrix(ring, n, low) * rest)
+            self._monomials.append(_generator(ring, n, low) * rest)
         self._leads = [self._lead_entry(mask) for mask in range(self.size)]
         self.peel_order = sorted(range(self.size), key=lambda m: (mask_size(m), m))
 
@@ -341,9 +343,8 @@ class MonomialBasis:
         return row, col, self._monomials[mask].at(row, col)
 
     def monomial(self, mask: int) -> CliffordElement:
-        """The monomial of a subset mask; its matrix is shared, never to be
-        modified in place."""
-        return CliffordElement(self.ring, self.n, self._monomials[mask])
+        """The monomial of a subset mask, over a copy of the cached matrix."""
+        return CliffordElement(self.ring, self.n, self._monomials[mask].copy())
 
     def labels(self, mask: int) -> tuple[str, ...]:
         return tuple(
@@ -402,7 +403,7 @@ def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOut
     """
     out = CheckOutcome()
     for k in range(2 * n):
-        g = CliffordElement(ring, n, generator_matrix(ring, n, k))
+        g = CliffordElement(ring, n, _generator(ring, n, k))
         if canonical_involution(g) != g:
             out.fail(f"involution moves generator {generator_label(n, k)}")
     dim = 1 << n

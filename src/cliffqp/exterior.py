@@ -9,6 +9,7 @@ in ascending mask order; the even/odd grading is the popcount parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import UsageError
@@ -31,6 +32,7 @@ def mask_total(mask: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)  # one int per distinct mask: at most 2^n at rank n
 def sign_exponent(mask: int) -> int:
     """Exponent (sum of I) - |I|, i.e. the sum of the 0-based bit positions."""
     return mask_total(mask) - mask_size(mask)

@@ -22,7 +22,7 @@ from .clifford import (
     tau_unit,
 )
 from .errors import DomainError, UnsupportedRingError, UsageError
-from .linalg import SpanChecker
+from .linalg import SpanChecker, trace_of_product
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
@@ -179,20 +179,13 @@ class SemiTrace:
         self.ring = ring
         self.n = n
         self.rep = rep
-        # trace(rep * s) = sum of rep[r, c] * s[c, r] over the nonzeros of rep
-        self._pairs = [(c, r, v) for r, c, v in rep.matrix.nonzeros()]
 
     def evaluate(self, s: CliffordElement) -> Element:
         """Value on a symmetric element: the reduced trace of rep * s,
-        summed over the nonzeros of rep without forming the product."""
+        summed without forming the product."""
         if s.ring != self.ring or s.n != self.n:
             raise UsageError("the element lives in a different algebra")
-        add, mul = self.ring.add, self.ring.mul
-        at = s.matrix.at
-        total = self.ring.zero
-        for r, c, v in self._pairs:
-            total = add(total, mul(v, at(r, c)))
-        return total
+        return trace_of_product(self.rep.matrix, s.matrix)
 
     def evaluate_combo(self, combo: UnitCombo) -> Element:
         """Fast path on a sum of matrix units: trace(rep * E_ab) = rep[b, a]."""

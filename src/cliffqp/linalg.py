@@ -6,7 +6,8 @@ signed permutations such as the Gram matrix, and the generator matrices
 with one nonzero per column all share this one format.  The product runs
 an int accumulator when both factors are dense and the ring lifts its
 elements exactly to ints (`Ring.lift`), and a row-dict loop through the
-ring methods otherwise.
+ring methods otherwise; `trace_of_product` sums trace(a * b) without
+forming the product.
 Row reduction (solve, rank, kernel and image bases, span membership) is
 restricted to fields; integer problems are expected to route through the
 rationals.  Signed permutation matrices invert without division, which
@@ -15,8 +16,8 @@ keeps the Gram-matrix machinery available over the integers as well.
 
 from __future__ import annotations
 
-from itertools import compress, islice
-from typing import Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
 from .rings import Element, Ring
@@ -51,17 +52,25 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
+    def from_nonzeros(
+        cls, ring: Ring, rows: int, cols: int, triples: Iterable[tuple[int, int, Element]]
+    ) -> "Matrix":
+        """A matrix from (row, col, value) triples whose values are nonzero;
+        a position given twice keeps its last value."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
-        return cls._of(ring, rows, cols, [{} for _ in range(rows)])
+        out: list = [{} for _ in range(rows)]
+        for r, c, v in triples:
+            out[r][c] = v
+        return cls._of(ring, rows, cols, out)
+
+    @classmethod
+    def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
+        return cls.from_nonzeros(ring, rows, cols, ())
 
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "Matrix":
-        m = cls.zeros(ring, size, size)
-        for i in range(size):
-            m.put(i, i, ring.one)
-        return m
+        return cls.from_nonzeros(ring, size, size, ((i, i, ring.one) for i in range(size)))
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence[Element]]) -> "Matrix":
@@ -111,23 +120,13 @@ class Matrix:
             and self.cols == other.cols
         ):
             return False
-        eq = self.ring.eq
-        for mine, theirs in zip(self._rows, other._rows):
-            if mine == theirs:  # structurally equal elements are equal
-                continue
-            if mine.keys() != theirs.keys():
-                return False
-            if not all(eq(v, theirs[c]) for c, v in mine.items()):
-                return False
-        return True
+        return self._rows == other._rows  # ring elements compare structurally
 
     def axpy(self, c: Element, other: "Matrix") -> None:
         """self += c * other, in place."""
         self._check_shape(other)
         if not self.ring.is_zero(c):
-            for mine, theirs in zip(self._rows, other._rows):
-                if theirs:
-                    _row_axpy(self.ring, mine, c, theirs)
+            _rows_axpy(self.ring, self._rows, c, other._rows)
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
         self._check_shape(other)
@@ -210,7 +209,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     each output row is accumulated in a list of Python ints and lowered
     once.  Otherwise, GF(4) always among them, a dict per output row
     collects the products through the ring methods; that loop is also the
-    oracle the int path is tested against.
+    oracle the int path is tested against.  The factor 4 was timed against
+    2 and 8 on the benchmark workloads (`BENCH_3.json`, "cutoff").
     """
     if a.cols != b.rows or a.ring != b.ring:
         raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -229,8 +229,27 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             for j, v in brows[k].items():
                 cur = acc.get(j)
                 acc[j] = mul(aik, v) if cur is None else add(cur, mul(aik, v))
-        out.append({j: v for j, v in acc.items() if not is_zero(v)})
+        out.append({j: v for j, v in acc.items() if not is_zero(v)} if acc else acc)
     return Matrix._of(ring, a.rows, b.cols, out)
+
+
+def trace_of_product(a: Matrix, b: Matrix) -> Element:
+    """trace(a * b) without forming the product: the sum of a[r, c] * b[c, r]
+    over the stored nonzeros of the sparser factor."""
+    if a.rows != b.cols or a.cols != b.rows or a.ring != b.ring:
+        raise UsageError(f"no trace of {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    if sum(map(len, b._rows)) < sum(map(len, a._rows)):
+        a, b = b, a
+    ring = a.ring
+    add, mul = ring.add, ring.mul
+    brows = b._rows
+    total = ring.zero
+    for r, row in enumerate(a._rows):
+        for c, v in row.items():
+            w = brows[c].get(r)
+            if w is not None:
+                total = add(total, mul(v, w))
+    return total
 
 
 def _matmul_lifted(a: Matrix, b: Matrix, lifted_a: tuple[list[int], int]) -> Matrix:
@@ -240,15 +259,13 @@ def _matmul_lifted(a: Matrix, b: Matrix, lifted_a: tuple[list[int], int]) -> Mat
     values = iter(bi)
     brows = [list(zip(row, islice(values, len(row)))) for row in b._rows]
     values = iter(ai)
-    cols = range(b.cols)
     out = []
     for row in a._rows:
         acc = [0] * b.cols
         for k, aik in zip(row, islice(values, len(row))):
             for j, v in brows[k]:
                 acc[j] += aik * v
-        lowered = lower(acc, scale)
-        out.append({j: lowered[j] for j in compress(cols, lowered)})
+        out.append(lower(acc, scale))
     return Matrix._of(ring, a.rows, b.cols, out)
 
 
@@ -271,17 +288,18 @@ def _require_field(ring: Ring, what: str) -> None:
         raise UnsupportedRingError(f"{what} needs a field, not {ring.name}")
 
 
-def _row_axpy(ring: Ring, row: dict, c: Element, other: dict) -> None:
-    """row += c * other for two rows stored as {col: nonzero} dicts."""
+def _rows_axpy(ring: Ring, rows: list, c: Element, others: list) -> None:
+    """rows[i] += c * others[i] for rows stored as {col: nonzero} dicts."""
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    for col, v in other.items():
-        w = mul(c, v)
-        if col in row:
-            w = add(row[col], w)
-        if is_zero(w):
-            row.pop(col, None)
-        else:
-            row[col] = w
+    for row, other in zip(rows, others):
+        for col, v in other.items():
+            w = mul(c, v)
+            if col in row:
+                w = add(row[col], w)
+            if is_zero(w):
+                row.pop(col, None)
+            else:
+                row[col] = w
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -306,7 +324,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             rows[prow] = {c: ring.mul(inv, v) for c, v in rows[prow].items()}
         for r, row in enumerate(rows):
             if r != prow and col in row:
-                _row_axpy(ring, row, ring.neg(row[col]), rows[prow])
+                _rows_axpy(ring, [row], ring.neg(row[col]), [rows[prow]])
         pivots.append(col)
         prow += 1
         if prow == out.rows:
@@ -322,11 +340,9 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One solution of A x = b over a field, or None when inconsistent."""
     if len(b) != a.rows:
         raise UsageError("right-hand side length does not match rows")
-    aug = Matrix.zeros(a.ring, a.rows, a.cols + 1)
-    for r, c, v in a.nonzeros():
-        aug.put(r, c, v)
-    for r, v in enumerate(b):
-        aug.put(r, a.cols, v)
+    is_zero = a.ring.is_zero
+    rhs = ((r, a.cols, v) for r, v in enumerate(b) if not is_zero(v))
+    aug = Matrix.from_nonzeros(a.ring, a.rows, a.cols + 1, chain(a.nonzeros(), rhs))
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None
@@ -423,8 +439,7 @@ def signed_perm_inverse(b: Matrix) -> Matrix:
         raise DomainError("signed permutation matrices are square")
     ring = b.ring
     minus_one = ring.neg(ring.one)
-    size = b.rows
-    out = Matrix.zeros(ring, size, size)
+    inverse = []
     seen_cols = set()
     for r, row in enumerate(b._rows):
         hits = list(row.items())
@@ -436,5 +451,5 @@ def signed_perm_inverse(b: Matrix) -> Matrix:
         if c in seen_cols:
             raise DomainError(f"column {c} hit twice")
         seen_cols.add(c)
-        out.put(c, r, val)  # (+1)^-1 = +1 and (-1)^-1 = -1
-    return out
+        inverse.append((c, r, val))  # (+1)^-1 = +1 and (-1)^-1 = -1
+    return Matrix.from_nonzeros(ring, b.rows, b.rows, inverse)

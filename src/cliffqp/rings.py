@@ -67,12 +67,11 @@ class Ring:
         """
         return None
 
-    def lower(self, ints: list[int], scale: int) -> list[Element]:
-        """Ring elements ints[i] / scale, for sums of products of lifts.
+    def lower(self, ints: list[int], scale: int) -> dict[int, Element]:
+        """The nonzero ring elements among ints[i] / scale, keyed by i, for
+        sums of products of lifts.
 
-        scale is the product of the scales `lift` returned; a ring whose
-        lift is the identity may return ints itself.  The results must be
-        falsy exactly when they are zero, as Python numbers are.
+        scale is the product of the scales `lift` returned.
         """
         raise NotImplementedError
 
@@ -131,7 +130,7 @@ class PrimeField(Ring):
 
     def lower(self, ints, scale):
         p = self.p  # scale is always 1 here
-        return [v % p for v in ints]
+        return {i: r for i, v in enumerate(ints) if (r := v % p)}
 
     def elements(self):
         return iter(range(self.p))
@@ -215,8 +214,7 @@ class Rationals(Ring):
         return [x.numerator * (scale // x.denominator) for x in entries], scale
 
     def lower(self, ints, scale):
-        zero = self.zero
-        return [Fraction(v, scale) if v else zero for v in ints]
+        return {i: Fraction(v, scale) for i, v in enumerate(ints) if v}
 
     def sample(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -253,7 +251,7 @@ class Integers(Ring):
         return entries, 1
 
     def lower(self, ints, scale):
-        return ints  # scale is always 1 here
+        return {i: v for i, v in enumerate(ints) if v}  # scale is always 1 here
 
     def sample(self, rng):
         return rng.randint(-9, 9)

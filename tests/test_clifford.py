@@ -87,6 +87,20 @@ def test_involution_fixes_generators(ring, n):
         assert canonical_involution(g) == g
 
 
+def test_public_accessors_hand_out_copies():
+    # the cached generator and monomial matrices stay intact whatever a
+    # caller does to the matrices it was given
+    g = generator_matrix(GF3, 2, 0)
+    g.put(0, 0, GF3.one)
+    mono = monomial_basis(GF3, 2).monomial(5)
+    mono.matrix.axpy(GF3.one, g)
+    assert generator_matrix(GF3, 2, 0) != g
+    assert monomial_basis(GF3, 2).monomial(5) != mono
+    assert relation_suite(GF3, 2, fresh_rng("copies"), trials=5).passed
+    x = random_clifford_element(GF3, 2, fresh_rng("copies:x"))
+    assert monomial_basis(GF3, 2).recompose(decompose_monomial(x)) == x
+
+
 @pytest.mark.parametrize("ring", (GF3, QQ))
 def test_involution_squares_to_identity_on_randoms(ring):
     rng = fresh_rng(f"tausq:{ring.name}")

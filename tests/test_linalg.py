@@ -21,6 +21,7 @@ from cliffqp.linalg import (
     rref,
     signed_perm_inverse,
     solve,
+    trace_of_product,
 )
 from cliffqp.rings import GF2, GF3, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
@@ -272,3 +273,23 @@ def test_z_kernel_keeps_big_integers_exact():
     a = Matrix.from_rows(ZZ, [[big, -big]])
     b = Matrix.from_rows(ZZ, [[big], [big - 2]])
     assert matmul(a, b).entries == [big * big - big * (big - 2)]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trace_of_product_matches_trace_of_matmul(ring, data):
+    n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    a = data.draw(matrix_strategy(ring, n, m))
+    b = data.draw(matrix_strategy(ring, m, n))
+    want = textbook_product(a, b).trace()
+    assert trace_of_product(a, b) == want
+    assert trace_of_product(b, a) == want
+    with pytest.raises(UsageError):
+        trace_of_product(a, Matrix.zeros(ring, m, n + 1))
+
+
+def test_from_nonzeros_keeps_the_last_value_of_a_position():
+    m = Matrix.from_nonzeros(GF5, 2, 3, [(0, 2, 4), (1, 0, 1), (0, 2, 3)])
+    assert m == Matrix.from_rows(GF5, [[0, 0, 3], [1, 0, 0]])
+    assert Matrix.from_nonzeros(GF5, 2, 2, ()) == Matrix.zeros(GF5, 2, 2)
