@@ -19,14 +19,13 @@ from .clifford import (
     MonomialBasis,
     canonical_involution,
     classify_even_involution,
-    decompose_monomial,
     phi_vector,
     phi_word,
     reduced_trace,
     relation_suite,
 )
 from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
-from .exterior import ExteriorVector, SubsetIndex, subset_sign, wedge_basis
+from .exterior import ExteriorVector
 from .forms import (
     HyperbolicSpace,
     QuadraticForm,
@@ -45,7 +44,7 @@ from .involution import (
     sym_basis,
     trace_orthogonality,
 )
-from .linalg import Matrix, image_basis, in_span, kernel_basis, rank, signed_perm_inverse, solve
+from .linalg import Matrix, signed_perm_inverse
 from .rings import GF2, GF3, GF4, GF5, QQ, ZZ, Ring, RingMorphism, gf2_into_gf4, ring_by_name
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "Ring",
     "RingMorphism",
     "SemiTrace",
-    "SubsetIndex",
     "SubspaceBasis",
     "UnsupportedRingError",
     "UsageError",
@@ -80,19 +78,14 @@ __all__ = [
     "classify_even_involution",
     "clifford_action",
     "correspondence_with_q_wedge",
-    "decompose_monomial",
     "degree4_no_canonical",
     "gf2_into_gf4",
-    "image_basis",
     "in_alternating",
-    "in_span",
     "is_orthogonal",
-    "kernel_basis",
     "pgo_invariance",
     "phi_vector",
     "phi_word",
     "q_wedge",
-    "rank",
     "reduced_trace",
     "relation_suite",
     "rho_xi_check",
@@ -100,9 +93,6 @@ __all__ = [
     "semi_trace_from",
     "semitrace_eligibility",
     "signed_perm_inverse",
-    "solve",
-    "subset_sign",
     "sym_basis",
     "trace_orthogonality",
-    "wedge_basis",
 ]

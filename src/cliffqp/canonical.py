@@ -13,6 +13,8 @@ class by an explicit orthogonal transvection.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .clifford import (
     CliffordElement,
     canonical_involution,
@@ -38,15 +40,11 @@ from .sampling import (
 
 # --- the canonical mapping --------------------------------------------------
 
-_PAIR_CACHE: dict = {}
 
-
+@cache
 def _pair_matrix(ring: Ring, n: int, k: int, l: int) -> Matrix:
     """The generator pair product Phi(e_k) Phi(e_l); cached and shared."""
-    key = (ring, n, k, l)
-    if key not in _PAIR_CACHE:
-        _PAIR_CACHE[key] = generator_matrix(ring, n, k) * generator_matrix(ring, n, l)
-    return _PAIR_CACHE[key]
+    return generator_matrix(ring, n, k) * generator_matrix(ring, n, l)
 
 
 def phi_b_unit(ring: Ring, n: int, k: int, l: int) -> Matrix:
@@ -77,17 +75,6 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
     for l, j, coef in m.nonzeros():
         acc.axpy(coef, _pair_matrix(ring, n, 2 * n - 1 - j, l))
     return CliffordElement(ring, n, acc)
-
-
-def split_adjoint(m: Matrix) -> Matrix:
-    """Adjoint involution of the polar of the hyperbolic form: P m^T P
-    with P the antidiagonal permutation pairing each v_i with v_i^*.
-    """
-    if m.rows != m.cols or m.rows % 2 != 0:
-        raise UsageError("the adjoint involution needs a square even-size matrix")
-    size = m.rows
-    moved = ((size - 1 - c, size - 1 - r, v) for r, c, v in m.nonzeros())
-    return Matrix.from_nonzeros(m.ring, size, size, moved)
 
 
 # --- rho/xi compatibility ----------------------------------------------------

@@ -27,6 +27,10 @@ PGO_SAMPLES = 50
 # The largest rank whose dense even elements stay under a million entries
 # (2 * 4^(n-1)); a larger --n is refused before any matrix is built.
 MAX_N = 10
+# sl-into-alt's Alt span checker holds about 4^(n-1) dense vectors of
+# 2 * 4^(n-1) entries: n=7 takes about 20 s and 0.5 GB, n=8 would take 8x
+# the memory, so a larger --n is refused for it (and for `all`) as well.
+SL_INTO_ALT_MAX_N = 7
 
 CHECK_NAMES = (
     "relations",
@@ -230,6 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     problem = None
     if args.n is not None and not 1 <= args.n <= MAX_N:
         problem = f"--n must lie in 1..{MAX_N}"
+    elif args.n is not None and args.n > SL_INTO_ALT_MAX_N and args.check in ("sl-into-alt", "all"):
+        problem = f"--n must lie in 1..{SL_INTO_ALT_MAX_N} for sl-into-alt"
     elif args.trials < 1:
         problem = "--trials must be at least 1, or the cells would check nothing"
     if problem:

@@ -16,6 +16,7 @@ and triangular by degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
@@ -35,25 +36,20 @@ def generator_label(n: int, k: int) -> str:
     return f"v{k + 1}" if k < n else f"v{2 * n - k}*"
 
 
-_GEN_CACHE: dict = {}
-
-
+@cache
 def _generator(ring: Ring, n: int, k: int) -> Matrix:
     """The cached matrix of the k-th generator, shared by this module's
     products; it is never modified in place."""
-    key = (ring, n, k)
-    if key not in _GEN_CACHE:
-        dim = 1 << n
-        if k < n:
-            bit = 1 << k  # left multiplication by v_{k+1}
-            units = ((col | bit, col) for col in range(dim) if not col & bit)
-        else:
-            bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
-            units = ((col & ~bit, col) for col in range(dim) if col & bit)
-        _GEN_CACHE[key] = Matrix.from_nonzeros(
-            ring, dim, dim, ((r, c, ring.sign(mask_size(c & (bit - 1)))) for r, c in units)
-        )
-    return _GEN_CACHE[key]
+    dim = 1 << n
+    if k < n:
+        bit = 1 << k  # left multiplication by v_{k+1}
+        units = ((col | bit, col) for col in range(dim) if not col & bit)
+    else:
+        bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
+        units = ((col & ~bit, col) for col in range(dim) if col & bit)
+    return Matrix.from_nonzeros(
+        ring, dim, dim, ((r, c, ring.sign(mask_size(c & (bit - 1)))) for r, c in units)
+    )
 
 
 def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
@@ -148,15 +144,10 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
 
 # --- canonical involution and trace ---------------------------------------
 
-_GRAM_CACHE: dict = {}
-
-
+@cache
 def _gram_pair(ring: Ring, n: int) -> tuple[Matrix, Matrix]:
-    key = (ring, n)
-    if key not in _GRAM_CACHE:
-        g = b_wedge_gram(ring, n)
-        _GRAM_CACHE[key] = (g, signed_perm_inverse(g))
-    return _GRAM_CACHE[key]
+    g = b_wedge_gram(ring, n)
+    return g, signed_perm_inverse(g)
 
 
 def canonical_involution(x: CliffordElement) -> CliffordElement:
@@ -236,15 +227,6 @@ def flatten_even(x: CliffordElement) -> list:
     """An even element as a vector of length 2 * 4^(n-1): both blocks row-major."""
     b0, b1 = even_blocks(x)
     return b0.entries + b1.entries
-
-
-def unflatten_even(ring: Ring, n: int, vec: Sequence[Element]) -> CliffordElement:
-    half = 1 << (n - 1)
-    if len(vec) != 2 * half * half:
-        raise UsageError(f"expected a vector of length {2 * half * half}")
-    b0 = Matrix(ring, half, half, list(vec[: half * half]))
-    b1 = Matrix(ring, half, half, list(vec[half * half :]))
-    return embed_blocks(ring, n, b0, b1)
 
 
 # --- relation suite ---------------------------------------------------------
@@ -382,19 +364,9 @@ class MonomialBasis:
         return CliffordElement(self.ring, self.n, acc)
 
 
-_MONOMIAL_CACHE: dict = {}
-
-
+@cache
 def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
-    key = (ring, n)
-    if key not in _MONOMIAL_CACHE:
-        _MONOMIAL_CACHE[key] = MonomialBasis(ring, n)
-    return _MONOMIAL_CACHE[key]
-
-
-def decompose_monomial(x: CliffordElement) -> list:
-    """Coordinates of x over the monomial basis (field rings, n <= 4)."""
-    return monomial_basis(x.ring, x.n).decompose(x)
+    return MonomialBasis(ring, n)
 
 
 def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOutcome:
@@ -467,15 +439,9 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
         canonical_involution(e0) == e0 and canonical_involution(e1) == e1
     )
 
-    gram = b_wedge_gram(ring, n)
-    even, odd = parity_masks(n)
     labels: set[str] = set()
-    if center_fixed:
-        for masks in (even, odd):
-            block = Matrix.zeros(ring, len(masks), len(masks))
-            for i, r in enumerate(masks):
-                for j, c in enumerate(masks):
-                    block.put(i, j, gram.at(r, c))
+    if center_fixed:  # so n is even and the Gram matrix preserves parity
+        for block in even_blocks(CliffordElement(ring, n, _gram_pair(ring, n)[0])):
             labels |= classify_bilinear(block)
     involution = set()
     if "symmetric" in labels:

@@ -60,65 +60,6 @@ def wedge_masks(mask_i: int, mask_j: int) -> Optional[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class SubsetIndex:
-    """A subset of {1, .., n} carried as a bitmask."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if not 0 < self.n:
-            raise UsageError("n must be positive")
-        if not 0 <= self.mask < (1 << self.n):
-            raise UsageError(f"mask {self.mask} out of range for n={self.n}")
-
-    @classmethod
-    def from_members(cls, n: int, members) -> "SubsetIndex":
-        mask = 0
-        for i in members:
-            if not 1 <= i <= n:
-                raise UsageError(f"member {i} outside 1..{n}")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
-
-    @property
-    def size(self) -> int:
-        return mask_size(self.mask)
-
-    @property
-    def total(self) -> int:
-        return mask_total(self.mask)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return mask_members(self.mask)
-
-    @property
-    def complement(self) -> "SubsetIndex":
-        return SubsetIndex(self.n, ((1 << self.n) - 1) ^ self.mask)
-
-    @property
-    def sign_exponent(self) -> int:
-        return self.total - self.size
-
-
-def subset_sign(ring: Ring, index: SubsetIndex) -> Element:
-    """(-1)**((sum of I) - |I|) as an element of the ring."""
-    return ring.sign(index.sign_exponent)
-
-
-def wedge_basis(i: SubsetIndex, j: SubsetIndex) -> Optional[tuple[int, SubsetIndex]]:
-    """Wedge of two basis vectors: (sign, union) or None when they overlap."""
-    if i.n != j.n:
-        raise UsageError(f"mismatched ranks {i.n} and {j.n}")
-    res = wedge_masks(i.mask, j.mask)
-    if res is None:
-        return None
-    sign, mask = res
-    return sign, SubsetIndex(i.n, mask)
-
-
-@dataclass(frozen=True)
 class ExteriorVector:
     """An element of wedge V as a dense coefficient list in mask order."""
 

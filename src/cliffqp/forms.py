@@ -50,10 +50,6 @@ class HyperbolicSpace:
             raise UsageError(f"index {i} outside 1..{self.n}")
         return 2 * self.n - i
 
-    def partner(self, k: int) -> int:
-        """Index pairing v_i with v_i^* under the polar form."""
-        return self.dim - 1 - k
-
     def q(self, coeffs: Sequence[Element]) -> Element:
         """The hyperbolic quadratic form: sum over i of x_i * y_i."""
         if len(coeffs) != self.dim:
@@ -63,13 +59,6 @@ class HyperbolicSpace:
         for i in range(self.n):
             total = ring.add(total, ring.mul(coeffs[i], coeffs[self.dim - 1 - i]))
         return total
-
-    def polar_gram(self) -> Matrix:
-        """Gram matrix of the polar form: ones on the antidiagonal."""
-        g = Matrix.zeros(self.ring, self.dim, self.dim)
-        for k in range(self.dim):
-            g.put(k, self.partner(k), self.ring.one)
-        return g
 
     def quadratic_form(self) -> "QuadraticForm":
         return QuadraticForm(self.ring, self.dim, self.q)

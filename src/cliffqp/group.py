@@ -12,6 +12,8 @@ parity-preserving matrix.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .canonical import canonical_semitrace, semitrace_eligibility
 from .clifford import CliffordElement, monomial_basis, phi_vector, tau_relabel
 from .errors import DomainError, UsageError
@@ -215,20 +217,15 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     return CliffordElement(ring, n, acc)
 
 
-_TAU_COORD_CACHE: dict = {}
-
-
+@cache
 def _tau_monomial_coords(ring: Ring, n: int) -> list[list[tuple[int, Element]]]:
     """Coordinates of tau(monomial) over the monomial basis, per monomial."""
-    key = (ring, n)
-    if key not in _TAU_COORD_CACHE:
-        mb = monomial_basis(ring, n)
-        table = []
-        for mask in range(mb.size):
-            coords = mb.decompose(tau_relabel(mb.monomial(mask)))
-            table.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
-        _TAU_COORD_CACHE[key] = table
-    return _TAU_COORD_CACHE[key]
+    mb = monomial_basis(ring, n)
+    table = []
+    for mask in range(mb.size):
+        coords = mb.decompose(tau_relabel(mb.monomial(mask)))
+        table.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
+    return table
 
 
 def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
@@ -280,78 +277,4 @@ def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
                 break
     if out.passed:
         out.note(f"{samples} certified orthogonal elements preserve the semi-trace and the involution")
-    return out
-
-
-def check_action_multiplicative(ring: Ring, n: int, rng, pairs: int = 50) -> CheckOutcome:
-    """C(B)(xy) = C(B)(x) C(B)(y) on random elements."""
-    from .sampling import random_clifford_element
-
-    out = CheckOutcome()
-    for t in range(pairs):
-        _, b = sample_orthogonal(ring, n, rng)
-        x = random_clifford_element(ring, n, rng)
-        y = random_clifford_element(ring, n, rng)
-        lhs = clifford_action(b, x * y)
-        rhs = clifford_action(b, x) * clifford_action(b, y)
-        if lhs != rhs:
-            out.fail(f"trial {t}: action is not multiplicative")
-    if out.passed:
-        out.note(f"action multiplicative on {pairs} random pairs")
-    return out
-
-
-def check_action_composition(ring: Ring, n: int, rng, pairs: int = 20) -> CheckOutcome:
-    """C(B1 B2) = C(B1) then C(B2), on random generator pairs."""
-    from .sampling import random_clifford_element
-
-    out = CheckOutcome()
-    for t in range(pairs):
-        _, b1 = sample_orthogonal(ring, n, rng)
-        _, b2 = sample_orthogonal(ring, n, rng)
-        x = random_clifford_element(ring, n, rng)
-        lhs = clifford_action(matmul(b1, b2), x)
-        rhs = clifford_action(b1, clifford_action(b2, x))
-        if lhs != rhs:
-            out.fail(f"trial {t}: C(B1 B2) differs from C(B1) o C(B2)")
-    if out.passed:
-        out.note(f"composition respected on {pairs} random generator pairs")
-    return out
-
-
-def degree4_invariance_negative(ring: Ring, rng, candidates: int = 20) -> CheckOutcome:
-    """Negative control at n = 2 over GF(4): every sampled semi-trace is
-    moved by some transvection, witnessed on an explicit symmetric element.
-    """
-    from .canonical import even_monomials_n2
-    from .involution import semi_trace_from
-
-    if ring.char != 2:
-        raise DomainError("the negative control needs characteristic 2")
-    out = CheckOutcome()
-    mono = even_monomials_n2(ring)
-    elems = list(ring.elements())
-    nonzero = [t for t in elems if not ring.is_zero(t)]
-    sym = sym_basis(ring, 2)
-    sym_elems = sym.elements()
-    for trial in range(candidates):
-        a3 = ring.sample(rng)
-        coeffs = [ring.sample(rng) for _ in range(7)]
-        l = mono[3].scale(a3) + mono[4].scale(ring.add(ring.one, a3))
-        for idx, c in zip((0, 1, 2, 5, 6), coeffs):
-            l = l + mono[idx].scale(c)
-        f = semi_trace_from(l)
-        broken = False
-        for t in nonzero:
-            b = transvection_pair(ring, 2, 1, 2, t)
-            for s in sym_elems:
-                if not ring.eq(f.evaluate(clifford_action(b, s)), f.evaluate(s)):
-                    broken = True
-                    break
-            if broken:
-                break
-        if not broken:
-            out.fail(f"candidate {trial} (a3={ring.show(a3)}) was invariant under every B(t)")
-    if out.passed:
-        out.note(f"all {candidates} sampled semi-traces are moved by some transvection")
     return out

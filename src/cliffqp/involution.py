@@ -13,6 +13,7 @@ exactly when they differ by an alternating element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .clifford import (
     CliffordElement,
@@ -33,19 +34,12 @@ UnitCombo = list[tuple[Element, tuple[int, int]]]
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Linearly independent unit combos spanning a subspace of the algebra;
-    by default everything lives in the even part."""
+    """Linearly independent unit combos spanning a subspace of the even
+    algebra."""
 
     ring: Ring
     n: int
     combos: tuple[UnitCombo, ...]
-    even_only: bool = True
-
-    @property
-    def ambient_dim(self) -> int:
-        if self.even_only:
-            return 2 * (1 << (self.n - 1)) ** 2
-        return (1 << self.n) ** 2
 
     def __len__(self) -> int:
         return len(self.combos)
@@ -63,9 +57,7 @@ class SubspaceBasis:
         return CliffordElement(self.ring, self.n, m)
 
     def vectors(self) -> list[list]:
-        if self.even_only:
-            return [flatten_even(e) for e in self.elements()]
-        return [e.matrix.entries for e in self.elements()]
+        return [flatten_even(e) for e in self.elements()]
 
 
 def _even_units(n: int) -> list[tuple[int, int]]:
@@ -79,18 +71,13 @@ def _even_units(n: int) -> list[tuple[int, int]]:
     return units
 
 
-def _all_units(n: int) -> list[tuple[int, int]]:
-    dim = 1 << n
-    return [(r, c) for r in range(dim) for c in range(dim)]
-
-
-def _unit_orbits(ring: Ring, n: int, even_only: bool):
-    """Orbits of matrix units under the involution, with the unit signs.
+def _unit_orbits(ring: Ring, n: int):
+    """Orbits of even matrix units under the involution, with the unit signs.
 
     Yields (kind, data): kind 'fixed' with (unit, sign) for tau-eigenunits,
     kind 'pair' with (unit, partner, sign) where tau(E_unit) = sign * E_partner.
     """
-    units = _even_units(n) if even_only else _all_units(n)
+    units = _even_units(n)
     position = {u: i for i, u in enumerate(units)}
     for i, (a, b) in enumerate(units):
         parity, r, c = tau_unit(n, a, b)
@@ -102,7 +89,7 @@ def _unit_orbits(ring: Ring, n: int, even_only: bool):
             yield "pair", ((a, b), partner, sign)
 
 
-def alt_basis(ring: Ring, n: int, even_only: bool = True) -> SubspaceBasis:
+def alt_basis(ring: Ring, n: int) -> SubspaceBasis:
     """Basis of the alternating elements, the image of Id - tau.
 
     Each unit orbit contributes independently: a two-element orbit gives
@@ -113,7 +100,7 @@ def alt_basis(ring: Ring, n: int, even_only: bool = True) -> SubspaceBasis:
         raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
     combos: list[UnitCombo] = []
     two = ring.from_int(2)
-    for kind, data in _unit_orbits(ring, n, even_only):
+    for kind, data in _unit_orbits(ring, n):
         if kind == "pair":
             unit, partner, sign = data
             combos.append([(ring.one, unit), (ring.neg(sign), partner)])
@@ -121,15 +108,15 @@ def alt_basis(ring: Ring, n: int, even_only: bool = True) -> SubspaceBasis:
             unit, sign = data
             if not ring.eq(sign, ring.one):
                 combos.append([(two, unit)])
-    return SubspaceBasis(ring, n, tuple(combos), even_only)
+    return SubspaceBasis(ring, n, tuple(combos))
 
 
-def sym_basis(ring: Ring, n: int, even_only: bool = True) -> SubspaceBasis:
+def sym_basis(ring: Ring, n: int) -> SubspaceBasis:
     """Basis of the symmetric elements, the kernel of Id - tau."""
     if not ring.is_field:
         raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
     combos: list[UnitCombo] = []
-    for kind, data in _unit_orbits(ring, n, even_only):
+    for kind, data in _unit_orbits(ring, n):
         if kind == "pair":
             unit, partner, sign = data
             combos.append([(ring.one, unit), (sign, partner)])
@@ -137,18 +124,12 @@ def sym_basis(ring: Ring, n: int, even_only: bool = True) -> SubspaceBasis:
             unit, sign = data
             if ring.eq(sign, ring.one):
                 combos.append([(ring.one, unit)])
-    return SubspaceBasis(ring, n, tuple(combos), even_only)
+    return SubspaceBasis(ring, n, tuple(combos))
 
 
-_ALT_CHECKER_CACHE: dict = {}
-
-
+@cache
 def _alt_checker(ring: Ring, n: int) -> SpanChecker:
-    key = (ring, n)
-    if key not in _ALT_CHECKER_CACHE:
-        basis = alt_basis(ring, n)
-        _ALT_CHECKER_CACHE[key] = SpanChecker(ring, basis.vectors())
-    return _ALT_CHECKER_CACHE[key]
+    return SpanChecker(ring, alt_basis(ring, n).vectors())
 
 
 def in_alternating(x: CliffordElement) -> bool:

@@ -8,7 +8,7 @@ an int accumulator when both factors are dense and the ring lifts its
 elements exactly to ints (`Ring.lift`), and a row-dict loop through the
 ring methods otherwise; `trace_of_product` sums trace(a * b) without
 forming the product.
-Row reduction (solve, rank, kernel and image bases, span membership) is
+Row reduction (rank, kernel and image bases, span membership) is
 restricted to fields; integer problems are expected to route through the
 rationals.  Signed permutation matrices invert without division, which
 keeps the Gram-matrix machinery available over the integers as well.
@@ -16,7 +16,7 @@ keeps the Gram-matrix machinery available over the integers as well.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -336,22 +336,6 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def solve(a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of A x = b over a field, or None when inconsistent."""
-    if len(b) != a.rows:
-        raise UsageError("right-hand side length does not match rows")
-    is_zero = a.ring.is_zero
-    rhs = ((r, a.cols, v) for r, v in enumerate(b) if not is_zero(v))
-    aug = Matrix.from_nonzeros(a.ring, a.rows, a.cols + 1, chain(a.nonzeros(), rhs))
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [a.ring.zero] * a.cols
-    for prow, col in enumerate(pivots):
-        x[col] = red.at(prow, a.cols)
-    return x
-
-
 def kernel_basis(a: Matrix) -> list[Vector]:
     """Basis of the null space over a field, one vector per free column."""
     ring = a.ring
@@ -388,10 +372,6 @@ class SpanChecker:
             reduced = self._reduce(list(v))
             if reduced is not None:
                 self._insert(reduced)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
     def _reduce(self, v: Vector) -> Optional[Vector]:
         """Eliminate v against the stored rows; None when it reduces to zero."""

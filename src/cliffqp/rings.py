@@ -289,7 +289,3 @@ class RingMorphism:
 
 def gf2_into_gf4() -> RingMorphism:
     return RingMorphism(GF2, GF4, lambda a: (a, 0), "gf2->gf4")
-
-
-def int_reduction(ring: Ring) -> RingMorphism:
-    return RingMorphism(ZZ, ring, ring.from_int, f"z->{ring.name}")

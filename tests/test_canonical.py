@@ -18,7 +18,6 @@ from cliffqp.canonical import (
     rho_xi_check,
     semitrace_eligibility,
     sl_proof_rows,
-    split_adjoint,
     tensor_combo_matrix,
 )
 from cliffqp.clifford import (
@@ -28,7 +27,7 @@ from cliffqp.clifford import (
 )
 from cliffqp.errors import DomainError, EligibilityError
 from cliffqp.exterior import ExteriorVector
-from cliffqp.forms import HyperbolicSpace, q_wedge
+from cliffqp.forms import q_wedge
 from cliffqp.involution import in_alternating
 from cliffqp.linalg import Matrix, mat_vec
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
@@ -57,25 +56,6 @@ def test_canonical_map_single_tensor():
     ring, n = GF3, 2
     m = phi_b_unit(ring, n, 0, 1)  # v1 (x) v2
     assert canonical_map_c(m) == phi_word(ring, n, ["v1", "v2"])
-
-
-def test_split_adjoint_is_polar_adjoint():
-    ring, n = GF5, 2
-    hs = HyperbolicSpace(ring, n)
-    form = hs.quadratic_form()
-    rng = fresh_rng("adjoint")
-    basis = [[ring.one if i == k else ring.zero for i in range(4)] for k in range(4)]
-    for _ in range(10):
-        b = random_matrix(ring, 4, 4, rng)
-        sigma = split_adjoint(b)
-        for x in basis:
-            for y in basis:
-                lhs = form.polar(x, mat_vec(b, y))
-                rhs = form.polar(mat_vec(sigma, x), y)
-                assert ring.eq(lhs, rhs)
-    # involution: applying twice returns the original
-    b = random_matrix(ring, 4, 4, rng)
-    assert split_adjoint(split_adjoint(b)) == b
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ))

@@ -2,14 +2,14 @@
 
 import pytest
 
-from cliffqp.errors import UsageError
 from cliffqp.exterior import (
     ExteriorVector,
-    SubsetIndex,
     contraction_matrix,
     left_mult_matrix,
-    subset_sign,
-    wedge_basis,
+    mask_members,
+    mask_size,
+    mask_total,
+    sign_exponent,
     wedge_masks,
 )
 from cliffqp.linalg import Matrix, matmul
@@ -19,29 +19,25 @@ from conftest import PALETTE
 
 
 def test_subset_index_fields():
-    i = SubsetIndex.from_members(4, [1, 3])
-    assert i.mask == 0b101
-    assert i.size == 2
-    assert i.total == 4
-    assert i.members == (1, 3)
-    assert i.complement.members == (2, 4)
-    assert i.sign_exponent == 2
+    i = 0b0101  # {1, 3} inside {1, .., 4}
+    assert mask_size(i) == 2
+    assert mask_total(i) == 4
+    assert mask_members(i) == (1, 3)
+    assert mask_members(0b1111 ^ i) == (2, 4)  # the complement
+    assert sign_exponent(i) == 2
 
 
 def test_subset_sign_examples():
-    assert subset_sign(QQ, SubsetIndex(3, 0)) == QQ.one  # empty set
-    assert subset_sign(QQ, SubsetIndex.from_members(3, [1, 2])) == QQ.neg(QQ.one)  # 3 - 2 = 1
-    assert subset_sign(QQ, SubsetIndex.from_members(3, [1])) == QQ.one  # 1 - 1 = 0
+    assert QQ.sign(sign_exponent(0)) == QQ.one  # empty set
+    assert QQ.sign(sign_exponent(0b011)) == QQ.neg(QQ.one)  # {1, 2}: 3 - 2 = 1
+    assert QQ.sign(sign_exponent(0b001)) == QQ.one  # {1}: 1 - 1 = 0
 
 
 def test_wedge_basis_examples():
-    one = SubsetIndex.from_members(2, [1])
-    two = SubsetIndex.from_members(2, [2])
-    assert wedge_basis(one, two) == (1, SubsetIndex.from_members(2, [1, 2]))
-    assert wedge_basis(two, one) == (-1, SubsetIndex.from_members(2, [1, 2]))
-    assert wedge_basis(one, one) is None
-    with pytest.raises(UsageError):
-        wedge_basis(one, SubsetIndex.from_members(3, [2]))
+    one, two = 0b01, 0b10
+    assert wedge_masks(one, two) == (1, 0b11)
+    assert wedge_masks(two, one) == (-1, 0b11)
+    assert wedge_masks(one, one) is None
 
 
 @pytest.mark.parametrize("n", range(1, 6))

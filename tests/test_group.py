@@ -5,10 +5,7 @@ import pytest
 from cliffqp.clifford import CliffordElement, canonical_involution, phi_word
 from cliffqp.errors import DomainError
 from cliffqp.group import (
-    check_action_composition,
-    check_action_multiplicative,
     clifford_action,
-    degree4_invariance_negative,
     eichler_dv,
     eichler_vd,
     eichler_vv,
@@ -101,14 +98,24 @@ def test_action_transvection_fixes_v1v2():
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_action_multiplicative(ring):
-    out = check_action_multiplicative(ring, 2, fresh_rng(f"mult:{ring.name}"), pairs=50)
-    assert out.passed, out.details
+    # C(B)(xy) = C(B)(x) C(B)(y) on random elements
+    rng = fresh_rng(f"mult:{ring.name}")
+    for _ in range(50):
+        _, b = sample_orthogonal(ring, 2, rng)
+        x = random_clifford_element(ring, 2, rng)
+        y = random_clifford_element(ring, 2, rng)
+        assert clifford_action(b, x * y) == clifford_action(b, x) * clifford_action(b, y)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_action_composition(ring):
-    out = check_action_composition(ring, 2, fresh_rng(f"comp:{ring.name}"), pairs=20)
-    assert out.passed, out.details
+    # C(B1 B2) = C(B1) after C(B2) on random generator pairs
+    rng = fresh_rng(f"comp:{ring.name}")
+    for _ in range(20):
+        _, b1 = sample_orthogonal(ring, 2, rng)
+        _, b2 = sample_orthogonal(ring, 2, rng)
+        x = random_clifford_element(ring, 2, rng)
+        assert clifford_action(matmul(b1, b2), x) == clifford_action(b1, clifford_action(b2, x))
 
 
 def test_action_commutes_with_involution_samples():
@@ -131,13 +138,6 @@ def test_pgo_invariance_small_sample(ring):
 def test_pgo_invariance_rejects_ineligible():
     with pytest.raises(DomainError):
         pgo_invariance(GF3, 2, fresh_rng("bad"), samples=1)
-
-
-def test_degree4_negative_control():
-    out = degree4_invariance_negative(GF4, fresh_rng("neg4"), candidates=10)
-    assert out.passed, out.details
-    with pytest.raises(DomainError):
-        degree4_invariance_negative(GF3, fresh_rng("neg3"))
 
 
 def test_composition_equals_product_action():

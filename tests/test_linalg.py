@@ -20,13 +20,12 @@ from cliffqp.linalg import (
     rank,
     rref,
     signed_perm_inverse,
-    solve,
     trace_of_product,
 )
 from cliffqp.rings import GF2, GF3, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
 
-from conftest import FIELDS, fresh_rng
+from conftest import fresh_rng
 
 
 def test_trace_identity_mod_char():
@@ -50,24 +49,6 @@ def test_shape_errors():
         matmul(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
     with pytest.raises(UsageError):
         Matrix.identity(QQ, 2) + Matrix.identity(QQ, 3)
-
-
-@pytest.mark.parametrize("ring", FIELDS)
-def test_solve_by_substitution(ring):
-    rng = fresh_rng(f"solve:{ring.name}")
-    for trial in range(100):
-        size = rng.randint(1, 16)
-        a = random_matrix(ring, size, size, rng)
-        x = random_vector(ring, size, rng)
-        b = mat_vec(a, x)
-        got = solve(a, b)
-        assert got is not None
-        assert mat_vec(a, got) == b
-
-
-def test_solve_inconsistent():
-    a = Matrix.from_rows(QQ, [[QQ.one, QQ.one], [QQ.one, QQ.one]])
-    assert solve(a, [QQ.zero, QQ.one]) is None
 
 
 def test_elimination_needs_field():

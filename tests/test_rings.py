@@ -3,11 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliffqp.errors import DomainError
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, gf2_into_gf4, int_reduction, ring_by_name
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, gf2_into_gf4, ring_by_name
 
-from conftest import FINITE_RINGS
+from conftest import ALL_RINGS, FINITE_RINGS
+
+# Q and Z are infinite, so their axioms are checked on drawn elements.
+RATIONALS = st.fractions(max_denominator=10**12)
+SAMPLED = {QQ.name: RATIONALS, ZZ.name: st.integers()}
 
 
 @pytest.mark.parametrize("ring", FINITE_RINGS)
@@ -26,6 +32,59 @@ def test_axioms_exhaustive(ring):
                 assert ring.eq(
                     ring.mul(a, ring.add(b, c)), ring.add(ring.mul(a, b), ring.mul(a, c))
                 )
+
+
+@pytest.mark.parametrize("ring", (QQ, ZZ), ids=lambda r: r.name)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_axioms_sampled(ring, data):
+    a, b, c = (data.draw(SAMPLED[ring.name]) for _ in range(3))
+    assert ring.eq(ring.add(ring.add(a, b), c), ring.add(a, ring.add(b, c)))
+    assert ring.eq(ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c)))
+    assert ring.eq(ring.add(a, b), ring.add(b, a))
+    assert ring.eq(ring.mul(a, b), ring.mul(b, a))
+    assert ring.eq(ring.mul(a, ring.add(b, c)), ring.add(ring.mul(a, b), ring.mul(a, c)))
+    assert ring.eq(ring.add(a, ring.zero), a) and ring.eq(ring.mul(a, ring.one), a)
+    assert ring.is_zero(ring.add(a, ring.neg(a)))
+    assert ring.eq(ring.neg(ring.neg(a)), a)
+    assert ring.eq(ring.sub(a, b), ring.add(a, ring.neg(b)))
+    assert ring.eq(ring.add(ring.sub(a, b), b), a)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=100, deadline=None)
+@given(j=st.integers(), k=st.integers())
+def test_from_int_is_a_homomorphism(ring, j, k):
+    f = ring.from_int
+    assert ring.eq(f(j + k), ring.add(f(j), f(k)))
+    assert ring.eq(f(j * k), ring.mul(f(j), f(k)))
+    assert ring.eq(f(-j), ring.neg(f(j)))
+    assert ring.is_zero(f(0)) and ring.is_one(f(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=RATIONALS)
+@example(Fraction(0))
+def test_rational_inverses(a):
+    assert QQ.is_zero(a) == (a == QQ.zero)  # is_zero is `not a`
+    if QQ.is_zero(a):
+        with pytest.raises(DomainError):
+            QQ.inv(a)
+    else:
+        assert QQ.is_one(QQ.mul(a, QQ.inv(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers())
+@example(1)
+@example(-1)
+@example(0)
+def test_integer_inverses_only_for_units(a):
+    if a in (1, -1):
+        assert ZZ.is_one(ZZ.mul(a, ZZ.inv(a)))
+    else:
+        with pytest.raises(DomainError):
+            ZZ.inv(a)
 
 
 @pytest.mark.parametrize("ring", FINITE_RINGS)
@@ -78,15 +137,6 @@ def test_gf2_into_gf4_is_a_morphism():
         for b in GF2.elements():
             assert phi(GF2.add(a, b)) == GF4.add(phi(a), phi(b))
             assert phi(GF2.mul(a, b)) == GF4.mul(phi(a), phi(b))
-
-
-@pytest.mark.parametrize("ring", FINITE_RINGS)
-def test_int_reduction_is_a_morphism(ring):
-    phi = int_reduction(ring)
-    for a in range(-7, 8):
-        for b in range(-7, 8):
-            assert ring.eq(phi(a + b), ring.add(phi(a), phi(b)))
-            assert ring.eq(phi(a * b), ring.mul(phi(a), phi(b)))
 
 
 def test_ring_by_name():
