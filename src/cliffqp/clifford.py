@@ -6,11 +6,12 @@ dual-basis contraction, so every algebra element is a concrete
 2^n x 2^n `Matrix` and equality is decidable.  Generator matrices have
 at most one nonzero per column, so generator words and monomials stay
 sparse in that one format.  The canonical involution is the adjoint of
-the subset pairing, G^-1 x^T G; since it permutes matrix units up to
-sign, `tau_relabel` computes the same map by moving each nonzero.  The
-4^n ordered generator products form a monomial basis with a
-division-free coordinate decomposition (their leading entries are +-1
-and triangular by degree).
+the subset pairing, G^-1 x^T G; the Gram matrix G is a signed
+permutation, so the involution moves each matrix unit to +- one unit and
+is computed by moving each nonzero (`involution_suite` checks every unit
+against the adjoint).  The 4^n ordered generator products form a
+monomial basis with a division-free coordinate decomposition (their
+leading entries are +-1 and triangular by degree).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
 from .exterior import mask_size, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram
-from .linalg import Matrix, signed_perm_inverse
+from .linalg import Matrix
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
@@ -144,17 +145,6 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
 
 # --- canonical involution and trace ---------------------------------------
 
-@cache
-def _gram_pair(ring: Ring, n: int) -> tuple[Matrix, Matrix]:
-    g = b_wedge_gram(ring, n)
-    return g, signed_perm_inverse(g)
-
-
-def canonical_involution(x: CliffordElement) -> CliffordElement:
-    """Adjoint involution of the subset pairing: G^-1 x^T G."""
-    g, ginv = _gram_pair(x.ring, x.n)
-    return CliffordElement(x.ring, x.n, ginv * x.matrix.transpose() * g)
-
 
 def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     """Image of the matrix unit E_ab under the involution.
@@ -167,9 +157,10 @@ def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     return parity, full ^ b, full ^ a
 
 
-def tau_relabel(x: CliffordElement) -> CliffordElement:
-    """The canonical involution computed unit by unit: each nonzero entry
-    moves to the position tau_unit gives it, with its sign."""
+def canonical_involution(x: CliffordElement) -> CliffordElement:
+    """Adjoint involution of the subset pairing, G^-1 x^T G, computed unit
+    by unit: each nonzero entry moves to the position tau_unit gives it,
+    with its sign."""
     ring, n = x.ring, x.n
     moved = []
     for r, c, v in x.matrix.nonzeros():
@@ -370,18 +361,27 @@ def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
 
 
 def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOutcome:
-    """The involution fixes every generator, squares to the identity on all
-    matrix units, and is anti-multiplicative on random pairs (n <= 4).
+    """The involution is the adjoint G^-1 x^T G on every matrix unit, fixes
+    every generator, squares to the identity on all matrix units, and is
+    anti-multiplicative on random pairs (n <= 4).
+
+    G has one nonzero s_m at (m, pi(m)) per row, so the adjoint of E_ab is
+    G^-1 E_ba G = s_a s_b E_{pi(b), pi(a)}; by linearity the unit check
+    covers every element.
     """
     out = CheckOutcome()
     for k in range(2 * n):
         g = CliffordElement(ring, n, _generator(ring, n, k))
         if canonical_involution(g) != g:
             out.fail(f"involution moves generator {generator_label(n, k)}")
+    gram = {r: (c, sign) for r, c, sign in b_wedge_gram(ring, n).nonzeros()}
     dim = 1 << n
     for a in range(dim):
         for b in range(dim):
             p1, r1, c1 = tau_unit(n, a, b)
+            (pa, sa), (pb, sb) = gram[a], gram[b]
+            if (r1, c1) != (pb, pa) or not ring.eq(ring.sign(p1), ring.mul(sa, sb)):
+                out.fail(f"involution is not the adjoint G^-1 x^T G on unit ({a}, {b})")
             p2, r2, c2 = tau_unit(n, r1, c1)
             if (r2, c2) != (a, b) or (p1 + p2) % 2 != 0:
                 out.fail(f"involution does not square to the identity on unit ({a}, {b})")
@@ -441,7 +441,7 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
 
     labels: set[str] = set()
     if center_fixed:  # so n is even and the Gram matrix preserves parity
-        for block in even_blocks(CliffordElement(ring, n, _gram_pair(ring, n)[0])):
+        for block in even_blocks(CliffordElement(ring, n, b_wedge_gram(ring, n))):
             labels |= classify_bilinear(block)
     involution = set()
     if "symmetric" in labels:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import cache
 
 from .canonical import canonical_semitrace, semitrace_eligibility
-from .clifford import CliffordElement, monomial_basis, phi_vector, tau_relabel
-from .errors import DomainError, UsageError
+from .clifford import CliffordElement, canonical_involution, monomial_basis, phi_vector
+from .errors import DomainError, EligibilityError, UsageError
 from .forms import HyperbolicSpace
 from .involution import sym_basis
 from .linalg import Matrix, matmul
@@ -223,7 +223,7 @@ def _tau_monomial_coords(ring: Ring, n: int) -> list[list[tuple[int, Element]]]:
     mb = monomial_basis(ring, n)
     table = []
     for mask in range(mb.size):
-        coords = mb.decompose(tau_relabel(mb.monomial(mask)))
+        coords = mb.decompose(canonical_involution(mb.monomial(mask)))
         table.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
     return table
 
@@ -238,9 +238,9 @@ def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
     """
     ok, reason = semitrace_eligibility(ring, n)
     if not ok:
-        raise DomainError(f"canonical semi-trace unavailable: {reason}")
+        raise EligibilityError(reason)
     if n > 4:
-        raise UsageError("the action decomposition is sized for n <= 4")
+        raise EligibilityError("action decomposition sized for n <= 4")
     out = CheckOutcome()
     f = canonical_semitrace(ring, n)
     mb = monomial_basis(ring, n)
@@ -272,7 +272,7 @@ def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
             rhs = Matrix.zeros(ring, 1 << n, 1 << n)
             for tmask, c in tau_table[mask]:
                 rhs.axpy(c, transformed[tmask].matrix)
-            if tau_relabel(image).matrix != rhs:
+            if canonical_involution(image).matrix != rhs:
                 out.fail(f"{desc}: involution does not commute on monomial {mask}")
                 break
     if out.passed:

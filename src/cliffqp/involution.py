@@ -3,17 +3,16 @@ semi-traces built from class representatives.
 
 The involution permutes matrix units up to sign, so the image of Id - tau
 and the kernel of Id - tau both have explicit bases indexed by unit
-orbits; no elimination is needed to write them down, and membership tests
-still run through exact elimination.  A semi-trace is determined by a
-representative l with l + tau(l) = 1 and evaluates symmetric elements via
-the reduced trace of l * s; two representatives give the same semi-trace
-exactly when they differ by an alternating element.
+orbits, and membership in the alternating subspace is decided orbit by
+orbit; no elimination is needed for either.  A semi-trace is determined
+by a representative l with l + tau(l) = 1 and evaluates symmetric
+elements via the reduced trace of l * s; two representatives give the
+same semi-trace exactly when they differ by an alternating element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .clifford import (
     CliffordElement,
@@ -23,7 +22,7 @@ from .clifford import (
     tau_unit,
 )
 from .errors import DomainError, UnsupportedRingError, UsageError
-from .linalg import SpanChecker, trace_of_product
+from .linalg import trace_of_product
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
@@ -127,18 +126,29 @@ def sym_basis(ring: Ring, n: int) -> SubspaceBasis:
     return SubspaceBasis(ring, n, tuple(combos))
 
 
-@cache
-def _alt_checker(ring: Ring, n: int) -> SpanChecker:
-    return SpanChecker(ring, alt_basis(ring, n).vectors())
-
-
 def in_alternating(x: CliffordElement) -> bool:
-    """Membership of an even element in the alternating subspace."""
-    if not x.ring.is_field:
-        raise UnsupportedRingError(f"membership tests need a field, not {x.ring.name}")
+    """Membership of an even element in the alternating subspace.
+
+    The subspace splits over unit orbits (see `alt_basis`): a two-unit
+    orbit with tau(E_u) = sign * E_p holds the multiples of E_u - sign * E_p,
+    so x[p] = -sign * x[u], and a fixed unit may carry a nonzero only when
+    its sign is -1 != 1.
+    """
+    ring, n = x.ring, x.n
+    if not ring.is_field:
+        raise UnsupportedRingError(f"membership tests need a field, not {ring.name}")
     if x.parity != "even":
         raise UsageError("alternating membership is defined for even elements")
-    return _alt_checker(x.ring, x.n).contains(flatten_even(x))
+    m = x.matrix
+    for r, c, v in m.nonzeros():
+        parity, pr, pc = tau_unit(n, r, c)
+        sign = ring.sign(parity)
+        if (pr, pc) == (r, c):
+            if ring.eq(sign, ring.one):
+                return False
+        elif not ring.eq(m.at(pr, pc), ring.neg(ring.mul(sign, v))):
+            return False
+    return True
 
 
 class SemiTrace:

@@ -3,7 +3,7 @@
 import json
 import re
 
-from cliffqp.cli import MAX_N, SL_INTO_ALT_MAX_N, main, run
+from cliffqp.cli import MAX_N, main, run
 from cliffqp.rings import ring_by_name
 
 
@@ -113,13 +113,12 @@ def test_rank_above_max_is_usage_error(capsys):
     assert "usage: cliffqp" in captured.err and f"1..{MAX_N}" in captured.err
 
 
-def test_sl_into_alt_rank_above_its_max_is_usage_error(capsys):
-    above = str(SL_INTO_ALT_MAX_N + 1)
-    for check in ("sl-into-alt", "all"):
-        assert main([check, "--n", above]) == 2  # refused before any matrix is built
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "usage: cliffqp" in captured.err and f"1..{SL_INTO_ALT_MAX_N}" in captured.err
+def test_sl_into_alt_runs_at_rank_8(capsys):
+    # Alt membership reads tau-orbits, so sl-into-alt has no rank cap below MAX_N
+    code, doc = run_json(capsys, ["sl-into-alt", "--n", "8", "--ring", "gf2", "--trials", "1"])
+    assert code == 0
+    assert doc["passed"] == 1 and doc["failed"] == doc["skipped"] == 0
+    assert doc["reports"][0]["n"] == 8
 
 
 def test_degree4_checks_skip_other_ranks(capsys):

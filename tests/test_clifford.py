@@ -2,6 +2,7 @@
 
 import pytest
 
+from cliffqp import clifford
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
@@ -16,12 +17,12 @@ from cliffqp.clifford import (
     phi_word,
     reduced_trace,
     relation_suite,
-    tau_relabel,
 )
 from cliffqp.errors import UnsupportedRingError, UsageError
 from cliffqp.exterior import mask_size
-from cliffqp.linalg import Matrix
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ
+from cliffqp.forms import b_wedge_gram
+from cliffqp.linalg import Matrix, signed_perm_inverse
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
 from conftest import PALETTE, fresh_rng
@@ -270,9 +271,29 @@ def test_parity_masks_order():
 
 
 def test_sparse_paths_match_dense():
-    # the involution moved nonzero by nonzero agrees with G^-1 x^T G
-    ring, n = GF5, 3
-    rng = fresh_rng("sparse-dense")
-    for _ in range(10):
-        x = random_clifford_element(ring, n, rng)
-        assert tau_relabel(x) == canonical_involution(x)
+    # the involution moved nonzero by nonzero agrees with G^-1 x^T G, built here
+    n = 3
+    for ring in RING_BY_NAME.values():
+        g = b_wedge_gram(ring, n)
+        ginv = signed_perm_inverse(g)
+        rng = fresh_rng(f"sparse-dense:{ring.name}")
+        for _ in range(10):
+            x = random_clifford_element(ring, n, rng)
+            assert canonical_involution(x).matrix == ginv * x.matrix.transpose() * g
+
+
+def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
+    # E_{1, 2} is a fixed unit at n = 2, so a flipped sign still squares to
+    # the identity; only the comparison with the adjoint sees it
+    ring, n = GF3, 2
+    assert involution_suite(ring, n).passed
+    unit = clifford.tau_unit
+
+    def flipped(n, a, b):
+        parity, r, c = unit(n, a, b)
+        return (parity + ((a, b) == (1, 2))) % 2, r, c
+
+    monkeypatch.setattr(clifford, "tau_unit", flipped)
+    out = involution_suite(ring, n)
+    assert not out.passed
+    assert out.details == ["involution is not the adjoint G^-1 x^T G on unit (1, 2)"]

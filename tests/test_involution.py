@@ -23,7 +23,7 @@ from cliffqp.linalg import Matrix, SpanChecker, image_basis, in_span, kernel_bas
 from cliffqp.rings import GF2, GF3, GF4, QQ, ZZ
 from cliffqp.sampling import random_even_element
 
-from conftest import fresh_rng
+from conftest import FIELDS, fresh_rng
 
 
 def involution_operator(ring, n):
@@ -125,6 +125,30 @@ def test_in_alternating_positive_example_n3_with_witness():
     # explicit witness: w - tau(w) = x for w = v1 v2 v3 v3*
     w = phi_word(GF2, 3, ["v1", "v2", "v3", "v3*"])
     assert w - canonical_involution(w) == x
+
+
+@pytest.mark.parametrize("ring", FIELDS)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_in_alternating_matches_elimination(ring, n):
+    """The orbit-wise membership test agrees with row reduction against the
+    alternating basis, on differences, sums and differences with one unit
+    entry changed."""
+    span = SpanChecker(ring, alt_basis(ring, n).vectors())
+    rng = fresh_rng(f"alt-oracle:{ring.name}:{n}")
+    units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
+    answers = set()
+    for kind in ("difference", "sum", "changed") * 4:
+        y = random_even_element(ring, n, rng)
+        x = y + canonical_involution(y) if kind == "sum" else y - canonical_involution(y)
+        if kind == "changed":
+            r, c = rng.choice(units)
+            m = x.matrix.copy()
+            m.put(r, c, ring.add(m.at(r, c), ring.one))
+            x = CliffordElement(ring, n, m)
+        member = in_alternating(x)
+        assert member == span.contains(flatten_even(x)), (kind, x)
+        answers.add(member)
+    assert answers == {True, False}
 
 
 def test_in_alternating_rejects_odd_parity():
