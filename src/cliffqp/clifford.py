@@ -6,12 +6,14 @@ dual-basis contraction, so every algebra element is a concrete
 2^n x 2^n `Matrix` and equality is decidable.  Generator matrices have
 at most one nonzero per column, so generator words and monomials stay
 sparse in that one format.  The canonical involution is the adjoint of
-the subset pairing, G^-1 x^T G; the Gram matrix G is a signed
-permutation, so the involution moves each matrix unit to +- one unit and
-is computed by moving each nonzero (`involution_suite` checks every unit
-against the adjoint).  The 4^n ordered generator products form a
-monomial basis with a division-free coordinate decomposition (their
-leading entries are +-1 and triangular by degree).
+the subset pairing, G^-1 x^T G.  The Gram matrix G is a signed
+permutation, so the involution moves each matrix unit to +- one unit
+(the one `tau_unit` names, which the alternating membership test reads;
+`involution_suite` checks every unit against the adjoint), and both of
+its products are row moves by the `SignedPermutation` G^-1, with no ring
+product.  The 4^n ordered generator products form a monomial basis with
+a division-free coordinate decomposition (their leading entries are +-1
+and triangular by degree).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
 from .exterior import mask_size, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram
-from .linalg import Matrix
+from .linalg import Matrix, signed_perm_inverse
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
@@ -146,6 +148,21 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
 # --- canonical involution and trace ---------------------------------------
 
 
+@cache
+def _gram_inverse(ring: Ring, n: int) -> Matrix:
+    return signed_perm_inverse(b_wedge_gram(ring, n))
+
+
+def canonical_involution(x: CliffordElement) -> CliffordElement:
+    """Adjoint involution of the subset pairing: G^-1 x^T G.
+
+    G is a signed permutation, so G = (G^-1)^T and the adjoint is
+    G^-1 (G^-1 x)^T: both products have a signed permutation on the left.
+    """
+    ginv = _gram_inverse(x.ring, x.n)
+    return CliffordElement(x.ring, x.n, ginv * (ginv * x.matrix).transpose())
+
+
 def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     """Image of the matrix unit E_ab under the involution.
 
@@ -155,18 +172,6 @@ def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     full = (1 << n) - 1
     parity = (sign_exponent(a) + sign_exponent(b)) & 1
     return parity, full ^ b, full ^ a
-
-
-def canonical_involution(x: CliffordElement) -> CliffordElement:
-    """Adjoint involution of the subset pairing, G^-1 x^T G, computed unit
-    by unit: each nonzero entry moves to the position tau_unit gives it,
-    with its sign."""
-    ring, n = x.ring, x.n
-    moved = []
-    for r, c, v in x.matrix.nonzeros():
-        parity, rr, cc = tau_unit(n, r, c)
-        moved.append((rr, cc, ring.neg(v) if parity else v))
-    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, moved))
 
 
 def reduced_trace(x: CliffordElement) -> Element:
