@@ -7,12 +7,11 @@ dual-basis contraction, so every algebra element is a concrete
 at most one nonzero per column, so generator words and monomials stay
 sparse in that one format.  The canonical involution is the adjoint of
 the subset pairing, G^-1 x^T G.  The Gram matrix G is a signed
-permutation, so the involution moves each matrix unit to +- one unit
-(the one `tau_unit` names, which the alternating membership test reads;
-`involution_suite` checks every unit against the adjoint), and both of
-its products are row moves by the `SignedPermutation` G^-1, with no ring
-product.  The 4^n ordered generator products form a monomial basis with
-a division-free coordinate decomposition (their leading entries are +-1
+permutation, so the involution moves each matrix unit to +- one unit,
+the one `tau_unit` names; the alternating membership test reads those
+orbits, and `involution_suite` checks every unit against the adjoint.
+The 4^n ordered generator products form a monomial basis with a
+division-free coordinate decomposition (their leading entries are +-1
 and triangular by degree).
 """
 
@@ -147,20 +146,16 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
 
 # --- canonical involution and trace ---------------------------------------
 
-
 @cache
-def _gram_inverse(ring: Ring, n: int) -> Matrix:
-    return signed_perm_inverse(b_wedge_gram(ring, n))
+def _gram_pair(ring: Ring, n: int) -> tuple[Matrix, Matrix]:
+    g = b_wedge_gram(ring, n)
+    return g, signed_perm_inverse(g)
 
 
 def canonical_involution(x: CliffordElement) -> CliffordElement:
-    """Adjoint involution of the subset pairing: G^-1 x^T G.
-
-    G is a signed permutation, so G = (G^-1)^T and the adjoint is
-    G^-1 (G^-1 x)^T: both products have a signed permutation on the left.
-    """
-    ginv = _gram_inverse(x.ring, x.n)
-    return CliffordElement(x.ring, x.n, ginv * (ginv * x.matrix).transpose())
+    """Adjoint involution of the subset pairing: G^-1 x^T G."""
+    g, ginv = _gram_pair(x.ring, x.n)
+    return CliffordElement(x.ring, x.n, ginv * x.matrix.transpose() * g)
 
 
 def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
@@ -446,7 +441,7 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
 
     labels: set[str] = set()
     if center_fixed:  # so n is even and the Gram matrix preserves parity
-        for block in even_blocks(CliffordElement(ring, n, b_wedge_gram(ring, n))):
+        for block in even_blocks(CliffordElement(ring, n, _gram_pair(ring, n)[0])):
             labels |= classify_bilinear(block)
     involution = set()
     if "symmetric" in labels:
