@@ -147,15 +147,15 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
 # --- canonical involution and trace ---------------------------------------
 
 @cache
-def _gram_pair(ring: Ring, n: int) -> tuple[Matrix, Matrix]:
-    g = b_wedge_gram(ring, n)
-    return g, signed_perm_inverse(g)
+def _gram_inverse(ring: Ring, n: int) -> Matrix:
+    return signed_perm_inverse(b_wedge_gram(ring, n))
 
 
 def canonical_involution(x: CliffordElement) -> CliffordElement:
-    """Adjoint involution of the subset pairing: G^-1 x^T G."""
-    g, ginv = _gram_pair(x.ring, x.n)
-    return CliffordElement(x.ring, x.n, ginv * x.matrix.transpose() * g)
+    """Adjoint involution of the subset pairing: G^-1 x^T G, computed as
+    G^-1 (G^-1 x)^T since G^T = G^-1, so `matmul` only moves rows."""
+    ginv = _gram_inverse(x.ring, x.n)
+    return CliffordElement(x.ring, x.n, ginv * (ginv * x.matrix).transpose())
 
 
 def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
@@ -441,7 +441,7 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
 
     labels: set[str] = set()
     if center_fixed:  # so n is even and the Gram matrix preserves parity
-        for block in even_blocks(CliffordElement(ring, n, _gram_pair(ring, n)[0])):
+        for block in even_blocks(CliffordElement(ring, n, b_wedge_gram(ring, n))):
             labels |= classify_bilinear(block)
     involution = set()
     if "symmetric" in labels:

@@ -127,12 +127,9 @@ def sym_basis(ring: Ring, n: int) -> SubspaceBasis:
 
 
 def in_alternating(x: CliffordElement) -> bool:
-    """Membership of an even element in the alternating subspace.
-
-    The subspace splits over unit orbits (see `alt_basis`): a two-unit
-    orbit with tau(E_u) = sign * E_p holds the multiples of E_u - sign * E_p,
-    so x[p] = -sign * x[u], and a fixed unit may carry a nonzero only when
-    its sign is -1 != 1.
+    """Membership of an even element in the alternating subspace, orbit by
+    orbit (see `alt_basis`): a two-unit orbit tau(E_u) = sign * E_p needs
+    x[p] = -sign * x[u], and a fixed unit is zero unless its sign is -1 != 1.
     """
     ring, n = x.ring, x.n
     if not ring.is_field:

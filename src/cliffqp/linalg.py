@@ -188,7 +188,8 @@ class Matrix:
         return Matrix(ring or self.ring, self.rows, self.cols, [fn(a) for a in self.entries])
 
     def _check_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols or self.ring != other.ring:
+        same_ring = self.ring is other.ring or self.ring == other.ring  # `is` skips a Python call
+        if self.rows != other.rows or self.cols != other.cols or not same_ring:
             raise UsageError("matrix shapes or rings differ")
 
     def __repr__(self) -> str:
@@ -200,21 +201,43 @@ class Matrix:
         return f"Matrix({self.ring.name}, [" + ", ".join(rows) + "])"
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """The product, over the stored nonzeros only: a factor with one nonzero
-    per row (a signed permutation such as the Gram matrix) costs O(dim^2).
+class SignedPermutation(Matrix):
+    """A signed permutation matrix: row r holds a single +1 or -1, at
+    column perm[r], and -1 exactly for the rows in `negated`.
+    `signed_perm_inverse` returns one, so `matmul` can move rows by it."""
 
-    When both factors are dense (4 * nonzeros >= entries, summed over the
-    two) and the ring lifts its elements exactly to ints (GF(p), Z, Q),
-    each output row is accumulated in a list of Python ints and lowered
-    once.  Otherwise, GF(4) always among them, a dict per output row
-    collects the products through the ring methods; that loop is also the
-    oracle the int path is tested against.  The factor 4 was timed against
-    2 and 8 on the benchmark workloads (`BENCH_3.json`, "cutoff").
+    __slots__ = ("perm", "negated")
+
+    def __init__(self, ring: Ring, perm: list[int], negated: frozenset[int]):
+        one, minus_one = ring.one, ring.neg(ring.one)
+        rows = [{c: minus_one if r in negated else one} for r, c in enumerate(perm)]
+        self.ring, self.rows, self.cols, self._rows = ring, len(perm), len(perm), rows
+        self.perm, self.negated = perm, negated
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product, over the stored nonzeros only.
+
+    A `SignedPermutation` on the left moves and negates rows of the right
+    factor, with no ring product.  When both factors are dense
+    (4 * nonzeros >= entries, summed over the two) and the ring lifts its
+    elements exactly to ints (GF(p), Z, Q), each output row is accumulated
+    in a list of Python ints and lowered once.  Otherwise, GF(4) always
+    among them, a dict per output row collects the products through the
+    ring methods; that loop is also the oracle the int path is tested
+    against.  The factor 4 was timed against 2 and 8 on the benchmark
+    workloads (`BENCH_3.json`, "cutoff").
     """
-    if a.cols != b.rows or a.ring != b.ring:
-        raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     ring = a.ring
+    if a.cols != b.rows or (ring is not b.ring and ring != b.ring):  # as in Matrix._check_shape
+        raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    if isinstance(a, SignedPermutation):  # row r of a * b is +- row a.perm[r] of b
+        brows, neg = b._rows, ring.neg
+        out = [dict(brows[k]) for k in a.perm]
+        for r in a.negated:
+            if out[r]:
+                out[r] = {j: neg(w) for j, w in out[r].items()}
+        return Matrix._of(ring, a.rows, b.cols, out)
     nonzeros = sum(map(len, a._rows)) + sum(map(len, b._rows))
     if 4 * nonzeros >= a.rows * a.cols + b.rows * b.cols:
         lifted_a = ring.lift([v for row in a._rows for v in row.values()])
@@ -236,7 +259,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def trace_of_product(a: Matrix, b: Matrix) -> Element:
     """trace(a * b) without forming the product: the sum of a[r, c] * b[c, r]
     over the stored nonzeros of the sparser factor."""
-    if a.rows != b.cols or a.cols != b.rows or a.ring != b.ring:
+    if a.rows != b.cols or a.cols != b.rows or (a.ring is not b.ring and a.ring != b.ring):
         raise UsageError(f"no trace of {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if sum(map(len, b._rows)) < sum(map(len, a._rows)):
         a, b = b, a
@@ -409,7 +432,7 @@ def in_span(ring: Ring, v: Vector, basis: Sequence[Vector]) -> bool:
     return SpanChecker(ring, basis).contains(v)
 
 
-def signed_perm_inverse(b: Matrix) -> Matrix:
+def signed_perm_inverse(b: Matrix) -> SignedPermutation:
     """Inverse of a signed permutation matrix; works over any ring.
 
     Each row and column must hold exactly one +1 or -1.  The inverse is
@@ -419,8 +442,8 @@ def signed_perm_inverse(b: Matrix) -> Matrix:
         raise DomainError("signed permutation matrices are square")
     ring = b.ring
     minus_one = ring.neg(ring.one)
-    inverse = []
-    seen_cols = set()
+    perm = [-1] * b.rows
+    negated = set()
     for r, row in enumerate(b._rows):
         hits = list(row.items())
         if len(hits) != 1:
@@ -428,8 +451,9 @@ def signed_perm_inverse(b: Matrix) -> Matrix:
         c, val = hits[0]
         if not (ring.eq(val, ring.one) or ring.eq(val, minus_one)):
             raise DomainError(f"entry at ({r}, {c}) is not +1 or -1")
-        if c in seen_cols:
+        if perm[c] >= 0:
             raise DomainError(f"column {c} hit twice")
-        seen_cols.add(c)
-        inverse.append((c, r, val))  # (+1)^-1 = +1 and (-1)^-1 = -1
-    return Matrix.from_nonzeros(ring, b.rows, b.rows, inverse)
+        perm[c] = r  # the inverse holds the same sign at (c, r): (+-1)^-1 = +-1
+        if not ring.eq(val, ring.one):
+            negated.add(c)
+    return SignedPermutation(ring, perm, frozenset(negated))

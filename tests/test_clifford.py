@@ -20,7 +20,8 @@ from cliffqp.clifford import (
 )
 from cliffqp.errors import UnsupportedRingError, UsageError
 from cliffqp.exterior import mask_size
-from cliffqp.linalg import Matrix
+from cliffqp.forms import b_wedge_gram
+from cliffqp.linalg import Matrix, signed_perm_inverse
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
@@ -270,10 +271,13 @@ def test_parity_masks_order():
 
 
 def test_sparse_paths_match_dense():
-    # G^-1 x^T G agrees with every nonzero moved to the unit tau_unit names,
-    # with its sign (the orbits in_alternating reads)
+    # the involution agrees with G^-1 x^T G multiplied out here (the right
+    # factor G takes the general product) and with every nonzero moved to
+    # the unit tau_unit names, with its sign (the orbits in_alternating reads)
     n = 3
     for ring in RING_BY_NAME.values():
+        g = b_wedge_gram(ring, n)
+        ginv = signed_perm_inverse(g)
         rng = fresh_rng(f"sparse-dense:{ring.name}")
         for _ in range(10):
             x = random_clifford_element(ring, n, rng)
@@ -281,7 +285,9 @@ def test_sparse_paths_match_dense():
             for r, c, v in x.matrix.nonzeros():
                 parity, rr, cc = clifford.tau_unit(n, r, c)
                 moved.append((rr, cc, ring.neg(v) if parity else v))
-            assert canonical_involution(x).matrix == Matrix.from_nonzeros(ring, 1 << n, 1 << n, moved)
+            image = canonical_involution(x).matrix
+            assert image == ginv * x.matrix.transpose() * g
+            assert image == Matrix.from_nonzeros(ring, 1 << n, 1 << n, moved)
 
 
 def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):

@@ -221,7 +221,9 @@ def test_kernel_matches_ring_methods_on_structured_operands(ring, data):
     size = data.draw(st.integers(1, 8))
     x = data.draw(matrix_strategy(ring, size, size))
     perm = random_signed_permutation(ring, size, fresh_rng(f"perm:{ring.name}:{size}"))
-    for special in (Matrix.zeros(ring, size, size), Matrix.identity(ring, size), perm):
+    zeros, identity = Matrix.zeros(ring, size, size), Matrix.identity(ring, size)
+    # the inverse is a SignedPermutation, which matmul moves rows by
+    for special in (zeros, identity, perm, signed_perm_inverse(perm)):
         assert_product_exact(special, x)
         assert_product_exact(x, special)
     assert matmul(Matrix.identity(ring, size), x) == x
