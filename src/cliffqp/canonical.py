@@ -8,7 +8,8 @@ pair products.  Trace-zero matrices land among the alternating elements
 once n >= 3, so any trace-1 matrix yields the same semi-trace on the even
 algebra; at n = 2 the alternating subspace is too small and an exhaustive
 search over GF(4) shows every candidate representative is moved off its
-class by an explicit orthogonal transvection.
+class by the Eichler transformation B(t) = eichler_vv(2, 1, t), which acts
+by conjugation with its lift 1 + t v1 v2*.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .clifford import (
 from .errors import EligibilityError, UsageError
 from .exterior import ExteriorVector, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram, q_wedge
-from .involution import SemiTrace, alt_basis, in_alternating, semi_trace_from
+from .involution import SemiTrace, alt_basis, in_alternating, semi_trace_from, trace_orthogonality
 from .linalg import Matrix, SpanChecker
 from .reporting import CheckOutcome
 from .rings import Ring, RingMorphism, gf2_into_gf4
@@ -220,9 +221,11 @@ def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
 
 
 def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) -> CheckOutcome:
-    """c(a) and c(a') induce the same semi-trace for random trace-1 a'."""
-    out = CheckOutcome()
+    """c(a) and c(a') induce the same semi-trace for random trace-1 a':
+    c(a) - c(a') is alternating, which is exact once the check has
+    certified Sym^perp = Alt."""
     f = canonical_semitrace(ring, n)
+    out = trace_orthogonality(ring, n)
     for t in range(count):
         a = random_trace_one(ring, 2 * n, rng)
         other = semi_trace_from(canonical_map_c(a))
@@ -366,11 +369,11 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
     Every l with l + tau(l) = 1 is parameterized by six free coefficients
     (the identity constraint forces a7 = 0 and a3 + a4 = 1); for each of
     the 4^6 candidates there must be a nonzero t with
-    l - C(B(t))(l) = (t + t^2 a5) v1v2* + t a5 (v1v1* + v2v2*)
-    not alternating, so no candidate class is stable under the orthogonal
-    transvections B(t).
+    l - g l g^-1 = (t + t^2 a5) v1v2* + t a5 (v1v1* + v2v2*)
+    not alternating, for the certified lift g = 1 + t v1 v2* of
+    B(t) = eichler_vv(2, 1, t), so no candidate class is stable under the B(t).
     """
-    from .group import clifford_action, is_orthogonal, transvection_pair
+    from .group import is_lift, is_orthogonal, lifted_generator
 
     if ring.char != 2:
         raise EligibilityError(f"the degree-4 counterexample needs characteristic 2, not {ring.name}")
@@ -388,14 +391,12 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
     mono = even_monomials_n2(ring)
     ident = CliffordElement.identity(ring, 2)
 
-    bt_matrices = {}
     deltas = {}
     for t in nonzero_ts:
-        b = transvection_pair(ring, 2, 1, 2, t)
-        if not is_orthogonal(b):
-            out.fail(f"B({ring.show(t)}) does not preserve the hyperbolic form")
-        bt_matrices[t] = b
-        deltas[t] = [m - clifford_action(b, m) for m in mono]
+        b, g, g_inv = lifted_generator(ring, 2, "eichler_vv", 2, 1, t)
+        if not (is_orthogonal(b) and is_lift(g, g_inv, b)):
+            out.fail(f"B({ring.show(t)}) is not a certified orthogonal element with lift g")
+        deltas[t] = [m - g * m * g_inv for m in mono]
 
     m2, m34 = mono[2], mono[3] + mono[4]
     candidates = 0

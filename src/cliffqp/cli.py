@@ -84,7 +84,7 @@ def _default_grid(check: str) -> list[tuple[int | None, Ring | None]]:
     if check in ("canonical-semitrace", "q-wedge-correspondence"):
         return [(4, GF2), (4, GF3), (4, QQ), (6, GF2)]
     if check == "pgo-invariance":
-        return [(4, GF2), (4, GF3)]
+        return [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)]
     if check == "degree4-alt":
         return [(2, GF2), (2, GF4)]
     if check == "degree4-counterexample":
@@ -165,8 +165,7 @@ def _dispatch(check: str, n: int | None, ring: Ring | None, rng, trials: int) ->
     if check == "q-wedge-correspondence":
         return canonical.correspondence_with_q_wedge(ring, n, rng, trials)
     if check == "pgo-invariance":
-        samples = PGO_SAMPLES if trials == DEFAULT_TRIALS else trials
-        return group.pgo_invariance(ring, n, rng, samples=samples)
+        return group.pgo_invariance(ring, n, rng, samples=min(trials, PGO_SAMPLES))
     if check in ("degree4-alt", "degree4-counterexample") and n != 2:
         raise EligibilityError(f"the degree-4 results live at n = 2, not n = {n}")
     if check == "degree4-alt":

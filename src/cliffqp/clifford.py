@@ -12,7 +12,8 @@ the one `tau_unit` names; the alternating membership test reads those
 orbits, and `involution_suite` checks every unit against the adjoint.
 The 4^n ordered generator products form a monomial basis with a
 division-free coordinate decomposition (their leading entries are +-1
-and triangular by degree).
+and triangular by degree); no check uses it, it backs the n <= 4 oracle
+for the group action.
 """
 
 from __future__ import annotations
@@ -314,15 +315,6 @@ class MonomialBasis:
             if mask >> k & 1:
                 col |= 1 << (2 * n - k - 1)
         return row, col, self._monomials[mask].at(row, col)
-
-    def monomial(self, mask: int) -> CliffordElement:
-        """The monomial of a subset mask, over a copy of the cached matrix."""
-        return CliffordElement(self.ring, self.n, self._monomials[mask].copy())
-
-    def labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(
-            generator_label(self.n, k) for k in range(2 * self.n) if mask >> k & 1
-        )
 
     def decompose(self, x: CliffordElement) -> list:
         """Coordinates of x in the monomial basis, indexed by subset mask."""

@@ -3,22 +3,28 @@ Clifford algebra.
 
 Group elements are certified by checking the quadratic form on basis
 vectors and the polar form on basis pairs, which together force
-preservation everywhere.  The action replaces each generator in a
-monomial by its image and recombines by linearity; it is computed through
-the monomial decomposition rather than by conjugating with a lifted
-matrix, since the even-algebra automorphism need not be inner by a single
-parity-preserving matrix.
+preservation everywhere.  Each named generator comes with a lift g in the
+Clifford group, a word lifts to the product of its generators' lifts, and
+`is_lift` certifies a lift against its matrix.  The group acts on even
+elements by conjugation x -> g x g^-1, also when g is odd (a swap).
+`clifford_action`, which rebuilds all 4^n monomial images, stays as the
+n <= 4 oracle for the conjugation.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from .canonical import canonical_semitrace, semitrace_eligibility
-from .clifford import CliffordElement, canonical_involution, monomial_basis, phi_vector
-from .errors import DomainError, EligibilityError, UsageError
+from .canonical import canonical_semitrace
+from .clifford import (
+    CliffordElement,
+    canonical_involution,
+    generator_matrix,
+    monomial_basis,
+    phi_vector,
+    phi_word,
+)
+from .errors import DomainError, UsageError
 from .forms import HyperbolicSpace
-from .involution import sym_basis
+from .involution import in_alternating, trace_orthogonality
 from .linalg import Matrix, matmul
 from .reporting import CheckOutcome
 from .rings import Element, Ring
@@ -34,25 +40,17 @@ def is_orthogonal(b: Matrix) -> bool:
     """
     if b.rows != b.cols or b.rows % 2 != 0:
         return False
-    ring = b.ring
-    n = b.rows // 2
-    hs = HyperbolicSpace(ring, n)
-    cols = [b.col(k) for k in range(2 * n)]
-    for k in range(2 * n):
-        want = ring.zero  # hyperbolic basis vectors are isotropic
-        if not ring.eq(hs.q(cols[k]), want):
-            return False
+    ring, dim = b.ring, b.rows
+    hs = HyperbolicSpace(ring, dim // 2)
     form = hs.quadratic_form()
-    basis = []
-    for k in range(2 * n):
-        e = [ring.zero] * (2 * n)
-        e[k] = ring.one
-        basis.append(e)
-    for k in range(2 * n):
-        for l in range(k, 2 * n):
-            if not ring.eq(form.polar(cols[k], cols[l]), form.polar(basis[k], basis[l])):
-                return False
-    return True
+    cols = [b.col(k) for k in range(dim)]
+    basis = [[ring.one if r == k else ring.zero for r in range(dim)] for k in range(dim)]
+    # hyperbolic basis vectors are isotropic
+    return all(ring.is_zero(hs.q(c)) for c in cols) and all(
+        ring.eq(form.polar(cols[k], cols[l]), form.polar(basis[k], basis[l]))
+        for k in range(dim)
+        for l in range(k, dim)
+    )
 
 
 # --- certified generators -----------------------------------------------------
@@ -124,21 +122,6 @@ def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
     return m
 
 
-def transvection_pair(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
-    """v_j -> v_j + t v_i together with v_i^* -> v_i^* + t v_j^*.
-
-    The polar cross term is 2t, so this preserves the form exactly when
-    the ring has characteristic 2.
-    """
-    if i == j:
-        raise UsageError("distinct indices required")
-    hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
-    m.put(hs.vector_index(i), hs.vector_index(j), t)
-    m.put(hs.dual_index(j), hs.dual_index(i), t)
-    return m
-
-
 def _nonzero(ring: Ring, rng) -> Element:
     while True:
         t = ring.sample(rng)
@@ -146,15 +129,84 @@ def _nonzero(ring: Ring, rng) -> Element:
             return t
 
 
-def sample_orthogonal(ring: Ring, n: int, rng, max_word: int = 3) -> tuple[str, Matrix]:
-    """A certified orthogonal element: a short word in explicit generators."""
+def lifted_generator(
+    ring: Ring, n: int, kind: str, i: int, j: int | None, x: Element | None
+) -> tuple[Matrix, CliffordElement, CliffordElement]:
+    """A named orthogonal generator b with a lift (g, g^-1) in the Clifford
+    group, which `is_lift` certifies.
+
+    kind is 'swap' (lift v_i - v_i*, odd, inverse its negative), 'perm',
+    'scale' (x = u; lift u v_i v_i* + v_i* v_i) or 'eichler_vv', 'eichler_vd',
+    'eichler_dv' (x = t; lift 1 + t w for a square-zero generator product w,
+    inverse 1 - t w).  j is unused by 'swap' and 'scale', x by 'swap' and
+    'perm'.
+    """
+    one = CliffordElement.identity(ring, n)
+    vi, di, vj, dj = f"v{i}", f"v{i}*", f"v{j}", f"v{j}*"
+    eichler = {
+        "eichler_vv": (eichler_vv, (vj, di)),
+        "eichler_vd": (eichler_vd, (dj, di)),
+        "eichler_dv": (eichler_dv, (vj, vi)),
+    }
+    if kind in eichler:
+        make, word = eichler[kind]
+        w = phi_word(ring, n, word).scale(x)
+        return make(ring, n, i, j, x), one + w, one - w
+    if kind == "swap":
+        g = phi_word(ring, n, [vi]) - phi_word(ring, n, [di])
+        return hyperbolic_swap(ring, n, i), g, -g
+    if kind == "scale":
+        up, down = phi_word(ring, n, [vi, di]), phi_word(ring, n, [di, vi])
+        return hyperbolic_scale(ring, n, i, x), up.scale(x) + down, up.scale(ring.inv(x)) + down
+    if kind != "perm":
+        raise UsageError(f"unknown generator kind {kind!r}")
+    # pair_permutation(i, j) = E(i,j,1) E(j,i,-1) E(i,j,1) S(j,-1), with
+    # E = eichler_vv and S = hyperbolic_scale
+    plus, minus = ring.one, ring.neg(ring.one)
+    g = g_inv = one
+    for part, a, c, y in (
+        ("eichler_vv", i, j, plus),
+        ("eichler_vv", j, i, minus),
+        ("eichler_vv", i, j, plus),
+        ("scale", j, None, minus),
+    ):
+        _, h, h_inv = lifted_generator(ring, n, part, a, c, y)
+        g, g_inv = g * h, h_inv * g_inv
+    return pair_permutation(ring, n, i, j), g, g_inv
+
+
+def is_lift(g: CliffordElement, g_inv: CliffordElement, b: Matrix) -> bool:
+    """Whether conjugation by g induces b: g g^-1 = 1 and
+    g Phi(e_k) g^-1 = eps Phi(b e_k) for every basis vector e_k, with one
+    sign eps in {1, -1}.
+
+    The generators generate the algebra, so x -> g x g^-1 is then the
+    automorphism b induces on even elements, whatever eps is.
+    """
+    ring, n = g.ring, g.n
+    if g * g_inv != CliffordElement.identity(ring, n):
+        return False
+    gens = [CliffordElement(ring, n, generator_matrix(ring, n, k)) for k in range(2 * n)]
+    images = [g * gen * g_inv for gen in gens]
+    wants = [phi_vector(ring, n, b.col(k)) for k in range(2 * n)]
+    return any(
+        all(image == want.scale(eps) for image, want in zip(images, wants))
+        for eps in (ring.one, ring.neg(ring.one))
+    )
+
+
+def sample_orthogonal(
+    ring: Ring, n: int, rng, max_word: int = 3
+) -> tuple[str, Matrix, tuple[CliffordElement, CliffordElement]]:
+    """A certified orthogonal element, a short word in the generators of
+    `lifted_generator`, with the word's lift (g, g^-1): g is the product of
+    the generator lifts."""
     if n < 2:
         raise UsageError("sampling needs at least two hyperbolic pairs")
     kinds = ["swap", "perm", "scale", "eichler_vv", "eichler_vd", "eichler_dv"]
-    if ring.char == 2:
-        kinds.append("transvection")
     word_len = rng.randint(1, max_word)
     m = Matrix.identity(ring, 2 * n)
+    g = g_inv = CliffordElement.identity(ring, n)
     parts = []
     for _ in range(word_len):
         kind = rng.choice(kinds)
@@ -162,30 +214,14 @@ def sample_orthogonal(ring: Ring, n: int, rng, max_word: int = 3) -> tuple[str, 
         j = rng.randint(1, n)
         while j == i:
             j = rng.randint(1, n)
-        if kind == "swap":
-            g = hyperbolic_swap(ring, n, i)
-            parts.append(f"swap{i}")
-        elif kind == "perm":
-            g = pair_permutation(ring, n, i, j)
-            parts.append(f"perm{i}{j}")
-        elif kind == "scale":
-            u = _nonzero(ring, rng)
-            g = hyperbolic_scale(ring, n, i, u)
-            parts.append(f"scale{i}({ring.show(u)})")
-        else:
-            t = _nonzero(ring, rng)
-            maker = {
-                "eichler_vv": eichler_vv,
-                "eichler_vd": eichler_vd,
-                "eichler_dv": eichler_dv,
-                "transvection": transvection_pair,
-            }[kind]
-            g = maker(ring, n, i, j, t)
-            parts.append(f"{kind}{i}{j}({ring.show(t)})")
-        m = matmul(m, g)
+        x = None if kind in ("swap", "perm") else _nonzero(ring, rng)
+        show = "" if x is None else f"({ring.show(x)})"
+        parts.append(f"{kind}{i}{'' if kind in ('swap', 'scale') else j}{show}")
+        b, h, h_inv = lifted_generator(ring, n, kind, i, j, x)
+        m, g, g_inv = matmul(m, b), g * h, h_inv * g_inv
     if not is_orthogonal(m):
         raise DomainError(f"sampled word {'.'.join(parts)} failed certification")
-    return ".".join(parts), m
+    return ".".join(parts), m, (g, g_inv)
 
 
 # --- the induced action --------------------------------------------------------
@@ -202,7 +238,8 @@ def _transformed_monomials(ring: Ring, n: int, b: Matrix) -> list[CliffordElemen
 
 
 def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
-    """The algebra automorphism induced by an orthogonal element.
+    """The algebra automorphism induced by an orthogonal element, the n <= 4
+    oracle for conjugation by a lift.
 
     x is decomposed over the monomial basis and every monomial is replaced
     by the product of the images of its generators.
@@ -217,64 +254,32 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     return CliffordElement(ring, n, acc)
 
 
-@cache
-def _tau_monomial_coords(ring: Ring, n: int) -> list[list[tuple[int, Element]]]:
-    """Coordinates of tau(monomial) over the monomial basis, per monomial."""
-    mb = monomial_basis(ring, n)
-    table = []
-    for mask in range(mb.size):
-        coords = mb.decompose(canonical_involution(mb.monomial(mask)))
-        table.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
-    return table
-
-
 def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:
     """Sampled orthogonal elements leave the canonical semi-trace invariant
-    on the full symmetric basis and commute with the involution.
+    on all symmetric elements and commute with the involution.
 
-    The semi-trace comparison is done at the level of linear functionals in
-    monomial coordinates, so it covers every symmetric basis vector exactly;
-    the involution check is the operator identity on all monomials.
+    Each sample b comes with a certified lift g, so b acts on even elements
+    as x -> g x g^-1.  The trace is cyclic, so f(g s g^-1) = trace(g^-1 l g s)
+    for the representative l: f after b is the semi-trace of g^-1 l g, which
+    equals f on every symmetric element exactly when g^-1 l g - l is
+    alternating, because Sym^perp = Alt (`trace_orthogonality`, checked
+    once per cell).  Conjugation commutes with the involution when
+    tau(g) g is a nonzero scalar.
     """
-    ok, reason = semitrace_eligibility(ring, n)
-    if not ok:
-        raise EligibilityError(reason)
-    if n > 4:
-        raise EligibilityError("action decomposition sized for n <= 4")
-    out = CheckOutcome()
-    f = canonical_semitrace(ring, n)
-    mb = monomial_basis(ring, n)
-    w0 = [f.evaluate(mb.monomial(mask)) for mask in range(mb.size)]
-    sym_coords = []
-    for elem in sym_basis(ring, n).elements():
-        coords = mb.decompose(elem)
-        sym_coords.append([(m, c) for m, c in enumerate(coords) if not ring.is_zero(c)])
-    tau_table = _tau_monomial_coords(ring, n)
+    l = canonical_semitrace(ring, n).rep  # raises EligibilityError where f does not exist
+    out = trace_orthogonality(ring, n)
     ident = CliffordElement.identity(ring, n)
-
-    for s in range(samples):
-        desc, b = sample_orthogonal(ring, n, rng)
-        transformed = _transformed_monomials(ring, n, b)
-        if transformed[0] != ident:
-            out.fail(f"{desc}: image of the identity is not the identity")
-        wb = [f.evaluate(image) for image in transformed]
-        for idx, coords in enumerate(sym_coords):
-            delta = ring.zero
-            for mask, c in coords:
-                delta = ring.add(delta, ring.mul(c, ring.sub(wb[mask], w0[mask])))
-            if not ring.is_zero(delta):
-                out.fail(
-                    f"{desc}: semi-trace moved on symmetric basis vector {idx} "
-                    f"by {ring.show(delta)}"
-                )
-                break
-        for mask, image in enumerate(transformed):
-            rhs = Matrix.zeros(ring, 1 << n, 1 << n)
-            for tmask, c in tau_table[mask]:
-                rhs.axpy(c, transformed[tmask].matrix)
-            if canonical_involution(image).matrix != rhs:
-                out.fail(f"{desc}: involution does not commute on monomial {mask}")
-                break
+    for _ in range(samples):
+        desc, b, (g, g_inv) = sample_orthogonal(ring, n, rng)
+        if not is_lift(g, g_inv, b):
+            out.fail(f"{desc}: the lift does not induce the sampled element")
+            continue
+        if not in_alternating(g_inv * l * g - l):
+            out.fail(f"{desc}: the semi-trace moved on the symmetric elements")
+        scalar = canonical_involution(g) * g
+        lam = scalar.matrix.at(0, 0)
+        if ring.is_zero(lam) or scalar != ident.scale(lam):
+            out.fail(f"{desc}: tau(g) g is not a nonzero scalar")
     if out.passed:
         out.note(f"{samples} certified orthogonal elements preserve the semi-trace and the involution")
     return out

@@ -145,7 +145,7 @@ def test_criterion_08_group_invariance():
         out = pgo_invariance(ring, 4, rng_for(f"pgo:{ring.name}"), samples=50)
         if not out.passed:
             failures.append(f"{ring.name}: {out.details[:1]}")
-    report(8, "group-invariance", not failures, "50 certified elements per ring, full sym basis")
+    report(8, "group-invariance", not failures, "50 certified lifts per ring, exact on Sym by Alt membership")
 
 
 def test_criterion_09_degree4_negative_result():

@@ -31,8 +31,10 @@ ORACLES = (
     # test helpers
     "linalg.mat_vec",
     "linalg.Matrix.from_rows",
-    # verifies a claim of the paper that no CLI check runs yet
-    "involution.trace_orthogonality",
+    # the n <= 4 monomial route for the group action, which conjugation by
+    # lifts replaced in the checks; perfbench's tracer targets name it, so it
+    # stays until the benchmark's TARGETS are revised (ROADMAP item 4)
+    "group.clifford_action",
 )
 
 

@@ -232,13 +232,16 @@ def test_degree4_difference_formula_spot():
     w = ring.omega
     coef = ring.add(w, ring.mul(w, w))
     assert coef == ring.one
-    from cliffqp.group import clifford_action, transvection_pair
+    from cliffqp.group import clifford_action, eichler_vv, lifted_generator
 
     mono = even_monomials_n2(ring)
     l = mono[3] + mono[5]  # a3 = 1 (so a4 = 0), a5 = 1, others zero
     assert l + canonical_involution(l) == CliffordElement.identity(ring, 2)
-    b = transvection_pair(ring, 2, 1, 2, w)
-    diff = l - clifford_action(b, l)
+    b, g, g_inv = lifted_generator(ring, 2, "eichler_vv", 2, 1, w)
+    assert b == eichler_vv(ring, 2, 2, 1, w)
+    assert g == CliffordElement.identity(ring, 2) + phi_word(ring, 2, ["v1", "v2*"]).scale(w)
+    diff = l - g * l * g_inv
+    assert diff == l - clifford_action(b, l)
     expect = mono[2].scale(coef) + (mono[3] + mono[4]).scale(ring.mul(w, ring.one))
     assert diff == expect
     assert not in_alternating(diff)

@@ -151,7 +151,7 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
         (["rho-xi", "--n", "3", "--ring", "z", "--seed", "3"], 1),
         (["gram", "--n", "3", "--ring", "gf4", "--seed", "3"], 1),
         (["canonical-semitrace", "--n", "4", "--ring", "gf2", "--seed", "3"], 1),
-        (["all", "--trials", "1", "--seed", "0"], 107),
+        (["all", "--trials", "1", "--seed", "0"], 111),
     ):
         texts = []
         for _ in range(2):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cliffqp import involution
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
@@ -13,6 +14,7 @@ from cliffqp.clifford import (
 from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.involution import (
     SemiTrace,
+    SubspaceBasis,
     alt_basis,
     in_alternating,
     semi_trace_from,
@@ -190,12 +192,12 @@ def test_semi_trace_invariant_under_alternating_shift():
         for n in (2, 3):
             rep = phi_word(ring, n, ["v1", "v1*"])
             f = semi_trace_from(rep)
-            sym = sym_basis(ring, n)
+            sym = sym_basis(ring, n).elements()
             for a in alt_basis(ring, n).elements():
                 shifted = SemiTrace.__new__(SemiTrace)
                 shifted.ring, shifted.n, shifted.rep = ring, n, rep + a
-                for combo in sym.combos:
-                    assert ring.eq(f.evaluate_combo(combo), shifted.evaluate_combo(combo))
+                for s in sym:
+                    assert ring.eq(f.evaluate(s), shifted.evaluate(s))
 
 
 def test_semi_trace_agreement_api():
@@ -204,6 +206,16 @@ def test_semi_trace_agreement_api():
     g = semi_trace_from(phi_word(ring, n, ["v2", "v2*"]))
     # the two representatives differ by v1v1* + v2v2*, an alternating element
     assert f.agrees_with(g)
+    # E_03 and E_30 are tau-fixed even units: shifting l by E_03 keeps
+    # l + tau(l) = 1 but moves the value on the symmetric E_30 by 1
+    u, s = (
+        CliffordElement(ring, n, Matrix.from_nonzeros(ring, 4, 4, [(r, c, ring.one)]))
+        for r, c in ((0, 3), (3, 0))
+    )
+    assert canonical_involution(u) == u and canonical_involution(s) == s
+    h = semi_trace_from(f.rep + u)
+    assert not f.agrees_with(h)
+    assert not ring.eq(f.evaluate(s), h.evaluate(s))
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
@@ -223,16 +235,20 @@ def test_trace_orthogonality_random_products():
         assert reduced_trace(a * s) == ring.zero
 
 
-def test_evaluate_combo_matches_matrix_route():
-    ring, n = GF3, 3
-    f = semi_trace_from(phi_word(ring, n, ["v1", "v1*"]))
-    for combo in sym_basis(ring, n).combos[:20]:
-        dim = 1 << n
-        m = Matrix.zeros(ring, dim, dim)
-        for coef, (r, c) in combo:
-            m.put(r, c, ring.add(m.at(r, c), coef))
-        s = CliffordElement(ring, n, m)
-        assert ring.eq(f.evaluate_combo(combo), f.evaluate(s))
+def test_trace_orthogonality_catches_a_flipped_partner_sign(monkeypatch):
+    ring, n = GF3, 2
+    good = alt_basis(ring, n)
+    assert trace_orthogonality(ring, n).passed
+    # E - sign * partner becomes E + sign * partner: symmetric, not alternating
+    combos = list(good.combos)
+    k = next(k for k, combo in enumerate(combos) if len(combo) == 2)
+    (c0, u0), (c1, u1) = combos[k]
+    combos[k] = [(c0, u0), (ring.neg(c1), u1)]
+    bad = SubspaceBasis(ring, n, tuple(combos))
+    monkeypatch.setattr(involution, "alt_basis", lambda ring, n: bad)
+    out = trace_orthogonality(ring, n)
+    assert not out.passed
+    assert any("trace pairing nonzero" in line for line in out.details)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, QQ), ids=lambda r: r.name)
