@@ -28,7 +28,6 @@ from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageEr
 from .exterior import ExteriorVector
 from .forms import (
     HyperbolicSpace,
-    QuadraticForm,
     b_wedge,
     b_wedge_gram,
     classify_bilinear,
@@ -60,7 +59,6 @@ __all__ = [
     "Matrix",
     "MonomialBasis",
     "QQ",
-    "QuadraticForm",
     "Ring",
     "RingMorphism",
     "SemiTrace",

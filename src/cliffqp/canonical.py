@@ -19,7 +19,10 @@ from functools import cache
 from .clifford import (
     CliffordElement,
     canonical_involution,
+    classify_even_involution,
+    flatten_even,
     generator_matrix,
+    phi_vector,
     phi_word,
     reduced_trace,
 )
@@ -257,25 +260,21 @@ def rank_one_wedge(x: ExteriorVector) -> CliffordElement:
     """The rank-one endomorphism m -> b(x, m) x of a parity block of wedge V,
     embedded block-diagonally in the even algebra.
     """
-    from .clifford import parity_masks
-
-    parity = x.parity()
-    if parity == "mixed":
+    if x.parity() == "mixed":
         raise UsageError("rank-one pairing needs a parity-homogeneous element")
     ring, n = x.ring, x.n
-    even, odd = parity_masks(n)
-    masks = even if parity == "even" else odd
     full = (1 << n) - 1
     dim = 1 << n
-    m = Matrix.zeros(ring, dim, dim)
-    for col in masks:
-        # b(x, v_col) has a single term: the complement coefficient of x
-        pair = ring.mul(ring.sign(sign_exponent(full ^ col)), x.coeffs[full ^ col])
-        if ring.is_zero(pair):
-            continue
-        for row in masks:
-            m.put(row, col, ring.mul(pair, x.coeffs[row]))
-    return CliffordElement(ring, n, m)
+    # b(x, v_col) has a single term, from the coefficient of x at I = col^c;
+    # for odd n that complement lies in the other parity block and the map
+    # vanishes.  Every ring is a domain, so the products below are nonzero.
+    pairs = [
+        (full ^ mask, ring.mul(ring.sign(sign_exponent(mask)), a))
+        for mask, a in x.terms.items()
+        if n % 2 == 0
+    ]
+    triples = ((row, col, ring.mul(pair, a)) for col, pair in pairs for row, a in x.terms.items())
+    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, triples))
 
 
 def correspondence_with_q_wedge(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
@@ -339,8 +338,6 @@ def degree4_alt_report(ring: Ring) -> CheckOutcome:
     for i, elem in enumerate(stated):
         if not in_alternating(elem):
             out.fail(f"stated element {i} is not alternating")
-    from .clifford import flatten_even
-
     stated_span = SpanChecker(ring, [flatten_even(e) for e in stated])
     for vec in basis.vectors():
         if not stated_span.contains(vec):
@@ -373,6 +370,7 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
     not alternating, for the certified lift g = 1 + t v1 v2* of
     B(t) = eichler_vv(2, 1, t), so no candidate class is stable under the B(t).
     """
+    # local: group imports this module
     from .group import is_lift, is_orthogonal, lifted_generator
 
     if ring.char != 2:
@@ -463,7 +461,9 @@ def map_clifford(phi: RingMorphism, x: CliffordElement) -> CliffordElement:
 
 
 def map_exterior(phi: RingMorphism, x: ExteriorVector) -> ExteriorVector:
-    return ExteriorVector.from_coeffs(phi.codomain, x.n, tuple(phi(c) for c in x.coeffs))
+    is_zero = phi.codomain.is_zero
+    terms = {mask: b for mask, a in x.terms.items() if not is_zero(b := phi(a))}
+    return ExteriorVector(phi.codomain, x.n, terms)
 
 
 def base_change_report(rng, samples: int = 20) -> CheckOutcome:
@@ -497,8 +497,6 @@ def base_change_report(rng, samples: int = 20) -> CheckOutcome:
             if not big.eq(phi(q_wedge(x)), q_wedge(map_exterior(phi, x))):
                 out.fail(f"quadratic form on wedge V differs after base change, n={n} trial {t}")
             m = random_vector(small, 2 * n, rng)
-            from .clifford import phi_vector
-
             lifted = phi_vector(big, n, [phi(c) for c in m])
             if map_clifford(phi, phi_vector(small, n, m)) != lifted:
                 out.fail(f"Phi(m) differs after base change, n={n} trial {t}")
@@ -522,8 +520,6 @@ def base_change_report(rng, samples: int = 20) -> CheckOutcome:
                 z = random_trace_zero(small, 2 * n, rng)
                 if not in_alternating(canonical_map_c(map_matrix(phi, z))):
                     out.fail(f"alternating membership lost after base change, n={n} trial {t}")
-
-    from .clifford import classify_even_involution
 
     for n in (2, 3, 4, 5):
         small_labels = classify_even_involution(small, n)

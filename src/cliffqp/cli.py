@@ -99,22 +99,10 @@ def _grid(check: str, n: int | None, ring: Ring | None) -> list[tuple[int | None
         return [(None, None)]
     cells = _default_grid(check)
     if n is not None:
-        rings = []
-        for _, r in cells:
-            if r not in rings:
-                rings.append(r)
-        cells = [(n, r) for r in rings]
+        cells = [(n, r) for r in dict.fromkeys(r for _, r in cells)]
     if ring is not None:
-        ns = []
-        for cn, _ in cells:
-            if cn not in ns:
-                ns.append(cn)
-        cells = [(cn, ring) for cn in ns]
-    deduped = []
-    for cell in cells:
-        if cell not in deduped:
-            deduped.append(cell)
-    return deduped
+        cells = [(cn, ring) for cn in dict.fromkeys(cn for cn, _ in cells)]
+    return list(dict.fromkeys(cells))
 
 
 def _run_cell(check: str, n: int | None, ring: Ring | None, trials: int, seed: int) -> Report:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import DomainError, EligibilityError, UnsupportedRingError, UsageError
 from .exterior import mask_size, sign_exponent
-from .forms import HyperbolicSpace, b_wedge_gram
+from .forms import HyperbolicSpace, b_wedge_gram, classify_bilinear
 from .linalg import Matrix, signed_perm_inverse
 from .reporting import CheckOutcome
 from .rings import Element, Ring
@@ -378,6 +378,7 @@ def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOut
             if (r2, c2) != (a, b) or (p1 + p2) % 2 != 0:
                 out.fail(f"involution does not square to the identity on unit ({a}, {b})")
     if rng is not None and n <= 4:
+        # local: sampling imports this module
         from .sampling import random_clifford_element
 
         for t in range(pairs):
@@ -420,8 +421,6 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
     """
     if n < 2:
         raise EligibilityError("the even involution type needs n >= 2")
-    from .forms import classify_bilinear
-
     half = 1 << (n - 1)
     ident = Matrix.identity(ring, half)
     zero = Matrix.zeros(ring, half, half)

@@ -2,8 +2,10 @@
 
 Subsets I of {1, .., n} are stored as bitmasks with bit i-1 set iff i is
 in I, and the basis vector v_I is the wedge of the v_i for i in I in
-increasing order.  All of wedge V is a coefficient vector of length 2^n
-in ascending mask order; the even/odd grading is the popcount parity.
+increasing order.  An element of wedge V stores only its nonzero
+coefficients, as a dict {mask: coefficient} in the idiom of a `Matrix`
+row, so every operation walks the stored terms; the even/odd grading is
+the popcount parity.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import UsageError
+from .linalg import Matrix
 from .rings import Element, Ring
 
 
@@ -61,66 +64,72 @@ def wedge_masks(mask_i: int, mask_j: int) -> Optional[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ExteriorVector:
-    """An element of wedge V as a dense coefficient list in mask order."""
+    """An element of wedge V as a dict {mask: nonzero coefficient}; zero
+    coefficients are never stored, so structural equality is equality."""
 
     ring: Ring
     n: int
-    coeffs: tuple
+    terms: dict
 
     def __post_init__(self):
-        if len(self.coeffs) != 1 << self.n:
-            raise UsageError("coefficient array must have length 2^n")
+        if self.terms and (min(self.terms) < 0 or max(self.terms) >> self.n):
+            raise UsageError(f"subset mask outside 0..2^{self.n}-1")
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "ExteriorVector":
-        return cls(ring, n, tuple(ring.zero for _ in range(1 << n)))
+        return cls(ring, n, {})
 
     @classmethod
     def basis(cls, ring: Ring, n: int, mask: int) -> "ExteriorVector":
-        coeffs = [ring.zero] * (1 << n)
-        coeffs[mask] = ring.one
-        return cls(ring, n, tuple(coeffs))
+        return cls(ring, n, {mask: ring.one})
 
     @classmethod
     def from_coeffs(cls, ring: Ring, n: int, coeffs) -> "ExteriorVector":
-        return cls(ring, n, tuple(coeffs))
+        """From a dense coefficient list of length 2^n in mask order."""
+        if len(coeffs) != 1 << n:
+            raise UsageError("coefficient array must have length 2^n")
+        return cls(ring, n, {mask: a for mask, a in enumerate(coeffs) if not ring.is_zero(a)})
 
     def _check_mate(self, other: "ExteriorVector") -> None:
         if self.n != other.n or self.ring != other.ring:
             raise UsageError("operands live in different exterior algebras")
 
-    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
+    def _combine(self, other: "ExteriorVector", op) -> "ExteriorVector":
         self._check_mate(other)
-        add = self.ring.add
-        return ExteriorVector(
-            self.ring, self.n, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        zero, is_zero = self.ring.zero, self.ring.is_zero
+        terms = dict(self.terms)
+        for mask, b in other.terms.items():
+            c = op(terms.get(mask, zero), b)
+            if is_zero(c):
+                terms.pop(mask, None)
+            else:
+                terms[mask] = c
+        return ExteriorVector(self.ring, self.n, terms)
+
+    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
+        return self._combine(other, self.ring.add)
 
     def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
-        self._check_mate(other)
-        sub = self.ring.sub
-        return ExteriorVector(
-            self.ring, self.n, tuple(sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, self.ring.sub)
+
+    def _map_nonzeros(self, fn) -> "ExteriorVector":
+        is_zero = self.ring.is_zero
+        terms = {mask: b for mask, a in self.terms.items() if not is_zero(b := fn(a))}
+        return ExteriorVector(self.ring, self.n, terms)
 
     def __neg__(self) -> "ExteriorVector":
-        neg = self.ring.neg
-        return ExteriorVector(self.ring, self.n, tuple(neg(a) for a in self.coeffs))
+        return self._map_nonzeros(self.ring.neg)
 
     def scale(self, c: Element) -> "ExteriorVector":
         mul = self.ring.mul
-        return ExteriorVector(self.ring, self.n, tuple(mul(c, a) for a in self.coeffs))
+        return self._map_nonzeros(lambda a: mul(c, a))
 
     def wedge(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_mate(other)
         ring = self.ring
-        out = [ring.zero] * (1 << self.n)
-        for mi, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
-                continue
-            for mj, b in enumerate(other.coeffs):
-                if ring.is_zero(b):
-                    continue
+        out: dict = {}
+        for mi, a in self.terms.items():
+            for mj, b in other.terms.items():
                 res = wedge_masks(mi, mj)
                 if res is None:
                     continue
@@ -128,83 +137,61 @@ class ExteriorVector:
                 term = ring.mul(a, b)
                 if sign < 0:
                     term = ring.neg(term)
-                out[mu] = ring.add(out[mu], term)
-        return ExteriorVector(ring, self.n, tuple(out))
+                out[mu] = ring.add(out[mu], term) if mu in out else term
+        terms = {mask: c for mask, c in out.items() if not ring.is_zero(c)}
+        return ExteriorVector(ring, self.n, terms)
 
     def reversal(self) -> "ExteriorVector":
         """Reverse the wedge factors: v_I picks up (-1)**(|I|(|I|-1)/2)."""
-        ring = self.ring
-        out = []
-        for mask, a in enumerate(self.coeffs):
-            k = mask_size(mask)
-            out.append(a if k % 4 in (0, 1) else ring.neg(a))
-        return ExteriorVector(ring, self.n, tuple(out))
+        neg = self.ring.neg
+        terms = {
+            mask: a if mask_size(mask) % 4 in (0, 1) else neg(a) for mask, a in self.terms.items()
+        }
+        return ExteriorVector(self.ring, self.n, terms)
 
     def pi_top(self) -> Element:
         """Coefficient of the top basis vector v_{1..n}."""
-        return self.coeffs[(1 << self.n) - 1]
+        return self.terms.get((1 << self.n) - 1, self.ring.zero)
 
     def parity(self) -> str:
         """'even', 'odd' or 'mixed' by the supports; zero counts as even."""
-        has_even = has_odd = False
-        for mask, a in enumerate(self.coeffs):
-            if not self.ring.is_zero(a):
-                if mask_size(mask) % 2 == 0:
-                    has_even = True
-                else:
-                    has_odd = True
-        if has_even and has_odd:
+        parities = {mask_size(mask) % 2 for mask in self.terms}
+        if len(parities) == 2:
             return "mixed"
-        return "odd" if has_odd else "even"
+        return "odd" if parities == {1} else "even"
 
     def __repr__(self) -> str:
-        ring = self.ring
         terms = []
-        for mask, a in enumerate(self.coeffs):
-            if ring.is_zero(a):
-                continue
+        for mask, a in sorted(self.terms.items()):
             label = "1" if mask == 0 else "v" + "".join(map(str, mask_members(mask)))
-            terms.append(f"{ring.show(a)}*{label}")
+            terms.append(f"{self.ring.show(a)}*{label}")
         return " + ".join(terms) if terms else "0"
 
 
-def left_mult_matrix(x: ExteriorVector):
+def left_mult_matrix(x: ExteriorVector) -> Matrix:
     """Matrix of left wedge multiplication by x on wedge V."""
-    from .linalg import Matrix
-
-    ring, n = x.ring, x.n
-    dim = 1 << n
-    entries = [ring.zero] * (dim * dim)
+    ring, dim = x.ring, 1 << x.n
+    triples = []  # in a fixed column v_J, distinct masks I land on distinct rows I | J
     for col in range(dim):
-        for mi, a in enumerate(x.coeffs):
-            if ring.is_zero(a):
-                continue
+        for mi, a in x.terms.items():
             res = wedge_masks(mi, col)
-            if res is None:
-                continue
-            sign, row = res
-            val = a if sign > 0 else ring.neg(a)
-            entries[row * dim + col] = ring.add(entries[row * dim + col], val)
-    return Matrix(ring, dim, dim, entries)
+            if res is not None:
+                sign, row = res
+                triples.append((row, col, a if sign > 0 else ring.neg(a)))
+    return Matrix.from_nonzeros(ring, dim, dim, triples)
 
 
-def contraction_matrix(ring: Ring, n: int, i: int):
+def contraction_matrix(ring: Ring, n: int, i: int) -> Matrix:
     """Matrix of the dual-basis contraction by v_i^*: a degree -1 derivation.
 
     On a basis vector the i-th factor is dropped with sign (-1)**(pos+1)
     where pos is its 1-based position in increasing order.
     """
-    from .linalg import Matrix
-
     if not 1 <= i <= n:
         raise UsageError(f"index {i} outside 1..{n}")
     dim = 1 << n
     bit = 1 << (i - 1)
-    entries = [ring.zero] * (dim * dim)
-    for col in range(dim):
-        if not col & bit:
-            continue
-        row = col & ~bit
-        below = mask_size(col & (bit - 1))
-        entries[row * dim + col] = ring.sign(below)
-    return Matrix(ring, dim, dim, entries)
+    triples = (
+        (col & ~bit, col, ring.sign(mask_size(col & (bit - 1)))) for col in range(dim) if col & bit
+    )
+    return Matrix.from_nonzeros(ring, dim, dim, triples)

@@ -9,11 +9,12 @@ package exists to avoid.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import UsageError
 from .exterior import ExteriorVector, sign_exponent
-from .linalg import Matrix
+from .linalg import Matrix, signed_perm_inverse
+from .reporting import CheckOutcome
 from .rings import Element, Ring
 
 
@@ -60,46 +61,30 @@ class HyperbolicSpace:
             total = ring.add(total, ring.mul(coeffs[i], coeffs[self.dim - 1 - i]))
         return total
 
-    def quadratic_form(self) -> "QuadraticForm":
-        return QuadraticForm(self.ring, self.dim, self.q)
+    def polar(self, x: Sequence[Element], y: Sequence[Element]) -> Element:
+        """The polar form q(x + y) - q(x) - q(y), computed literally."""
+        ring = self.ring
+        xy = [ring.add(a, b) for a, b in zip(x, y)]
+        return ring.sub(ring.sub(self.q(xy), self.q(x)), self.q(y))
 
     def __repr__(self) -> str:
         return f"HyperbolicSpace({self.ring.name}, n={self.n})"
 
 
-class QuadraticForm:
-    """A quadratic form as an evaluation procedure on coefficient lists."""
-
-    def __init__(self, ring: Ring, dim: int, evaluate: Callable[[Sequence[Element]], Element]):
-        self.ring = ring
-        self.dim = dim
-        self.evaluate = evaluate
-        self._polar_gram: Matrix | None = None
-
-    def __call__(self, coeffs: Sequence[Element]) -> Element:
-        return self.evaluate(coeffs)
-
-    def polar(self, x: Sequence[Element], y: Sequence[Element]) -> Element:
-        """The polar form q(x + y) - q(x) - q(y), computed literally."""
-        ring = self.ring
-        xy = [ring.add(a, b) for a, b in zip(x, y)]
-        return ring.sub(ring.sub(self.evaluate(xy), self.evaluate(x)), self.evaluate(y))
-
-    def polar_gram(self) -> Matrix:
-        """Gram matrix of the polar form over the standard basis (cached)."""
-        if self._polar_gram is None:
-            ring = self.ring
-            basis = []
-            for k in range(self.dim):
-                e = [ring.zero] * self.dim
-                e[k] = ring.one
-                basis.append(e)
-            g = Matrix.zeros(ring, self.dim, self.dim)
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    g.put(r, c, self.polar(basis[r], basis[c]))
-            self._polar_gram = g
-        return self._polar_gram
+def _complement_sum(x: ExteriorVector, y: ExteriorVector, masks) -> Element:
+    """Sum over the given masks I of (-1)**((sum I) - |I|) x_I y_{I^c}."""
+    ring = x.ring
+    full = (1 << x.n) - 1
+    total = ring.zero
+    for mask in masks:
+        b = y.terms.get(full ^ mask)
+        if b is None:
+            continue
+        term = ring.mul(x.terms[mask], b)
+        if sign_exponent(mask) % 2:
+            term = ring.neg(term)
+        total = ring.add(total, term)
+    return total
 
 
 def b_wedge(x: ExteriorVector, y: ExteriorVector) -> Element:
@@ -108,20 +93,7 @@ def b_wedge(x: ExteriorVector, y: ExteriorVector) -> Element:
     """
     if x.n != y.n or x.ring != y.ring:
         raise UsageError("operands live in different exterior algebras")
-    ring = x.ring
-    full = (1 << x.n) - 1
-    total = ring.zero
-    for mask, a in enumerate(x.coeffs):
-        if ring.is_zero(a):
-            continue
-        b = y.coeffs[full ^ mask]
-        if ring.is_zero(b):
-            continue
-        term = ring.mul(a, b)
-        if sign_exponent(mask) % 2:
-            term = ring.neg(term)
-        total = ring.add(total, term)
-    return total
+    return _complement_sum(x, y, x.terms)
 
 
 def b_wedge_via_top(x: ExteriorVector, y: ExteriorVector) -> Element:
@@ -133,37 +105,39 @@ def b_wedge_gram(ring: Ring, n: int) -> Matrix:
     """Gram matrix of the pairing: one signed entry per row, at (I, I^c)."""
     dim = 1 << n
     full = dim - 1
-    g = Matrix.zeros(ring, dim, dim)
-    for mask in range(dim):
-        g.put(mask, full ^ mask, ring.sign(sign_exponent(mask)))
-    return g
+    return Matrix.from_nonzeros(
+        ring, dim, dim, ((mask, full ^ mask, ring.sign(sign_exponent(mask))) for mask in range(dim))
+    )
 
 
 def q_wedge(x: ExteriorVector) -> Element:
     """Quadratic form on wedge V:
     sum over I containing 1 of (-1)**((sum I) - |I|) x_I x_{I^c}.
     """
+    return _complement_sum(x, x, (mask for mask in x.terms if mask & 1))
+
+
+def q_wedge_polar(x: ExteriorVector, y: ExteriorVector) -> Element:
+    """The polar form of q_wedge, q(x + y) - q(x) - q(y), computed literally."""
     ring = x.ring
-    full = (1 << x.n) - 1
-    total = ring.zero
-    for mask, a in enumerate(x.coeffs):
-        if not mask & 1 or ring.is_zero(a):
-            continue
-        b = x.coeffs[full ^ mask]
-        if ring.is_zero(b):
-            continue
-        term = ring.mul(a, b)
-        if sign_exponent(mask) % 2:
-            term = ring.neg(term)
-        total = ring.add(total, term)
-    return total
+    return ring.sub(ring.sub(q_wedge(x + y), q_wedge(x)), q_wedge(y))
 
 
-def q_wedge_form(ring: Ring, n: int) -> QuadraticForm:
-    def evaluate(coeffs: Sequence[Element]) -> Element:
-        return q_wedge(ExteriorVector.from_coeffs(ring, n, coeffs))
+def _polar_gram(ring: Ring, vectors: list[ExteriorVector]) -> Matrix:
+    """Gram matrix of q_wedge_polar on the given vectors."""
+    dim = len(vectors)
+    triples = (
+        (r, c, v)
+        for r, x in enumerate(vectors)
+        for c, y in enumerate(vectors)
+        if not ring.is_zero(v := q_wedge_polar(x, y))
+    )
+    return Matrix.from_nonzeros(ring, dim, dim, triples)
 
-    return QuadraticForm(ring, 1 << n, evaluate)
+
+def q_wedge_polar_gram(ring: Ring, n: int) -> Matrix:
+    """Gram matrix of the polar form of q_wedge over the standard basis."""
+    return _polar_gram(ring, [ExteriorVector.basis(ring, n, mask) for mask in range(1 << n)])
 
 
 def q_wedge_hyperbolic_gram(ring: Ring, n: int) -> Matrix:
@@ -173,24 +147,17 @@ def q_wedge_hyperbolic_gram(ring: Ring, n: int) -> Matrix:
     Basis order: the masks without 1 ascending, then their complements in
     matching order, so a hyperbolic pairing shows up as [[0, I], [I, 0]].
     """
-    half = 1 << (n - 1)
     full = (1 << n) - 1
-    form = q_wedge_form(ring, n)
     without = [m for m in range(1 << n) if not m & 1]
     order = without + [full ^ m for m in without]
-    basis = []
-    for mask in order:
-        coeffs = [ring.zero] * (1 << n)
-        coeffs[mask] = ring.sign(sign_exponent(mask)) if mask & 1 else ring.one
-        basis.append(coeffs)
-    g = Matrix.zeros(ring, 2 * half, 2 * half)
-    for r in range(2 * half):
-        for c in range(2 * half):
-            g.put(r, c, form.polar(basis[r], basis[c]))
-    return g
+    basis = [
+        ExteriorVector(ring, n, {mask: ring.sign(sign_exponent(mask)) if mask & 1 else ring.one})
+        for mask in order
+    ]
+    return _polar_gram(ring, basis)
 
 
-def gram_agreement_suite(ring: Ring, n: int) -> "CheckOutcome":
+def gram_agreement_suite(ring: Ring, n: int) -> CheckOutcome:
     """Formula vs definition on all basis pairs, plus regularity.
 
     The subset-pairing formula must agree with the top coefficient of
@@ -198,10 +165,6 @@ def gram_agreement_suite(ring: Ring, n: int) -> "CheckOutcome":
     as a signed permutation, and the rescaled basis must exhibit the
     quadratic form as hyperbolic with polar Gram [[0, I], [I, 0]].
     """
-    from .exterior import ExteriorVector
-    from .linalg import signed_perm_inverse
-    from .reporting import CheckOutcome
-
     out = CheckOutcome()
     dim = 1 << n
     basis = [ExteriorVector.basis(ring, n, mask) for mask in range(dim)]
@@ -235,16 +198,14 @@ def gram_agreement_suite(ring: Ring, n: int) -> "CheckOutcome":
     return out
 
 
-def polar_matches_prediction(ring: Ring, n: int) -> "CheckOutcome":
+def polar_matches_prediction(ring: Ring, n: int) -> CheckOutcome:
     """polar(q_wedge) equals the pairing exactly when n = 0, 1 mod 4 or the
     characteristic is 2; otherwise the comparison must fail (the negative
     control at n = 2 over GF(3)).
     """
-    from .reporting import CheckOutcome
-
     out = CheckOutcome()
     expected_equal = n % 4 in (0, 1) or ring.char == 2
-    equal = q_wedge_form(ring, n).polar_gram() == b_wedge_gram(ring, n)
+    equal = q_wedge_polar_gram(ring, n) == b_wedge_gram(ring, n)
     if equal != expected_equal:
         out.fail(
             f"polar identity {'held' if equal else 'failed'} for n={n} over {ring.name}, "

@@ -42,12 +42,11 @@ def is_orthogonal(b: Matrix) -> bool:
         return False
     ring, dim = b.ring, b.rows
     hs = HyperbolicSpace(ring, dim // 2)
-    form = hs.quadratic_form()
     cols = [b.col(k) for k in range(dim)]
     basis = [[ring.one if r == k else ring.zero for r in range(dim)] for k in range(dim)]
     # hyperbolic basis vectors are isotropic
     return all(ring.is_zero(hs.q(c)) for c in cols) and all(
-        ring.eq(form.polar(cols[k], cols[l]), form.polar(basis[k], basis[l]))
+        ring.eq(hs.polar(cols[k], cols[l]), hs.polar(basis[k], basis[l]))
         for k in range(dim)
         for l in range(k, dim)
     )

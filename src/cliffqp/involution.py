@@ -24,7 +24,7 @@ from .clifford import (
     tau_unit,
 )
 from .errors import DomainError, UnsupportedRingError, UsageError
-from .linalg import trace_of_product
+from .linalg import Matrix, trace_of_product
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
@@ -49,8 +49,6 @@ class SubspaceBasis:
         return [self.element(i) for i in range(len(self.combos))]
 
     def element(self, i: int) -> CliffordElement:
-        from .linalg import Matrix
-
         dim = 1 << self.n
         m = Matrix.zeros(self.ring, dim, dim)
         for coef, (r, c) in self.combos[i]:

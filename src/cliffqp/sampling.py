@@ -6,7 +6,7 @@ from a seed.
 
 from __future__ import annotations
 
-from .clifford import CliffordElement, embed_blocks
+from .clifford import CliffordElement, parity_masks
 from .exterior import ExteriorVector, mask_size
 from .linalg import Matrix
 from .rings import Ring
@@ -33,10 +33,16 @@ def random_trace_one(ring: Ring, size: int, rng) -> Matrix:
 
 
 def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:
-    half = 1 << (n - 1)
-    return embed_blocks(
-        ring, n, random_matrix(ring, half, half, rng), random_matrix(ring, half, half, rng)
-    )
+    """Both parity blocks drawn entry by entry, the even block row-major first."""
+    is_zero, sample = ring.is_zero, ring.sample
+    triples = [
+        (r, c, v)
+        for masks in parity_masks(n)
+        for r in masks
+        for c in masks
+        if not is_zero(v := sample(rng))
+    ]
+    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, triples))
 
 
 def random_clifford_element(ring: Ring, n: int, rng) -> CliffordElement:

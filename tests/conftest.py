@@ -17,3 +17,8 @@ def rng():
 
 def fresh_rng(tag: str) -> random.Random:
     return random.Random(f"test:{tag}")
+
+
+def dense(x) -> list:
+    """The coefficients of an ExteriorVector as a list of length 2^n in mask order."""
+    return [x.terms.get(mask, x.ring.zero) for mask in range(1 << x.n)]

@@ -23,7 +23,7 @@ from cliffqp.clifford import (
     involution_type_matches,
     relation_suite,
 )
-from cliffqp.forms import b_wedge_gram, classify_bilinear, gram_agreement_suite, q_wedge_form
+from cliffqp.forms import b_wedge_gram, classify_bilinear, gram_agreement_suite, q_wedge_polar_gram
 from cliffqp.group import pgo_invariance
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ
 
@@ -80,13 +80,13 @@ def test_criterion_03_polar_identity():
     failures = []
     for n in (1, 4, 5):  # n = 0, 1 mod 4 within desk scale
         for ring in ALL_PALETTE:
-            if q_wedge_form(ring, n).polar_gram() != b_wedge_gram(ring, n):
+            if q_wedge_polar_gram(ring, n) != b_wedge_gram(ring, n):
                 failures.append(f"polar identity failed n={n} {ring.name}")
     for n in range(1, 6):
         for ring in (GF2, GF4):
-            if q_wedge_form(ring, n).polar_gram() != b_wedge_gram(ring, n):
+            if q_wedge_polar_gram(ring, n) != b_wedge_gram(ring, n):
                 failures.append(f"polar identity failed n={n} {ring.name}")
-    if q_wedge_form(GF3, 2).polar_gram() == b_wedge_gram(GF3, 2):
+    if q_wedge_polar_gram(GF3, 2) == b_wedge_gram(GF3, 2):
         failures.append("negative control n=2 gf3 unexpectedly equal")
     report(3, "polar-identity", not failures, "incl. negative control n=2 gf3")
 

@@ -1,8 +1,13 @@
 """The verification CLI: grids, statuses, JSON shape, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import cliffqp
 from cliffqp.cli import MAX_N, main, run
 from cliffqp.rings import ring_by_name
 
@@ -159,4 +164,26 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
             text = capsys.readouterr().out
             assert json.loads(text)["passed"] == passed
             texts.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text))
+        assert texts[0] == texts[1]
+
+
+def test_same_seed_gives_identical_json_across_processes():
+    # the contract must not lean on one interpreter's hash order: two fresh
+    # processes with different PYTHONHASHSEED give the same JSON text
+    src = str(Path(cliffqp.__file__).resolve().parent.parent)
+    for args in (
+        ["classify", "--n", "4"],
+        ["gram", "--n", "3"],
+        ["q-wedge-correspondence", "--n", "4", "--ring", "gf3", "--trials", "5"],
+    ):
+        texts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "cliffqp.cli", *args, "--json"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout)["failed"] == 0
+            texts.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', done.stdout))
         assert texts[0] == texts[1]

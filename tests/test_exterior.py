@@ -1,7 +1,10 @@
 """Subset signs, wedge products, reversal, and the two operator families."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cliffqp.errors import UsageError
 from cliffqp.exterior import (
     ExteriorVector,
     contraction_matrix,
@@ -12,10 +15,11 @@ from cliffqp.exterior import (
     sign_exponent,
     wedge_masks,
 )
-from cliffqp.linalg import Matrix, matmul
+from cliffqp.forms import b_wedge, q_wedge, q_wedge_polar
+from cliffqp.linalg import Matrix, mat_vec, matmul
 from cliffqp.rings import GF3, GF5, QQ, ZZ
 
-from conftest import PALETTE
+from conftest import PALETTE, dense
 
 
 def test_subset_index_fields():
@@ -94,19 +98,15 @@ def test_contraction_examples():
     v12 = ExteriorVector.basis(ring, n, 0b11)
     d1 = contraction_matrix(ring, n, 1)
     d2 = contraction_matrix(ring, n, 2)
-    from cliffqp.linalg import mat_vec
-
-    assert mat_vec(d1, list(v12.coeffs)) == list(ExteriorVector.basis(ring, n, 0b10).coeffs)
-    assert mat_vec(d2, list(v12.coeffs)) == list((-ExteriorVector.basis(ring, n, 0b01)).coeffs)
+    assert mat_vec(d1, dense(v12)) == dense(ExteriorVector.basis(ring, n, 0b10))
+    assert mat_vec(d2, dense(v12)) == dense(-ExteriorVector.basis(ring, n, 0b01))
 
 
 def test_left_mult_example():
     ring, n = QQ, 2
     l1 = left_mult_matrix(ExteriorVector.basis(ring, n, 0b01))
-    from cliffqp.linalg import mat_vec
-
-    got = mat_vec(l1, list(ExteriorVector.basis(ring, n, 0b10).coeffs))
-    assert got == list(ExteriorVector.basis(ring, n, 0b11).coeffs)
+    got = mat_vec(l1, dense(ExteriorVector.basis(ring, n, 0b10)))
+    assert got == dense(ExteriorVector.basis(ring, n, 0b11))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -133,7 +133,109 @@ def test_wedge_bilinear_matches_matrix():
     ring, n = GF5, 3
     x = ExteriorVector.from_coeffs(ring, n, [ring.from_int(k) for k in range(8)])
     y = ExteriorVector.from_coeffs(ring, n, [ring.from_int(3 * k + 1) for k in range(8)])
-    from cliffqp.linalg import mat_vec
+    via_matrix = mat_vec(left_mult_matrix(x), dense(y))
+    assert via_matrix == dense(x.wedge(y))
 
-    via_matrix = mat_vec(left_mult_matrix(x), list(y.coeffs))
-    assert via_matrix == list(x.wedge(y).coeffs)
+
+# --- the sparse operations against a dense oracle ---------------------------
+#
+# The oracle works on coefficient lists of length 2^n in mask order and reads
+# every sign off the subset members, independently of the package's helpers.
+
+
+def _sign(ring, exponent):
+    return ring.neg(ring.one) if exponent % 2 else ring.one
+
+
+def dense_wedge(ring, n, x, y):
+    out = [ring.zero] * (1 << n)
+    for mi, a in enumerate(x):
+        for mj, b in enumerate(y):
+            if mi & mj:
+                continue
+            swaps = sum(1 for i in mask_members(mi) for j in mask_members(mj) if i > j)
+            out[mi | mj] = ring.add(out[mi | mj], ring.mul(_sign(ring, swaps), ring.mul(a, b)))
+    return out
+
+
+def dense_reversal(ring, x):
+    out = []
+    for mask, a in enumerate(x):
+        k = len(mask_members(mask))
+        out.append(ring.mul(_sign(ring, k * (k - 1) // 2), a))
+    return out
+
+
+def dense_pairing(ring, n, x, y, only_with_1=False):
+    full = (1 << n) - 1
+    total = ring.zero
+    for mask, a in enumerate(x):
+        if only_with_1 and not mask & 1:
+            continue
+        members = mask_members(mask)
+        term = ring.mul(a, y[full ^ mask])
+        total = ring.add(total, ring.mul(_sign(ring, sum(members) - len(members)), term))
+    return total
+
+
+def dense_q(ring, n, x):
+    return dense_pairing(ring, n, x, x, only_with_1=True)
+
+
+def _coefficients(ring):
+    if ring is QQ:
+        values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    else:
+        values = st.sampled_from(list(ring.elements()))
+    return st.one_of(st.just(ring.zero), values)  # zero often, so vectors come sparse
+
+
+@pytest.mark.parametrize("ring", PALETTE, ids=lambda r: r.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_operations_match_the_dense_oracle(ring, data):
+    n = data.draw(st.integers(1, 5), label="n")
+    coeffs = st.lists(_coefficients(ring), min_size=1 << n, max_size=1 << n)
+    xs, ys = data.draw(coeffs, label="x"), data.draw(coeffs, label="y")
+    c = data.draw(_coefficients(ring), label="c")
+    zero = [ring.zero] * (1 << n)
+    for u, v in ((xs, ys), (xs, zero), (zero, ys)):
+        x, y = ExteriorVector.from_coeffs(ring, n, u), ExteriorVector.from_coeffs(ring, n, v)
+        assert dense(x) == u and dense(y) == v
+        assert dense(x + y) == [ring.add(a, b) for a, b in zip(u, v)]
+        assert dense(x - y) == [ring.sub(a, b) for a, b in zip(u, v)]
+        assert dense(x.scale(c)) == [ring.mul(c, a) for a in u]
+        assert dense(x.wedge(y)) == dense_wedge(ring, n, u, v)
+        assert dense(x.reversal()) == dense_reversal(ring, u)
+        assert ring.eq(b_wedge(x, y), dense_pairing(ring, n, u, v))
+        assert ring.eq(q_wedge(x), dense_q(ring, n, u))
+        uv = [ring.add(a, b) for a, b in zip(u, v)]
+        polar = ring.sub(ring.sub(dense_q(ring, n, uv), dense_q(ring, n, u)), dense_q(ring, n, v))
+        assert ring.eq(q_wedge_polar(x, y), polar)
+        # no zero coefficient is ever stored
+        for w in (x + y, x - y, x.scale(c), x.wedge(y), x.reversal()):
+            assert not any(ring.is_zero(a) for a in w.terms.values())
+
+
+def test_mask_outside_the_algebra_is_rejected():
+    with pytest.raises(UsageError):
+        ExteriorVector.basis(QQ, 3, 1 << 3)
+    with pytest.raises(UsageError):
+        ExteriorVector(QQ, 3, {0: QQ.one, 9: QQ.one})
+    with pytest.raises(UsageError):
+        ExteriorVector(QQ, 3, {-1: QQ.one})
+
+
+def test_wrong_length_coefficient_list_is_rejected():
+    with pytest.raises(UsageError):
+        ExteriorVector.from_coeffs(QQ, 3, [QQ.one] * 7)
+    with pytest.raises(UsageError):
+        ExteriorVector.from_coeffs(QQ, 3, [QQ.one] * 9)
+
+
+def test_repr_lists_terms_in_mask_order():
+    ring, n = GF5, 3
+    x = ExteriorVector.basis(ring, n, 0b110).scale(2) + ExteriorVector.basis(ring, n, 0)
+    x = x + ExteriorVector.basis(ring, n, 0b001).scale(3)
+    assert repr(x) == "1*1 + 3*v1 + 2*v23"
+    assert repr(ExteriorVector.zero(ring, n)) == "0"
