@@ -12,7 +12,6 @@ from .canonical import (
     correspondence_with_q_wedge,
     degree4_no_canonical,
     rho_xi_check,
-    semitrace_eligibility,
 )
 from .clifford import (
     CliffordElement,
@@ -36,10 +35,8 @@ from .forms import (
 from .group import clifford_action, is_orthogonal, pgo_invariance
 from .involution import (
     SemiTrace,
-    SubspaceBasis,
     alt_basis,
     in_alternating,
-    semi_trace_from,
     sym_basis,
     trace_orthogonality,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "Ring",
     "RingMorphism",
     "SemiTrace",
-    "SubspaceBasis",
     "UnsupportedRingError",
     "UsageError",
     "ZZ",
@@ -88,8 +84,6 @@ __all__ = [
     "relation_suite",
     "rho_xi_check",
     "ring_by_name",
-    "semi_trace_from",
-    "semitrace_eligibility",
     "signed_perm_inverse",
     "sym_basis",
     "trace_orthogonality",

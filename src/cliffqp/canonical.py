@@ -20,7 +20,6 @@ from .clifford import (
     CliffordElement,
     canonical_involution,
     classify_even_involution,
-    flatten_even,
     generator_matrix,
     phi_vector,
     phi_word,
@@ -29,7 +28,7 @@ from .clifford import (
 from .errors import EligibilityError, UsageError
 from .exterior import ExteriorVector, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram, q_wedge
-from .involution import SemiTrace, alt_basis, in_alternating, semi_trace_from, trace_orthogonality
+from .involution import SemiTrace, alt_basis, in_alternating, trace_orthogonality
 from .linalg import Matrix, SpanChecker
 from .reporting import CheckOutcome
 from .rings import Ring, RingMorphism, gf2_into_gf4
@@ -202,25 +201,20 @@ def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcom
 # --- the canonical semi-trace -------------------------------------------------
 
 
-def semitrace_eligibility(ring: Ring, n: int) -> tuple[bool, str]:
-    """Whether the canonical semi-trace construction applies at this rank."""
-    if n % 2 == 1:
-        return False, "involution acts non-trivially on the center for odd n"
-    if n % 4 == 2 and ring.char != 2:
-        return False, "involution symplectic, not orthogonal"
-    if n < 4:
-        return False, "no canonical semi-trace exists in degree 4"
-    return True, ""
-
-
 def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
     """The semi-trace with representative c(a) for the trace-1 unit E_{2n,2n}."""
-    ok, reason = semitrace_eligibility(ring, n)
-    if not ok:
+    reason = None
+    if n % 2 == 1:
+        reason = "involution acts non-trivially on the center for odd n"
+    elif n % 4 == 2 and ring.char != 2:
+        reason = "involution symplectic, not orthogonal"
+    elif n < 4:
+        reason = "no canonical semi-trace exists in degree 4"
+    if reason:
         raise EligibilityError(f"canonical semi-trace unavailable for n={n} over {ring.name}: {reason}")
     unit = Matrix.zeros(ring, 2 * n, 2 * n)
     unit.put(2 * n - 1, 2 * n - 1, ring.one)
-    return semi_trace_from(canonical_map_c(unit))
+    return SemiTrace(canonical_map_c(unit))
 
 
 def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) -> CheckOutcome:
@@ -231,7 +225,7 @@ def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) 
     out = trace_orthogonality(ring, n)
     for t in range(count):
         a = random_trace_one(ring, 2 * n, rng)
-        other = semi_trace_from(canonical_map_c(a))
+        other = SemiTrace(canonical_map_c(a))
         if not f.agrees_with(other):
             out.fail(f"trial {t}: representative c(a') disagrees on Sym, a'={a!r}")
     if out.passed:
@@ -333,14 +327,15 @@ def degree4_alt_report(ring: Ring) -> CheckOutcome:
     mono = even_monomials_n2(ring)
     ident = mono[0]
     stated = [ident, mono[3] + mono[4]]
-    if len(basis) != 2:
-        out.fail(f"alternating subspace has dimension {len(basis)}, want 2")
+    if basis.rows != 2:
+        out.fail(f"alternating subspace has dimension {basis.rows}, want 2")
     for i, elem in enumerate(stated):
         if not in_alternating(elem):
             out.fail(f"stated element {i} is not alternating")
-    stated_span = SpanChecker(ring, [flatten_even(e) for e in stated])
-    for vec in basis.vectors():
-        if not stated_span.contains(vec):
+    stated_span = SpanChecker(ring, [e.matrix.entries for e in stated])
+    entries, cols = basis.entries, basis.cols
+    for k in range(basis.rows):
+        if not stated_span.contains(entries[k * cols : (k + 1) * cols]):
             out.fail("computed alternating basis leaves the stated span")
     # Probe x + tau(x) on each even monomial direction; by linearity this
     # pins the formula for generic coefficients.

@@ -10,6 +10,8 @@ the subset pairing, G^-1 x^T G.  The Gram matrix G is a signed
 permutation, so the involution moves each matrix unit to +- one unit,
 the one `tau_unit` names; the alternating membership test reads those
 orbits, and `involution_suite` checks every unit against the adjoint.
+An element's coordinates are its `Matrix.entries`; the parity blocks
+are cut out (`even_blocks`) only for the even-involution type report.
 The 4^n ordered generator products form a monomial basis with a
 division-free coordinate decomposition (their leading entries are +-1
 and triangular by degree); no check uses it, it backs the n <= 4 oracle
@@ -75,6 +77,8 @@ class CliffordElement:
         dim = 1 << self.n
         if self.matrix.rows != dim or self.matrix.cols != dim:
             raise UsageError(f"matrix must be {dim}x{dim} for n={self.n}")
+        if self.matrix.ring is not self.ring and self.matrix.ring != self.ring:
+            raise UsageError(f"matrix over {self.matrix.ring.name}, element over {self.ring.name}")
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "CliffordElement":
@@ -199,26 +203,6 @@ def even_blocks(x: CliffordElement) -> tuple[Matrix, Matrix]:
                 b.put(i, j, x.matrix.at(r, c))
         blocks.append(b)
     return blocks[0], blocks[1]
-
-
-def embed_blocks(ring: Ring, n: int, block_even: Matrix, block_odd: Matrix) -> CliffordElement:
-    """Assemble an even element from its two parity blocks."""
-    even, odd = parity_masks(n)
-    dim = 1 << n
-    m = Matrix.zeros(ring, dim, dim)
-    for masks, block in ((even, block_even), (odd, block_odd)):
-        if block.rows != len(masks) or block.cols != len(masks):
-            raise UsageError("block size does not match the parity subspace")
-        for i, r in enumerate(masks):
-            for j, c in enumerate(masks):
-                m.put(r, c, block.at(i, j))
-    return CliffordElement(ring, n, m)
-
-
-def flatten_even(x: CliffordElement) -> list:
-    """An even element as a vector of length 2 * 4^(n-1): both blocks row-major."""
-    b0, b1 = even_blocks(x)
-    return b0.entries + b1.entries
 
 
 # --- relation suite ---------------------------------------------------------
@@ -421,14 +405,12 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
     """
     if n < 2:
         raise EligibilityError("the even involution type needs n >= 2")
-    half = 1 << (n - 1)
-    ident = Matrix.identity(ring, half)
-    zero = Matrix.zeros(ring, half, half)
-    e0 = embed_blocks(ring, n, ident, zero)
-    e1 = embed_blocks(ring, n, zero, ident)
-    center_fixed = (
-        canonical_involution(e0) == e0 and canonical_involution(e1) == e1
+    dim = 1 << n
+    block_identities = (
+        CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, ((m, m, ring.one) for m in masks)))
+        for masks in parity_masks(n)
     )
+    center_fixed = all(canonical_involution(e) == e for e in block_identities)
 
     labels: set[str] = set()
     if center_fixed:  # so n is even and the Gram matrix preserves parity

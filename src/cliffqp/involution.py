@@ -4,126 +4,68 @@ semi-traces built from class representatives.
 The involution permutes matrix units up to sign, so the image of Id - tau
 and the kernel of Id - tau both have explicit bases indexed by unit
 orbits, and membership in the alternating subspace is decided orbit by
-orbit; no elimination is needed for either.  A semi-trace is determined
-by a representative l with l + tau(l) = 1 and evaluates symmetric
-elements via the reduced trace of l * s; two representatives give the
-same semi-trace exactly when they differ by an alternating element,
-because the alternating elements are the trace-orthogonal complement of
-the symmetric ones (`trace_orthogonality`).
+orbit; no elimination is needed for either.  A basis is a `Matrix` with
+one row per element in the coordinates of `Matrix.entries`: column
+r * 2^n + c holds the coefficient of the unit E_rc.  A semi-trace is
+determined by a representative l with l + tau(l) = 1 and evaluates
+symmetric elements via the reduced trace of l * s; two representatives
+give the same semi-trace exactly when they differ by an alternating
+element, because the alternating elements are the trace-orthogonal
+complement of the symmetric ones (`trace_orthogonality`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from .clifford import (
-    CliffordElement,
-    canonical_involution,
-    flatten_even,
-    parity_masks,
-    tau_unit,
-)
+from .clifford import CliffordElement, canonical_involution, parity_masks, tau_unit
 from .errors import DomainError, UnsupportedRingError, UsageError
 from .linalg import Matrix, trace_of_product
 from .reporting import CheckOutcome
 from .rings import Element, Ring
 
-# A unit combo is a list of (coefficient, (row mask, col mask)) pairs; it
-# stands for a sum of scaled matrix units inside the even algebra.
-UnitCombo = list[tuple[Element, tuple[int, int]]]
 
+def _orbit_basis(ring: Ring, n: int, alternating: bool) -> Matrix:
+    """One row per tau-orbit of even matrix units that contributes to the
+    alternating (image of Id - tau) or symmetric (kernel) subspace; column
+    r * 2^n + c stands for E_rc, as in `Matrix.entries`.
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent unit combos spanning a subspace of the even
-    algebra."""
-
-    ring: Ring
-    n: int
-    combos: tuple[UnitCombo, ...]
-
-    def __len__(self) -> int:
-        return len(self.combos)
-
-    def elements(self) -> list[CliffordElement]:
-        return [self.element(i) for i in range(len(self.combos))]
-
-    def element(self, i: int) -> CliffordElement:
-        dim = 1 << self.n
-        m = Matrix.zeros(self.ring, dim, dim)
-        for coef, (r, c) in self.combos[i]:
-            m.put(r, c, self.ring.add(m.at(r, c), coef))
-        return CliffordElement(self.ring, self.n, m)
-
-    def vectors(self) -> list[list]:
-        return [flatten_even(e) for e in self.elements()]
-
-
-def _even_units(n: int) -> list[tuple[int, int]]:
-    """Matrix-unit positions inside the even algebra, row-major per block."""
-    even, odd = parity_masks(n)
-    units = []
-    for masks in (even, odd):
+    An orbit is visited from its lower-indexed unit E_u, with
+    tau(E_u) = sign * E_p.  A two-unit orbit gives E_u - sign * E_p to Alt
+    and E_u + sign * E_p to Sym; a fixed unit gives 2 E_u to Alt when its
+    sign is -1 != 1 (so never in characteristic 2), and E_u to Sym when
+    its sign is 1.
+    """
+    if not ring.is_field:
+        raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
+    dim = 1 << n
+    one, two = ring.one, ring.from_int(2)
+    orbits = []
+    for masks in parity_masks(n):
         for r in masks:
             for c in masks:
-                units.append((r, c))
-    return units
+                parity, pr, pc = tau_unit(n, r, c)
+                u, p = r * dim + c, pr * dim + pc
+                sign = ring.sign(parity)
+                if u < p:
+                    orbits.append(((u, one), (p, ring.neg(sign) if alternating else sign)))
+                elif u == p and ring.eq(sign, one) != alternating:
+                    orbits.append(((u, two if alternating else one),))
+    triples = ((k, col, v) for k, orbit in enumerate(orbits) for col, v in orbit)
+    return Matrix.from_nonzeros(ring, len(orbits), dim * dim, triples)
 
 
-def _unit_orbits(ring: Ring, n: int):
-    """Orbits of even matrix units under the involution, with the unit signs.
-
-    Yields (kind, data): kind 'fixed' with (unit, sign) for tau-eigenunits,
-    kind 'pair' with (unit, partner, sign) where tau(E_unit) = sign * E_partner.
-    """
-    units = _even_units(n)
-    position = {u: i for i, u in enumerate(units)}
-    for i, (a, b) in enumerate(units):
-        parity, r, c = tau_unit(n, a, b)
-        partner = (r, c)
-        sign = ring.sign(parity)
-        if partner == (a, b):
-            yield "fixed", ((a, b), sign)
-        elif position[partner] > i:
-            yield "pair", ((a, b), partner, sign)
+def alt_basis(ring: Ring, n: int) -> Matrix:
+    """Basis of the alternating elements, the image of Id - tau, one row
+    per element over the matrix units (see `_orbit_basis`)."""
+    return _orbit_basis(ring, n, alternating=True)
 
 
-def alt_basis(ring: Ring, n: int) -> SubspaceBasis:
-    """Basis of the alternating elements, the image of Id - tau.
-
-    Each unit orbit contributes independently: a two-element orbit gives
-    E - sign * tau-partner, and a fixed unit contributes 2E only when its
-    sign is -1 (so never in characteristic 2).
-    """
-    if not ring.is_field:
-        raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
-    combos: list[UnitCombo] = []
-    two = ring.from_int(2)
-    for kind, data in _unit_orbits(ring, n):
-        if kind == "pair":
-            unit, partner, sign = data
-            combos.append([(ring.one, unit), (ring.neg(sign), partner)])
-        else:
-            unit, sign = data
-            if not ring.eq(sign, ring.one):
-                combos.append([(two, unit)])
-    return SubspaceBasis(ring, n, tuple(combos))
-
-
-def sym_basis(ring: Ring, n: int) -> SubspaceBasis:
-    """Basis of the symmetric elements, the kernel of Id - tau."""
-    if not ring.is_field:
-        raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
-    combos: list[UnitCombo] = []
-    for kind, data in _unit_orbits(ring, n):
-        if kind == "pair":
-            unit, partner, sign = data
-            combos.append([(ring.one, unit), (sign, partner)])
-        else:
-            unit, sign = data
-            if ring.eq(sign, ring.one):
-                combos.append([(ring.one, unit)])
-    return SubspaceBasis(ring, n, tuple(combos))
+def sym_basis(ring: Ring, n: int) -> Matrix:
+    """Basis of the symmetric elements, the kernel of Id - tau, one row
+    per element over the matrix units (see `_orbit_basis`)."""
+    return _orbit_basis(ring, n, alternating=False)
 
 
 def in_alternating(x: CliffordElement) -> bool:
@@ -185,11 +127,6 @@ class SemiTrace:
         return in_alternating(self.rep - other.rep)
 
 
-def semi_trace_from(rep: CliffordElement) -> SemiTrace:
-    """Build the semi-trace s -> trace(rep * s); validates the representative."""
-    return SemiTrace(rep)
-
-
 def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     """Sym^perp = Alt under the trace form, which is nondegenerate on the
     even algebra: the alternating and symmetric basis elements pair to zero
@@ -198,25 +135,24 @@ def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     """
     out = CheckOutcome()
     alt, sym = alt_basis(ring, n), sym_basis(ring, n)
+    dim = 1 << n
     # each unit lies in one tau-orbit, so in at most one symmetric basis element
-    holder = {unit: (s, coef) for s, combo in enumerate(sym.combos) for coef, unit in combo}
-    for combo in alt.combos:
+    holder = {k: s for s, k, _ in sym.nonzeros()}
+    for a, terms in groupby(alt.nonzeros(), key=itemgetter(0)):
         totals: dict[int, Element] = {}
-        for coef, (r, c) in combo:
-            if (c, r) in holder:
-                s, scoef = holder[(c, r)]
-                totals[s] = ring.add(totals.get(s, ring.zero), ring.mul(coef, scoef))
+        for _, k, coef in terms:
+            swapped = k % dim * dim + k // dim  # E_rc -> E_cr
+            if swapped in holder:
+                s = holder[swapped]
+                totals[s] = ring.add(totals.get(s, ring.zero), ring.mul(coef, sym.at(s, swapped)))
         for s, total in totals.items():
             if not ring.is_zero(total):
-                out.fail(
-                    f"trace pairing nonzero: alt {combo!r} vs sym {sym.combos[s]!r} "
-                    f"-> {ring.show(total)}"
-                )
-    if len(alt) + len(sym) != 2 * 4 ** (n - 1):
-        out.fail(f"dim Alt + dim Sym = {len(alt)} + {len(sym)}, not {2 * 4 ** (n - 1)}")
+                out.fail(f"trace pairing nonzero: alt basis row {a} vs sym basis row {s} -> {ring.show(total)}")
+    if alt.rows + sym.rows != 2 * 4 ** (n - 1):
+        out.fail(f"dim Alt + dim Sym = {alt.rows} + {sym.rows}, not {2 * 4 ** (n - 1)}")
     if out.passed:
         out.note(
-            f"Sym^perp = Alt: {len(alt)} alternating and {len(sym)} symmetric basis "
+            f"Sym^perp = Alt: {alt.rows} alternating and {sym.rows} symmetric basis "
             f"elements, pairwise trace-orthogonal (n={n}, {ring.name})"
         )
     return out

@@ -61,6 +61,8 @@ class Matrix:
             raise UsageError("matrix dimensions must be positive")
         out: list = [{} for _ in range(rows)]
         for r, c, v in triples:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise UsageError(f"position ({r}, {c}) outside a {rows}x{cols} matrix")
             out[r][c] = v
         return cls._of(ring, rows, cols, out)
 

@@ -96,3 +96,16 @@ def test_oracles_exist():
 def test_all_names_resolve():
     assert len(set(cliffqp.__all__)) == len(cliffqp.__all__)
     assert [name for name in cliffqp.__all__ if not hasattr(cliffqp, name)] == []
+
+
+def test_modules_share_no_private_names():
+    """One representation: no module imports an `_`-prefixed name from a
+    sibling module, and only `linalg` reads a `Matrix`'s `_rows` or `_of`."""
+    leaks = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("cliffqp")):
+                leaks += [f"{mod} imports {alias.name}" for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_of") and mod != "linalg":
+                leaks.append(f"{mod} reads .{node.attr}")
+    assert leaks == []

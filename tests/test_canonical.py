@@ -16,7 +16,6 @@ from cliffqp.canonical import (
     phi_b_unit,
     rank_one_wedge,
     rho_xi_check,
-    semitrace_eligibility,
     sl_proof_rows,
     tensor_combo_matrix,
 )
@@ -126,15 +125,14 @@ def test_sl_into_alt_negative_control_needs_char2():
 
 
 def test_eligibility_table():
-    assert semitrace_eligibility(GF2, 4)[0]
-    assert semitrace_eligibility(QQ, 4)[0]
-    assert semitrace_eligibility(GF2, 6)[0]
-    ok, reason = semitrace_eligibility(GF3, 6)
-    assert not ok and "symplectic" in reason
-    ok, reason = semitrace_eligibility(GF3, 5)
-    assert not ok and "center" in reason
-    ok, reason = semitrace_eligibility(GF2, 2)
-    assert not ok
+    for ring, n in ((GF2, 4), (QQ, 4), (GF2, 6)):
+        canonical_semitrace(ring, n)
+    with pytest.raises(EligibilityError, match="symplectic"):
+        canonical_semitrace(GF3, 6)
+    with pytest.raises(EligibilityError, match="center"):
+        canonical_semitrace(GF3, 5)
+    with pytest.raises(EligibilityError, match="degree 4"):
+        canonical_semitrace(GF2, 2)
 
 
 def test_canonical_semitrace_value_at_identity():

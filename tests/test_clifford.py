@@ -46,6 +46,11 @@ def test_phi_word_n2_even_blocks():
     assert b1 == Matrix.zeros(QQ, 2, 2)
 
 
+def test_element_rejects_a_matrix_over_another_ring():
+    with pytest.raises(UsageError):
+        CliffordElement(GF2, 2, Matrix.identity(GF3, 4))
+
+
 def test_phi_word_rejects_bad_label():
     with pytest.raises(UsageError):
         phi_word(QQ, 2, ["v3"])
@@ -242,18 +247,18 @@ def test_center_behaviour():
     # for even n the two block identities commute with random even elements
     ring = GF3
     rng = fresh_rng("center")
-    half = 1 << 3
-    from cliffqp.clifford import embed_blocks
 
-    e0 = embed_blocks(ring, 4, Matrix.identity(ring, half), Matrix.zeros(ring, half, half))
-    e1 = embed_blocks(ring, 4, Matrix.zeros(ring, half, half), Matrix.identity(ring, half))
+    def block_identity(n, masks):
+        dim = 1 << n
+        return CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(m, m, ring.one) for m in masks]))
+
+    e0, e1 = (block_identity(4, masks) for masks in parity_masks(4))
     for _ in range(20):
         x = random_even_element(ring, 4, rng)
         assert e0 * x == x * e0
         assert e1 * x == x * e1
     # for odd n the involution moves the second block identity
-    quarter = 1 << 2
-    o1 = embed_blocks(ring, 3, Matrix.zeros(ring, quarter, quarter), Matrix.identity(ring, quarter))
+    o1 = block_identity(3, parity_masks(3)[1])
     assert canonical_involution(o1) != o1
 
 

@@ -6,7 +6,6 @@ from cliffqp import involution
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
-    flatten_even,
     parity_masks,
     phi_word,
     reduced_trace,
@@ -14,52 +13,78 @@ from cliffqp.clifford import (
 from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.involution import (
     SemiTrace,
-    SubspaceBasis,
     alt_basis,
     in_alternating,
-    semi_trace_from,
     sym_basis,
     trace_orthogonality,
 )
-from cliffqp.linalg import Matrix, SpanChecker, image_basis, in_span, kernel_basis
+from cliffqp.linalg import Matrix, SpanChecker, image_basis, in_span, kernel_basis, rank
 from cliffqp.rings import GF2, GF3, GF4, QQ, ZZ
 from cliffqp.sampling import random_even_element
 
 from conftest import FIELDS, fresh_rng
 
 
+def even_units(n):
+    """Positions in `Matrix.entries` of the even matrix units, block by block."""
+    return [r * (1 << n) + c for masks in parity_masks(n) for r in masks for c in masks]
+
+
 def involution_operator(ring, n):
-    """(Id - tau) and (Id + tau) on the flattened even space, by columns."""
-    # the k-th coordinate of flatten_even: both parity blocks, row-major
-    units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
-    dim = len(units)
-    minus = Matrix.zeros(ring, dim, dim)
-    plus = Matrix.zeros(ring, dim, dim)
-    for k, (row, col) in enumerate(units):
-        x = CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, [(row, col, ring.one)]))
+    """(Id - tau) and (Id + tau) on the even units: one column per unit of
+    `even_units`, rows in the coordinates of `Matrix.entries`."""
+    dim = 1 << n
+    units = even_units(n)
+    minus = Matrix.zeros(ring, dim * dim, len(units))
+    plus = Matrix.zeros(ring, dim * dim, len(units))
+    for k, unit in enumerate(units):
+        x = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(*divmod(unit, dim), ring.one)]))
         t = canonical_involution(x)
-        for r, (a, b) in enumerate(zip(flatten_even(x - t), flatten_even(x + t))):
+        for r, (a, b) in enumerate(zip((x - t).matrix.entries, (x + t).matrix.entries)):
             minus.put(r, k, a)
             plus.put(r, k, b)
     return minus, plus
 
 
+def even_kernel(ring, n, op):
+    """kernel_basis of an operator from `involution_operator`, in the
+    coordinates of `Matrix.entries`."""
+    units = even_units(n)
+    out = []
+    for v in kernel_basis(op):
+        full = [ring.zero] * 4**n
+        for unit, coef in zip(units, v):
+            full[unit] = coef
+        out.append(full)
+    return out
+
+
+def rows(basis):
+    entries, cols = basis.entries, basis.cols
+    return [entries[k * cols : (k + 1) * cols] for k in range(basis.rows)]
+
+
+def elements(basis, ring, n):
+    return [CliffordElement(ring, n, Matrix(ring, 1 << n, 1 << n, row)) for row in rows(basis)]
+
+
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 @pytest.mark.parametrize("n", (2, 3))
 def test_orbit_bases_match_elimination(ring, n):
-    """The structural bases span exactly the image and kernel of Id - tau."""
+    """The structural bases are bases of exactly the image and kernel of Id - tau."""
     minus, _ = involution_operator(ring, n)
     elim_alt = image_basis(minus)
-    elim_sym = kernel_basis(minus)
+    elim_sym = even_kernel(ring, n, minus)
     alt = alt_basis(ring, n)
     sym = sym_basis(ring, n)
-    assert len(alt) == len(elim_alt)
-    assert len(sym) == len(elim_sym)
+    assert alt.cols == sym.cols == 4**n
+    assert rank(alt) == alt.rows == len(elim_alt)
+    assert rank(sym) == sym.rows == len(elim_sym)
     alt_span = SpanChecker(ring, elim_alt)
-    for v in alt.vectors():
+    for v in rows(alt):
         assert alt_span.contains(v)
     sym_span = SpanChecker(ring, elim_sym)
-    for v in sym.vectors():
+    for v in rows(sym):
         assert sym_span.contains(v)
 
 
@@ -68,22 +93,22 @@ def test_orbit_bases_match_elimination(ring, n):
 def test_alternating_inside_skew(ring, n):
     """image_basis(Id - tau) lies inside kernel_basis(Id + tau) elementwise."""
     minus, plus = involution_operator(ring, n)
-    skew = kernel_basis(plus)
+    skew = even_kernel(ring, n, plus)
     for v in image_basis(minus):
         assert in_span(ring, v, skew)
-    for a in alt_basis(ring, n).elements():
+    for a in elements(alt_basis(ring, n), ring, n):
         assert canonical_involution(a) == -a
 
 
 def test_alt_basis_degree4_char2():
     basis = alt_basis(GF2, 2)
-    assert len(basis) == 2
+    assert basis.rows == 2
     ident = CliffordElement.identity(GF2, 2)
     stated = [ident, phi_word(GF2, 2, ["v1", "v1*"]) + phi_word(GF2, 2, ["v2", "v2*"])]
     for elem in stated:
         assert in_alternating(elem)
-    span = SpanChecker(GF2, [flatten_even(e) for e in stated])
-    for v in basis.vectors():
+    span = SpanChecker(GF2, [e.matrix.entries for e in stated])
+    for v in rows(basis):
         assert span.contains(v)
 
 
@@ -91,21 +116,21 @@ def test_alt_basis_degree4_char2():
 @pytest.mark.parametrize("n", (2, 3))
 def test_rank_nullity(ring, n):
     dim = 2 * (1 << (n - 1)) ** 2
-    assert len(alt_basis(ring, n)) + len(sym_basis(ring, n)) == dim
+    assert alt_basis(ring, n).rows + sym_basis(ring, n).rows == dim
 
 
 def test_char2_inclusions():
     # in characteristic 2 alternating and symmetrized both sit inside symmetric
     for ring in (GF2, GF4):
         for n in (2, 3):
-            sym_span = SpanChecker(ring, sym_basis(ring, n).vectors())
-            for a in alt_basis(ring, n).vectors():
+            sym_span = SpanChecker(ring, rows(sym_basis(ring, n)))
+            for a in rows(alt_basis(ring, n)):
                 assert sym_span.contains(a)
             rng = fresh_rng(f"symd:{ring.name}:{n}")
             for _ in range(10):
                 y = random_even_element(ring, n, rng)
                 s = y + canonical_involution(y)
-                assert sym_span.contains(flatten_even(s))
+                assert sym_span.contains(s.matrix.entries)
 
 
 def test_in_alternating_on_differences():
@@ -135,7 +160,7 @@ def test_in_alternating_matches_elimination(ring, n):
     """The orbit-wise membership test agrees with row reduction against the
     alternating basis, on differences, sums and differences with one unit
     entry changed."""
-    span = SpanChecker(ring, alt_basis(ring, n).vectors())
+    span = SpanChecker(ring, rows(alt_basis(ring, n)))
     rng = fresh_rng(f"alt-oracle:{ring.name}:{n}")
     units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
     answers = set()
@@ -148,7 +173,7 @@ def test_in_alternating_matches_elimination(ring, n):
             m.put(r, c, ring.add(m.at(r, c), ring.one))
             x = CliffordElement(ring, n, m)
         member = in_alternating(x)
-        assert member == span.contains(flatten_even(x)), (kind, x)
+        assert member == span.contains(x.matrix.entries), (kind, x)
         answers.add(member)
     assert answers == {True, False}
 
@@ -165,13 +190,13 @@ def test_subspaces_need_field():
 
 def test_semi_trace_validates_representative():
     with pytest.raises(DomainError):
-        semi_trace_from(CliffordElement.zero(GF3, 2))
+        SemiTrace(CliffordElement.zero(GF3, 2))
 
 
 def test_semi_trace_defining_identity_small():
     ring, n = GF3, 2
     rep = phi_word(ring, n, ["v1", "v1*"])
-    f = semi_trace_from(rep)
+    f = SemiTrace(rep)
     rng = fresh_rng("semitrace-small")
     for _ in range(25):
         x = random_even_element(ring, n, rng)
@@ -183,7 +208,7 @@ def test_semi_trace_defining_identity_small():
 def test_semi_trace_f_of_identity_n4():
     # with rep = v1 v1*, f(1) = trace(v1 v1*) = 2^(n-1) by the subset count
     for ring in (GF2, GF3, QQ):
-        f = semi_trace_from(phi_word(ring, 4, ["v1", "v1*"]))
+        f = SemiTrace(phi_word(ring, 4, ["v1", "v1*"]))
         assert ring.eq(f.evaluate(CliffordElement.identity(ring, 4)), ring.from_int(8))
 
 
@@ -191,9 +216,9 @@ def test_semi_trace_invariant_under_alternating_shift():
     for ring in (GF2, GF3):
         for n in (2, 3):
             rep = phi_word(ring, n, ["v1", "v1*"])
-            f = semi_trace_from(rep)
-            sym = sym_basis(ring, n).elements()
-            for a in alt_basis(ring, n).elements():
+            f = SemiTrace(rep)
+            sym = elements(sym_basis(ring, n), ring, n)
+            for a in elements(alt_basis(ring, n), ring, n):
                 shifted = SemiTrace.__new__(SemiTrace)
                 shifted.ring, shifted.n, shifted.rep = ring, n, rep + a
                 for s in sym:
@@ -202,8 +227,8 @@ def test_semi_trace_invariant_under_alternating_shift():
 
 def test_semi_trace_agreement_api():
     ring, n = GF2, 2
-    f = semi_trace_from(phi_word(ring, n, ["v1", "v1*"]))
-    g = semi_trace_from(phi_word(ring, n, ["v2", "v2*"]))
+    f = SemiTrace(phi_word(ring, n, ["v1", "v1*"]))
+    g = SemiTrace(phi_word(ring, n, ["v2", "v2*"]))
     # the two representatives differ by v1v1* + v2v2*, an alternating element
     assert f.agrees_with(g)
     # E_03 and E_30 are tau-fixed even units: shifting l by E_03 keeps
@@ -213,7 +238,7 @@ def test_semi_trace_agreement_api():
         for r, c in ((0, 3), (3, 0))
     )
     assert canonical_involution(u) == u and canonical_involution(s) == s
-    h = semi_trace_from(f.rep + u)
+    h = SemiTrace(f.rep + u)
     assert not f.agrees_with(h)
     assert not ring.eq(f.evaluate(s), h.evaluate(s))
 
@@ -240,11 +265,11 @@ def test_trace_orthogonality_catches_a_flipped_partner_sign(monkeypatch):
     good = alt_basis(ring, n)
     assert trace_orthogonality(ring, n).passed
     # E - sign * partner becomes E + sign * partner: symmetric, not alternating
-    combos = list(good.combos)
-    k = next(k for k, combo in enumerate(combos) if len(combo) == 2)
-    (c0, u0), (c1, u1) = combos[k]
-    combos[k] = [(c0, u0), (ring.neg(c1), u1)]
-    bad = SubspaceBasis(ring, n, tuple(combos))
+    triples = list(good.nonzeros())
+    k = next(k for k in range(1, len(triples)) if triples[k][0] == triples[k - 1][0])
+    row, col, coef = triples[k]
+    triples[k] = (row, col, ring.neg(coef))
+    bad = Matrix.from_nonzeros(ring, good.rows, good.cols, triples)
     monkeypatch.setattr(involution, "alt_basis", lambda ring, n: bad)
     out = trace_orthogonality(ring, n)
     assert not out.passed
@@ -259,14 +284,14 @@ def test_evaluate_matches_trace_of_product(ring, n):
     y = random_even_element(ring, n, rng)
     # the sparse v1 v1* and a dense representative of the same class
     for rep in (base, base + y - canonical_involution(y)):
-        f = semi_trace_from(rep)
+        f = SemiTrace(rep)
         for _ in range(10):
             s = random_even_element(ring, n, rng)
             assert f.evaluate(s) == reduced_trace(rep * s)
 
 
 def test_evaluate_rejects_a_foreign_element():
-    f = semi_trace_from(phi_word(GF3, 2, ["v1", "v1*"]))
+    f = SemiTrace(phi_word(GF3, 2, ["v1", "v1*"]))
     with pytest.raises(UsageError):
         f.evaluate(CliffordElement.identity(GF3, 3))
     with pytest.raises(UsageError):

@@ -51,6 +51,13 @@ def test_shape_errors():
         Matrix.identity(QQ, 2) + Matrix.identity(QQ, 3)
 
 
+@pytest.mark.parametrize("position", [(-1, 0), (2, 0), (0, -1), (0, 5), (0, 2)])
+def test_from_nonzeros_rejects_a_position_outside_the_shape(position):
+    r, c = position
+    with pytest.raises(UsageError):
+        Matrix.from_nonzeros(GF3, 2, 2, [(0, 0, 1), (r, c, 1)])
+
+
 def test_elimination_needs_field():
     with pytest.raises(UnsupportedRingError):
         rref(Matrix.identity(ZZ, 2))
