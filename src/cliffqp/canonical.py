@@ -15,6 +15,7 @@ by conjugation with its lift 1 + t v1 v2*.
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from .clifford import (
     CliffordElement,
@@ -59,9 +60,7 @@ def phi_b_unit(ring: Ring, n: int, k: int, l: int) -> Matrix:
     dim = 2 * n
     if not (0 <= k < dim and 0 <= l < dim):
         raise UsageError("generator indices out of range")
-    m = Matrix.zeros(ring, dim, dim)
-    m.put(l, dim - 1 - k, ring.one)
-    return m
+    return Matrix.from_nonzeros(ring, dim, dim, [(l, dim - 1 - k, ring.one)])
 
 
 def canonical_map_c(m: Matrix) -> CliffordElement:
@@ -74,10 +73,8 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
         raise UsageError("the canonical mapping needs a square even-size matrix")
     ring = m.ring
     n = m.rows // 2
-    acc = Matrix.zeros(ring, 1 << n, 1 << n)
-    for l, j, coef in m.nonzeros():
-        acc.axpy(coef, _pair_matrix(ring, n, 2 * n - 1 - j, l))
-    return CliffordElement(ring, n, acc)
+    terms = ((coef, _pair_matrix(ring, n, 2 * n - 1 - j, l)) for l, j, coef in m.nonzeros())
+    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, terms))
 
 
 # --- rho/xi compatibility ----------------------------------------------------
@@ -95,9 +92,7 @@ def rho_xi_check(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
         if lhs != rhs:
             out.fail(f"{label}: (Id + tau)c(M) = {lhs!r} but trace(M) Id = {rhs!r}")
 
-    unit = Matrix.zeros(ring, 2 * n, 2 * n)
-    unit.put(2 * n - 1, 2 * n - 1, ring.one)
-    holds(unit, "trace-1 matrix unit")
+    holds(phi_b_unit(ring, n, 0, 2 * n - 1), "trace-1 matrix unit")
     holds(Matrix.zeros(ring, 2 * n, 2 * n), "zero matrix")
     for t in range(trials):
         holds(random_matrix(ring, 2 * n, 2 * n, rng), f"random trial {t}")
@@ -147,11 +142,8 @@ def sl_proof_rows(n: int) -> list[tuple[str, list[tuple[int, int, int]]]]:
 
 
 def tensor_combo_matrix(ring: Ring, n: int, combo: list[tuple[int, int, int]]) -> Matrix:
-    m = Matrix.zeros(ring, 2 * n, 2 * n)
-    for coef, k, l in combo:
-        unit = phi_b_unit(ring, n, k, l)
-        m = m + unit.scale(ring.from_int(coef))
-    return m
+    terms = ((ring.from_int(coef), phi_b_unit(ring, n, k, l)) for coef, k, l in combo)
+    return Matrix.combination(ring, 2 * n, 2 * n, terms)
 
 
 def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcome:
@@ -212,9 +204,7 @@ def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
         reason = "no canonical semi-trace exists in degree 4"
     if reason:
         raise EligibilityError(f"canonical semi-trace unavailable for n={n} over {ring.name}: {reason}")
-    unit = Matrix.zeros(ring, 2 * n, 2 * n)
-    unit.put(2 * n - 1, 2 * n - 1, ring.one)
-    return SemiTrace(canonical_map_c(unit))
+    return SemiTrace(canonical_map_c(phi_b_unit(ring, n, 0, 2 * n - 1)))
 
 
 def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) -> CheckOutcome:
@@ -389,52 +379,35 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
         b, g, g_inv = lifted_generator(ring, 2, "eichler_vv", 2, 1, t)
         if not (is_orthogonal(b) and is_lift(g, g_inv, b)):
             out.fail(f"B({ring.show(t)}) is not a certified orthogonal element with lift g")
-        deltas[t] = [m - g * m * g_inv for m in mono]
+        deltas[t] = [(m - g * m * g_inv).matrix for m in mono]
 
-    m2, m34 = mono[2], mono[3] + mono[4]
+    m2, m34 = mono[2].matrix, (mono[3] + mono[4]).matrix
     candidates = 0
     moved = 0
-    free = [list(elems) for _ in range(6)]
-    for a0 in free[0]:
-        for a1 in free[1]:
-            for a2 in free[2]:
-                for a3 in free[3]:
-                    for a5 in free[4]:
-                        for a6 in free[5]:
-                            candidates += 1
-                            a4 = ring.add(ring.one, a3)
-                            coeffs = (a0, a1, a2, a3, a4, a5, a6, ring.zero)
-                            found = False
-                            for t in nonzero_ts:
-                                d = deltas[t]
-                                diff = d[0].scale(a0)
-                                for idx in (1, 2, 3, 4, 5, 6):
-                                    diff = diff + d[idx].scale(coeffs[idx])
-                                # displayed closed form of the difference
-                                coef = ring.add(t, ring.mul(ring.mul(t, t), a5))
-                                formula = m2.scale(coef) + m34.scale(ring.mul(t, a5))
-                                if diff != formula:
-                                    out.fail(
-                                        f"difference formula failed at a5={ring.show(a5)}, "
-                                        f"t={ring.show(t)}"
-                                    )
-                                member = in_alternating(diff)
-                                if member != ring.is_zero(coef):
-                                    out.fail(
-                                        f"membership disagrees with the v1v2* coefficient "
-                                        f"at a5={ring.show(a5)}, t={ring.show(t)}"
-                                    )
-                                if not member:
-                                    found = True
-                                    break
-                            if found:
-                                moved += 1
-                            else:
-                                out.fail(
-                                    "candidate with coefficients "
-                                    f"({', '.join(ring.show(c) for c in coeffs)}) "
-                                    "is stable under every B(t)"
-                                )
+    for a0, a1, a2, a3, a5, a6 in product(elems, repeat=6):
+        candidates += 1
+        coeffs = (a0, a1, a2, a3, ring.add(ring.one, a3), a5, a6, ring.zero)
+        for t in nonzero_ts:
+            diff = Matrix.combination(ring, 4, 4, zip(coeffs, deltas[t]))
+            # displayed closed form of the difference
+            coef = ring.add(t, ring.mul(ring.mul(t, t), a5))
+            if diff != Matrix.combination(ring, 4, 4, ((coef, m2), (ring.mul(t, a5), m34))):
+                out.fail(f"difference formula failed at a5={ring.show(a5)}, t={ring.show(t)}")
+            member = in_alternating(CliffordElement(ring, 2, diff))
+            if member != ring.is_zero(coef):
+                out.fail(
+                    f"membership disagrees with the v1v2* coefficient "
+                    f"at a5={ring.show(a5)}, t={ring.show(t)}"
+                )
+            if not member:
+                moved += 1
+                break
+        else:
+            out.fail(
+                "candidate with coefficients "
+                f"({', '.join(ring.show(c) for c in coeffs)}) "
+                "is stable under every B(t)"
+            )
     # Spot-check that the parameterization hits the constraint l + tau(l) = 1.
     spot = phi_word(ring, 2, ("v1", "v1*"))
     if spot + canonical_involution(spot) != ident:

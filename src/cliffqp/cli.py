@@ -147,7 +147,7 @@ def _dispatch(check: str, n: int | None, ring: Ring | None, rng, trials: int) ->
     if check == "rho-xi":
         return canonical.rho_xi_check(ring, n, rng, trials)
     if check == "canonical-semitrace":
-        out = canonical.check_representative_independence(ring, n, rng, count=20)
+        out = canonical.check_representative_independence(ring, n, rng, count=min(trials, 20))
         out.merge(canonical.check_semitrace_defining(ring, n, rng, trials))
         return out
     if check == "q-wedge-correspondence":

@@ -5,11 +5,13 @@ The generator v_i acts as left wedge multiplication and v_i^* as the
 dual-basis contraction, so every algebra element is a concrete
 2^n x 2^n `Matrix` and equality is decidable.  Generator matrices have
 at most one nonzero per column, so generator words and monomials stay
-sparse in that one format.  The canonical involution is the adjoint of
-the subset pairing, G^-1 x^T G.  The Gram matrix G is a signed
-permutation, so the involution moves each matrix unit to +- one unit,
-the one `tau_unit` names; the alternating membership test reads those
-orbits, and `involution_suite` checks every unit against the adjoint.
+sparse in that one format.  Matrices are immutable, so
+`generator_matrix` hands every caller the one cached matrix.  The
+canonical involution is the adjoint of the subset pairing, G^-1 x^T G.
+The Gram matrix G is a signed permutation, so the involution moves each
+matrix unit to +- one unit, the one `tau_unit` names; the alternating
+membership test reads those orbits, and `involution_suite` checks every
+unit against the adjoint.
 An element's coordinates are its `Matrix.entries`; the parity blocks
 are cut out (`even_blocks`) only for the even-involution type report.
 The 4^n ordered generator products form a monomial basis with a
@@ -42,9 +44,8 @@ def generator_label(n: int, k: int) -> str:
 
 
 @cache
-def _generator(ring: Ring, n: int, k: int) -> Matrix:
-    """The cached matrix of the k-th generator, shared by this module's
-    products; it is never modified in place."""
+def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
+    """The matrix of the k-th generator, cached and shared."""
     dim = 1 << n
     if k < n:
         bit = 1 << k  # left multiplication by v_{k+1}
@@ -55,11 +56,6 @@ def _generator(ring: Ring, n: int, k: int) -> Matrix:
     return Matrix.from_nonzeros(
         ring, dim, dim, ((r, c, ring.sign(mask_size(c & (bit - 1)))) for r, c in units)
     )
-
-
-def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
-    """The matrix of the k-th generator, a copy the caller may modify."""
-    return _generator(ring, n, k).copy()
 
 
 # --- algebra elements -----------------------------------------------------
@@ -135,7 +131,7 @@ def phi_word(ring: Ring, n: int, labels: Sequence[str]) -> CliffordElement:
     hs = HyperbolicSpace(ring, n)
     m = Matrix.identity(ring, 1 << n)
     for label in labels:
-        m = m * _generator(ring, n, hs.index_of(label))
+        m = m * generator_matrix(ring, n, hs.index_of(label))
     return CliffordElement(ring, n, m)
 
 
@@ -143,10 +139,8 @@ def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement
     """Image of a module element of H(V): the sum of scaled generators."""
     if len(coeffs) != 2 * n:
         raise UsageError(f"expected {2 * n} coefficients")
-    m = Matrix.zeros(ring, 1 << n, 1 << n)
-    for k, c in enumerate(coeffs):
-        m.axpy(c, _generator(ring, n, k))
-    return CliffordElement(ring, n, m)
+    gens = (generator_matrix(ring, n, k) for k in range(2 * n))
+    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
 
 
 # --- canonical involution and trace ---------------------------------------
@@ -193,22 +187,18 @@ def even_blocks(x: CliffordElement) -> tuple[Matrix, Matrix]:
     """The two diagonal blocks of an even element, in parity-sorted order."""
     if x.parity != "even":
         raise UsageError("parity blocks need an even element")
-    even, odd = parity_masks(x.n)
-    ring = x.ring
     blocks = []
-    for masks in (even, odd):
-        b = Matrix.zeros(ring, len(masks), len(masks))
-        for i, r in enumerate(masks):
-            for j, c in enumerate(masks):
-                b.put(i, j, x.matrix.at(r, c))
-        blocks.append(b)
+    for masks in parity_masks(x.n):
+        index = {m: i for i, m in enumerate(masks)}  # an even x keeps r and c in one block
+        triples = ((index[r], index[c], v) for r, c, v in x.matrix.nonzeros() if r in index)
+        blocks.append(Matrix.from_nonzeros(x.ring, len(masks), len(masks), triples))
     return blocks[0], blocks[1]
 
 
 # --- relation suite ---------------------------------------------------------
 
 
-def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutcome:
+def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
     """Check the defining relations of the algebra as matrix identities.
 
     The six generator families: squares of the v_i and of the v_i^* vanish,
@@ -218,7 +208,7 @@ def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutc
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
-    gens = [_generator(ring, n, k) for k in range(2 * n)]
+    gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
     zero = Matrix.zeros(ring, 1 << n, 1 << n)
     ident = Matrix.identity(ring, 1 << n)
 
@@ -243,21 +233,18 @@ def relation_suite(ring: Ring, n: int, rng=None, trials: int = 100) -> CheckOutc
                 check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", di * dj, -(dj * di))
             check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", vi * dj, -(dj * vi))
 
-    if rng is not None:
-        for t in range(trials):
-            coeffs = [ring.sample(rng) for _ in range(2 * n)]
-            phi = phi_vector(ring, n, coeffs).matrix
-            square = phi * phi
-            qm = hs.q(coeffs)
-            if square != ident.scale(qm):
-                out.fail(
-                    f"Phi(m)^2 != q(m) Id for m={coeffs!r} (trial {t}): "
-                    f"q(m)={ring.show(qm)}, square={square!r}"
-                )
+    for t in range(trials):
+        coeffs = [ring.sample(rng) for _ in range(2 * n)]
+        phi = phi_vector(ring, n, coeffs).matrix
+        square = phi * phi
+        qm = hs.q(coeffs)
+        if square != ident.scale(qm):
+            out.fail(
+                f"Phi(m)^2 != q(m) Id for m={coeffs!r} (trial {t}): "
+                f"q(m)={ring.show(qm)}, square={square!r}"
+            )
     if out.passed:
-        out.note(f"relations hold for n={n} over {ring.name}" + (
-            f" ({trials} random module elements)" if rng is not None else ""
-        ))
+        out.note(f"relations hold for n={n} over {ring.name} ({trials} random module elements)")
     return out
 
 
@@ -287,7 +274,7 @@ class MonomialBasis:
         for mask in range(1, self.size):
             low = (mask & -mask).bit_length() - 1
             rest = self._monomials[mask & (mask - 1)]
-            self._monomials.append(_generator(ring, n, low) * rest)
+            self._monomials.append(generator_matrix(ring, n, low) * rest)
         self._leads = [self._lead_entry(mask) for mask in range(self.size)]
         self.peel_order = sorted(range(self.size), key=lambda m: (mask_size(m), m))
 
@@ -306,9 +293,9 @@ class MonomialBasis:
 
     def decompose_sparse(self, m: Matrix) -> list:
         """Coordinates of a 2^n x 2^n matrix, peeling one leading nonzero
-        per monomial off a copy of it."""
+        per monomial off the residual."""
         ring = self.ring
-        residual = m.copy()
+        residual = m
         coords = [ring.zero] * self.size
         for mask in self.peel_order:
             row, col, lead = self._leads[mask]
@@ -317,7 +304,7 @@ class MonomialBasis:
                 continue
             c = entry if ring.is_one(lead) else ring.neg(entry)
             coords[mask] = c
-            residual.axpy(ring.neg(c), self._monomials[mask])
+            residual = residual - self._monomials[mask].scale(c)
         if not residual.is_zero():
             raise DomainError("decomposition left a nonzero residual")
         return coords
@@ -325,9 +312,7 @@ class MonomialBasis:
     def recompose(self, coords: Sequence[Element]) -> CliffordElement:
         if len(coords) != self.size:
             raise UsageError(f"expected {self.size} coordinates")
-        acc = Matrix.zeros(self.ring, self.dim, self.dim)
-        for mask, c in enumerate(coords):
-            acc.axpy(c, self._monomials[mask])
+        acc = Matrix.combination(self.ring, self.dim, self.dim, zip(coords, self._monomials))
         return CliffordElement(self.ring, self.n, acc)
 
 
@@ -336,7 +321,7 @@ def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
     return MonomialBasis(ring, n)
 
 
-def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOutcome:
+def involution_suite(ring: Ring, n: int, rng, pairs: int = 100) -> CheckOutcome:
     """The involution is the adjoint G^-1 x^T G on every matrix unit, fixes
     every generator, squares to the identity on all matrix units, and is
     anti-multiplicative on random pairs (n <= 4).
@@ -347,7 +332,7 @@ def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOut
     """
     out = CheckOutcome()
     for k in range(2 * n):
-        g = CliffordElement(ring, n, _generator(ring, n, k))
+        g = CliffordElement(ring, n, generator_matrix(ring, n, k))
         if canonical_involution(g) != g:
             out.fail(f"involution moves generator {generator_label(n, k)}")
     gram = {r: (c, sign) for r, c, sign in b_wedge_gram(ring, n).nonzeros()}
@@ -361,7 +346,7 @@ def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOut
             p2, r2, c2 = tau_unit(n, r1, c1)
             if (r2, c2) != (a, b) or (p1 + p2) % 2 != 0:
                 out.fail(f"involution does not square to the identity on unit ({a}, {b})")
-    if rng is not None and n <= 4:
+    if n <= 4:
         # local: sampling imports this module
         from .sampling import random_clifford_element
 
@@ -371,7 +356,7 @@ def involution_suite(ring: Ring, n: int, rng=None, pairs: int = 100) -> CheckOut
             if canonical_involution(x * y) != canonical_involution(y) * canonical_involution(x):
                 out.fail(f"involution not anti-multiplicative on random pair {t}")
     if out.passed:
-        extra = f"; anti-multiplicative on {pairs} random pairs" if rng is not None and n <= 4 else ""
+        extra = f"; anti-multiplicative on {pairs} random pairs" if n <= 4 else ""
         out.note(f"involution fixes all generators and squares to the identity (n={n}){extra}")
     return out
 

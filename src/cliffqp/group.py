@@ -55,37 +55,35 @@ def is_orthogonal(b: Matrix) -> bool:
 # --- certified generators -----------------------------------------------------
 
 
+def _identity_with(ring: Ring, n: int, entries: dict[tuple[int, int], Element]) -> Matrix:
+    """The identity on H(V) with the entries at the given (row, col) replaced."""
+    values = {(k, k): ring.one for k in range(2 * n)} | entries
+    triples = ((r, c, v) for (r, c), v in values.items() if not ring.is_zero(v))
+    return Matrix.from_nonzeros(ring, 2 * n, 2 * n, triples)
+
+
 def hyperbolic_swap(ring: Ring, n: int, i: int) -> Matrix:
     """Swap v_i with v_i^*, fixing the other basis vectors."""
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
     vi, di = hs.vector_index(i), hs.dual_index(i)
-    m.put(vi, vi, ring.zero)
-    m.put(di, di, ring.zero)
-    m.put(di, vi, ring.one)
-    m.put(vi, di, ring.one)
-    return m
+    zero, one = ring.zero, ring.one
+    return _identity_with(ring, n, {(vi, vi): zero, (di, di): zero, (di, vi): one, (vi, di): one})
 
 
 def pair_permutation(ring: Ring, n: int, i: int, j: int) -> Matrix:
     """Swap the hyperbolic pairs (v_i, v_i^*) and (v_j, v_j^*)."""
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
+    entries = {}
     for a, b in ((hs.vector_index(i), hs.vector_index(j)), (hs.dual_index(i), hs.dual_index(j))):
-        m.put(a, a, ring.zero)
-        m.put(b, b, ring.zero)
-        m.put(b, a, ring.one)
-        m.put(a, b, ring.one)
-    return m
+        entries |= {(a, a): ring.zero, (b, b): ring.zero, (b, a): ring.one, (a, b): ring.one}
+    return _identity_with(ring, n, entries)
 
 
 def hyperbolic_scale(ring: Ring, n: int, i: int, u: Element) -> Matrix:
     """Scale v_i by the unit u and v_i^* by its inverse."""
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
-    m.put(hs.vector_index(i), hs.vector_index(i), u)
-    m.put(hs.dual_index(i), hs.dual_index(i), ring.inv(u))
-    return m
+    vi, di = hs.vector_index(i), hs.dual_index(i)
+    return _identity_with(ring, n, {(vi, vi): u, (di, di): ring.inv(u)})
 
 
 def eichler_vv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
@@ -93,10 +91,8 @@ def eichler_vv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
     if i == j:
         raise UsageError("distinct indices required")
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
-    m.put(hs.vector_index(j), hs.vector_index(i), t)
-    m.put(hs.dual_index(i), hs.dual_index(j), ring.neg(t))
-    return m
+    vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
+    return _identity_with(ring, n, {(vj, vi): t, (di, dj): ring.neg(t)})
 
 
 def eichler_vd(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
@@ -104,10 +100,8 @@ def eichler_vd(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
     if i == j:
         raise UsageError("distinct indices required")
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
-    m.put(hs.dual_index(j), hs.vector_index(i), t)
-    m.put(hs.dual_index(i), hs.vector_index(j), ring.neg(t))
-    return m
+    vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
+    return _identity_with(ring, n, {(dj, vi): t, (di, vj): ring.neg(t)})
 
 
 def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
@@ -115,10 +109,8 @@ def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
     if i == j:
         raise UsageError("distinct indices required")
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 2 * n)
-    m.put(hs.vector_index(j), hs.dual_index(i), t)
-    m.put(hs.vector_index(i), hs.dual_index(j), ring.neg(t))
-    return m
+    vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
+    return _identity_with(ring, n, {(vj, di): t, (vi, dj): ring.neg(t)})
 
 
 def _nonzero(ring: Ring, rng) -> Element:
@@ -247,10 +239,8 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     if b.rows != 2 * n or b.cols != 2 * n or b.ring != ring:
         raise UsageError("the acting matrix must be 2n x 2n over the same ring")
     coords = monomial_basis(ring, n).decompose(x)
-    acc = Matrix.zeros(ring, 1 << n, 1 << n)
-    for c, image in zip(coords, _transformed_monomials(ring, n, b)):
-        acc.axpy(c, image.matrix)
-    return CliffordElement(ring, n, acc)
+    images = (image.matrix for image in _transformed_monomials(ring, n, b))
+    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coords, images)))
 
 
 def pgo_invariance(ring: Ring, n: int, rng, samples: int = 50) -> CheckOutcome:

@@ -1,10 +1,12 @@
-"""Exact matrices over a generic ring, stored as one {col: nonzero} dict
-per row.
+"""Exact immutable matrices over a generic ring, stored as one
+{col: nonzero} dict per row.
 
 Every endomorphism in the package is a `Matrix`: dense random elements,
 signed permutations such as the Gram matrix, and the generator matrices
-with one nonzero per column all share this one format.  The product runs
-an int accumulator when both factors are dense and the ring lifts its
+with one nonzero per column all share this one format.  A matrix is built
+once (from entries, from nonzeros or as a linear `combination`) and never
+written afterwards, so cached matrices can be shared freely.  The product
+runs an int accumulator when both factors are dense and the ring lifts its
 elements exactly to ints (`Ring.lift`), and a row-dict loop through the
 ring methods otherwise; `trace_of_product` sums trace(a * b) without
 forming the product.
@@ -27,7 +29,8 @@ Vector = list
 
 class Matrix:
     """A rows x cols matrix holding, per row, a dict {col: value} of its
-    nonzero entries; zero entries are never stored."""
+    nonzero entries; zero entries are never stored.  No operation writes
+    into an existing matrix."""
 
     __slots__ = ("ring", "rows", "cols", "_rows")
 
@@ -67,6 +70,19 @@ class Matrix:
         return cls._of(ring, rows, cols, out)
 
     @classmethod
+    def combination(
+        cls, ring: Ring, rows: int, cols: int, terms: Iterable[tuple[Element, "Matrix"]]
+    ) -> "Matrix":
+        """The sum of c * m over the (c, m) pairs in terms, each m a rows x cols
+        matrix over ring; zero coefficients are skipped."""
+        out = cls.zeros(ring, rows, cols)
+        for c, m in terms:
+            out._check_shape(m)
+            if not ring.is_zero(c):
+                _rows_axpy(ring, out._rows, c, m._rows)
+        return out
+
+    @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
         return cls.from_nonzeros(ring, rows, cols, ())
 
@@ -95,12 +111,6 @@ class Matrix:
     def at(self, r: int, c: int) -> Element:
         return self._rows[r].get(c, self.ring.zero)
 
-    def put(self, r: int, c: int, value: Element) -> None:
-        if self.ring.is_zero(value):
-            self._rows[r].pop(c, None)
-        else:
-            self._rows[r][c] = value
-
     def nonzeros(self) -> Iterator[tuple[int, int, Element]]:
         """(row, col, value) for every stored nonzero entry."""
         for r, row in enumerate(self._rows):
@@ -111,9 +121,6 @@ class Matrix:
         zero = self.ring.zero
         return [row.get(c, zero) for row in self._rows]
 
-    def copy(self) -> "Matrix":
-        return Matrix._of(self.ring, self.rows, self.cols, [dict(row) for row in self._rows])
-
     def __eq__(self, other) -> bool:
         if not (
             isinstance(other, Matrix)
@@ -123,12 +130,6 @@ class Matrix:
         ):
             return False
         return self._rows == other._rows  # ring elements compare structurally
-
-    def axpy(self, c: Element, other: "Matrix") -> None:
-        """self += c * other, in place."""
-        self._check_shape(other)
-        if not self.ring.is_zero(c):
-            _rows_axpy(self.ring, self._rows, c, other._rows)
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
         self._check_shape(other)
@@ -335,12 +336,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     _require_field(m.ring, "row reduction")
     ring = m.ring
-    out = m.copy()
-    rows = out._rows
+    rows = [dict(row) for row in m._rows]
     pivots: list[int] = []
     prow = 0
-    for col in range(out.cols):
-        sel = next((r for r in range(prow, out.rows) if col in rows[r]), None)
+    for col in range(m.cols):
+        sel = next((r for r in range(prow, m.rows) if col in rows[r]), None)
         if sel is None:
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
@@ -352,9 +352,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
                 _rows_axpy(ring, [row], ring.neg(row[col]), [rows[prow]])
         pivots.append(col)
         prow += 1
-        if prow == out.rows:
+        if prow == m.rows:
             break
-    return out, pivots
+    return Matrix._of(ring, m.rows, m.cols, rows), pivots
 
 
 def rank(m: Matrix) -> int:

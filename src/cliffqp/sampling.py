@@ -20,16 +20,22 @@ def random_vector(ring: Ring, dim: int, rng) -> list:
     return [ring.sample(rng) for _ in range(dim)]
 
 
+def _random_with_trace(ring: Ring, size: int, rng, trace) -> Matrix:
+    """A random matrix whose (0, 0) entry is shifted to give it the trace."""
+    entries = [ring.sample(rng) for _ in range(size * size)]
+    drawn = ring.zero
+    for i in range(size):
+        drawn = ring.add(drawn, entries[i * (size + 1)])
+    entries[0] = ring.add(entries[0], ring.sub(trace, drawn))
+    return Matrix(ring, size, size, entries)
+
+
 def random_trace_zero(ring: Ring, size: int, rng) -> Matrix:
-    m = random_matrix(ring, size, size, rng)
-    m.put(0, 0, ring.sub(m.at(0, 0), m.trace()))
-    return m
+    return _random_with_trace(ring, size, rng, ring.zero)
 
 
 def random_trace_one(ring: Ring, size: int, rng) -> Matrix:
-    m = random_matrix(ring, size, size, rng)
-    m.put(0, 0, ring.add(m.at(0, 0), ring.sub(ring.one, m.trace())))
-    return m
+    return _random_with_trace(ring, size, rng, ring.one)
 
 
 def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:

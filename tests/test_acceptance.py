@@ -61,7 +61,7 @@ def test_criterion_02_gram_involution_suite():
                 failures.append(f"gram n={n} {ring.name}")
             rng = rng_for(f"tau:{n}:{ring.name}")
             pairs = 100 if n <= 4 else 0
-            if not involution_suite(ring, n, rng if pairs else None, pairs=pairs).passed:
+            if not involution_suite(ring, n, rng, pairs=pairs).passed:
                 failures.append(f"involution n={n} {ring.name}")
     for n in range(2, 6):
         for ring in PALETTE:

@@ -30,15 +30,13 @@ from cliffqp.forms import q_wedge
 from cliffqp.involution import in_alternating
 from cliffqp.linalg import Matrix, mat_vec
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
-from cliffqp.sampling import random_matrix, random_trace_one
+from cliffqp.sampling import random_matrix, random_trace_one, random_trace_zero
 
-from conftest import dense, fresh_rng
+from conftest import ALL_RINGS, dense, fresh_rng
 
 
 def unit_matrix(ring, size, r, c):
-    m = Matrix.zeros(ring, size, size)
-    m.put(r, c, ring.one)
-    return m
+    return Matrix.from_nonzeros(ring, size, size, [(r, c, ring.one)])
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
@@ -102,9 +100,18 @@ def test_equal_trace_images_differ_by_alternating():
     for _ in range(10):
         a = random_matrix(ring, 2 * n, 2 * n, rng)
         b = random_matrix(ring, 2 * n, 2 * n, rng)
-        b.put(0, 0, ring.add(b.at(0, 0), ring.sub(a.trace(), b.trace())))
+        b = b + unit_matrix(ring, 2 * n, 0, 0).scale(ring.sub(a.trace(), b.trace()))
         diff = canonical_map_c(a) - canonical_map_c(b)
         assert in_alternating(diff)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_trace_samplers_shift_only_the_corner_of_a_random_matrix(ring):
+    for sampler, trace in ((random_trace_zero, ring.zero), (random_trace_one, ring.one)):
+        m = sampler(ring, 4, fresh_rng(f"trace:{ring.name}"))
+        drawn = random_matrix(ring, 4, 4, fresh_rng(f"trace:{ring.name}"))
+        assert ring.eq(m.trace(), trace)
+        assert m.entries[1:] == drawn.entries[1:]
 
 
 def test_sl_into_alt_row_identity_example():

@@ -126,6 +126,13 @@ def test_sl_into_alt_runs_at_rank_8(capsys):
     assert doc["reports"][0]["n"] == 8
 
 
+def test_canonical_semitrace_draws_at_most_trials_representatives(capsys):
+    for trials, drawn in (("1", 1), ("100", 20)):
+        args = ["canonical-semitrace", "--n", "4", "--ring", "gf2", "--trials", trials]
+        details = run_json(capsys, args)[1]["reports"][0]["details"]
+        assert f"{drawn} random trace-1 representatives give the same semi-trace" in details
+
+
 def test_degree4_checks_skip_other_ranks(capsys):
     for check in ("degree4-alt", "degree4-counterexample"):
         for n in ("1", "3"):

@@ -21,7 +21,7 @@ from cliffqp.clifford import (
 from cliffqp.errors import UnsupportedRingError, UsageError
 from cliffqp.exterior import mask_size
 from cliffqp.forms import b_wedge_gram
-from cliffqp.linalg import Matrix, signed_perm_inverse
+from cliffqp.linalg import Matrix, SignedPermutation, rref, signed_perm_inverse, trace_of_product
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
@@ -92,13 +92,32 @@ def test_involution_fixes_generators(ring, n):
         assert canonical_involution(g) == g
 
 
-def test_public_accessors_hand_out_copies():
-    # the cached generator matrices stay intact whatever a caller does to
-    # the matrices it was given
-    g = generator_matrix(GF3, 2, 0)
-    g.put(0, 0, GF3.one)
-    assert generator_matrix(GF3, 2, 0) != g
-    assert relation_suite(GF3, 2, fresh_rng("copies"), trials=5).passed
+def test_generators_are_shared_and_no_operation_writes_its_operands():
+    # matrices are immutable: the cached generator is handed out itself, and
+    # every operation leaves the entries of its operands as they were
+    assert generator_matrix(GF3, 2, 0) is generator_matrix(GF3, 2, 0)
+    rng = fresh_rng("immutable")
+    for ring in (GF3, QQ, GF4):  # dense products take the int lift, GF(4) the row dicts
+        a, b = (random_clifford_element(ring, 2, rng).matrix for _ in range(2))
+        perm = signed_perm_inverse(b_wedge_gram(ring, 2))
+        assert isinstance(perm, SignedPermutation)
+        assert (ring.lift([ring.one]) is None) == (ring is GF4)
+        c = ring.sample(rng)
+        operations = {
+            "+": lambda: a + b,
+            "-": lambda: a - b,
+            "neg": lambda: -a,
+            "scale": lambda: a.scale(c),
+            "transpose": lambda: (a.transpose(), perm.transpose()),
+            "combination": lambda: Matrix.combination(ring, 4, 4, [(c, a), (c, b), (c, perm)]),
+            "rref": lambda: (rref(a), rref(perm)),
+            "trace_of_product": lambda: (trace_of_product(a, b), trace_of_product(perm, a)),
+            "*": lambda: (a * b, perm * a, a * perm, perm * perm),
+        }
+        before = [m.entries for m in (a, b, perm)]
+        for name, operation in operations.items():
+            operation()
+            assert [m.entries for m in (a, b, perm)] == before, (ring.name, name)
 
 
 @pytest.mark.parametrize("ring", (GF3, QQ))
@@ -293,7 +312,7 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
     # E_{1, 2} is a fixed unit at n = 2, so a flipped sign still squares to
     # the identity; only the comparison with the adjoint sees it
     ring, n = GF3, 2
-    assert involution_suite(ring, n).passed
+    assert involution_suite(ring, n, fresh_rng("unit-sign"), pairs=0).passed
     unit = clifford.tau_unit
 
     def flipped(n, a, b):
@@ -301,6 +320,6 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
         return (parity + ((a, b) == (1, 2))) % 2, r, c
 
     monkeypatch.setattr(clifford, "tau_unit", flipped)
-    out = involution_suite(ring, n)
+    out = involution_suite(ring, n, fresh_rng("unit-sign"), pairs=0)
     assert not out.passed
     assert out.details == ["involution is not the adjoint G^-1 x^T G on unit (1, 2)"]

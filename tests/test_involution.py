@@ -35,15 +35,13 @@ def involution_operator(ring, n):
     `even_units`, rows in the coordinates of `Matrix.entries`."""
     dim = 1 << n
     units = even_units(n)
-    minus = Matrix.zeros(ring, dim * dim, len(units))
-    plus = Matrix.zeros(ring, dim * dim, len(units))
+    minus, plus = [], []
     for k, unit in enumerate(units):
         x = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(*divmod(unit, dim), ring.one)]))
         t = canonical_involution(x)
-        for r, (a, b) in enumerate(zip((x - t).matrix.entries, (x + t).matrix.entries)):
-            minus.put(r, k, a)
-            plus.put(r, k, b)
-    return minus, plus
+        minus += [(r * dim + c, k, v) for r, c, v in (x - t).matrix.nonzeros()]
+        plus += [(r * dim + c, k, v) for r, c, v in (x + t).matrix.nonzeros()]
+    return tuple(Matrix.from_nonzeros(ring, dim * dim, len(units), op) for op in (minus, plus))
 
 
 def even_kernel(ring, n, op):
@@ -169,9 +167,8 @@ def test_in_alternating_matches_elimination(ring, n):
         x = y + canonical_involution(y) if kind == "sum" else y - canonical_involution(y)
         if kind == "changed":
             r, c = rng.choice(units)
-            m = x.matrix.copy()
-            m.put(r, c, ring.add(m.at(r, c), ring.one))
-            x = CliffordElement(ring, n, m)
+            bump = Matrix.from_nonzeros(ring, 1 << n, 1 << n, [(r, c, ring.one)])
+            x = CliffordElement(ring, n, x.matrix + bump)
         member = in_alternating(x)
         assert member == span.contains(x.matrix.entries), (kind, x)
         answers.add(member)

@@ -202,10 +202,8 @@ def assert_product_exact(a, b):
 def random_signed_permutation(ring, size, rng):
     cols = list(range(size))
     rng.shuffle(cols)
-    m = Matrix.zeros(ring, size, size)
-    for r, c in enumerate(cols):
-        m.put(r, c, ring.one if rng.random() < 0.5 else ring.neg(ring.one))
-    return m
+    signs = (ring.one if rng.random() < 0.5 else ring.neg(ring.one) for _ in cols)
+    return Matrix.from_nonzeros(ring, size, size, zip(range(size), cols, signs))
 
 
 def test_kernel_rings_cover_the_int_lift_and_the_ring_methods():
@@ -277,6 +275,40 @@ def test_trace_of_product_matches_trace_of_matmul(ring, data):
     assert trace_of_product(b, a) == want
     with pytest.raises(UsageError):
         trace_of_product(a, Matrix.zeros(ring, m, n + 1))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combination_matches_a_fold_of_sums_and_scales(ring, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    coefficient = st.one_of(st.just(ring.zero), element_strategy(ring))
+    term = st.tuples(coefficient, matrix_strategy(ring, rows, cols))
+    terms = data.draw(st.lists(term, max_size=5))
+    want = Matrix.zeros(ring, rows, cols)
+    for c, m in terms:
+        want = want + m.scale(c)
+    got = Matrix.combination(ring, rows, cols, terms)
+    assert got == want
+    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+    m = data.draw(matrix_strategy(ring, rows, cols))
+    c = data.draw(element_strategy(ring).filter(lambda c: not ring.is_zero(c)))
+    cancelled = Matrix.combination(ring, rows, cols, [(c, m), (ring.neg(c), m)])
+    assert cancelled == Matrix.zeros(ring, rows, cols) and cancelled.is_zero()
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        (GF3.one, Matrix.identity(GF3, 3)),
+        (GF3.zero, Matrix.zeros(GF3, 2, 3)),  # checked although its coefficient is zero
+        (GF3.one, Matrix.identity(GF5, 2)),
+    ],
+    ids=("rows", "cols", "ring"),
+)
+def test_combination_rejects_a_term_of_another_shape_or_ring(term):
+    with pytest.raises(UsageError):
+        Matrix.combination(GF3, 2, 2, [(GF3.one, Matrix.identity(GF3, 2)), term])
 
 
 def test_from_nonzeros_keeps_the_last_value_of_a_position():
