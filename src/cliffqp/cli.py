@@ -14,7 +14,8 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from . import canonical, clifford, forms, group
 from .errors import EligibilityError, UnsupportedRingError
@@ -28,20 +29,80 @@ PGO_SAMPLES = 50
 # (2 * 4^(n-1)); a larger --n is refused before any matrix is built.
 MAX_N = 10
 
-CHECK_NAMES = (
-    "relations",
-    "gram",
-    "classify",
-    "polar",
-    "sl-into-alt",
-    "rho-xi",
-    "canonical-semitrace",
-    "q-wedge-correspondence",
-    "pgo-invariance",
-    "degree4-alt",
-    "degree4-counterexample",
-    "base-change",
-)
+# A runner takes (ring, n, rng, trials) and returns the cell's outcome.  Each
+# runner looks its check up on the module when it is called, never earlier,
+# so that a function rebound on its module (by a tracer or a test) is the one
+# that runs.
+Runner = Callable[[Ring, int, random.Random, int], CheckOutcome]
+
+
+def _classify(ring: Ring, n: int, rng, trials: int) -> CheckOutcome:
+    report = clifford.classify_even_involution(ring, n)
+    ok, want = clifford.involution_type_matches(report)
+    verb = "matches" if ok else "does not match"
+    return CheckOutcome(ok, [f"verdict {report.verdict} {verb} the prediction {want}"])
+
+
+def _at_rank_2(n: int, result: Callable[[], CheckOutcome]) -> CheckOutcome:
+    """The outcome of a degree-4 result, which lives at n = 2 only."""
+    if n != 2:
+        raise EligibilityError(f"the degree-4 results live at n = 2, not n = {n}")
+    return result()
+
+
+# Every check: its default (n, ring) cells and its runner, in the order `all`
+# runs them.  A check whose one cell is (None, None) takes neither --n nor --ring.
+CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
+    "relations": (
+        [(n, r) for n in range(1, 7) for r in DEFAULT_RINGS],
+        lambda ring, n, rng, trials: clifford.relation_suite(ring, n, rng, trials),
+    ),
+    "gram": (
+        [(n, r) for n in range(1, 6) for r in DEFAULT_RINGS],
+        lambda ring, n, rng, trials: forms.gram_agreement_suite(ring, n).merge(
+            clifford.involution_suite(ring, n, rng, min(trials, 100))
+        ),
+    ),
+    "classify": ([(n, r) for n in range(2, 6) for r in DEFAULT_RINGS], _classify),
+    "polar": (
+        [(n, r) for n in range(2, 6) for r in DEFAULT_RINGS],
+        lambda ring, n, rng, trials: forms.polar_matches_prediction(ring, n),
+    ),
+    "sl-into-alt": (
+        [(n, r) for n in (2, 3, 4) for r in (GF2, GF3)],
+        lambda ring, n, rng, trials: canonical.check_sl_into_alt(ring, n, rng, randoms=min(trials, 50)),
+    ),
+    "rho-xi": (
+        [(n, r) for n in (2, 3, 4) for r in DEFAULT_RINGS],
+        lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n, rng, trials),
+    ),
+    "canonical-semitrace": (
+        [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
+        lambda ring, n, rng, trials: canonical.check_representative_independence(
+            ring, n, rng, count=min(trials, 20)
+        ).merge(canonical.check_semitrace_defining(ring, n, rng, trials)),
+    ),
+    "q-wedge-correspondence": (
+        [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
+        lambda ring, n, rng, trials: canonical.correspondence_with_q_wedge(ring, n, rng, trials),
+    ),
+    "pgo-invariance": (
+        [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)],
+        lambda ring, n, rng, trials: group.pgo_invariance(ring, n, rng, samples=min(trials, PGO_SAMPLES)),
+    ),
+    "degree4-alt": (
+        [(2, GF2), (2, GF4)],
+        lambda ring, n, rng, trials: _at_rank_2(n, lambda: canonical.degree4_alt_report(ring)),
+    ),
+    "degree4-counterexample": (
+        [(2, GF4)],
+        lambda ring, n, rng, trials: _at_rank_2(n, lambda: canonical.degree4_no_canonical(ring)),
+    ),
+    "base-change": (
+        [(None, None)],
+        lambda ring, n, rng, trials: canonical.base_change_report(rng, samples=min(trials, 20)),
+    ),
+}
 
 
 @dataclass
@@ -54,50 +115,15 @@ class Report:
     elapsed_ms: int = 0
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "ring": self.ring,
-            "status": self.status,
-            "details": self.details,
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-        }
-
 
 def _rng_for(seed: int, check: str, n: int | None, ring: str) -> random.Random:
     return random.Random(f"{seed}:{check}:{n}:{ring}")
 
 
-def _default_grid(check: str) -> list[tuple[int | None, Ring | None]]:
-    if check == "relations":
-        return [(n, r) for n in range(1, 7) for r in DEFAULT_RINGS]
-    if check == "gram":
-        return [(n, r) for n in range(1, 6) for r in DEFAULT_RINGS]
-    if check in ("classify", "polar"):
-        return [(n, r) for n in range(2, 6) for r in DEFAULT_RINGS]
-    if check == "sl-into-alt":
-        return [(n, r) for n in (2, 3, 4) for r in (GF2, GF3)]
-    if check == "rho-xi":
-        return [(n, r) for n in (2, 3, 4) for r in DEFAULT_RINGS]
-    if check in ("canonical-semitrace", "q-wedge-correspondence"):
-        return [(4, GF2), (4, GF3), (4, QQ), (6, GF2)]
-    if check == "pgo-invariance":
-        return [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)]
-    if check == "degree4-alt":
-        return [(2, GF2), (2, GF4)]
-    if check == "degree4-counterexample":
-        return [(2, GF4)]
-    if check == "base-change":
-        return [(None, None)]
-    raise ValueError(f"no grid for {check}")
-
-
 def _grid(check: str, n: int | None, ring: Ring | None) -> list[tuple[int | None, Ring | None]]:
-    if check == "base-change":
-        return [(None, None)]
-    cells = _default_grid(check)
+    cells = CHECKS[check][0]
+    if cells == [(None, None)]:
+        return cells
     if n is not None:
         cells = [(n, r) for r in dict.fromkeys(r for _, r in cells)]
     if ring is not None:
@@ -111,58 +137,17 @@ def _run_cell(check: str, n: int | None, ring: Ring | None, trials: int, seed: i
     report = Report(check=check, n=n, ring=ring_name, status="pass", seed=seed)
     started = time.perf_counter()
     try:
-        outcome = _dispatch(check, n, ring, rng, trials)
+        outcome = CHECKS[check][1](ring, n, rng, trials)
         report.status = "pass" if outcome.passed else "fail"
         report.details = outcome.details
     except (EligibilityError, UnsupportedRingError) as exc:
         report.status = "skipped"
         report.details = [str(exc)]
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         report.status = "error"
         report.details = [f"{type(exc).__name__}: {exc}"]
     report.elapsed_ms = int((time.perf_counter() - started) * 1000)
     return report
-
-
-def _dispatch(check: str, n: int | None, ring: Ring | None, rng, trials: int) -> CheckOutcome:
-    if check == "relations":
-        return clifford.relation_suite(ring, n, rng, trials)
-    if check == "gram":
-        out = forms.gram_agreement_suite(ring, n)
-        out.merge(clifford.involution_suite(ring, n, rng, min(trials, 100)))
-        return out
-    if check == "classify":
-        report = clifford.classify_even_involution(ring, n)
-        ok, want = clifford.involution_type_matches(report)
-        out = CheckOutcome()
-        if ok:
-            out.note(f"verdict {report.verdict} matches the prediction {want}")
-        else:
-            out.fail(f"verdict {report.verdict} does not match the prediction {want}")
-        return out
-    if check == "polar":
-        return forms.polar_matches_prediction(ring, n)
-    if check == "sl-into-alt":
-        return canonical.check_sl_into_alt(ring, n, rng, randoms=min(trials, 50))
-    if check == "rho-xi":
-        return canonical.rho_xi_check(ring, n, rng, trials)
-    if check == "canonical-semitrace":
-        out = canonical.check_representative_independence(ring, n, rng, count=min(trials, 20))
-        out.merge(canonical.check_semitrace_defining(ring, n, rng, trials))
-        return out
-    if check == "q-wedge-correspondence":
-        return canonical.correspondence_with_q_wedge(ring, n, rng, trials)
-    if check == "pgo-invariance":
-        return group.pgo_invariance(ring, n, rng, samples=min(trials, PGO_SAMPLES))
-    if check in ("degree4-alt", "degree4-counterexample") and n != 2:
-        raise EligibilityError(f"the degree-4 results live at n = 2, not n = {n}")
-    if check == "degree4-alt":
-        return canonical.degree4_alt_report(ring)
-    if check == "degree4-counterexample":
-        return canonical.degree4_no_canonical(ring)
-    if check == "base-change":
-        return canonical.base_change_report(rng, samples=min(trials, 20))
-    raise ValueError(f"unknown check {check}")
 
 
 def run(check: str, n: int | None, ring: Ring | None, trials: int, seed: int) -> list[Report]:
@@ -176,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="cliffqp",
         description="verify the split Clifford algebra constructions exactly",
     )
-    parser.add_argument("check", choices=CHECK_NAMES + ("all",), help="which suite to run")
+    parser.add_argument("check", choices=[*CHECKS, "all"], help="which suite to run")
     parser.add_argument("--n", type=int, default=None, help="restrict to one rank n")
     parser.add_argument(
         "--ring", default=None, choices=sorted(RING_BY_NAME), help="restrict to one ring"
@@ -199,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     ring = ring_by_name(args.ring) if args.ring else None
-    checks = list(CHECK_NAMES) if args.check == "all" else [args.check]
+    checks = list(CHECKS) if args.check == "all" else [args.check]
     reports: list[Report] = []
     for check in checks:
         reports.extend(run(check, args.n, ring, args.trials, args.seed))
@@ -214,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
             "passed": passed,
             "failed": failed,
             "skipped": skipped,
-            "reports": [r.to_dict() for r in reports],
+            "reports": [asdict(r) for r in reports],
         }
         print(json.dumps(document, indent=2, ensure_ascii=False))
     else:

@@ -19,6 +19,7 @@ class CheckOutcome:
         self.passed = False
         self.details.append(witness)
 
-    def merge(self, other: "CheckOutcome") -> None:
+    def merge(self, other: "CheckOutcome") -> "CheckOutcome":
         self.passed = self.passed and other.passed
         self.details.extend(other.details)
+        return self
