@@ -2,9 +2,11 @@
 
 Every construction in the package is exposed as a subcommand that runs a
 deterministic check grid and reports pass/fail/skip per (n, ring) cell,
-as text or as a single JSON document.  Exit status 0 means everything
-passed or was skipped for a declared eligibility reason, 1 means some
-check failed or errored, 2 means the invocation itself was malformed.
+as text or as a single JSON document.  A check is one entry of `CHECKS`:
+its name, its default cells and the runner of one cell, so adding a check
+takes one entry.  Exit status 0 means everything passed or was skipped
+for a declared eligibility reason, 1 means some check failed or errored,
+2 means the invocation itself was malformed.
 """
 
 from __future__ import annotations

@@ -36,13 +36,6 @@ from .rings import Element, Ring
 # --- generators -----------------------------------------------------------
 
 
-def generator_label(n: int, k: int) -> str:
-    """Label of the k-th generator in the order v_1 .. v_n, v_n^* .. v_1^*."""
-    if not 0 <= k < 2 * n:
-        raise UsageError(f"generator index {k} outside 0..{2 * n - 1}")
-    return f"v{k + 1}" if k < n else f"v{2 * n - k}*"
-
-
 @cache
 def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
     """The matrix of the k-th generator, cached and shared."""
@@ -331,10 +324,10 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 100) -> CheckOutcome:
     covers every element.
     """
     out = CheckOutcome()
-    for k in range(2 * n):
+    for k, label in enumerate(HyperbolicSpace(ring, n).labels()):
         g = CliffordElement(ring, n, generator_matrix(ring, n, k))
         if canonical_involution(g) != g:
-            out.fail(f"involution moves generator {generator_label(n, k)}")
+            out.fail(f"involution moves generator {label}")
     gram = {r: (c, sign) for r, c, sign in b_wedge_gram(ring, n).nonzeros()}
     dim = 1 << n
     for a in range(dim):

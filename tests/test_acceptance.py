@@ -112,7 +112,7 @@ def test_criterion_05_sl_into_alt():
     negative = check_sl_into_alt(GF2, 2, rng_for("sl:neg"))
     if not negative.passed:
         failures.append("negative control at n=2 over gf2 failed")
-    report(5, "sl-into-alt", not failures, "listed rows + 50 randoms; n=2 control over gf2")
+    report(5, "sl-into-alt", not failures, "basis of sl_2n + 50 randoms; n=2 control over gf2")
 
 
 def test_criterion_06_rho_xi():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cliffqp import canonical
 from cliffqp.canonical import (
     base_change_report,
     canonical_map_c,
@@ -16,8 +17,7 @@ from cliffqp.canonical import (
     phi_b_unit,
     rank_one_wedge,
     rho_xi_check,
-    sl_proof_rows,
-    tensor_combo_matrix,
+    sl_basis,
 )
 from cliffqp.clifford import (
     CliffordElement,
@@ -28,7 +28,7 @@ from cliffqp.errors import DomainError, EligibilityError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
 from cliffqp.involution import in_alternating
-from cliffqp.linalg import Matrix, mat_vec
+from cliffqp.linalg import Matrix, mat_vec, rank
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
 from cliffqp.sampling import random_matrix, random_trace_one, random_trace_zero
 
@@ -67,17 +67,25 @@ def test_rho_xi_zero_matrix():
     assert canonical_map_c(z) == CliffordElement.zero(GF3, 2)
 
 
-def test_sl_proof_rows_are_trace_zero():
-    for n in (2, 3, 4):
-        for label, combo in sl_proof_rows(n):
-            m = tensor_combo_matrix(QQ, n, combo)
-            assert m.trace() == QQ.zero, label
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_sl_basis_is_a_basis_of_sl(ring, n):
+    # 4n^2 - 1 independent trace-zero matrices: a basis of sl_2n
+    basis = [m for _, m in sl_basis(ring, n)]
+    assert len(basis) == 4 * n * n - 1
+    assert all(ring.is_zero(m.trace()) for m in basis)
+    assert rank(Matrix.from_rows(ring, [m.entries for m in basis])) == len(basis)
 
 
-def test_sl_proof_row_count():
-    # 2n squares, 4 per unordered index pair, and a chain of 2n - 1 differences
-    for n in (2, 3, 4):
-        assert len(sl_proof_rows(n)) == 2 * n + 4 * (n * (n - 1) // 2) + 2 * n - 1
+def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
+    # the basis alone catches an image pushed off Alt: c(M) + 1 is never alternating
+    ring, n = GF3, 3
+    honest = canonical.canonical_map_c
+    monkeypatch.setattr(canonical, "canonical_map_c", lambda m: honest(m) + CliffordElement.identity(ring, n))
+    out = check_sl_into_alt(ring, n, fresh_rng("sl-mutant"), randoms=0)
+    assert not out.passed
+    assert len(out.details) == 4 * n * n - 1
+    assert "c(E_(0,1)) is not alternating over gf3, n=3" in out.details
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
@@ -115,10 +123,12 @@ def test_trace_samplers_shift_only_the_corner_of_a_random_matrix(ring):
 
 
 def test_sl_into_alt_row_identity_example():
-    # c(v_n (x) v_n^* - v_n^* (x) v_n) = v_n v_n^* - tau(v_n v_n^*)
+    # c(v_n (x) v_n^* - v_n^* (x) v_n) = v_n v_n^* - tau(v_n v_n^*), and the
+    # matrix is the negative of the basis element E_(n-1)(n-1) - E_nn
     ring, n = GF3, 4
-    combo = [(1, n - 1, n), (-1, n, n - 1)]
-    image = canonical_map_c(tensor_combo_matrix(ring, n, combo))
+    m = phi_b_unit(ring, n, n - 1, n) - phi_b_unit(ring, n, n, n - 1)
+    assert -m == dict(sl_basis(ring, n))[f"E_({n - 1},{n - 1}) - E_({n},{n})"]
+    image = canonical_map_c(m)
     w = phi_word(ring, n, [f"v{n}", f"v{n}*"])
     assert image == w - canonical_involution(w)
     assert in_alternating(image)

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cliffqp
-from cliffqp.cli import MAX_N, main, run
+from cliffqp import canonical, clifford, forms, group
+from cliffqp.cli import CHECKS, MAX_N, main, run
 from cliffqp.rings import ring_by_name
 
 
@@ -42,6 +45,40 @@ def test_degree4_skips_on_wrong_ring(capsys):
     code, doc = run_json(capsys, ["degree4-counterexample", "--ring", "gf2"])
     assert code == 0
     assert doc["reports"][0]["status"] == "skipped"  # gf2 lacks t with t^2 != t
+
+
+# The package function each check's runner calls first.
+FIRST_CALL = {
+    "relations": (clifford, "relation_suite"),
+    "gram": (forms, "gram_agreement_suite"),
+    "classify": (clifford, "classify_even_involution"),
+    "polar": (forms, "polar_matches_prediction"),
+    "sl-into-alt": (canonical, "check_sl_into_alt"),
+    "rho-xi": (canonical, "rho_xi_check"),
+    "canonical-semitrace": (canonical, "check_representative_independence"),
+    "q-wedge-correspondence": (canonical, "correspondence_with_q_wedge"),
+    "pgo-invariance": (group, "pgo_invariance"),
+    "degree4-alt": (canonical, "degree4_alt_report"),
+    "degree4-counterexample": (canonical, "degree4_no_canonical"),
+    "base-change": (canonical, "base_change_report"),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_a_raising_check_reports_an_error(capsys, monkeypatch, check):
+    # the runner looks its function up on the module at call time, so the
+    # rebound function is the one that runs; its exception becomes the detail
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(*FIRST_CALL[check], boom)
+    n, ring = CHECKS[check][0][0]
+    args = [check, "--trials", "1"] + (["--n", str(n), "--ring", ring.name] if n else [])
+    code, doc = run_json(capsys, args)
+    assert code == 1
+    assert doc["failed"] == len(doc["reports"]) == 1
+    assert doc["reports"][0]["status"] == "error"
+    assert doc["reports"][0]["details"] == ["RuntimeError: boom"]
 
 
 def test_unknown_check_is_usage_error(capsys):

@@ -111,16 +111,27 @@ def test_signed_perm_rejects_bad_input():
         signed_perm_inverse(Matrix.from_rows(QQ, [[QQ.from_int(2), QQ.zero], [QQ.zero, QQ.one]]))
 
 
-def test_span_checker_matches_in_span(rng):
+def test_span_membership_matches_rank(rng):
+    # v lies in the span exactly when appending it leaves the rank unchanged;
+    # the basis carries one dependent vector, half the draws are combinations
+    # of it and half are uniform vectors, which almost all lie outside
     basis = [random_vector(GF5, 6, rng) for _ in range(3)]
+    basis.append([GF5.add(x, y) for x, y in zip(basis[0], basis[1])])
     checker = SpanChecker(GF5, basis)
-    for _ in range(20):
-        coeffs = [GF5.sample(rng) for _ in basis]
-        v = [GF5.zero] * 6
-        for c, b in zip(coeffs, basis):
-            v = [GF5.add(x, GF5.mul(c, y)) for x, y in zip(v, b)]
-        assert checker.contains(v)
-        assert in_span(GF5, v, basis)
+    base_rank = rank(Matrix.from_rows(GF5, basis))
+    seen = set()
+    for t in range(40):
+        v = random_vector(GF5, 6, rng)
+        if t % 2 == 0:
+            v = [GF5.zero] * 6
+            for b in basis:
+                c = GF5.sample(rng)
+                v = [GF5.add(x, GF5.mul(c, y)) for x, y in zip(v, b)]
+        want = rank(Matrix.from_rows(GF5, basis + [v])) == base_rank
+        seen.add(want)
+        assert checker.contains(v) == want
+        assert in_span(GF5, v, basis) == want
+    assert seen == {True, False}
 
 
 # --- the product kernel against the ring-method loop ---------------------------
