@@ -111,7 +111,7 @@ def test_signed_perm_rejects_bad_input():
         signed_perm_inverse(Matrix.from_rows(QQ, [[QQ.from_int(2), QQ.zero], [QQ.zero, QQ.one]]))
 
 
-def test_span_membership_matches_rank(rng):
+def test_span_checker_matches_in_span(rng):
     # v lies in the span exactly when appending it leaves the rank unchanged;
     # the basis carries one dependent vector, half the draws are combinations
     # of it and half are uniform vectors, which almost all lie outside
