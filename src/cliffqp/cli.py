@@ -18,6 +18,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from . import canonical, clifford, forms, group
 from .errors import EligibilityError, UnsupportedRingError
@@ -146,16 +147,19 @@ def _run_cell(check: str, n: int | None, ring: Ring | None, trials: int, seed: i
         report.status = "skipped"
         report.details = [str(exc)]
     except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame, where it was raised
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
         report.status = "error"
-        report.details = [f"{type(exc).__name__}: {exc}"]
+        where = f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}"
+        report.details = [f"{type(exc).__name__}: {exc} (at {where})"]
     report.elapsed_ms = int((time.perf_counter() - started) * 1000)
     return report
 
 
 def run(check: str, n: int | None, ring: Ring | None, trials: int, seed: int) -> list[Report]:
-    reports = [_run_cell(check, cn, cr, trials, seed) for cn, cr in _grid(check, n, ring)]
-    reports.sort(key=lambda r: (r.check, r.n if r.n is not None else -1, r.ring))
-    return reports
+    return [_run_cell(check, cn, cr, trials, seed) for cn, cr in _grid(check, n, ring)]
 
 
 def main(argv: list[str] | None = None) -> int:

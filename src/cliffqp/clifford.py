@@ -17,7 +17,8 @@ are cut out (`even_blocks`) only for the even-involution type report.
 The 4^n ordered generator products form a monomial basis with a
 division-free coordinate decomposition (their leading entries are +-1
 and triangular by degree); no check uses it, it backs the n <= 4 oracle
-for the group action.
+for the group action (`group.clifford_action`), and the tests rebuild
+elements from its coordinates by their own products of generators.
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ class MonomialBasis:
         if not residual.is_zero():
             raise DomainError("decomposition left a nonzero residual")
         return coords
-
-    def recompose(self, coords: Sequence[Element]) -> CliffordElement:
-        if len(coords) != self.size:
-            raise UsageError(f"expected {self.size} coordinates")
-        acc = Matrix.combination(self.ring, self.dim, self.dim, zip(coords, self._monomials))
-        return CliffordElement(self.ring, self.n, acc)
 
 
 @cache

@@ -5,7 +5,8 @@ in I, and the basis vector v_I is the wedge of the v_i for i in I in
 increasing order.  An element of wedge V stores only its nonzero
 coefficients, as a dict {mask: coefficient} in the idiom of a `Matrix`
 row, so every operation walks the stored terms; the even/odd grading is
-the popcount parity.
+the popcount parity.  The module builds no matrices: `clifford` builds
+the generator matrices from the mask arithmetic here.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import UsageError
-from .linalg import Matrix
 from .rings import Element, Ring
 
 
@@ -167,31 +167,3 @@ class ExteriorVector:
             terms.append(f"{self.ring.show(a)}*{label}")
         return " + ".join(terms) if terms else "0"
 
-
-def left_mult_matrix(x: ExteriorVector) -> Matrix:
-    """Matrix of left wedge multiplication by x on wedge V."""
-    ring, dim = x.ring, 1 << x.n
-    triples = []  # in a fixed column v_J, distinct masks I land on distinct rows I | J
-    for col in range(dim):
-        for mi, a in x.terms.items():
-            res = wedge_masks(mi, col)
-            if res is not None:
-                sign, row = res
-                triples.append((row, col, a if sign > 0 else ring.neg(a)))
-    return Matrix.from_nonzeros(ring, dim, dim, triples)
-
-
-def contraction_matrix(ring: Ring, n: int, i: int) -> Matrix:
-    """Matrix of the dual-basis contraction by v_i^*: a degree -1 derivation.
-
-    On a basis vector the i-th factor is dropped with sign (-1)**(pos+1)
-    where pos is its 1-based position in increasing order.
-    """
-    if not 1 <= i <= n:
-        raise UsageError(f"index {i} outside 1..{n}")
-    dim = 1 << n
-    bit = 1 << (i - 1)
-    triples = (
-        (col & ~bit, col, ring.sign(mask_size(col & (bit - 1)))) for col in range(dim) if col & bit
-    )
-    return Matrix.from_nonzeros(ring, dim, dim, triples)

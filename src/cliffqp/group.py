@@ -7,8 +7,9 @@ preservation everywhere.  Each named generator comes with a lift g in the
 Clifford group, a word lifts to the product of its generators' lifts, and
 `is_lift` certifies a lift against its matrix.  The group acts on even
 elements by conjugation x -> g x g^-1, also when g is odd (a swap).
-`clifford_action`, which rebuilds all 4^n monomial images, stays as the
-n <= 4 oracle for the conjugation.
+`clifford_action`, which rebuilds all 4^n monomial images, is called by
+no check: it is the tests' n <= 4 oracle for the conjugation, kept in the
+package because the benchmark's tracer names it.
 """
 
 from __future__ import annotations

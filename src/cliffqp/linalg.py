@@ -10,9 +10,10 @@ runs an int accumulator when both factors are dense and the ring lifts its
 elements exactly to ints (`Ring.lift`), and a row-dict loop through the
 ring methods otherwise; `trace_of_product` sums trace(a * b) without
 forming the product.
-Row reduction (rank, kernel and image bases, span membership) is
-restricted to fields; integer problems are expected to route through the
-rationals.  Signed permutation matrices invert without division, which
+Row reduction is restricted to fields and exists once, as `rref`;
+`SpanChecker` answers span membership from its reduced rows.  No check
+eliminates: the tests use both as the oracle for the tau-orbit bases of
+Alt and Sym.  Signed permutation matrices invert without division, which
 keeps the Gram-matrix machinery available over the integers as well.
 """
 
@@ -89,17 +90,6 @@ class Matrix:
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "Matrix":
         return cls.from_nonzeros(ring, size, size, ((i, i, ring.one) for i in range(size)))
-
-    @classmethod
-    def from_rows(cls, ring: Ring, rows: Sequence[Sequence[Element]]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0])
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise UsageError("ragged rows")
-            flat.extend(row)
-        return cls(ring, nrows, ncols, flat)
 
     @property
     def entries(self) -> list:
@@ -295,25 +285,6 @@ def _matmul_lifted(a: Matrix, b: Matrix, lifted_a: tuple[list[int], int]) -> Mat
     return Matrix._of(ring, a.rows, b.cols, out)
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    if a.cols != len(v):
-        raise UsageError("vector length does not match matrix columns")
-    ring = a.ring
-    out = []
-    for row in a._rows:
-        total = ring.zero
-        for c, x in row.items():
-            if not ring.is_zero(v[c]):
-                total = ring.add(total, ring.mul(x, v[c]))
-        out.append(total)
-    return out
-
-
-def _require_field(ring: Ring, what: str) -> None:
-    if not ring.is_field:
-        raise UnsupportedRingError(f"{what} needs a field, not {ring.name}")
-
-
 def _rows_axpy(ring: Ring, rows: list, c: Element, others: list) -> None:
     """rows[i] += c * others[i] for rows stored as {col: nonzero} dicts."""
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
@@ -334,8 +305,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     Pivoting is deterministic: columns left to right, first unused row
     with a nonzero entry.
     """
-    _require_field(m.ring, "row reduction")
     ring = m.ring
+    if not ring.is_field:
+        raise UnsupportedRingError(f"row reduction needs a field, not {ring.name}")
     rows = [dict(row) for row in m._rows]
     pivots: list[int] = []
     prow = 0
@@ -357,81 +329,28 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix._of(ring, m.rows, m.cols, rows), pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(a: Matrix) -> list[Vector]:
-    """Basis of the null space over a field, one vector per free column."""
-    ring = a.ring
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        v = [ring.zero] * a.cols
-        v[free] = ring.one
-        for prow, col in enumerate(pivots):
-            v[col] = ring.neg(red.at(prow, free))
-        basis.append(v)
-    return basis
-
-
-def image_basis(a: Matrix) -> list[Vector]:
-    """Basis of the column space: the original pivot columns of A."""
-    _, pivots = rref(a)
-    return [a.col(c) for c in pivots]
-
-
 class SpanChecker:
-    """Row-reduces a list of vectors once, then answers membership queries."""
+    """Row-reduces a list of vectors once through `rref`, then answers
+    membership queries against the fully reduced pivot rows."""
 
     def __init__(self, ring: Ring, vectors: Sequence[Vector]):
-        _require_field(ring, "span membership")
         self.ring = ring
-        self.dim = len(vectors[0]) if vectors else 0
-        self.rows: list[Vector] = []  # reduced, each with leading 1
-        self.lead: list[int] = []
-        for v in vectors:
-            reduced = self._reduce(list(v))
-            if reduced is not None:
-                self._insert(reduced)
-
-    def _reduce(self, v: Vector) -> Optional[Vector]:
-        """Eliminate v against the stored rows; None when it reduces to zero."""
-        ring = self.ring
-        for row, lead in zip(self.rows, self.lead):
-            factor = v[lead]
-            if ring.is_zero(factor):
-                continue
-            for c in range(lead, self.dim):
-                v[c] = ring.sub(v[c], ring.mul(factor, row[c]))
-        for c in range(self.dim):
-            if not ring.is_zero(v[c]):
-                inv = ring.inv(v[c])
-                if not ring.is_one(inv):
-                    for cc in range(c, self.dim):
-                        v[cc] = ring.mul(inv, v[cc])
-                return v
-        return None
-
-    def _insert(self, v: Vector) -> None:
-        lead = next(c for c in range(self.dim) if not self.ring.is_zero(v[c]))
-        self.rows.append(v)
-        self.lead.append(lead)
+        self.dim = len(vectors[0]) if vectors else 0  # no vectors: the Matrix refuses the shape
+        red, pivots = rref(Matrix(ring, len(vectors), self.dim, [x for v in vectors for x in v]))
+        self._pivot_rows = list(zip(pivots, red._rows))
 
     def contains(self, v: Vector) -> bool:
+        """Clear v's entry at each pivot column with that pivot's row; no
+        pivot row touches another pivot column, so v lies in the span
+        exactly when nothing is left."""
         if len(v) != self.dim:
             raise UsageError("vector length does not match span dimension")
-        return self._reduce(list(v)) is None
-
-
-def in_span(ring: Ring, v: Vector, basis: Sequence[Vector]) -> bool:
-    """Exact membership of v in the span of the basis vectors."""
-    if not basis:
-        return all(ring.is_zero(x) for x in v)
-    return SpanChecker(ring, basis).contains(v)
+        ring = self.ring
+        residual = {c: x for c, x in enumerate(v) if not ring.is_zero(x)}
+        for col, row in self._pivot_rows:
+            if col in residual:
+                _rows_axpy(ring, [residual], ring.neg(residual[col]), [row])
+        return not residual
 
 
 def signed_perm_inverse(b: Matrix) -> SignedPermutation:

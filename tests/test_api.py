@@ -3,37 +3,29 @@
 Every public function, class and method defined in `src/cliffqp/` must be
 referenced by name from some package module other than `__init__`, or be
 one of the ORACLES: code the tests keep as an independent route to what
-the checks compute.  A function or class counts as referenced when its
+the checks compute, which stays in the package only while the benchmark's
+tracer names it.  A function or class counts as referenced when its
 name is read or imported; a method, when an attribute of that name is
 read.  The scan goes by name only, so a method shares its references with
 every other method of the same name.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import cliffqp
 
 PACKAGE = Path(cliffqp.__file__).resolve().parent
 
+# Oracles that stay in the package only because perfbench's tracer names
+# them; every other oracle lives in tests/oracles.py.
 ORACLES = (
-    # field elimination: the oracle for the tau-orbit bases of Alt and Sym
-    "linalg.rref",
-    "linalg.rank",
-    "linalg.kernel_basis",
-    "linalg.image_basis",
-    "linalg.in_span",
-    # the inverse of MonomialBasis.decompose
-    "clifford.MonomialBasis.recompose",
-    # independent builds of the generator matrices
-    "exterior.left_mult_matrix",
-    "exterior.contraction_matrix",
-    # test helpers
-    "linalg.mat_vec",
-    "linalg.Matrix.from_rows",
+    # span membership on `rref`: the oracle for the tau-orbit bases of Alt and Sym
+    "linalg.SpanChecker",
+    "linalg.SpanChecker.contains",
     # the n <= 4 monomial route for the group action, which conjugation by
-    # lifts replaced in the checks; perfbench's tracer targets name it, so it
-    # stays until the benchmark's TARGETS are revised (ROADMAP item 4)
+    # lifts replaced in the checks
     "group.clifford_action",
 )
 
@@ -91,6 +83,17 @@ def test_every_public_definition_is_used_or_an_oracle():
 def test_oracles_exist():
     defs = _public_definitions(_modules())
     assert [name for name in ORACLES if name not in defs] == []
+
+
+def test_every_oracle_is_a_tracer_target():
+    """What keeps an oracle in the package: a `TARGETS` entry of the
+    benchmark's tracer with the same module and first path element."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {(module, attrs[0]) for module, attrs in tracer.TARGETS.values()}
+    assert [name for name in ORACLES if tuple(name.split(".")[:2]) not in traced] == []
 
 
 def test_all_names_resolve():

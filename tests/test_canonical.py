@@ -28,11 +28,12 @@ from cliffqp.errors import DomainError, EligibilityError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
 from cliffqp.involution import in_alternating
-from cliffqp.linalg import Matrix, mat_vec, rank
+from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
 from cliffqp.sampling import random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng
+from oracles import from_rows, mat_vec, rank
 
 
 def unit_matrix(ring, size, r, c):
@@ -74,7 +75,7 @@ def test_sl_basis_is_a_basis_of_sl(ring, n):
     basis = [m for _, m in sl_basis(ring, n)]
     assert len(basis) == 4 * n * n - 1
     assert all(ring.is_zero(m.trace()) for m in basis)
-    assert rank(Matrix.from_rows(ring, [m.entries for m in basis])) == len(basis)
+    assert rank(from_rows(ring, [m.entries for m in basis])) == len(basis)
 
 
 def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
@@ -226,6 +227,50 @@ def test_degree4_alt_report():
     assert degree4_alt_report(GF4).passed
     with pytest.raises(DomainError):
         degree4_alt_report(GF3)
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4))
+def test_degree4_alt_report_fails_on_a_larger_alt(monkeypatch, ring):
+    # the span claim is a dimension count: two independent elements span Alt
+    # only when Alt has dimension 2
+    honest = canonical.alt_basis
+
+    def three_rows(ring, n):
+        basis = honest(ring, n)
+        extra = (basis.rows, 0, ring.one)
+        return Matrix.from_nonzeros(ring, basis.rows + 1, basis.cols, [*basis.nonzeros(), extra])
+
+    monkeypatch.setattr(canonical, "alt_basis", three_rows)
+    out = degree4_alt_report(ring)
+    assert not out.passed
+    assert out.details == ["alternating subspace has dimension 3, want 2"]
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4))
+def test_degree4_alt_report_fails_when_a_stated_element_is_not_alternating(monkeypatch, ring):
+    mono = even_monomials_n2(ring)
+    pair = mono[3] + mono[4]
+    honest = canonical.in_alternating
+    monkeypatch.setattr(canonical, "in_alternating", lambda x: x != pair and honest(x))
+    out = degree4_alt_report(ring)
+    assert not out.passed
+    assert out.details == ["stated element 1 is not alternating"]
+
+
+def test_degree4_alt_report_fails_on_dependent_stated_elements(monkeypatch):
+    # with v2 v2* replaced by v1 v1* + 1 the second stated element is the
+    # identity itself (characteristic 2), so the pair spans a line
+    honest = canonical.even_monomials_n2
+
+    def shifted(ring):
+        mono = honest(ring)
+        mono[4] = mono[3] + mono[0]
+        return mono
+
+    monkeypatch.setattr(canonical, "even_monomials_n2", shifted)
+    out = degree4_alt_report(GF2)
+    assert not out.passed
+    assert "the stated elements are not independent" in out.details
 
 
 def test_degree4_enumeration():

@@ -67,9 +67,12 @@ FIRST_CALL = {
 @pytest.mark.parametrize("check", list(CHECKS))
 def test_a_raising_check_reports_an_error(capsys, monkeypatch, check):
     # the runner looks its function up on the module at call time, so the
-    # rebound function is the one that runs; its exception becomes the detail
+    # rebound function is the one that runs; its exception becomes the detail,
+    # which names the innermost frame: the line of `boom` that raised
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
+
+    raised_at = boom.__code__.co_firstlineno + 1
 
     monkeypatch.setattr(*FIRST_CALL[check], boom)
     n, ring = CHECKS[check][0][0]
@@ -78,7 +81,7 @@ def test_a_raising_check_reports_an_error(capsys, monkeypatch, check):
     assert code == 1
     assert doc["failed"] == len(doc["reports"]) == 1
     assert doc["reports"][0]["status"] == "error"
-    assert doc["reports"][0]["details"] == ["RuntimeError: boom"]
+    assert doc["reports"][0]["details"] == [f"RuntimeError: boom (at test_cli.py:{raised_at} in boom)"]
 
 
 def test_unknown_check_is_usage_error(capsys):

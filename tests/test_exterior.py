@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from cliffqp.errors import UsageError
 from cliffqp.exterior import (
     ExteriorVector,
-    contraction_matrix,
-    left_mult_matrix,
     mask_members,
     mask_size,
     mask_total,
@@ -16,10 +14,11 @@ from cliffqp.exterior import (
     wedge_masks,
 )
 from cliffqp.forms import b_wedge, q_wedge, q_wedge_polar
-from cliffqp.linalg import Matrix, mat_vec, matmul
+from cliffqp.linalg import Matrix, matmul
 from cliffqp.rings import GF3, GF5, QQ, ZZ
 
 from conftest import PALETTE, dense
+from oracles import contraction_matrix, left_mult_matrix, mat_vec
 
 
 def test_subset_index_fields():

@@ -27,6 +27,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
 from cliffqp.sampling import random_clifford_element, random_even_element
 
 from conftest import fresh_rng
+from oracles import from_rows, mat_vec
 
 
 def test_identity_is_orthogonal():
@@ -38,7 +39,7 @@ def test_transvection_matrix_shape():
     t = GF2.one
     b = eichler_vv(GF2, 2, 2, 1, t)
     rows = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-    assert b == Matrix.from_rows(GF2, [[GF2.from_int(v) for v in row] for row in rows])
+    assert b == from_rows(GF2, [[GF2.from_int(v) for v in row] for row in rows])
 
 
 def test_transvection_orthogonality_depends_on_characteristic():
@@ -84,7 +85,6 @@ def test_action_fixes_identity():
 def test_action_on_generator_products_matches_direct_image():
     # C(B)(Phi(m1) Phi(m2)) = Phi(B m1) Phi(B m2)
     from cliffqp.clifford import phi_vector
-    from cliffqp.linalg import mat_vec
     from cliffqp.sampling import random_vector
 
     rng = fresh_rng("direct")

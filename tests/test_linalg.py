@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,7 @@ from cliffqp.forms import b_wedge_gram
 from cliffqp.linalg import (
     Matrix,
     SpanChecker,
-    image_basis,
-    in_span,
-    kernel_basis,
-    mat_vec,
     matmul,
-    rank,
     rref,
     signed_perm_inverse,
     trace_of_product,
@@ -26,6 +22,7 @@ from cliffqp.rings import GF2, GF3, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
 
 from conftest import fresh_rng
+from oracles import from_rows, image_basis, in_span, kernel_basis, mat_vec, rank
 
 
 def test_trace_identity_mod_char():
@@ -90,7 +87,7 @@ def test_signed_perm_identity():
 
 
 def test_signed_perm_antidiag():
-    b = Matrix.from_rows(QQ, [[QQ.zero, QQ.one], [-QQ.one, QQ.zero]])
+    b = from_rows(QQ, [[QQ.zero, QQ.one], [-QQ.one, QQ.zero]])
     inv = signed_perm_inverse(b)
     assert matmul(b, inv) == Matrix.identity(QQ, 2)
     assert matmul(inv, b) == Matrix.identity(QQ, 2)
@@ -106,9 +103,9 @@ def test_gram_inverse_by_direct_multiplication(ring, n):
 
 def test_signed_perm_rejects_bad_input():
     with pytest.raises(DomainError):
-        signed_perm_inverse(Matrix.from_rows(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.one]]))
+        signed_perm_inverse(from_rows(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.one]]))
     with pytest.raises(DomainError):
-        signed_perm_inverse(Matrix.from_rows(QQ, [[QQ.from_int(2), QQ.zero], [QQ.zero, QQ.one]]))
+        signed_perm_inverse(from_rows(QQ, [[QQ.from_int(2), QQ.zero], [QQ.zero, QQ.one]]))
 
 
 def test_span_checker_matches_in_span(rng):
@@ -118,7 +115,7 @@ def test_span_checker_matches_in_span(rng):
     basis = [random_vector(GF5, 6, rng) for _ in range(3)]
     basis.append([GF5.add(x, y) for x, y in zip(basis[0], basis[1])])
     checker = SpanChecker(GF5, basis)
-    base_rank = rank(Matrix.from_rows(GF5, basis))
+    base_rank = rank(from_rows(GF5, basis))
     seen = set()
     for t in range(40):
         v = random_vector(GF5, 6, rng)
@@ -127,11 +124,33 @@ def test_span_checker_matches_in_span(rng):
             for b in basis:
                 c = GF5.sample(rng)
                 v = [GF5.add(x, GF5.mul(c, y)) for x, y in zip(v, b)]
-        want = rank(Matrix.from_rows(GF5, basis + [v])) == base_rank
+        want = rank(from_rows(GF5, basis + [v])) == base_rank
         seen.add(want)
         assert checker.contains(v) == want
         assert in_span(GF5, v, basis) == want
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3))
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_span_checker_matches_a_brute_force_span(ring, dim):
+    # SpanChecker and the rank oracle share `rref`, so this oracle shares
+    # nothing: it lists every combination of three vectors, and every vector
+    # of the ambient space is asked; the third vector is a random draw or the
+    # sum of the first two, so spans of every rank up to 3 come up
+    rng = fresh_rng(f"brute:{ring.name}:{dim}")
+    elements = list(ring.elements())
+    for t in range(6):
+        a, b = random_vector(ring, dim, rng), random_vector(ring, dim, rng)
+        third = random_vector(ring, dim, rng) if t % 2 else [ring.add(x, y) for x, y in zip(a, b)]
+        basis = [a, b, third]
+        span = {
+            tuple(ring.add(ring.add(ring.mul(c1, x), ring.mul(c2, y)), ring.mul(c3, z)) for x, y, z in zip(*basis))
+            for c1, c2, c3 in product(elements, repeat=3)
+        }
+        checker = SpanChecker(ring, basis)
+        for v in product(elements, repeat=dim):
+            assert checker.contains(list(v)) == (v in span)
 
 
 # --- the product kernel against the ring-method loop ---------------------------
@@ -260,8 +279,8 @@ def test_kernel_matches_ring_methods_on_gram_sandwich(ring, n):
 
 
 def test_q_kernel_lowers_to_lowest_terms():
-    a = Matrix.from_rows(QQ, [[Fraction(1, 6), Fraction(2 ** 65, 3)]])
-    b = Matrix.from_rows(QQ, [[Fraction(3, 4)], [Fraction(9, 2 ** 64)]])
+    a = from_rows(QQ, [[Fraction(1, 6), Fraction(2 ** 65, 3)]])
+    b = from_rows(QQ, [[Fraction(3, 4)], [Fraction(9, 2 ** 64)]])
     product = matmul(a, b).at(0, 0)
     assert product == Fraction(1, 8) + Fraction(6) and product.denominator == 8
     assert matmul(a, Matrix.zeros(QQ, 2, 1)).entries == [QQ.zero]
@@ -269,8 +288,8 @@ def test_q_kernel_lowers_to_lowest_terms():
 
 def test_z_kernel_keeps_big_integers_exact():
     big = 2 ** 64 + 1
-    a = Matrix.from_rows(ZZ, [[big, -big]])
-    b = Matrix.from_rows(ZZ, [[big], [big - 2]])
+    a = from_rows(ZZ, [[big, -big]])
+    b = from_rows(ZZ, [[big], [big - 2]])
     assert matmul(a, b).entries == [big * big - big * (big - 2)]
 
 
@@ -324,5 +343,5 @@ def test_combination_rejects_a_term_of_another_shape_or_ring(term):
 
 def test_from_nonzeros_keeps_the_last_value_of_a_position():
     m = Matrix.from_nonzeros(GF5, 2, 3, [(0, 2, 4), (1, 0, 1), (0, 2, 3)])
-    assert m == Matrix.from_rows(GF5, [[0, 0, 3], [1, 0, 0]])
+    assert m == from_rows(GF5, [[0, 0, 3], [1, 0, 0]])
     assert Matrix.from_nonzeros(GF5, 2, 2, ()) == Matrix.zeros(GF5, 2, 2)
