@@ -5,11 +5,13 @@ Every endomorphism in the package is a `Matrix`: dense random elements,
 signed permutations such as the Gram matrix, and the generator matrices
 with one nonzero per column all share this one format.  A matrix is built
 once (from entries, from nonzeros or as a linear `combination`) and never
-written afterwards, so cached matrices can be shared freely.  The product
-runs an int accumulator when both factors are dense and the ring lifts its
-elements exactly to ints (`Ring.lift`), and a row-dict loop through the
-ring methods otherwise; `trace_of_product` sums trace(a * b) without
-forming the product.
+written afterwards, so cached matrices can be shared freely, and so can
+the int image a matrix over GF(p), Z or Q keeps once it is first needed
+(`Ring.lift`: int row dicts with one scale).  Products and combinations
+over those rings add products of ints and lower each finished row once:
+in a list per output row when both factors of a product are dense, in a
+dict otherwise.  GF(4) has no int lift and goes through the ring methods;
+`trace_of_product` sums trace(a * b) without forming the product.
 Row reduction is restricted to fields and exists once, as `rref`;
 `SpanChecker` answers span membership from its reduced rows.  No check
 eliminates: the tests use both as the oracle for the tau-orbit bases of
@@ -19,7 +21,7 @@ keeps the Gram-matrix machinery available over the integers as well.
 
 from __future__ import annotations
 
-from itertools import islice
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -33,7 +35,7 @@ class Matrix:
     nonzero entries; zero entries are never stored.  No operation writes
     into an existing matrix."""
 
-    __slots__ = ("ring", "rows", "cols", "_rows")
+    __slots__ = ("ring", "rows", "cols", "_rows", "_image")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: Sequence[Element]):
         if rows <= 0 or cols <= 0:
@@ -48,12 +50,21 @@ class Matrix:
             {c: v for c, v in enumerate(entries[r * cols : (r + 1) * cols]) if not is_zero(v)}
             for r in range(rows)
         ]
+        self._image = None
 
     @classmethod
     def _of(cls, ring: Ring, rows: int, cols: int, row_dicts: list) -> "Matrix":
         m = cls.__new__(cls)
-        m.ring, m.rows, m.cols, m._rows = ring, rows, cols, row_dicts
+        m.ring, m.rows, m.cols, m._rows, m._image = ring, rows, cols, row_dicts, None
         return m
+
+    def _int_image(self) -> Optional[tuple[list, int]]:
+        """The rows as int dicts with one scale (`Ring.lift`), built on first
+        use and kept, which is sound because no operation writes into a
+        matrix; None when the ring has no int lift."""
+        if self._image is None:
+            self._image = self.ring.lift(self._rows)
+        return self._image
 
     @classmethod
     def from_nonzeros(
@@ -75,13 +86,33 @@ class Matrix:
         cls, ring: Ring, rows: int, cols: int, terms: Iterable[tuple[Element, "Matrix"]]
     ) -> "Matrix":
         """The sum of c * m over the (c, m) pairs in terms, each m a rows x cols
-        matrix over ring; zero coefficients are skipped."""
+        matrix over ring; zero coefficients are skipped.
+
+        With an int lift the coefficients and the terms' int images are
+        summed in one int dict per row, each row lowered once; GF(4) adds
+        through the ring methods, the loop the int sum is tested against.
+        """
         out = cls.zeros(ring, rows, cols)
+        live = []
         for c, m in terms:
             out._check_shape(m)
             if not ring.is_zero(c):
+                live.append((c, m))
+        images = [m._int_image() for _, m in live]
+        if not live or None in images:
+            for c, m in live:
                 _rows_axpy(ring, out._rows, c, m._rows)
-        return out
+            return out
+        (coeffs,), cscale = ring.lift([dict(enumerate(c for c, _ in live))])
+        mscale = lcm(*(scale for _, scale in images))
+        acc = out._rows
+        for i, (mrows, scale) in enumerate(images):
+            c = coeffs[i] * (mscale // scale)
+            for row, mrow in zip(acc, mrows):
+                for j, v in mrow.items():
+                    row[j] = row.get(j, 0) + c * v
+        lower, scale = ring.lower, cscale * mscale
+        return cls._of(ring, rows, cols, [lower(row.items(), scale) if row else row for row in acc])
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -205,6 +236,7 @@ class SignedPermutation(Matrix):
         one, minus_one = ring.one, ring.neg(ring.one)
         rows = [{c: minus_one if r in negated else one} for r, c in enumerate(perm)]
         self.ring, self.rows, self.cols, self._rows = ring, len(perm), len(perm), rows
+        self._image = None
         self.perm, self.negated = perm, negated
 
 
@@ -212,14 +244,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product, over the stored nonzeros only.
 
     A `SignedPermutation` on the left moves and negates rows of the right
-    factor, with no ring product.  When both factors are dense
-    (4 * nonzeros >= entries, summed over the two) and the ring lifts its
-    elements exactly to ints (GF(p), Z, Q), each output row is accumulated
-    in a list of Python ints and lowered once.  Otherwise, GF(4) always
-    among them, a dict per output row collects the products through the
-    ring methods; that loop is also the oracle the int path is tested
-    against.  The factor 4 was timed against 2 and 8 on the benchmark
-    workloads (`BENCH_3.json`, "cutoff").
+    factor, with no ring product.  Over GF(p), Z and Q the product
+    multiplies and adds the factors' cached int images (`Ring.lift`) and
+    lowers each output row once: into a list of ints per output row when
+    both factors are dense (4 * nonzeros >= entries, summed over the two),
+    into a dict otherwise, which touches only the columns a row reaches.
+    The factor 4 was timed against 2 and 8 on the benchmark workloads
+    (`BENCH_3.json`, "cutoff").  Over GF(4), which has no int lift, a dict
+    per output row collects the products through the ring methods; that
+    loop is also the oracle the int accumulators are tested against.
     """
     ring = a.ring
     if a.cols != b.rows or (ring is not b.ring and ring != b.ring):  # as in Matrix._check_shape
@@ -231,21 +264,36 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             if out[r]:
                 out[r] = {j: neg(w) for j, w in out[r].items()}
         return Matrix._of(ring, a.rows, b.cols, out)
+    lifted = a._int_image()
+    out = []
+    if lifted is None:
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        brows = b._rows
+        for row in a._rows:
+            acc: dict = {}
+            for k, aik in row.items():
+                for j, v in brows[k].items():
+                    cur = acc.get(j)
+                    acc[j] = mul(aik, v) if cur is None else add(cur, mul(aik, v))
+            out.append({j: v for j, v in acc.items() if not is_zero(v)} if acc else acc)
+        return Matrix._of(ring, a.rows, b.cols, out)
+    (arows, ascale), (brows, bscale) = lifted, b._int_image()
+    lower, scale = ring.lower, ascale * bscale
     nonzeros = sum(map(len, a._rows)) + sum(map(len, b._rows))
     if 4 * nonzeros >= a.rows * a.cols + b.rows * b.cols:
-        lifted_a = ring.lift([v for row in a._rows for v in row.values()])
-        if lifted_a is not None:
-            return _matmul_lifted(a, b, lifted_a)
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    brows = b._rows
-    out = []
-    for row in a._rows:
-        acc: dict = {}
-        for k, aik in row.items():
-            for j, v in brows[k].items():
-                cur = acc.get(j)
-                acc[j] = mul(aik, v) if cur is None else add(cur, mul(aik, v))
-        out.append({j: v for j, v in acc.items() if not is_zero(v)} if acc else acc)
+        for row in arows:
+            acc = [0] * b.cols
+            for k, aik in row.items():
+                for j, v in brows[k].items():
+                    acc[j] += aik * v
+            out.append(lower(enumerate(acc), scale))
+    else:
+        for row in arows:
+            acc = {}
+            for k, aik in row.items():
+                for j, v in brows[k].items():
+                    acc[j] = acc.get(j, 0) + aik * v
+            out.append(lower(acc.items(), scale) if acc else acc)
     return Matrix._of(ring, a.rows, b.cols, out)
 
 
@@ -266,23 +314,6 @@ def trace_of_product(a: Matrix, b: Matrix) -> Element:
             if w is not None:
                 total = add(total, mul(v, w))
     return total
-
-
-def _matmul_lifted(a: Matrix, b: Matrix, lifted_a: tuple[list[int], int]) -> Matrix:
-    ring = a.ring
-    (ai, ascale), (bi, bscale) = lifted_a, ring.lift([v for row in b._rows for v in row.values()])
-    scale, lower = ascale * bscale, ring.lower
-    values = iter(bi)
-    brows = [list(zip(row, islice(values, len(row)))) for row in b._rows]
-    values = iter(ai)
-    out = []
-    for row in a._rows:
-        acc = [0] * b.cols
-        for k, aik in zip(row, islice(values, len(row))):
-            for j, v in brows[k]:
-                acc[j] += aik * v
-        out.append(lower(acc, scale))
-    return Matrix._of(ring, a.rows, b.cols, out)
 
 
 def _rows_axpy(ring: Ring, rows: list, c: Element, others: list) -> None:

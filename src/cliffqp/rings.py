@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 
@@ -58,20 +58,24 @@ class Ring:
         """(-1)**parity as a ring element."""
         return self.one if parity % 2 == 0 else self.neg(self.one)
 
-    def lift(self, entries: Sequence[Element]) -> Optional[tuple[list[int], int]]:
-        """Exact integer images with one common scale: entry i is ints[i] / scale.
+    def lift(self, rows: Sequence[dict]) -> Optional[tuple[list[dict], int]]:
+        """The rows {col: nonzero} of a matrix as exact ints with one common
+        scale: the entry at (r, c) is ints[r][c] / scale.
 
-        Matrix kernels accumulate lifted products in Python ints and map
-        each finished sum back once through `lower`.  None means the ring
-        has no such lift and kernels go through the ring methods instead.
+        Matrix kernels multiply and add these ints and map each finished
+        row back once through `lower`.  GF(p) and Z rows are their own
+        image; Q rows are scaled by the lcm of their denominators.  None
+        means the ring has no such lift and the kernels go through the ring
+        methods instead: GF(4) is that ring, because no packing of its pairs
+        into one int was faster than its bit operations.
         """
         return None
 
-    def lower(self, ints: list[int], scale: int) -> dict[int, Element]:
-        """The nonzero ring elements among ints[i] / scale, keyed by i, for
-        sums of products of lifts.
+    def lower(self, pairs: Iterable[tuple[int, int]], scale: int) -> dict[int, Element]:
+        """The row {col: nonzero} of the ring elements v / scale over the
+        (col, v) pairs, v a sum of products of lifted ints.
 
-        scale is the product of the scales `lift` returned.
+        scale is the product of the scales the lifted factors came with.
         """
         raise NotImplementedError
 
@@ -125,12 +129,12 @@ class PrimeField(Ring):
     def from_int(self, k):
         return k % self.p
 
-    def lift(self, entries):
-        return entries, 1
+    def lift(self, rows):
+        return rows, 1
 
-    def lower(self, ints, scale):
+    def lower(self, pairs, scale):
         p = self.p  # scale is always 1 here
-        return {i: r for i, v in enumerate(ints) if (r := v % p)}
+        return {j: r for j, v in pairs if (r := v % p)}
 
     def elements(self):
         return iter(range(self.p))
@@ -188,6 +192,9 @@ class Rationals(Ring):
         self.is_field = True
         self.zero = Fraction(0)
         self.one = Fraction(1)
+        # the 171 values `sample` draws, keyed by its two draws: a lookup
+        # costs less than building and reducing a Fraction per draw
+        self._samples = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
 
     def add(self, a, b):
         return a + b
@@ -209,15 +216,16 @@ class Rationals(Ring):
     def from_int(self, k):
         return Fraction(k)
 
-    def lift(self, entries):
-        scale = lcm(*{x.denominator for x in entries})
-        return [x.numerator * (scale // x.denominator) for x in entries], scale
+    def lift(self, rows):
+        scale = lcm(*{x.denominator for row in rows for x in row.values()})
+        ints = [{c: x.numerator * (scale // x.denominator) for c, x in row.items()} for row in rows]
+        return ints, scale
 
-    def lower(self, ints, scale):
-        return {i: Fraction(v, scale) for i, v in enumerate(ints) if v}
+    def lower(self, pairs, scale):
+        return {j: Fraction(v, scale) for j, v in pairs if v}
 
     def sample(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return self._samples[rng.randint(-9, 9), rng.randint(1, 9)]
 
 
 class Integers(Ring):
@@ -247,11 +255,11 @@ class Integers(Ring):
     def from_int(self, k):
         return k
 
-    def lift(self, entries):
-        return entries, 1
+    def lift(self, rows):
+        return rows, 1
 
-    def lower(self, ints, scale):
-        return {i: v for i, v in enumerate(ints) if v}  # scale is always 1 here
+    def lower(self, pairs, scale):
+        return {j: v for j, v in pairs if v}  # scale is always 1 here
 
     def sample(self, rng):
         return rng.randint(-9, 9)

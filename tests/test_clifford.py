@@ -95,14 +95,14 @@ def test_involution_fixes_generators(ring, n):
 
 def test_generators_are_shared_and_no_operation_writes_its_operands():
     # matrices are immutable: the cached generator is handed out itself, and
-    # every operation leaves the entries of its operands as they were
+    # every operation leaves the entries and the cached int image of its
+    # operands as they were
     assert generator_matrix(GF3, 2, 0) is generator_matrix(GF3, 2, 0)
     rng = fresh_rng("immutable")
-    for ring in (GF3, QQ, GF4):  # dense products take the int lift, GF(4) the row dicts
+    for ring in (GF3, QQ, GF4):  # GF(3) rows are their own image, Q's are scaled, GF(4) has none
         a, b = (random_clifford_element(ring, 2, rng).matrix for _ in range(2))
         perm = signed_perm_inverse(b_wedge_gram(ring, 2))
         assert isinstance(perm, SignedPermutation)
-        assert (ring.lift([ring.one]) is None) == (ring is GF4)
         c = ring.sample(rng)
         operations = {
             "+": lambda: a + b,
@@ -115,10 +115,34 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             "trace_of_product": lambda: (trace_of_product(a, b), trace_of_product(perm, a)),
             "*": lambda: (a * b, perm * a, a * perm, perm * perm),
         }
-        before = [m.entries for m in (a, b, perm)]
+        images = [m._int_image() for m in (a, b, perm)]
+        assert (images[0] is None) == (ring is GF4)
+        copied = lambda image: image and ([dict(row) for row in image[0]], image[1])
+        before = [m.entries for m in (a, b, perm)], [copied(image) for image in images]
         for name, operation in operations.items():
             operation()
-            assert [m.entries for m in (a, b, perm)] == before, (ring.name, name)
+            now = [m._int_image() for m in (a, b, perm)]
+            assert all(x is y for x, y in zip(now, images)), (ring.name, name)  # kept, not rebuilt
+            assert ([m.entries for m in (a, b, perm)], [copied(image) for image in now]) == before, (ring.name, name)
+
+
+def test_a_shared_generator_is_lifted_once():
+    g = generator_matrix(QQ, 3, 1)
+    image = g._int_image()
+    x = random_clifford_element(QQ, 3, fresh_rng("lift once")).matrix
+    lifted = []
+    lift = QQ.lift
+    QQ.lift = lambda rows: lifted.append(rows) or lift(rows)
+    try:
+        for _ in range(2):
+            x * g, g * x, g * g
+            Matrix.combination(QQ, 8, 8, [(QQ.one, g), (QQ.one, x)])
+    finally:
+        del QQ.lift
+    # x is lifted on its first product and the coefficients of each
+    # combination once; the generator's image is never rebuilt
+    assert len(lifted) == 3
+    assert generator_matrix(QQ, 3, 1)._int_image() is image
 
 
 @pytest.mark.parametrize("ring", (GF3, QQ))

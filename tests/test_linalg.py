@@ -1,5 +1,6 @@
 """Exact matrix arithmetic and field elimination."""
 
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -8,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffqp.clifford import generator_matrix, phi_vector
 from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.forms import b_wedge_gram
 from cliffqp.linalg import (
     Matrix,
+    SignedPermutation,
     SpanChecker,
     matmul,
     rref,
     signed_perm_inverse,
     trace_of_product,
 )
-from cliffqp.rings import GF2, GF3, GF5, QQ, RING_BY_NAME, ZZ
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
 
 from conftest import fresh_rng
@@ -196,24 +199,37 @@ def product_operands(draw, ring):
 def textbook_product(a, b):
     """Sum over every k of a[i, k] * b[k, j], through the ring methods only."""
     ring = a.ring
+    arows = [[a.at(i, k) for k in range(a.cols)] for i in range(a.rows)]
+    bcols = [b.col(j) for j in range(b.cols)]
     out = []
-    for i in range(a.rows):
-        for j in range(b.cols):
+    for row in arows:
+        for col in bcols:
             total = ring.zero
-            for k in range(a.cols):
-                total = ring.add(total, ring.mul(a.at(i, k), b.at(k, j)))
+            for x, y in zip(row, col):
+                total = ring.add(total, ring.mul(x, y))
             out.append(total)
     return Matrix(ring, a.rows, b.cols, out)
 
 
 @contextmanager
 def ring_method_path(ring):
-    """Force matmul onto its ring-method loop by hiding the ring's int lift."""
-    ring.lift = lambda entries: None
+    """Run the kernels on their ring-method loops, whatever int image a
+    matrix has cached, and collect one entry per `ring.mul` call into the
+    yielded list, so that a test can tell that the loop really ran."""
+    calls = []
+    mul, image = ring.mul, Matrix._int_image
+
+    def counted(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    ring.mul = counted
+    Matrix._int_image = lambda self: None
     try:
-        yield
+        yield calls
     finally:
-        del ring.lift
+        Matrix._int_image = image
+        del ring.mul
 
 
 def assert_product_exact(a, b):
@@ -221,12 +237,24 @@ def assert_product_exact(a, b):
     entry, down to the Python type of every entry."""
     want = textbook_product(a, b)
     got = matmul(a, b)
-    with ring_method_path(a.ring):
+    with ring_method_path(a.ring) as calls:
         generic = matmul(a, b)
+    # the loop multiplies each nonzero a[i, k] by each nonzero in row k of b;
+    # a SignedPermutation on the left only moves rows
+    per_row = Counter(k for k, _, _ in b.nonzeros())
+    products = sum(per_row[k] for _, k, _ in a.nonzeros())
+    assert len(calls) == (0 if isinstance(a, SignedPermutation) else products)
     for m in (got, generic):
         assert (m.rows, m.cols) == (want.rows, want.cols)
         assert m.entries == want.entries
         assert [type(x) for x in m.entries] == [type(x) for x in want.entries]
+
+
+def below_cutoff(a, b):
+    """The product takes the dict accumulator: fewer than a quarter of the
+    operands' entries are nonzero."""
+    nonzeros = sum(1 for _ in a.nonzeros()) + sum(1 for _ in b.nonzeros())
+    return 4 * nonzeros < a.rows * a.cols + b.rows * b.cols
 
 
 def random_signed_permutation(ring, size, rng):
@@ -236,9 +264,38 @@ def random_signed_permutation(ring, size, rng):
     return Matrix.from_nonzeros(ring, size, size, zip(range(size), cols, signs))
 
 
+def lowered_as(a, b):
+    """What `matmul(a, b)` hands `Ring.lower` per output row, by type name."""
+    ring, handed = a.ring, set()
+    lower = ring.lower
+    ring.lower = lambda pairs, scale: handed.add(type(pairs).__name__) or lower(pairs, scale)
+    try:
+        matmul(a, b)
+    finally:
+        del ring.lower
+    return handed
+
+
 def test_kernel_rings_cover_the_int_lift_and_the_ring_methods():
-    lifted = {r.name for r in KERNEL_RINGS if r.lift([r.one]) is not None}
-    assert lifted == {"gf2", "gf3", "gf5", "q", "z"}  # gf4 keeps the ring methods
+    # every ring but GF(4) multiplies int images: a list per output row above
+    # the cutoff (enumerated when lowered), a dict below it
+    for ring in KERNEL_RINGS:
+        dense, sparse = Matrix(ring, 2, 2, [ring.one] * 4), Matrix.identity(ring, 8)
+        assert not below_cutoff(dense, dense) and below_cutoff(sparse, sparse)
+        lifted = ring is not GF4
+        assert lowered_as(dense, dense) == ({"enumerate"} if lifted else set())
+        assert lowered_as(sparse, sparse) == ({"dict_items"} if lifted else set())
+
+
+def test_int_images_are_the_rows_or_their_scaled_numerators():
+    for ring in (GF2, GF3, GF5, ZZ):
+        m = Matrix.identity(ring, 3)
+        rows, scale = m._int_image()
+        assert rows is m._rows and scale == 1  # no copy
+    m = from_rows(QQ, [[Fraction(1, 6), QQ.zero], [Fraction(-3, 4), Fraction(5)]])
+    assert m._int_image() == ([{0: 2}, {0: -9, 1: 60}], 12)
+    assert m._int_image() is m._int_image()  # built once
+    assert Matrix.identity(GF4, 3)._int_image() is None
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
@@ -263,6 +320,34 @@ def test_kernel_matches_ring_methods_on_structured_operands(ring, data):
         assert_product_exact(x, special)
     assert matmul(Matrix.identity(ring, size), x) == x
     assert matmul(x, Matrix.zeros(ring, size, size)) == Matrix.zeros(ring, size, size)
+
+
+@st.composite
+def one_nonzero_per_row(draw, ring, rows, cols):
+    nonzero = element_strategy(ring).map(lambda v: ring.one if ring.is_zero(v) else v)
+    triples = [(r, draw(st.integers(0, cols - 1)), draw(nonzero)) for r in range(rows)]
+    return Matrix.from_nonzeros(ring, rows, cols, triples)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_ring_methods_below_the_cutoff(ring, data):
+    # the sparse operands of the checks: one nonzero per row (signed
+    # permutations, matrix units), generator matrices and Phi(m) = sum m_k e_k
+    size = data.draw(st.sampled_from((8, 16)))
+    x = data.draw(one_nonzero_per_row(ring, size, size))
+    y = data.draw(one_nonzero_per_row(ring, size, size))
+    n = data.draw(st.integers(3, 5))
+    gen = generator_matrix(ring, n, data.draw(st.integers(0, 2 * n - 1)))
+    coeffs = data.draw(st.lists(element_strategy(ring), min_size=2 * n, max_size=2 * n))
+    phi = phi_vector(ring, n, coeffs).matrix
+    pairs = [(x, y), (gen, phi), (phi, gen)]
+    if n == 5:
+        pairs.append((phi, phi))  # the relations check's Phi(m)^2, sparse from n = 5
+    for a, b in pairs:
+        assert below_cutoff(a, b)
+        assert_product_exact(a, b)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
@@ -307,24 +392,48 @@ def test_trace_of_product_matches_trace_of_matmul(ring, data):
         trace_of_product(a, Matrix.zeros(ring, m, n + 1))
 
 
+def assert_combination_exact(ring, rows, cols, terms):
+    """`Matrix.combination`, its ring-method loop and a fold of sums and
+    scales agree entry for entry, down to the Python type of every entry."""
+    want = Matrix.zeros(ring, rows, cols)
+    for c, m in terms:
+        want = want + m.scale(c)
+    got = Matrix.combination(ring, rows, cols, terms)
+    with ring_method_path(ring) as calls:
+        generic = Matrix.combination(ring, rows, cols, terms)
+    # the loop multiplies each nonzero of a term whose coefficient is nonzero
+    assert len(calls) == sum(sum(1 for _ in m.nonzeros()) for c, m in terms if not ring.is_zero(c))
+    for m in (got, generic):
+        assert m == want
+        assert [type(x) for x in m.entries] == [type(x) for x in want.entries]
+
+
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_combination_matches_a_fold_of_sums_and_scales(ring, data):
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     coefficient = st.one_of(st.just(ring.zero), element_strategy(ring))
+    if hasattr(ring, "p"):
+        coefficient = st.one_of(coefficient, st.integers(ring.p, 2 * ring.p))  # unreduced
     term = st.tuples(coefficient, matrix_strategy(ring, rows, cols))
-    terms = data.draw(st.lists(term, max_size=5))
-    want = Matrix.zeros(ring, rows, cols)
-    for c, m in terms:
-        want = want + m.scale(c)
-    got = Matrix.combination(ring, rows, cols, terms)
-    assert got == want
-    assert [type(x) for x in got.entries] == [type(x) for x in want.entries]
+    assert_combination_exact(ring, rows, cols, data.draw(st.lists(term, max_size=5)))
     m = data.draw(matrix_strategy(ring, rows, cols))
     c = data.draw(element_strategy(ring).filter(lambda c: not ring.is_zero(c)))
     cancelled = Matrix.combination(ring, rows, cols, [(c, m), (ring.neg(c), m)])
     assert cancelled == Matrix.zeros(ring, rows, cols) and cancelled.is_zero()
+
+
+def test_combination_of_mixed_denominators_and_zero_or_unreduced_coefficients():
+    a = from_rows(QQ, [[Fraction(1, 6), Fraction(2 ** 65, 3)], [QQ.zero, Fraction(-5, 4)]])
+    b = from_rows(QQ, [[Fraction(9, 2 ** 64), QQ.one], [Fraction(7, 10), QQ.zero]])
+    terms = [(Fraction(3, 7), a), (QQ.zero, b), (Fraction(-5, 9), b), (Fraction(4, 7), a)]
+    assert_combination_exact(QQ, 2, 2, terms)
+    assert Matrix.combination(QQ, 2, 2, terms) == a + b.scale(Fraction(-5, 9))
+    g = from_rows(GF3, [[1, 2], [0, 1]])
+    # 3 is zero in GF(3) without being the stored zero, and 4 is one
+    assert_combination_exact(GF3, 2, 2, [(3, g), (GF3.zero, g)])
+    assert Matrix.combination(GF3, 2, 2, [(3, g), (4, g)]) == g
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Ring axioms, inverses, characteristics, and morphisms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -144,3 +145,17 @@ def test_ring_by_name():
     assert ring_by_name("q") is QQ
     with pytest.raises(DomainError):
         ring_by_name("gf6")
+
+
+def test_rational_samples_keep_their_seeded_stream():
+    # the draws are Fraction(randint(-9, 9), randint(1, 9)) in that order,
+    # looked up in a table; a seeded run must keep drawing the same values
+    rng = random.Random(2023)
+    drawn = [QQ.sample(rng) for _ in range(12)]
+    want = ["3/8", "1/2", "3/2", "-3", "0", "7/5", "-1", "-4", "-1/2", "-7/3", "-2", "-5/8"]
+    assert [str(x) for x in drawn] == want
+    assert all(type(x) is Fraction for x in drawn)
+    rng, again = random.Random(5), random.Random(5)
+    for _ in range(2000):
+        assert QQ.sample(rng) == Fraction(again.randint(-9, 9), again.randint(1, 9))
+    assert rng.random() == again.random()  # the same number of draws
