@@ -1,27 +1,23 @@
-"""Exact immutable matrices over a generic ring, stored as one
-{col: nonzero} dict per row.
+"""Exact immutable matrices over a generic ring: one {col: nonzero int}
+dict per row over one scale.
 
-Every endomorphism in the package is a `Matrix`: dense random elements,
-signed permutations such as the Gram matrix, and the generator matrices
-with one nonzero per column all share this one format.  A matrix is built
-once (from entries, from nonzeros or as a linear `combination`) and never
-written afterwards, so cached matrices can be shared freely, and so can
-the int image a matrix over GF(p), Z or Q keeps once it is first needed
-(`Ring.lift`: int row dicts with one scale).  Products and combinations
-over those rings add products of ints and lower each finished row once:
-in a list per output row when both factors of a product are dense, in a
-dict otherwise.  GF(4) has no int lift and goes through the ring methods;
-`trace_of_product` sums trace(a * b) without forming the product.
-Row reduction is restricted to fields and exists once, as `rref`;
-`SpanChecker` answers span membership from its reduced rows.  No check
-eliminates: the tests use both as the oracle for the tau-orbit bases of
-Alt and Sym.  Signed permutation matrices invert without division, which
-keeps the Gram-matrix machinery available over the integers as well.
+Every endomorphism in the package is a `Matrix`, in this one format.  The
+ints are those of `Ring.lift` (GF(p) and Z elements, GF(4) elements packed
+as a | b << 32, Q numerators), and every matrix made is divided by the gcd
+of its ints and its scale, so equal matrices store equal ints.  A matrix
+is never written after it is built, so cached matrices and their rows are
+shared freely.  Products, combinations and `trace_of_product` add products
+of stored ints and reduce them with `Ring.lower`, in one kernel for all
+six rings.  Row reduction exists once, as `rref` on element rows over a
+field; `SpanChecker` answers span membership from its reduced rows, and
+no check eliminates.  Signed permutation matrices invert without division,
+which keeps the Gram-matrix machinery available over the integers.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -31,40 +27,38 @@ Vector = list
 
 
 class Matrix:
-    """A rows x cols matrix holding, per row, a dict {col: value} of its
-    nonzero entries; zero entries are never stored.  No operation writes
-    into an existing matrix."""
+    """A rows x cols matrix holding, per row, a dict {col: int} of its
+    nonzero entries as stored ints over one scale (`Ring.lift`); zero
+    entries are never stored.  No operation writes into an existing
+    matrix."""
 
-    __slots__ = ("ring", "rows", "cols", "_rows", "_image")
+    __slots__ = ("ring", "rows", "cols", "_rows", "_scale")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries: Sequence[Element]):
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         if len(entries) != rows * cols:
             raise UsageError(f"expected {rows * cols} entries, got {len(entries)}")
-        is_zero = ring.is_zero
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
+        ints, self._scale = ring.lift(entries)
+        self.ring, self.rows, self.cols = ring, rows, cols
         self._rows = [
-            {c: v for c, v in enumerate(entries[r * cols : (r + 1) * cols]) if not is_zero(v)}
-            for r in range(rows)
+            {c: v for c, v in enumerate(ints[r * cols : (r + 1) * cols]) if v} for r in range(rows)
         ]
-        self._image = None
 
     @classmethod
-    def _of(cls, ring: Ring, rows: int, cols: int, row_dicts: list) -> "Matrix":
+    def _canonical(cls, ring: Ring, rows: int, cols: int, row_dicts: list, scale: int) -> "Matrix":
+        """The matrix of the stored ints over scale, both divided by their
+        gcd, which makes the stored form of a matrix unique."""
+        g = scale
+        for row in row_dicts:
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g != 1:
+            row_dicts, scale = [{c: v // g for c, v in row.items()} for row in row_dicts], scale // g
         m = cls.__new__(cls)
-        m.ring, m.rows, m.cols, m._rows, m._image = ring, rows, cols, row_dicts, None
+        m.ring, m.rows, m.cols, m._rows, m._scale = ring, rows, cols, row_dicts, scale
         return m
-
-    def _int_image(self) -> Optional[tuple[list, int]]:
-        """The rows as int dicts with one scale (`Ring.lift`), built on first
-        use and kept, which is sound because no operation writes into a
-        matrix; None when the ring has no int lift."""
-        if self._image is None:
-            self._image = self.ring.lift(self._rows)
-        return self._image
 
     @classmethod
     def from_nonzeros(
@@ -79,40 +73,41 @@ class Matrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise UsageError(f"position ({r}, {c}) outside a {rows}x{cols} matrix")
             out[r][c] = v
-        return cls._of(ring, rows, cols, out)
+        values = list(chain.from_iterable(map(dict.values, out)))
+        ints, scale = ring.lift(values)
+        if ints is not values or 0 in ints:  # some value changed or is zero: rebuild the rows
+            ints = iter(ints)  # zip takes the next int only while a row has a column left
+            out = [{c: v for c, v in zip(row, ints) if v} for row in out]
+        return cls._canonical(ring, rows, cols, out, scale)
 
     @classmethod
     def combination(
         cls, ring: Ring, rows: int, cols: int, terms: Iterable[tuple[Element, "Matrix"]]
     ) -> "Matrix":
         """The sum of c * m over the (c, m) pairs in terms, each m a rows x cols
-        matrix over ring; zero coefficients are skipped.
-
-        With an int lift the coefficients and the terms' int images are
-        summed in one int dict per row, each row lowered once; GF(4) adds
-        through the ring methods, the loop the int sum is tested against.
-        """
-        out = cls.zeros(ring, rows, cols)
-        live = []
-        for c, m in terms:
-            out._check_shape(m)
-            if not ring.is_zero(c):
-                live.append((c, m))
-        images = [m._int_image() for _, m in live]
-        if not live or None in images:
-            for c, m in live:
-                _rows_axpy(ring, out._rows, c, m._rows)
-            return out
-        (coeffs,), cscale = ring.lift([dict(enumerate(c for c, _ in live))])
-        mscale = lcm(*(scale for _, scale in images))
-        acc = out._rows
-        for i, (mrows, scale) in enumerate(images):
-            c = coeffs[i] * (mscale // scale)
-            for row, mrow in zip(acc, mrows):
-                for j, v in mrow.items():
-                    row[j] = row.get(j, 0) + c * v
-        lower, scale = ring.lower, cscale * mscale
-        return cls._of(ring, rows, cols, [lower(row.items(), scale) if row else row for row in acc])
+        matrix over ring; zero coefficients are skipped.  The lifted
+        coefficients times the terms' stored ints, brought to one scale, are
+        summed in an int dict for each row that a term reaches."""
+        terms = list(terms)
+        coeffs, cscale = ring.lift([c for c, _ in terms])
+        mscale = 1
+        for _, m in terms:
+            _check_shape(ring, rows, cols, m)
+            mscale = lcm(mscale, m._scale)
+        acc: list = [None] * rows
+        for c, (_, m) in zip(coeffs, terms):
+            if not c:
+                continue
+            c *= mscale // m._scale
+            for r, mrow in enumerate(m._rows):
+                if mrow:
+                    row = acc[r]
+                    if row is None:
+                        acc[r] = row = {}
+                    for j, v in mrow.items():
+                        row[j] = row.get(j, 0) + c * v
+        out = ring.lower(row.items() if row else () for row in acc)
+        return cls._canonical(ring, rows, cols, out, cscale * mscale)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -125,22 +120,27 @@ class Matrix:
     @property
     def entries(self) -> list:
         """All entries, row-major, as a new list: a dense read-only view."""
-        zero = self.ring.zero
+        element, scale = self.ring.element, self._scale
         cols = range(self.cols)
-        return [row.get(c, zero) for row in self._rows for c in cols]
+        return [element(row.get(c, 0), scale) for row in self._rows for c in cols]
 
     def at(self, r: int, c: int) -> Element:
-        return self._rows[r].get(c, self.ring.zero)
+        return self.ring.element(self._rows[r].get(c, 0), self._scale)
 
     def nonzeros(self) -> Iterator[tuple[int, int, Element]]:
         """(row, col, value) for every stored nonzero entry."""
+        element, scale = self.ring.element, self._scale
         for r, row in enumerate(self._rows):
             for c, v in row.items():
-                yield r, c, v
+                yield r, c, element(v, scale)
 
     def col(self, c: int) -> Vector:
-        zero = self.ring.zero
-        return [row.get(c, zero) for row in self._rows]
+        element, scale = self.ring.element, self._scale
+        return [element(row.get(c, 0), scale) for row in self._rows]
+
+    def _element_rows(self) -> list[dict]:
+        element, scale = self.ring.element, self._scale
+        return [{c: element(v, scale) for c, v in row.items()} for row in self._rows]
 
     def __eq__(self, other) -> bool:
         if not (
@@ -150,22 +150,23 @@ class Matrix:
             and self.cols == other.cols
         ):
             return False
-        return self._rows == other._rows  # ring elements compare structurally
+        return self._scale == other._scale and self._rows == other._rows  # both canonical
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
-        self._check_shape(other)
-        zero, is_zero = self.ring.zero, self.ring.is_zero
+        _check_shape(self.ring, self.rows, self.cols, other)
+        scale = lcm(self._scale, other._scale)
+        k_self, k_other = scale // self._scale, scale // other._scale  # both 1 but over Q
         rows = []
         for mine, theirs in zip(self._rows, other._rows):
-            row = dict(mine)
+            row = dict(mine) if k_self == 1 else {c: k_self * v for c, v in mine.items()}
             for c, v in theirs.items():
-                w = op(row.get(c, zero), v)
-                if is_zero(w):
-                    row.pop(c, None)
-                else:
+                w = op(row.get(c, 0), k_other * v)
+                if w:
                     row[c] = w
+                else:
+                    row.pop(c, None)
             rows.append(row)
-        return Matrix._of(self.ring, self.rows, self.cols, rows)
+        return Matrix._canonical(self.ring, self.rows, self.cols, rows, scale)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, self.ring.add)
@@ -174,16 +175,12 @@ class Matrix:
         return self._combine(other, self.ring.sub)
 
     def __neg__(self) -> "Matrix":
-        return self._map_nonzeros(self.ring.neg)
+        neg = self.ring.neg
+        rows = [{c: neg(v) for c, v in row.items()} for row in self._rows]
+        return Matrix._canonical(self.ring, self.rows, self.cols, rows, self._scale)
 
     def scale(self, c: Element) -> "Matrix":
-        mul = self.ring.mul
-        return self._map_nonzeros(lambda v: mul(c, v))
-
-    def _map_nonzeros(self, fn) -> "Matrix":
-        is_zero = self.ring.is_zero
-        rows = [{c: w for c, v in row.items() if not is_zero(w := fn(v))} for row in self._rows]
-        return Matrix._of(self.ring, self.rows, self.cols, rows)
+        return Matrix.combination(self.ring, self.rows, self.cols, ((c, self),))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return matmul(self, other)
@@ -193,16 +190,12 @@ class Matrix:
         for r, row in enumerate(self._rows):
             for c, v in row.items():
                 out[c][r] = v
-        return Matrix._of(self.ring, self.cols, self.rows, out)
+        return Matrix._canonical(self.ring, self.cols, self.rows, out, self._scale)
 
     def trace(self) -> Element:
         if self.rows != self.cols:
             raise UsageError("trace needs a square matrix")
-        total = self.ring.zero
-        for i, row in enumerate(self._rows):
-            if i in row:
-                total = self.ring.add(total, row[i])
-        return total
+        return _element(self.ring, sum(row.get(i, 0) for i, row in enumerate(self._rows)), self._scale)
 
     def is_zero(self) -> bool:
         return not any(self._rows)
@@ -210,11 +203,6 @@ class Matrix:
     def map_entries(self, fn, ring: Optional[Ring] = None) -> "Matrix":
         """Apply a coefficient map entrywise, e.g. a ring morphism."""
         return Matrix(ring or self.ring, self.rows, self.cols, [fn(a) for a in self.entries])
-
-    def _check_shape(self, other: "Matrix") -> None:
-        same_ring = self.ring is other.ring or self.ring == other.ring  # `is` skips a Python call
-        if self.rows != other.rows or self.cols != other.cols or not same_ring:
-            raise UsageError("matrix shapes or rings differ")
 
     def __repr__(self) -> str:
         show = self.ring.show
@@ -225,6 +213,12 @@ class Matrix:
         return f"Matrix({self.ring.name}, [" + ", ".join(rows) + "])"
 
 
+def _check_shape(ring: Ring, rows: int, cols: int, other: Matrix) -> None:
+    same_ring = ring is other.ring or ring == other.ring  # `is` skips a Python call
+    if rows != other.rows or cols != other.cols or not same_ring:
+        raise UsageError("matrix shapes or rings differ")
+
+
 class SignedPermutation(Matrix):
     """A signed permutation matrix: row r holds a single +1 or -1, at
     column perm[r], and -1 exactly for the rows in `negated`.
@@ -233,68 +227,58 @@ class SignedPermutation(Matrix):
     __slots__ = ("perm", "negated")
 
     def __init__(self, ring: Ring, perm: list[int], negated: frozenset[int]):
-        one, minus_one = ring.one, ring.neg(ring.one)
+        (one, minus_one), _ = ring.lift([ring.one, ring.neg(ring.one)])
         rows = [{c: minus_one if r in negated else one} for r, c in enumerate(perm)]
-        self.ring, self.rows, self.cols, self._rows = ring, len(perm), len(perm), rows
-        self._image = None
+        self.ring, self.rows, self.cols, self._rows, self._scale = ring, len(perm), len(perm), rows, 1
         self.perm, self.negated = perm, negated
+
+
+def _element(ring: Ring, v: int, scale: int) -> Element:
+    """The element of one int sum of products of stored ints over scale."""
+    return ring.element(ring.lower([[(0, v)]])[0].get(0, 0), scale)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product, over the stored nonzeros only.
 
     A `SignedPermutation` on the left moves and negates rows of the right
-    factor, with no ring product.  Over GF(p), Z and Q the product
-    multiplies and adds the factors' cached int images (`Ring.lift`) and
-    lowers each output row once: into a list of ints per output row when
-    both factors are dense (4 * nonzeros >= entries, summed over the two),
-    into a dict otherwise, which touches only the columns a row reaches.
-    The factor 4 was timed against 2 and 8 on the benchmark workloads
-    (`BENCH_3.json`, "cutoff").  Over GF(4), which has no int lift, a dict
-    per output row collects the products through the ring methods; that
-    loop is also the oracle the int accumulators are tested against.
+    factor.  Otherwise each output row sums products of stored ints in a
+    list over every column when both factors are dense (4 * nonzeros >=
+    entries, summed over the two), in a dict of the columns it reaches
+    otherwise; the factor 4 was timed against 2 and 8 (`BENCH_3.json`).
     """
     ring = a.ring
-    if a.cols != b.rows or (ring is not b.ring and ring != b.ring):  # as in Matrix._check_shape
+    if a.cols != b.rows or (ring is not b.ring and ring != b.ring):  # as in _check_shape
         raise UsageError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    brows = b._rows
     if isinstance(a, SignedPermutation):  # row r of a * b is +- row a.perm[r] of b
-        brows, neg = b._rows, ring.neg
-        out = [dict(brows[k]) for k in a.perm]
+        neg = ring.neg
+        out = [brows[k] for k in a.perm]  # rows are never written, so they can be shared
         for r in a.negated:
             if out[r]:
                 out[r] = {j: neg(w) for j, w in out[r].items()}
-        return Matrix._of(ring, a.rows, b.cols, out)
-    lifted = a._int_image()
-    out = []
-    if lifted is None:
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        brows = b._rows
-        for row in a._rows:
-            acc: dict = {}
-            for k, aik in row.items():
-                for j, v in brows[k].items():
-                    cur = acc.get(j)
-                    acc[j] = mul(aik, v) if cur is None else add(cur, mul(aik, v))
-            out.append({j: v for j, v in acc.items() if not is_zero(v)} if acc else acc)
-        return Matrix._of(ring, a.rows, b.cols, out)
-    (arows, ascale), (brows, bscale) = lifted, b._int_image()
-    lower, scale = ring.lower, ascale * bscale
-    nonzeros = sum(map(len, a._rows)) + sum(map(len, b._rows))
-    if 4 * nonzeros >= a.rows * a.cols + b.rows * b.cols:
-        for row in arows:
-            acc = [0] * b.cols
+        return Matrix._canonical(ring, a.rows, b.cols, out, b._scale)
+    dense = 4 * (sum(map(len, a._rows)) + sum(map(len, brows))) >= a.rows * a.cols + b.rows * b.cols
+    sums = ring.lower(_row_sums(a._rows, brows, b.cols, dense))
+    return Matrix._canonical(ring, a.rows, b.cols, sums, a._scale * b._scale)
+
+
+def _row_sums(arows: list, brows: list, cols: int, dense: bool) -> Iterator:
+    """The (col, int sum) pairs of each row of a * b, one row at a time as
+    `Ring.lower` takes them, so one accumulator is alive at a time."""
+    for row in arows:
+        if dense:
+            acc = [0] * cols
             for k, aik in row.items():
                 for j, v in brows[k].items():
                     acc[j] += aik * v
-            out.append(lower(enumerate(acc), scale))
-    else:
-        for row in arows:
-            acc = {}
+            yield enumerate(acc)
+        else:
+            sparse: dict = {}
             for k, aik in row.items():
                 for j, v in brows[k].items():
-                    acc[j] = acc.get(j, 0) + aik * v
-            out.append(lower(acc.items(), scale) if acc else acc)
-    return Matrix._of(ring, a.rows, b.cols, out)
+                    sparse[j] = sparse.get(j, 0) + aik * v
+            yield sparse.items()
 
 
 def trace_of_product(a: Matrix, b: Matrix) -> Element:
@@ -304,20 +288,18 @@ def trace_of_product(a: Matrix, b: Matrix) -> Element:
         raise UsageError(f"no trace of {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if sum(map(len, b._rows)) < sum(map(len, a._rows)):
         a, b = b, a
-    ring = a.ring
-    add, mul = ring.add, ring.mul
     brows = b._rows
-    total = ring.zero
+    total = 0
     for r, row in enumerate(a._rows):
         for c, v in row.items():
             w = brows[c].get(r)
             if w is not None:
-                total = add(total, mul(v, w))
-    return total
+                total += v * w
+    return _element(a.ring, total, a._scale * b._scale)
 
 
 def _rows_axpy(ring: Ring, rows: list, c: Element, others: list) -> None:
-    """rows[i] += c * others[i] for rows stored as {col: nonzero} dicts."""
+    """rows[i] += c * others[i] for element rows stored as {col: nonzero} dicts."""
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     for row, other in zip(rows, others):
         for col, v in other.items():
@@ -339,7 +321,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     ring = m.ring
     if not ring.is_field:
         raise UnsupportedRingError(f"row reduction needs a field, not {ring.name}")
-    rows = [dict(row) for row in m._rows]
+    rows = m._element_rows()
     pivots: list[int] = []
     prow = 0
     for col in range(m.cols):
@@ -357,7 +339,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         prow += 1
         if prow == m.rows:
             break
-    return Matrix._of(ring, m.rows, m.cols, rows), pivots
+    triples = ((r, c, v) for r, row in enumerate(rows) for c, v in row.items())
+    return Matrix.from_nonzeros(ring, m.rows, m.cols, triples), pivots
 
 
 class SpanChecker:
@@ -368,7 +351,7 @@ class SpanChecker:
         self.ring = ring
         self.dim = len(vectors[0]) if vectors else 0  # no vectors: the Matrix refuses the shape
         red, pivots = rref(Matrix(ring, len(vectors), self.dim, [x for v in vectors for x in v]))
-        self._pivot_rows = list(zip(pivots, red._rows))
+        self._pivot_rows = list(zip(pivots, red._element_rows()))
 
     def contains(self, v: Vector) -> bool:
         """Clear v's entry at each pivot column with that pivot's row; no
@@ -396,7 +379,7 @@ def signed_perm_inverse(b: Matrix) -> SignedPermutation:
     minus_one = ring.neg(ring.one)
     perm = [-1] * b.rows
     negated = set()
-    for r, row in enumerate(b._rows):
+    for r, row in enumerate(b._element_rows()):
         hits = list(row.items())
         if len(hits) != 1:
             raise DomainError(f"row {r} does not have exactly one nonzero entry")

@@ -1,9 +1,11 @@
 """Commutative rings with exact arithmetic.
 
-Elements are plain Python values (ints, pairs, Fractions) and every
-operation goes through a Ring object, so the same matrix and algebra code
-runs unchanged over GF(p), GF(4), the rationals and the integers.
-Equality of elements is structural and exact in every ring.
+Elements are plain Python values (ints, Fractions) and every operation
+goes through a Ring object, so the same matrix and algebra code runs
+unchanged over GF(p), GF(4), the rationals and the integers.  Equality of
+elements is structural and exact in every ring.  A `Matrix` stores ints:
+`lift` maps elements to them, `lower` reduces int sums of products back
+to stored ints, and `element` reads one stored int as an element.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -58,26 +60,23 @@ class Ring:
         """(-1)**parity as a ring element."""
         return self.one if parity % 2 == 0 else self.neg(self.one)
 
-    def lift(self, rows: Sequence[dict]) -> Optional[tuple[list[dict], int]]:
-        """The rows {col: nonzero} of a matrix as exact ints with one common
-        scale: the entry at (r, c) is ints[r][c] / scale.
-
-        Matrix kernels multiply and add these ints and map each finished
-        row back once through `lower`.  GF(p) and Z rows are their own
-        image; Q rows are scaled by the lcm of their denominators.  None
-        means the ring has no such lift and the kernels go through the ring
-        methods instead: GF(4) is that ring, because no packing of its pairs
-        into one int was faster than its bit operations.
-        """
-        return None
-
-    def lower(self, pairs: Iterable[tuple[int, int]], scale: int) -> dict[int, Element]:
-        """The row {col: nonzero} of the ring elements v / scale over the
-        (col, v) pairs, v a sum of products of lifted ints.
-
-        scale is the product of the scales the lifted factors came with.
-        """
+    def lift(self, values: Sequence[Element]) -> tuple[list[int], int]:
+        """The ints a `Matrix` stores for the values, and their common scale:
+        value i is `element(ints[i], scale)`.  GF(p) (mod p) and Z store
+        the elements at scale 1, GF(4) a + b*w as a | b << 32, and Q the
+        numerators over the lcm of the denominators.  Values that are
+        stored ints already may come back as the same list."""
         raise NotImplementedError
+
+    def lower(self, rows: Iterable[Iterable[tuple[int, int]]]) -> list[dict[int, int]]:
+        """Per row of (col, v) pairs, v a sum of products of stored ints,
+        the row {col: nonzero stored int}; one call lowers a whole matrix,
+        whose scale is the product of the factors' scales."""
+        return [{j: v for j, v in row if v} if row else {} for row in rows]
+
+    def element(self, v: int, scale: int) -> Element:
+        """The element stored as v in a matrix of that scale."""
+        return v
 
     def elements(self) -> Iterator[Element]:
         """All elements, for finite rings only."""
@@ -129,12 +128,14 @@ class PrimeField(Ring):
     def from_int(self, k):
         return k % self.p
 
-    def lift(self, rows):
-        return rows, 1
+    def lift(self, values):
+        p = self.p
+        ints = [x % p for x in values]
+        return (values if ints == values else ints), 1  # reduced values are kept as they are
 
-    def lower(self, pairs, scale):
-        p = self.p  # scale is always 1 here
-        return {j: r for j, v in pairs if (r := v % p)}
+    def lower(self, rows):
+        p = self.p
+        return [{j: r for j, v in row if (r := v % p)} if row else {} for row in rows]
 
     def elements(self):
         return iter(range(self.p))
@@ -143,44 +144,61 @@ class PrimeField(Ring):
         return rng.randrange(self.p)
 
 
+W = 1 << 32  # the element w of GF(4)
+
+
 class GaloisField4(Ring):
-    """GF(4) = GF(2)[w]/(w^2 + w + 1); elements are pairs (a, b) = a + b*w."""
+    """GF(4) = GF(2)[w]/(w^2 + w + 1); a + b*w is the int a | b << 32.  A sum
+    of products of these ints counts a0*b0, a0*b1 + a1*b0 and a1*b1 from
+    bits 0, 32 and 64, exactly below 2^31 products; their parities, with
+    w^2 = w + 1, give the sum (`lower`, `mul`)."""
 
     def __init__(self):
         self.name = "gf4"
         self.char = 2
         self.is_field = True
-        self.zero = (0, 0)
-        self.one = (1, 0)
-        self.omega = (0, 1)
+        self.zero = 0
+        self.one = 1
+        self.omega = W
+        self._shows = {0: "0", 1: "1", W: "w", 1 | W: "1+w"}
+        self._elements = frozenset(self._shows)
 
     def add(self, a, b):
-        return (a[0] ^ b[0], a[1] ^ b[1])
+        return a ^ b
 
     def neg(self, a):
         return a
 
     def mul(self, a, b):
-        # (a0 + a1 w)(b0 + b1 w) with w^2 = w + 1
-        x = a[1] & b[1]
-        return ((a[0] & b[0]) ^ x, (a[0] & b[1]) ^ (a[1] & b[0]) ^ x)
+        v = a * b
+        return (v ^ v >> 64) & 1 | (v ^ v >> 32) & W
 
     def inv(self, a):
-        if a == self.zero:
+        if a == 0:
             raise DomainError("zero is not invertible in gf4")
         return self.mul(a, a)  # x^3 = 1 for nonzero x
 
     def from_int(self, k):
-        return (k % 2, 0)
+        return k % 2
+
+    def lift(self, values):
+        if not self._elements.issuperset(values):
+            bad = next(x for x in values if x not in self._elements)
+            raise DomainError(f"{bad!r} is not an element of gf4")
+        return values, 1
+
+    def lower(self, rows):
+        return [{j: r for j, v in row if (r := (v ^ v >> 64) & 1 | (v ^ v >> 32) & W)} if row else {}
+                for row in rows]
 
     def elements(self):
-        return iter([(0, 0), (1, 0), (0, 1), (1, 1)])
+        return iter(self._shows)
 
     def sample(self, rng):
-        return (rng.randrange(2), rng.randrange(2))
+        return rng.randrange(2) | rng.randrange(2) << 32
 
     def show(self, a):
-        return {(0, 0): "0", (1, 0): "1", (0, 1): "w", (1, 1): "1+w"}[a]
+        return self._shows[a]
 
 
 class Rationals(Ring):
@@ -216,13 +234,12 @@ class Rationals(Ring):
     def from_int(self, k):
         return Fraction(k)
 
-    def lift(self, rows):
-        scale = lcm(*{x.denominator for row in rows for x in row.values()})
-        ints = [{c: x.numerator * (scale // x.denominator) for c, x in row.items()} for row in rows]
-        return ints, scale
+    def lift(self, values):
+        scale = lcm(*{x.denominator for x in values})
+        return [x.numerator * (scale // x.denominator) for x in values], scale
 
-    def lower(self, pairs, scale):
-        return {j: Fraction(v, scale) for j, v in pairs if v}
+    def element(self, v, scale):
+        return Fraction(v, scale)
 
     def sample(self, rng):
         return self._samples[rng.randint(-9, 9), rng.randint(1, 9)]
@@ -255,11 +272,8 @@ class Integers(Ring):
     def from_int(self, k):
         return k
 
-    def lift(self, rows):
-        return rows, 1
-
-    def lower(self, pairs, scale):
-        return {j: v for j, v in pairs if v}  # scale is always 1 here
+    def lift(self, values):
+        return values, 1
 
     def sample(self, rng):
         return rng.randint(-9, 9)
@@ -296,4 +310,4 @@ class RingMorphism:
 
 
 def gf2_into_gf4() -> RingMorphism:
-    return RingMorphism(GF2, GF4, lambda a: (a, 0), "gf2->gf4")
+    return RingMorphism(GF2, GF4, lambda a: a, "gf2->gf4")

@@ -3,8 +3,10 @@
 No check eliminates or builds a matrix from dense rows, so the field
 elimination (rank, kernel and image bases, span membership), the matrix
 builds of wedge and contraction on wedge V and the monomial recomposition
-live here.  Everything is written on the public `Matrix` API and on
-`cliffqp.linalg.rref`.
+live here, and so do the ring-method loops of the product and of linear
+combinations, which the int kernels of `cliffqp.linalg` are tested
+against, and the bit-pair product of GF(4).  Everything is written on the
+public `Matrix` API, on the ring methods and on `cliffqp.linalg.rref`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,52 @@ def from_rows(ring: Ring, rows: list[list[Element]]) -> Matrix:
     if any(len(row) != ncols for row in rows):
         raise UsageError("ragged rows")
     return Matrix(ring, len(rows), ncols, [x for row in rows for x in row])
+
+
+def element_rows(m: Matrix) -> list[dict]:
+    """The rows of m as {col: nonzero element} dicts."""
+    rows: list = [{} for _ in range(m.rows)]
+    for r, c, v in m.nonzeros():
+        rows[r][c] = v
+    return rows
+
+
+def ring_method_product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b through the ring methods: a dict per output row collects
+    `add` and `mul` of the stored nonzeros, element by element."""
+    ring = a.ring
+    brows = element_rows(b)
+    triples = []
+    for i, row in enumerate(element_rows(a)):
+        acc: dict = {}
+        for k, aik in row.items():
+            for j, v in brows[k].items():
+                acc[j] = ring.mul(aik, v) if j not in acc else ring.add(acc[j], ring.mul(aik, v))
+        triples += ((i, j, v) for j, v in acc.items() if not ring.is_zero(v))
+    return Matrix.from_nonzeros(ring, a.rows, b.cols, triples)
+
+
+def ring_method_combination(ring: Ring, rows: int, cols: int, terms: list) -> Matrix:
+    """The sum of c * m over the (c, m) terms through the ring methods,
+    one `mul` per nonzero of each term and one `add` where terms meet."""
+    acc: list = [{} for _ in range(rows)]
+    for c, m in terms:
+        for r, j, v in m.nonzeros():
+            w = ring.mul(c, v)
+            acc[r][j] = ring.add(acc[r][j], w) if j in acc[r] else w
+    triples = ((r, j, v) for r, row in enumerate(acc) for j, v in row.items() if not ring.is_zero(v))
+    return Matrix.from_nonzeros(ring, rows, cols, triples)
+
+
+def gf4_pair(x: int) -> tuple[int, int]:
+    """The GF(4) element a | b << 32 as the bit pair (a, b) = a + b*w."""
+    return x & 1, x >> 32
+
+
+def gf4_bit_pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(a0 + a1 w)(b0 + b1 w) with w^2 = w + 1, on bit pairs."""
+    x = a[1] & b[1]
+    return (a[0] & b[0]) ^ x, (a[0] & b[1]) ^ (a[1] & b[0]) ^ x
 
 
 def mat_vec(a: Matrix, v: list) -> list:

@@ -103,12 +103,12 @@ def test_all_names_resolve():
 
 def test_modules_share_no_private_names():
     """One representation: no module imports an `_`-prefixed name from a
-    sibling module, and only `linalg` reads a `Matrix`'s `_rows` or `_of`."""
+    sibling module, and only `linalg` reads a `Matrix`'s `_rows`, `_scale` or `_canonical`."""
     leaks = []
     for mod, tree in _modules().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("cliffqp")):
                 leaks += [f"{mod} imports {alias.name}" for alias in node.names if alias.name.startswith("_")]
-            elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_of") and mod != "linalg":
+            elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_scale", "_canonical") and mod != "linalg":
                 leaks.append(f"{mod} reads .{node.attr}")
     assert leaks == []

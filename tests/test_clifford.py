@@ -95,11 +95,11 @@ def test_involution_fixes_generators(ring, n):
 
 def test_generators_are_shared_and_no_operation_writes_its_operands():
     # matrices are immutable: the cached generator is handed out itself, and
-    # every operation leaves the entries and the cached int image of its
-    # operands as they were
+    # every operation leaves the stored int rows and the scale of its
+    # operands as they were, the same objects with the same contents
     assert generator_matrix(GF3, 2, 0) is generator_matrix(GF3, 2, 0)
     rng = fresh_rng("immutable")
-    for ring in (GF3, QQ, GF4):  # GF(3) rows are their own image, Q's are scaled, GF(4) has none
+    for ring in (GF3, QQ, GF4):  # elements, numerators over a scale, packed pairs
         a, b = (random_clifford_element(ring, 2, rng).matrix for _ in range(2))
         perm = signed_perm_inverse(b_wedge_gram(ring, 2))
         assert isinstance(perm, SignedPermutation)
@@ -115,34 +115,32 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             "trace_of_product": lambda: (trace_of_product(a, b), trace_of_product(perm, a)),
             "*": lambda: (a * b, perm * a, a * perm, perm * perm),
         }
-        images = [m._int_image() for m in (a, b, perm)]
-        assert (images[0] is None) == (ring is GF4)
-        copied = lambda image: image and ([dict(row) for row in image[0]], image[1])
-        before = [m.entries for m in (a, b, perm)], [copied(image) for image in images]
+        stored = [(m._rows, [dict(row) for row in m._rows], m._scale) for m in (a, b, perm)]
+        before = [m.entries for m in (a, b, perm)]
         for name, operation in operations.items():
             operation()
-            now = [m._int_image() for m in (a, b, perm)]
-            assert all(x is y for x, y in zip(now, images)), (ring.name, name)  # kept, not rebuilt
-            assert ([m.entries for m in (a, b, perm)], [copied(image) for image in now]) == before, (ring.name, name)
+            for m, (rows, copies, scale) in zip((a, b, perm), stored):
+                assert m._rows is rows and m._rows == copies and m._scale == scale, (ring.name, name)
+            assert [m.entries for m in (a, b, perm)] == before, (ring.name, name)
 
 
 def test_a_shared_generator_is_lifted_once():
+    # a matrix is lifted when it is built: products lift nothing, and a
+    # combination lifts only its coefficients, once
     g = generator_matrix(QQ, 3, 1)
-    image = g._int_image()
+    rows = g._rows
     x = random_clifford_element(QQ, 3, fresh_rng("lift once")).matrix
     lifted = []
     lift = QQ.lift
-    QQ.lift = lambda rows: lifted.append(rows) or lift(rows)
+    QQ.lift = lambda values: lifted.append(list(values)) or lift(values)
     try:
         for _ in range(2):
             x * g, g * x, g * g
             Matrix.combination(QQ, 8, 8, [(QQ.one, g), (QQ.one, x)])
     finally:
         del QQ.lift
-    # x is lifted on its first product and the coefficients of each
-    # combination once; the generator's image is never rebuilt
-    assert len(lifted) == 3
-    assert generator_matrix(QQ, 3, 1)._int_image() is image
+    assert lifted == [[QQ.one, QQ.one]] * 2
+    assert generator_matrix(QQ, 3, 1)._rows is rows
 
 
 @pytest.mark.parametrize("ring", (GF3, QQ))

@@ -1,9 +1,9 @@
 """Exact matrix arithmetic and field elimination."""
 
-from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.forms import b_wedge_gram
 from cliffqp.linalg import (
     Matrix,
-    SignedPermutation,
     SpanChecker,
     matmul,
     rref,
@@ -25,7 +24,16 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_matrix, random_vector
 
 from conftest import fresh_rng
-from oracles import from_rows, image_basis, in_span, kernel_basis, mat_vec, rank
+from oracles import (
+    from_rows,
+    image_basis,
+    in_span,
+    kernel_basis,
+    mat_vec,
+    rank,
+    ring_method_combination,
+    ring_method_product,
+)
 
 
 def test_trace_identity_mod_char():
@@ -197,7 +205,8 @@ def product_operands(draw, ring):
 
 
 def textbook_product(a, b):
-    """Sum over every k of a[i, k] * b[k, j], through the ring methods only."""
+    """The entries of a * b, row-major: the sum over every k of
+    a[i, k] * b[k, j], through the ring methods only."""
     ring = a.ring
     arows = [[a.at(i, k) for k in range(a.cols)] for i in range(a.rows)]
     bcols = [b.col(j) for j in range(b.cols)]
@@ -208,46 +217,24 @@ def textbook_product(a, b):
             for x, y in zip(row, col):
                 total = ring.add(total, ring.mul(x, y))
             out.append(total)
-    return Matrix(ring, a.rows, b.cols, out)
+    return out
 
 
-@contextmanager
-def ring_method_path(ring):
-    """Run the kernels on their ring-method loops, whatever int image a
-    matrix has cached, and collect one entry per `ring.mul` call into the
-    yielded list, so that a test can tell that the loop really ran."""
-    calls = []
-    mul, image = ring.mul, Matrix._int_image
-
-    def counted(x, y):
-        calls.append((x, y))
-        return mul(x, y)
-
-    ring.mul = counted
-    Matrix._int_image = lambda self: None
-    try:
-        yield calls
-    finally:
-        Matrix._int_image = image
-        del ring.mul
+def assert_entries_exact(m, want):
+    """m has the entries want, each of the ring's element type: Fraction
+    over Q, int elsewhere."""
+    assert m.entries == want
+    kind = Fraction if m.ring is QQ else int
+    assert all(type(x) is kind for x in m.entries)
 
 
 def assert_product_exact(a, b):
-    """The kernel, its ring-method loop and the textbook sum agree entry for
+    """The kernel, the ring-method loop and the textbook sum agree entry for
     entry, down to the Python type of every entry."""
     want = textbook_product(a, b)
-    got = matmul(a, b)
-    with ring_method_path(a.ring) as calls:
-        generic = matmul(a, b)
-    # the loop multiplies each nonzero a[i, k] by each nonzero in row k of b;
-    # a SignedPermutation on the left only moves rows
-    per_row = Counter(k for k, _, _ in b.nonzeros())
-    products = sum(per_row[k] for _, k, _ in a.nonzeros())
-    assert len(calls) == (0 if isinstance(a, SignedPermutation) else products)
-    for m in (got, generic):
-        assert (m.rows, m.cols) == (want.rows, want.cols)
-        assert m.entries == want.entries
-        assert [type(x) for x in m.entries] == [type(x) for x in want.entries]
+    for m in (matmul(a, b), ring_method_product(a, b)):
+        assert (m.rows, m.cols) == (a.rows, b.cols)
+        assert_entries_exact(m, want)
 
 
 def below_cutoff(a, b):
@@ -265,37 +252,41 @@ def random_signed_permutation(ring, size, rng):
 
 
 def lowered_as(a, b):
-    """What `matmul(a, b)` hands `Ring.lower` per output row, by type name."""
-    ring, handed = a.ring, set()
+    """Per `Ring.lower` call that `matmul(a, b)` makes, the type names of
+    the rows it hands over."""
+    ring, calls = a.ring, []
     lower = ring.lower
-    ring.lower = lambda pairs, scale: handed.add(type(pairs).__name__) or lower(pairs, scale)
+    ring.lower = lambda rows: calls.append({type(row).__name__ for row in rows}) or lower(rows)
     try:
         matmul(a, b)
     finally:
         del ring.lower
-    return handed
+    return calls
 
 
-def test_kernel_rings_cover_the_int_lift_and_the_ring_methods():
-    # every ring but GF(4) multiplies int images: a list per output row above
-    # the cutoff (enumerated when lowered), a dict below it
+def test_kernel_lowers_each_product_once_in_every_ring():
+    # every ring multiplies stored ints and lowers the whole product in one
+    # call: a list per output row above the cutoff (enumerated), a dict below
     for ring in KERNEL_RINGS:
         dense, sparse = Matrix(ring, 2, 2, [ring.one] * 4), Matrix.identity(ring, 8)
         assert not below_cutoff(dense, dense) and below_cutoff(sparse, sparse)
-        lifted = ring is not GF4
-        assert lowered_as(dense, dense) == ({"enumerate"} if lifted else set())
-        assert lowered_as(sparse, sparse) == ({"dict_items"} if lifted else set())
+        assert lowered_as(dense, dense) == [{"enumerate"}]
+        assert lowered_as(sparse, sparse) == [{"dict_items"}]
 
 
 def test_int_images_are_the_rows_or_their_scaled_numerators():
+    # a matrix stores ints: GF(p) and Z elements themselves, GF(4) elements
+    # packed as a | b << 32, Q numerators over the lcm of the denominators
     for ring in (GF2, GF3, GF5, ZZ):
-        m = Matrix.identity(ring, 3)
-        rows, scale = m._int_image()
-        assert rows is m._rows and scale == 1  # no copy
+        m = Matrix(ring, 1, 3, [ring.from_int(k) for k in (1, 0, -1)])
+        assert m._rows == [{0: 1, 2: ring.from_int(-1)}] and m._scale == 1
+    w = GF4.omega
+    m = Matrix(GF4, 1, 3, [GF4.one, w, GF4.add(GF4.one, w)])
+    assert m._rows == [{0: 1, 1: 1 << 32, 2: 1 | 1 << 32}] and m._scale == 1
     m = from_rows(QQ, [[Fraction(1, 6), QQ.zero], [Fraction(-3, 4), Fraction(5)]])
-    assert m._int_image() == ([{0: 2}, {0: -9, 1: 60}], 12)
-    assert m._int_image() is m._int_image()  # built once
-    assert Matrix.identity(GF4, 3)._int_image() is None
+    assert (m._rows, m._scale) == ([{0: 2}, {0: -9, 1: 60}], 12)
+    half = from_rows(QQ, [[Fraction(1, 2), Fraction(1, 2)]])
+    assert (half + half)._rows == [{0: 1, 1: 1}] and (half + half)._scale == 1  # 2/2 reduced
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
@@ -385,7 +376,7 @@ def test_trace_of_product_matches_trace_of_matmul(ring, data):
     n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     a = data.draw(matrix_strategy(ring, n, m))
     b = data.draw(matrix_strategy(ring, m, n))
-    want = textbook_product(a, b).trace()
+    want = reduce(ring.add, textbook_product(a, b)[:: n + 1])
     assert trace_of_product(a, b) == want
     assert trace_of_product(b, a) == want
     with pytest.raises(UsageError):
@@ -393,19 +384,15 @@ def test_trace_of_product_matches_trace_of_matmul(ring, data):
 
 
 def assert_combination_exact(ring, rows, cols, terms):
-    """`Matrix.combination`, its ring-method loop and a fold of sums and
+    """`Matrix.combination`, the ring-method loop and a fold of sums and
     scales agree entry for entry, down to the Python type of every entry."""
     want = Matrix.zeros(ring, rows, cols)
     for c, m in terms:
         want = want + m.scale(c)
     got = Matrix.combination(ring, rows, cols, terms)
-    with ring_method_path(ring) as calls:
-        generic = Matrix.combination(ring, rows, cols, terms)
-    # the loop multiplies each nonzero of a term whose coefficient is nonzero
-    assert len(calls) == sum(sum(1 for _ in m.nonzeros()) for c, m in terms if not ring.is_zero(c))
-    for m in (got, generic):
-        assert m == want
-        assert [type(x) for x in m.entries] == [type(x) for x in want.entries]
+    assert got == want
+    for m in (got, ring_method_combination(ring, rows, cols, terms)):
+        assert_entries_exact(m, want.entries)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
@@ -454,3 +441,52 @@ def test_from_nonzeros_keeps_the_last_value_of_a_position():
     m = Matrix.from_nonzeros(GF5, 2, 3, [(0, 2, 4), (1, 0, 1), (0, 2, 3)])
     assert m == from_rows(GF5, [[0, 0, 3], [1, 0, 0]])
     assert Matrix.from_nonzeros(GF5, 2, 2, ()) == Matrix.zeros(GF5, 2, 2)
+
+
+def test_prime_field_matrices_reduce_their_entries():
+    assert Matrix(GF3, 1, 2, [4, 3]) == Matrix(GF3, 1, 2, [1, 0])
+    assert Matrix(GF3, 1, 2, [4, 3]).entries == [1, 0]
+    assert Matrix.from_nonzeros(GF5, 1, 2, [(0, 0, 5), (0, 1, -1)]) == Matrix(GF5, 1, 2, [0, 4])
+
+
+@pytest.mark.parametrize("bad", [(0, 1), 2, 1 << 33, -1])
+def test_gf4_matrices_refuse_anything_but_the_four_elements(bad):
+    # an old bit-pair tuple would otherwise reach the int kernel, where
+    # tuple * int silently repeats the tuple
+    with pytest.raises(DomainError):
+        Matrix(GF4, 1, 2, [GF4.one, bad])
+    with pytest.raises(DomainError):
+        Matrix.from_nonzeros(GF4, 1, 1, [(0, 0, bad)])
+    with pytest.raises(DomainError):
+        Matrix.combination(GF4, 1, 1, [(bad, Matrix.identity(GF4, 1))])
+    with pytest.raises(DomainError):
+        Matrix.identity(GF4, 1).scale(bad)
+
+
+def rational_matrix(rows, cols):
+    """Q matrices over small denominators, so sums share factors with them."""
+    entry = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(lambda e: Matrix(QQ, rows, cols, e))
+
+
+def assert_canonical(m):
+    """The stored numerators share no factor with the scale."""
+    assert m._scale >= 1
+    assert gcd(m._scale, *(v for row in m._rows for v in row.values())) == 1, m._rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rational_matrices_are_stored_in_lowest_terms(data):
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(rational_matrix(rows, inner)), data.draw(rational_matrix(rows, inner))
+    y = data.draw(rational_matrix(inner, cols))
+    c = data.draw(st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 6))))
+    made = [a, a + b, a - b, -a, a.scale(c), a.transpose(), matmul(a, y), a - a]
+    made.append(Matrix.combination(QQ, rows, inner, [(c, a), (-c, b), (c, b)]))
+    for m in made:
+        assert_canonical(m)
+    assert (a + b) - b == a
+    assert a.scale(c).scale(1 / c) == a
+    assert a - a == Matrix.zeros(QQ, rows, inner) and (a - a)._scale == 1
+    assert_entries_exact(matmul(a, y), ring_method_product(a, y).entries)

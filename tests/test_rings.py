@@ -11,6 +11,7 @@ from cliffqp.errors import DomainError
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, gf2_into_gf4, ring_by_name
 
 from conftest import ALL_RINGS, FINITE_RINGS
+from oracles import gf4_bit_pair_mul, gf4_pair
 
 # Q and Z are infinite, so their axioms are checked on drawn elements.
 RATIONALS = st.fractions(max_denominator=10**12)
@@ -134,10 +135,45 @@ def test_integers_units_only():
 def test_gf2_into_gf4_is_a_morphism():
     phi = gf2_into_gf4()
     assert phi(GF2.zero) == GF4.zero and phi(GF2.one) == GF4.one
+    assert {phi(a) for a in GF2.elements()} <= set(GF4.elements())
     for a in GF2.elements():
         for b in GF2.elements():
             assert phi(GF2.add(a, b)) == GF4.add(phi(a), phi(b))
             assert phi(GF2.mul(a, b)) == GF4.mul(phi(a), phi(b))
+
+
+SLOT = 2 ** 31 - 1  # the largest count a slot of a GF(4) sum may hold
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.tuples(*[st.integers(0, SLOT)] * 3))
+@example((SLOT, SLOT, SLOT))
+@example((SLOT, 0, 1))
+def test_gf4_lower_reads_slot_parities_up_to_the_bound(counts):
+    # a synthetic sum with s0, s1 and s2 products in its three slots is
+    # (s0 + s2) + (s1 + s2) w, since w^2 = w + 1
+    s0, s1, s2 = counts
+    v = s0 | s1 << 32 | s2 << 64
+    want = (s0 + s2) % 2 | (s1 + s2) % 2 << 32
+    assert GF4.lower([[(0, v)]]) == [{0: want} if want else {}]
+
+
+def test_gf4_products_match_the_bit_pair_formula():
+    elements = list(GF4.elements())
+    assert [gf4_pair(x) for x in elements] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for a in elements:
+        for b in elements:
+            want = gf4_bit_pair_mul(gf4_pair(a), gf4_pair(b))
+            assert gf4_pair(GF4.mul(a, b)) == want
+            assert GF4.lower([[(0, a * b)]])[0].get(0, 0) == GF4.mul(a, b)
+            assert gf4_pair(GF4.add(a, b)) == tuple(x ^ y for x, y in zip(gf4_pair(a), gf4_pair(b)))
+
+
+def test_gf4_samples_keep_their_seeded_stream():
+    # a + b*w draws a, then b, as the bit pairs did
+    rng, again = random.Random(4), random.Random(4)
+    for _ in range(200):
+        assert GF4.sample(rng) == again.randrange(2) | again.randrange(2) << 32
 
 
 def test_ring_by_name():
