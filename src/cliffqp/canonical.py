@@ -352,7 +352,12 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
             out.fail(f"B({ring.show(t)}) is not a certified orthogonal element with lift g")
         deltas[t] = [(m - g * m * g_inv).matrix for m in mono]
 
+    # the displayed closed form of the difference depends on (t, a5) only
     m2, m34 = mono[2].matrix, (mono[3] + mono[4]).matrix
+    forms = {}
+    for t, a5 in product(nonzero_ts, elems):
+        coef = ring.add(t, ring.mul(ring.mul(t, t), a5))
+        forms[t, a5] = coef, Matrix.combination(ring, 4, 4, ((coef, m2), (ring.mul(t, a5), m34)))
     candidates = 0
     moved = 0
     for a0, a1, a2, a3, a5, a6 in product(elems, repeat=6):
@@ -360,9 +365,8 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
         coeffs = (a0, a1, a2, a3, ring.add(ring.one, a3), a5, a6, ring.zero)
         for t in nonzero_ts:
             diff = Matrix.combination(ring, 4, 4, zip(coeffs, deltas[t]))
-            # displayed closed form of the difference
-            coef = ring.add(t, ring.mul(ring.mul(t, t), a5))
-            if diff != Matrix.combination(ring, 4, 4, ((coef, m2), (ring.mul(t, a5), m34))):
+            coef, form = forms[t, a5]
+            if diff != form:
                 out.fail(f"difference formula failed at a5={ring.show(a5)}, t={ring.show(t)}")
             member = in_alternating(CliffordElement(ring, 2, diff))
             if member != ring.is_zero(coef):

@@ -228,7 +228,7 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
             check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", vi * dj, -(dj * vi))
 
     for t in range(trials):
-        coeffs = [ring.sample(rng) for _ in range(2 * n)]
+        coeffs = ring.samples(rng, 2 * n)
         phi = phi_vector(ring, n, coeffs).matrix
         square = phi * phi
         qm = hs.q(coeffs)

@@ -83,13 +83,6 @@ class ExteriorVector:
     def basis(cls, ring: Ring, n: int, mask: int) -> "ExteriorVector":
         return cls(ring, n, {mask: ring.one})
 
-    @classmethod
-    def from_coeffs(cls, ring: Ring, n: int, coeffs) -> "ExteriorVector":
-        """From a dense coefficient list of length 2^n in mask order."""
-        if len(coeffs) != 1 << n:
-            raise UsageError("coefficient array must have length 2^n")
-        return cls(ring, n, {mask: a for mask, a in enumerate(coeffs) if not ring.is_zero(a)})
-
     def _check_mate(self, other: "ExteriorVector") -> None:
         if self.n != other.n or self.ring != other.ring:
             raise UsageError("operands live in different exterior algebras")

@@ -116,7 +116,7 @@ def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
 
 def _nonzero(ring: Ring, rng) -> Element:
     while True:
-        t = ring.sample(rng)
+        t = ring.samples(rng, 1)[0]
         if not ring.is_zero(t):
             return t
 

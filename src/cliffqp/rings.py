@@ -6,12 +6,15 @@ unchanged over GF(p), GF(4), the rationals and the integers.  Equality of
 elements is structural and exact in every ring.  A `Matrix` stores ints:
 `lift` maps elements to them, `lower` reduces int sums of products back
 to stored ints, and `element` reads one stored int as an element.
+`samples(rng, count)` draws count elements in one batch, with the values
+and words of count calls of CPython's `randrange` (`_draws_below`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -82,7 +85,8 @@ class Ring:
         """All elements, for finite rings only."""
         raise NotImplementedError(f"{self.name} is not finite")
 
-    def sample(self, rng) -> Element:
+    def samples(self, rng, count: int) -> list[Element]:
+        """count random elements, drawn from rng in one batch."""
         raise NotImplementedError
 
     def show(self, a: Element) -> str:
@@ -99,11 +103,11 @@ class Ring:
 
 
 class PrimeField(Ring):
-    """GF(p) for a small prime p; elements are ints in [0, p)."""
+    """GF(p) for a prime p < 256 (a draw reads one byte); elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, p)):
-            raise DomainError(f"{p} is not prime")
+        if p < 2 or p > 255 or any(p % d == 0 for d in range(2, p)):
+            raise DomainError(f"{p} is not a prime below 256")
         self.p = p
         self.name = f"gf{p}"
         self.char = p
@@ -140,8 +144,8 @@ class PrimeField(Ring):
     def elements(self):
         return iter(range(self.p))
 
-    def sample(self, rng):
-        return rng.randrange(self.p)
+    def samples(self, rng, count):
+        return list(_draws_below(rng, self.p, count))
 
 
 W = 1 << 32  # the element w of GF(4)
@@ -194,8 +198,9 @@ class GaloisField4(Ring):
     def elements(self):
         return iter(self._shows)
 
-    def sample(self, rng):
-        return rng.randrange(2) | rng.randrange(2) << 32
+    def samples(self, rng, count):
+        bits = _draws_below(rng, 2, 2 * count)  # a, then b, per element
+        return [a | b << 32 for a, b in zip(bits[::2], bits[1::2])]
 
     def show(self, a):
         return self._shows[a]
@@ -210,7 +215,7 @@ class Rationals(Ring):
         self.is_field = True
         self.zero = Fraction(0)
         self.one = Fraction(1)
-        # the 171 values `sample` draws, keyed by its two draws: a lookup
+        # the 171 values `samples` draws, keyed by the two draws: a lookup
         # costs less than building and reducing a Fraction per draw
         self._samples = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
 
@@ -241,8 +246,19 @@ class Rationals(Ring):
     def element(self, v, scale):
         return Fraction(v, scale)
 
-    def sample(self, rng):
-        return self._samples[rng.randint(-9, 9), rng.randint(1, 9)]
+    def samples(self, rng, count):
+        # Fraction(randint(-9, 9), randint(1, 9)): top 5 bits of a word, redrawn
+        # at 19 or more, then top 4, redrawn at 9 or more; the bounds alternate
+        out, table, a = [], self._samples, None
+        while len(out) < count:
+            for top in _top_bytes(rng, 2 * (count - len(out)) - (a is not None)):
+                if a is None:
+                    if top < 19 << 3:
+                        a = (top >> 3) - 9
+                elif top < 9 << 4:
+                    out.append(table[a, (top >> 4) + 1])
+                    a = None
+        return out
 
 
 class Integers(Ring):
@@ -275,8 +291,33 @@ class Integers(Ring):
     def lift(self, values):
         return values, 1
 
-    def sample(self, rng):
-        return rng.randint(-9, 9)
+    def samples(self, rng, count):
+        return [v - 9 for v in _draws_below(rng, 19, count)]  # randint(-9, 9)
+
+
+def _top_bytes(rng, words: int) -> bytes:
+    """The top byte of each of the next 32-bit Mersenne words, in draw order."""
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+
+
+@cache
+def _below_tables(bound: int) -> tuple[bytes, bytes]:
+    """Top byte -> drawn value, and the top bytes that randrange(bound) redraws."""
+    shift = 8 - bound.bit_length()
+    return bytes(v >> shift for v in range(256)), bytes(v for v in range(256) if v >> shift >= bound)
+
+
+def _draws_below(rng, bound: int, count: int) -> bytes:
+    """count draws of rng.randrange(bound), 0 < bound < 256, from the same words:
+    randrange(b) takes the top b.bit_length() bits of a 32-bit word and redraws
+    while they are b or more.  A round draws a word per value still needed and
+    keeps the top bytes that pass (`bytes.translate` maps and deletes in C); a
+    value takes a word at least, so no word is drawn ahead of randrange."""
+    table, rejected = _below_tables(bound)
+    out = b""
+    while len(out) < count:
+        out += _top_bytes(rng, count - len(out)).translate(table, rejected)
+    return out
 
 
 GF2 = PrimeField(2)

@@ -1,28 +1,28 @@
 """Deterministic random inputs for the verification suites.
 
 Every sampler takes an explicit random.Random so runs are reproducible
-from a seed.
+from a seed, and draws all its entries in one `Ring.samples` batch.
 """
 
 from __future__ import annotations
 
 from .clifford import CliffordElement, parity_masks
-from .exterior import ExteriorVector, mask_size
+from .exterior import ExteriorVector
 from .linalg import Matrix
 from .rings import Ring
 
 
 def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
-    return Matrix(ring, rows, cols, [ring.sample(rng) for _ in range(rows * cols)])
+    return Matrix(ring, rows, cols, ring.samples(rng, rows * cols))
 
 
 def random_vector(ring: Ring, dim: int, rng) -> list:
-    return [ring.sample(rng) for _ in range(dim)]
+    return ring.samples(rng, dim)
 
 
 def _random_with_trace(ring: Ring, size: int, rng, trace) -> Matrix:
     """A random matrix whose (0, 0) entry is shifted to give it the trace."""
-    entries = [ring.sample(rng) for _ in range(size * size)]
+    entries = ring.samples(rng, size * size)
     drawn = ring.zero
     for i in range(size):
         drawn = ring.add(drawn, entries[i * (size + 1)])
@@ -39,15 +39,10 @@ def random_trace_one(ring: Ring, size: int, rng) -> Matrix:
 
 
 def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:
-    """Both parity blocks drawn entry by entry, the even block row-major first."""
-    is_zero, sample = ring.is_zero, ring.sample
-    triples = [
-        (r, c, v)
-        for masks in parity_masks(n)
-        for r in masks
-        for c in masks
-        if not is_zero(v := sample(rng))
-    ]
+    """Both parity blocks, the even block row-major first."""
+    units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
+    is_zero = ring.is_zero
+    triples = [(r, c, v) for (r, c), v in zip(units, ring.samples(rng, len(units))) if not is_zero(v)]
     return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, triples))
 
 
@@ -57,10 +52,8 @@ def random_clifford_element(ring: Ring, n: int, rng) -> CliffordElement:
 
 
 def random_exterior(ring: Ring, n: int, rng, parity: int | None = None) -> ExteriorVector:
-    coeffs = []
-    for mask in range(1 << n):
-        if parity is not None and mask_size(mask) % 2 != parity:
-            coeffs.append(ring.zero)
-        else:
-            coeffs.append(ring.sample(rng))
-    return ExteriorVector.from_coeffs(ring, n, coeffs)
+    """Coefficients on every mask in ascending order, or only on the masks of the parity."""
+    masks = range(1 << n) if parity is None else parity_masks(n)[parity]
+    is_zero = ring.is_zero
+    terms = {m: a for m, a in zip(masks, ring.samples(rng, len(masks))) if not is_zero(a)}
+    return ExteriorVector(ring, n, terms)

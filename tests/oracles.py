@@ -120,6 +120,13 @@ def in_span(ring: Ring, v: list, basis: list[list]) -> bool:
     return all(ring.is_zero(d) for d in dots)
 
 
+def exterior_from_coeffs(ring: Ring, n: int, coeffs: list) -> ExteriorVector:
+    """The element of wedge V with a dense coefficient list of length 2^n in mask order."""
+    if len(coeffs) != 1 << n:
+        raise UsageError("coefficient array must have length 2^n")
+    return ExteriorVector(ring, n, {mask: a for mask, a in enumerate(coeffs) if not ring.is_zero(a)})
+
+
 def left_mult_matrix(x: ExteriorVector) -> Matrix:
     """Matrix of left wedge multiplication by x on wedge V."""
     ring, dim = x.ring, 1 << x.n

@@ -133,7 +133,7 @@ def test_span_checker_matches_in_span(rng):
         if t % 2 == 0:
             v = [GF5.zero] * 6
             for b in basis:
-                c = GF5.sample(rng)
+                c = GF5.samples(rng, 1)[0]
                 v = [GF5.add(x, GF5.mul(c, y)) for x, y in zip(v, b)]
         want = rank(from_rows(GF5, basis + [v])) == base_rank
         seen.add(want)

@@ -172,8 +172,31 @@ def test_gf4_products_match_the_bit_pair_formula():
 def test_gf4_samples_keep_their_seeded_stream():
     # a + b*w draws a, then b, as the bit pairs did
     rng, again = random.Random(4), random.Random(4)
-    for _ in range(200):
-        assert GF4.sample(rng) == again.randrange(2) | again.randrange(2) << 32
+    assert GF4.samples(rng, 200) == [again.randrange(2) | again.randrange(2) << 32 for _ in range(200)]
+
+
+def textbook_draw(ring, rng):
+    """One element drawn the way the samplers drew them before batching."""
+    if ring is GF4:
+        return rng.randrange(2) | rng.randrange(2) << 32
+    if ring is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if ring is ZZ:
+        return rng.randint(-9, 9)
+    return rng.randrange(ring.p)
+
+
+@pytest.mark.parametrize("count", (0, 1, 2, 7, 256, 1000))
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_samples_match_randrange_draw_for_draw(ring, count):
+    # the batch reads the interpreter's own Mersenne words, so this checks
+    # the bit layout of randrange on the Python running the tests
+    for seed in (0, 1, 14, 2023):
+        rng, again = random.Random(seed), random.Random(seed)
+        drawn = ring.samples(rng, count)
+        assert drawn == [textbook_draw(ring, again) for _ in range(count)]
+        assert all(type(x) is type(ring.zero) for x in drawn)
+        assert rng.random() == again.random()  # the same number of words drawn
 
 
 def test_ring_by_name():
@@ -187,11 +210,10 @@ def test_rational_samples_keep_their_seeded_stream():
     # the draws are Fraction(randint(-9, 9), randint(1, 9)) in that order,
     # looked up in a table; a seeded run must keep drawing the same values
     rng = random.Random(2023)
-    drawn = [QQ.sample(rng) for _ in range(12)]
+    drawn = QQ.samples(rng, 12)
     want = ["3/8", "1/2", "3/2", "-3", "0", "7/5", "-1", "-4", "-1/2", "-7/3", "-2", "-5/8"]
     assert [str(x) for x in drawn] == want
     assert all(type(x) is Fraction for x in drawn)
     rng, again = random.Random(5), random.Random(5)
-    for _ in range(2000):
-        assert QQ.sample(rng) == Fraction(again.randint(-9, 9), again.randint(1, 9))
+    assert QQ.samples(rng, 2000) == [Fraction(again.randint(-9, 9), again.randint(1, 9)) for _ in range(2000)]
     assert rng.random() == again.random()  # the same number of draws
