@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffqp.errors import DomainError
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, gf2_into_gf4, ring_by_name
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, PrimeField, gf2_into_gf4, ring_by_name
 
 from conftest import ALL_RINGS, FINITE_RINGS
 from oracles import gf4_bit_pair_mul, gf4_pair
@@ -176,7 +176,7 @@ def test_gf4_samples_keep_their_seeded_stream():
 
 
 def textbook_draw(ring, rng):
-    """One element drawn the way the samplers drew them before batching."""
+    """One element from one `randrange`/`randint` call per draw."""
     if ring is GF4:
         return rng.randrange(2) | rng.randrange(2) << 32
     if ring is QQ:
@@ -197,6 +197,15 @@ def test_samples_match_randrange_draw_for_draw(ring, count):
         assert drawn == [textbook_draw(ring, again) for _ in range(count)]
         assert all(type(x) is type(ring.zero) for x in drawn)
         assert rng.random() == again.random()  # the same number of words drawn
+
+
+def test_prime_fields_stop_below_256():
+    # a GF(p) draw reads the top byte of one word, so p must fit in it
+    rng, again = random.Random(251), random.Random(251)
+    assert PrimeField(251).samples(rng, 300) == [again.randrange(251) for _ in range(300)]
+    for p in (1, 4, 257):
+        with pytest.raises(DomainError):
+            PrimeField(p)
 
 
 def test_ring_by_name():
