@@ -9,7 +9,9 @@ once n >= 3, so any trace-1 matrix yields the same semi-trace on the even
 algebra; at n = 2 the alternating subspace is too small and an exhaustive
 search over GF(4) shows every candidate representative is moved off its
 class by the Eichler transformation B(t) = eichler_vv(2, 1, t), which acts
-by conjugation with its lift 1 + t v1 v2*.
+by conjugation with its lift 1 + t v1 v2*.  On rank-one pairings the
+semi-trace is the quadratic form on wedge V, f(b(x, _) x) = q(x), with
+f(b(x, _) x) = trace(l * b(x, _) x) = b(x, l x) (`SemiTrace.evaluate_rank_one`).
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def correspondence_with_q_wedge(ring: Ring, n: int, rng, trials: int = 100) -> C
     for parity in (0, 1):
         for t in range(trials):
             x = random_exterior(ring, n, rng, parity=parity)
-            got = f.evaluate(rank_one_wedge(x))
+            got = f.evaluate_rank_one(x)
             want = q_wedge(x)
             if not ring.eq(got, want):
                 out.fail(

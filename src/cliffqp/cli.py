@@ -184,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         problem = f"--n must lie in 1..{MAX_N}"
     elif args.trials < 1:
         problem = "--trials must be at least 1, or the cells would check nothing"
+    elif args.check != "all" and CHECKS[args.check][0] == [(None, None)] and (args.n or args.ring):
+        problem = f"{args.check} takes neither --n nor --ring"
     if problem:
         parser.print_usage(sys.stderr)
         print(f"error: {problem}", file=sys.stderr)

@@ -11,7 +11,8 @@ determined by a representative l with l + tau(l) = 1 and evaluates
 symmetric elements via the reduced trace of l * s; two representatives
 give the same semi-trace exactly when they differ by an alternating
 element, because the alternating elements are the trace-orthogonal
-complement of the symmetric ones (`trace_orthogonality`).
+complement of the symmetric ones (`trace_orthogonality`).  A rank-one
+pairing m -> b(x, m) x is evaluated as trace(l * b(x, _) x) = b(x, l x).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from operator import itemgetter
 
 from .clifford import CliffordElement, canonical_involution, parity_masks, tau_unit
 from .errors import DomainError, UnsupportedRingError, UsageError
+from .exterior import ExteriorVector
+from .forms import b_wedge
 from .linalg import Matrix, trace_of_product
 from .reporting import CheckOutcome
 from .rings import Element, Ring
@@ -117,6 +120,17 @@ class SemiTrace:
         if s.ring != self.ring or s.n != self.n:
             raise UsageError("the element lives in a different algebra")
         return trace_of_product(self.rep.matrix, s.matrix)
+
+    def evaluate_rank_one(self, x: ExteriorVector) -> Element:
+        """Value on the rank-one pairing m -> b(x, m) x of a parity block
+        (`canonical.rank_one_wedge`) as b(x, l x), with no matrix built; at
+        odd n, b joins the two blocks and the value is 0."""
+        if x.parity() == "mixed":
+            raise UsageError("rank-one pairing needs a parity-homogeneous element")
+        if x.ring != self.ring or x.n != self.n:
+            raise UsageError("the element lives in a different algebra")
+        lx = ExteriorVector(self.ring, self.n, self.rep.matrix.apply(x.terms))
+        return b_wedge(x, lx)
 
     def agrees_with(self, other: "SemiTrace") -> bool:
         """Equality as semi-traces: the representatives differ by an

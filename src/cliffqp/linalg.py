@@ -6,12 +6,12 @@ ints are those of `Ring.lift` (GF(p) and Z elements, GF(4) elements packed
 as a | b << 32, Q numerators), and every matrix made is divided by the gcd
 of its ints and its scale, so equal matrices store equal ints.  A matrix
 is never written after it is built, so cached matrices and their rows are
-shared freely.  Products, combinations and `trace_of_product` add products
-of stored ints and reduce them with `Ring.lower`, in one kernel for all
-six rings.  Row reduction exists once, as `rref` on element rows over a
-field; `SpanChecker` answers span membership from its reduced rows, and
-no check eliminates.  Signed permutation matrices invert without division,
-which keeps the Gram-matrix machinery available over the integers.
+shared freely.  Products, combinations, `trace_of_product` and `apply`
+sum products of stored ints and reduce them with `Ring.lower`, one
+kernel for all six rings.  Row reduction exists once, as `rref` on element
+rows over a field; `SpanChecker` answers span membership from its reduced
+rows, and no check eliminates.  Signed permutation matrices invert
+without division, keeping the Gram-matrix machinery over the integers.
 """
 
 from __future__ import annotations
@@ -196,6 +196,18 @@ class Matrix:
         if self.rows != self.cols:
             raise UsageError("trace needs a square matrix")
         return _element(self.ring, sum(row.get(i, 0) for i, row in enumerate(self._rows)), self._scale)
+
+    def apply(self, terms: dict) -> dict:
+        """The product with the column vector {index: element}, as {row:
+        nonzero element}; the vector is lifted once, and each row sums
+        products of stored ints over its nonzeros."""
+        if terms and (min(terms) < 0 or max(terms) >= self.cols):
+            raise UsageError(f"vector index outside the {self.cols} columns")
+        ints, vscale = self.ring.lift(list(terms.values()))
+        x = dict(zip(terms, ints))
+        sums = ((r, sum(v * x[c] for c, v in row.items() if c in x)) for r, row in enumerate(self._rows))
+        element, scale = self.ring.element, self._scale * vscale
+        return {r: element(v, scale) for r, v in self.ring.lower([sums])[0].items()}
 
     def is_zero(self) -> bool:
         return not any(self._rows)

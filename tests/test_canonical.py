@@ -22,15 +22,17 @@ from cliffqp.canonical import (
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
+    parity_masks,
     phi_word,
+    tau_unit,
 )
-from cliffqp.errors import DomainError, EligibilityError
+from cliffqp.errors import DomainError, EligibilityError, UsageError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
-from cliffqp.involution import in_alternating
+from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
-from cliffqp.sampling import random_matrix, random_trace_one, random_trace_zero
+from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng
 from oracles import from_rows, mat_vec, rank
@@ -214,6 +216,72 @@ def test_correspondence_fixed_examples():
     x = ExteriorVector.basis(ring, n, 0) + ExteriorVector.basis(ring, n, 0b1111)
     assert q_wedge(x) == ring.one
     assert f.evaluate(rank_one_wedge(x)) == ring.one
+
+
+# every ring at n = 4 and 8, and the characteristic-2 rings at n = 6, the
+# only rings with a canonical semi-trace there
+RANK_ONE_CELLS = [(ring, n) for ring in ALL_RINGS for n in (4, 8)] + [(GF2, 6), (GF4, 6)]
+
+
+@pytest.mark.parametrize("ring, n", RANK_ONE_CELLS, ids=lambda v: getattr(v, "name", v))
+def test_evaluate_rank_one_matches_the_rank_one_matrix(ring, n):
+    # b(x, l x) against trace(l * phi_x) on the matrix phi_x = rank_one_wedge(x),
+    # which is symmetric, so the value does not depend on the representative l
+    f = canonical_semitrace(ring, n)
+    for seed in range(3):
+        rng = fresh_rng(f"rank-one:{ring.name}:{n}:{seed}")
+        for parity in (0, 1):
+            x = random_exterior(ring, n, rng, parity=parity)
+            phi = rank_one_wedge(x)
+            assert canonical_involution(phi) == phi
+            want = f.evaluate(phi)
+            got = f.evaluate_rank_one(x)
+            assert got == want and type(got) is type(want)
+    zero = ExteriorVector.zero(ring, n)
+    assert f.evaluate_rank_one(zero) == f.evaluate(rank_one_wedge(zero)) == ring.zero
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
+@pytest.mark.parametrize("n", (3, 5))
+def test_evaluate_rank_one_vanishes_at_odd_rank(ring, n):
+    # at odd n the pairing b joins the two parity blocks, so both routes give 0
+    rng = fresh_rng(f"rank-one odd:{ring.name}:{n}")
+    f = SemiTrace(canonical_map_c(random_trace_one(ring, 2 * n, rng)))
+    for parity in (0, 1):
+        x = random_exterior(ring, n, rng, parity=parity)
+        assert f.evaluate_rank_one(x) == f.evaluate(rank_one_wedge(x)) == ring.zero
+
+
+def test_rank_one_routes_refuse_a_mixed_or_foreign_vector():
+    f = canonical_semitrace(GF3, 4)
+    mixed = ExteriorVector.basis(GF3, 4, 0) + ExteriorVector.basis(GF3, 4, 0b1)
+    with pytest.raises(UsageError):
+        rank_one_wedge(mixed)
+    with pytest.raises(UsageError):
+        f.evaluate_rank_one(mixed)
+    for foreign in (ExteriorVector.basis(GF5, 4, 0b11), ExteriorVector.basis(GF3, 6, 0b11)):
+        with pytest.raises(UsageError):
+            f.evaluate(rank_one_wedge(foreign))
+        with pytest.raises(UsageError):
+            f.evaluate_rank_one(foreign)
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
+def test_correspondence_fails_for_a_semitrace_off_the_canonical_class(monkeypatch, ring):
+    # l' = l + E_u for a tau-fixed unit u with sign +1: E_u is symmetric but
+    # not alternating, and l' + tau(l') = l + tau(l) = 1 in characteristic 2,
+    # so l' carries another semi-trace, which the check must refuse
+    n, dim = 4, 16
+    honest = canonical_semitrace(ring, n)
+    fixed = [(a, b) for masks in parity_masks(n) for a in masks for b in masks if tau_unit(n, a, b) == (0, a, b)]
+    assert len(fixed) == 16
+    for a, b in fixed:
+        unit = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(a, b, ring.one)]))
+        shifted = SemiTrace(honest.rep + unit)
+        assert not shifted.agrees_with(honest)
+        monkeypatch.setattr(canonical, "canonical_semitrace", lambda ring, n: shifted)
+        out = correspondence_with_q_wedge(ring, n, fresh_rng(f"shifted:{ring.name}:{a}"), trials=25)
+        assert not out.passed
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))

@@ -151,6 +151,23 @@ def test_trials_below_one_is_usage_error(capsys):
         assert "usage: cliffqp" in captured.err and "--trials" in captured.err
 
 
+@pytest.mark.parametrize("flags", (["--n", "2"], ["--ring", "q"], ["--n", "2", "--ring", "q"]))
+def test_base_change_refuses_n_and_ring(capsys, flags):
+    # its one cell is GF(2) -> GF(4) at n = 2, 3, 4, 5: a rank or ring asked
+    # for would be ignored, so the invocation is malformed
+    assert main(["base-change", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: cliffqp" in captured.err and "base-change takes neither --n nor --ring" in captured.err
+
+
+def test_all_still_runs_base_change_under_n_or_ring(capsys):
+    for flags in (["--n", "2"], ["--ring", "gf2"]):
+        reports = run_json(capsys, ["all", *flags, "--trials", "1"])[1]["reports"]
+        cell = [r for r in reports if r["check"] == "base-change"]
+        assert [(r["n"], r["ring"], r["status"]) for r in cell] == [(None, "gf2->gf4", "pass")]
+
+
 def test_rank_above_max_is_usage_error(capsys):
     assert main(["relations", "--n", "30"]) == 2  # refused before any matrix is built
     captured = capsys.readouterr()

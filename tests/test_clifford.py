@@ -104,6 +104,7 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
         perm = signed_perm_inverse(b_wedge_gram(ring, 2))
         assert isinstance(perm, SignedPermutation)
         c = ring.samples(rng, 1)[0]
+        vector = {0: c, 3: ring.one}
         operations = {
             "+": lambda: a + b,
             "-": lambda: a - b,
@@ -114,6 +115,7 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             "rref": lambda: (rref(a), rref(perm)),
             "trace_of_product": lambda: (trace_of_product(a, b), trace_of_product(perm, a)),
             "*": lambda: (a * b, perm * a, a * perm, perm * perm),
+            "apply": lambda: (a.apply(vector), perm.apply(vector)),
         }
         stored = [(m._rows, [dict(row) for row in m._rows], m._scale) for m in (a, b, perm)]
         before = [m.entries for m in (a, b, perm)]
@@ -122,6 +124,7 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             for m, (rows, copies, scale) in zip((a, b, perm), stored):
                 assert m._rows is rows and m._rows == copies and m._scale == scale, (ring.name, name)
             assert [m.entries for m in (a, b, perm)] == before, (ring.name, name)
+            assert vector == {0: c, 3: ring.one}, (ring.name, name)
 
 
 def test_a_shared_generator_is_lifted_once():

@@ -383,6 +383,41 @@ def test_trace_of_product_matches_trace_of_matmul(ring, data):
         trace_of_product(a, Matrix.zeros(ring, m, n + 1))
 
 
+@st.composite
+def vector_strategy(draw, ring, size):
+    """A vector {index: element} on some of the indices below size, none
+    at all included; GF(p) values may be unreduced ints, which the matrix
+    boundary reduces."""
+    value = element_strategy(ring)
+    if hasattr(ring, "p"):
+        value = st.one_of(value, st.integers(ring.p, 3 * ring.p))
+    indices = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    return {i: draw(value) for i in indices}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_matches_the_ring_method_product_with_a_vector(ring, data):
+    # Q vectors bring denominators unrelated to the matrix's scale
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    full = data.draw(matrix_strategy(ring, rows, cols))
+    empty = data.draw(st.sets(st.integers(0, rows - 1)))
+    m = Matrix.from_nonzeros(ring, rows, cols, ((r, c, v) for r, c, v in full.nonzeros() if r not in empty))
+    terms = data.draw(vector_strategy(ring, cols))
+    stored, copies, scale, given = m._rows, [dict(row) for row in m._rows], m._scale, dict(terms)
+    got = m.apply(terms)
+    want = mat_vec(m, [terms.get(c, ring.zero) for c in range(cols)])
+    assert got == {r: v for r, v in enumerate(want) if not ring.is_zero(v)}
+    kind = Fraction if ring is QQ else int
+    assert all(type(v) is kind for v in got.values())
+    assert m._rows is stored and m._rows == copies and m._scale == scale and terms == given
+    assert m.apply({}) == {}
+    for outside in (-1, cols):
+        with pytest.raises(UsageError):
+            m.apply({outside: ring.one})
+
+
 def assert_combination_exact(ring, rows, cols, terms):
     """`Matrix.combination`, the ring-method loop and a fold of sums and
     scales agree entry for entry, down to the Python type of every entry."""
