@@ -27,7 +27,6 @@ from .rings import GF2, GF3, GF4, QQ, RING_BY_NAME, Ring, ring_by_name
 
 DEFAULT_RINGS = (GF2, GF3, GF4, QQ)
 DEFAULT_TRIALS = 100
-PGO_SAMPLES = 50
 # The largest rank whose dense even elements stay under a million entries
 # (2 * 4^(n-1)); a larger --n is refused before any matrix is built.
 MAX_N = 10
@@ -89,9 +88,11 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
         [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
         lambda ring, n, rng, trials: canonical.correspondence_with_q_wedge(ring, n, rng, trials),
     ),
+    # n + 4 generators certified coefficient by coefficient in their
+    # parameters, then min(trials, 10) random words as a cross-check
     "pgo-invariance": (
         [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)],
-        lambda ring, n, rng, trials: group.pgo_invariance(ring, n, rng, samples=min(trials, PGO_SAMPLES)),
+        lambda ring, n, rng, trials: group.pgo_invariance(ring, n, rng, words=min(trials, 10)),
     ),
     "degree4-alt": (
         [(2, GF2), (2, GF4)],

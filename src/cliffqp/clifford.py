@@ -170,10 +170,12 @@ def reduced_trace(x: CliffordElement) -> Element:
 # --- parity blocks ---------------------------------------------------------
 
 
-def parity_masks(n: int) -> tuple[list[int], list[int]]:
-    """Masks of even and of odd popcount, each in ascending order."""
-    even = [m for m in range(1 << n) if mask_size(m) % 2 == 0]
-    odd = [m for m in range(1 << n) if mask_size(m) % 2 == 1]
+@cache
+def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks of even and of odd popcount, each in ascending order; built
+    once per n and shared, so they are tuples."""
+    even = tuple(m for m in range(1 << n) if mask_size(m) % 2 == 0)
+    odd = tuple(m for m in range(1 << n) if mask_size(m) % 2 == 1)
     return even, odd
 
 

@@ -199,13 +199,15 @@ class Matrix:
 
     def apply(self, terms: dict) -> dict:
         """The product with the column vector {index: element}, as {row:
-        nonzero element}; the vector is lifted once, and each row sums
-        products of stored ints over its nonzeros."""
+        nonzero element}; the vector is lifted once, and each nonempty row
+        sums products of stored ints over its nonzeros."""
         if terms and (min(terms) < 0 or max(terms) >= self.cols):
             raise UsageError(f"vector index outside the {self.cols} columns")
         ints, vscale = self.ring.lift(list(terms.values()))
         x = dict(zip(terms, ints))
-        sums = ((r, sum(v * x[c] for c, v in row.items() if c in x)) for r, row in enumerate(self._rows))
+        sums = (
+            (r, sum(v * x[c] for c, v in row.items() if c in x)) for r, row in enumerate(self._rows) if row
+        )
         element, scale = self.ring.element, self._scale * vscale
         return {r: element(v, scale) for r, v in self.ring.lower([sums])[0].items()}
 

@@ -16,6 +16,7 @@ from functools import reduce
 from cliffqp.clifford import CliffordElement, generator_matrix
 from cliffqp.errors import UsageError
 from cliffqp.exterior import ExteriorVector, mask_size, wedge_masks
+from cliffqp.forms import HyperbolicSpace
 from cliffqp.linalg import Matrix, rref
 from cliffqp.rings import Element, Ring
 
@@ -26,6 +27,15 @@ def from_rows(ring: Ring, rows: list[list[Element]]) -> Matrix:
     if any(len(row) != ncols for row in rows):
         raise UsageError("ragged rows")
     return Matrix(ring, len(rows), ncols, [x for row in rows for x in row])
+
+
+def hyperbolic_scale(ring: Ring, n: int, i: int, u: Element) -> Matrix:
+    """The named generator that scales v_i by the unit u and v_i^* by its
+    inverse, which the scale polynomial of `group.lift_polynomial` must
+    give at u."""
+    hs = HyperbolicSpace(ring, n)
+    diagonal = {k: ring.one for k in range(2 * n)} | {hs.vector_index(i): u, hs.dual_index(i): ring.inv(u)}
+    return Matrix.from_nonzeros(ring, 2 * n, 2 * n, ((k, k, v) for k, v in diagonal.items()))
 
 
 def element_rows(m: Matrix) -> list[dict]:

@@ -309,9 +309,20 @@ def test_center_behaviour():
 
 def test_parity_masks_order():
     even, odd = parity_masks(3)
-    assert even == [0b000, 0b011, 0b101, 0b110]
-    assert odd == [0b001, 0b010, 0b100, 0b111]
+    assert even == (0b000, 0b011, 0b101, 0b110)
+    assert odd == (0b001, 0b010, 0b100, 0b111)
     assert all(mask_size(m) % 2 == 0 for m in even)
+
+
+def test_parity_masks_are_shared_and_cannot_be_modified():
+    # every sampler reads them once per draw, so they are built once per n
+    assert parity_masks(4) is parity_masks(4)
+    even, odd = parity_masks(4)
+    with pytest.raises(TypeError):
+        even[0] = 1
+    with pytest.raises(AttributeError):
+        odd.append(0)
+    assert parity_masks(4) == ((0, 3, 5, 6, 9, 10, 12, 15), (1, 2, 4, 7, 8, 11, 13, 14))
 
 
 def test_sparse_paths_match_dense():

@@ -1,18 +1,20 @@
 """Orthogonal-group membership, lifts to the Clifford group, the induced
 action, and invariance."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 
 from cliffqp import group
 from cliffqp.canonical import canonical_semitrace
-from cliffqp.clifford import CliffordElement, canonical_involution, parity_masks, phi_word
+from cliffqp.clifford import CliffordElement, canonical_involution, parity_masks, phi_word, tau_unit
 from cliffqp.errors import DomainError
 from cliffqp.group import (
     clifford_action,
     eichler_dv,
     eichler_vd,
     eichler_vv,
-    hyperbolic_scale,
     hyperbolic_swap,
     is_lift,
     is_orthogonal,
@@ -27,7 +29,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
 from cliffqp.sampling import random_clifford_element, random_even_element
 
 from conftest import fresh_rng
-from oracles import from_rows, mat_vec
+from oracles import from_rows, hyperbolic_scale, mat_vec
 
 
 def test_identity_is_orthogonal():
@@ -144,13 +146,15 @@ def test_action_commutes_with_involution_samples():
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_pgo_invariance_small_sample(ring):
-    out = pgo_invariance(ring, 4, fresh_rng(f"pgo:{ring.name}"), samples=8)
+    out = pgo_invariance(ring, 4, fresh_rng(f"pgo:{ring.name}"), words=8)
     assert out.passed, out.details
+    assert "the group generated by the 8 named generators, all parameter values" in out.details[-1]
+    assert "8 random words agree" in out.details[-1]
 
 
 def test_pgo_invariance_rejects_ineligible():
     with pytest.raises(DomainError):
-        pgo_invariance(GF3, 2, fresh_rng("bad"), samples=1)
+        pgo_invariance(GF3, 2, fresh_rng("bad"), words=1)
 
 
 def test_composition_equals_product_action():
@@ -197,19 +201,139 @@ def test_is_lift_rejects_a_wrong_lift():
     assert not is_lift(h, h_inv, b)
 
 
+def _mutate(monkeypatch, kind, mutation):
+    """Replace the lift polynomials of one generator kind by mutation(ring, n, i, b, g, g_inv)."""
+    real = group.lift_polynomial
+
+    def mutated(ring, n, k, i, j):
+        b, g, g_inv = real(ring, n, k, i, j)
+        return mutation(ring, n, i, b, g, g_inv) if k == kind else (b, g, g_inv)
+
+    monkeypatch.setattr(group, "lift_polynomial", mutated)
+
+
+def _failures(out):
+    return [line for line in out.details if not line.startswith("Sym^perp = Alt")]
+
+
 def test_pgo_invariance_fails_with_a_wrong_eichler_lift_sign(monkeypatch):
-    real = group.lifted_generator
-
-    def flipped(ring, n, kind, i, j, x):
-        b, g, g_inv = real(ring, n, kind, i, j, x)
-        return (b, g_inv, g) if kind == "eichler_vv" else (b, g, g_inv)
-
-    monkeypatch.setattr(group, "lifted_generator", flipped)
-    out = pgo_invariance(GF3, 4, fresh_rng("pgo:flip"), samples=10)
+    # the lift of eichler_vv(-t) in place of eichler_vv(t): the certificate
+    # alone, with no random word, must see it
+    _mutate(monkeypatch, "eichler_vv", lambda ring, n, i, b, g, g_inv: (b, g_inv, g))
+    out = pgo_invariance(GF3, 4, fresh_rng("pgo:flip"), words=0)
     assert not out.passed
-    assert any("lift does not induce" in line for line in out.details)
+    assert "eichler_vv12: the lift does not induce the generator" in out.details
     # -t = t in characteristic 2, so there the flipped lift is the right one
-    assert pgo_invariance(GF2, 4, fresh_rng("pgo:flip"), samples=10).passed
+    assert pgo_invariance(GF2, 4, fresh_rng("pgo:flip"), words=10).passed
+
+
+def _swap_plus(ring, n, i, b, g, g_inv):
+    # v_i + v_i* squares to 1 and sends v_i to v_i*, but the other v_k to -v_k:
+    # no one sign eps matches the swap
+    plus = phi_word(ring, n, [f"v{i}"]) + phi_word(ring, n, [f"v{i}*"])
+    return b, {0: plus}, {0: plus}
+
+
+def _scale_inverted(ring, n, i, b, g, g_inv):
+    # the lift of scale(u^-1): right wherever u = u^-1, so at every unit of gf2
+    # and gf3, and pair_permutation only uses u = -1
+    return b, {-1: g[1], 0: g[0]}, {0: g_inv[0], 1: g_inv[-1]}
+
+
+def _eichler_vd_flipped(ring, n, i, b, g, g_inv):
+    # the lift of eichler_vd(-t); pair_permutation uses only eichler_vv
+    return b, g_inv, g
+
+
+@pytest.mark.parametrize(
+    "kind, mutation, name",
+    [
+        ("swap", _swap_plus, "swap1"),
+        ("scale", _scale_inverted, "scale1"),
+        ("eichler_vd", _eichler_vd_flipped, "eichler_vd12"),
+    ],
+    ids=("swap", "scale", "eichler"),
+)
+def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mutation, name):
+    _mutate(monkeypatch, kind, mutation)
+    out = pgo_invariance(GF3, 4, fresh_rng(f"pgo:mutant:{kind}"), words=0)
+    assert _failures(out) == [f"{name}: the lift does not induce the generator"]
+
+
+def test_the_scale_mutation_is_right_at_every_value_of_gf3(monkeypatch):
+    # what only a certificate of the coefficients can catch: no parameter
+    # value of gf3 shows the inverted scale lift
+    _mutate(monkeypatch, "scale", _scale_inverted)
+    for u in (GF3.one, GF3.neg(GF3.one)):
+        b, g, g_inv = lifted_generator(GF3, 4, "scale", 1, None, u)
+        assert is_lift(g, g_inv, b)
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
+def test_pgo_invariance_certificate_refuses_a_semitrace_off_the_canonical_class(monkeypatch, ring):
+    # l + E_u for each of the 16 tau-fixed even units u with sign +1 still has
+    # l' + tau(l') = 1 in characteristic 2, but is not canonical
+    n, dim = 4, 16
+    l = canonical_semitrace(ring, n).rep
+    fixed = [(a, b) for masks in parity_masks(n) for a in masks for b in masks if tau_unit(n, a, b) == (0, a, b)]
+    assert len(fixed) == 16
+    for a, b in fixed:
+        unit = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(a, b, ring.one)]))
+        shifted = SimpleNamespace(rep=l + unit)
+        monkeypatch.setattr(group, "canonical_semitrace", lambda ring, n: shifted)
+        out = pgo_invariance(ring, n, fresh_rng("pgo:shifted"), words=0)
+        assert not out.passed, (a, b)
+        assert all(line.endswith("the semi-trace moved on the symmetric elements") for line in _failures(out))
+
+
+def _nonzero_values(ring):
+    if ring is QQ:
+        return [Fraction(2), Fraction(-1, 3), Fraction(5, 7)]
+    return [x for x in ring.elements() if not ring.is_zero(x)]
+
+
+@pytest.mark.parametrize("ring", (GF3, GF4, GF5, QQ), ids=lambda r: r.name)
+def test_certified_lifts_pass_their_oracle_at_every_parameter_value(ring):
+    # the certificate reads coefficients; here is_lift and the invariance of
+    # the semi-trace are checked value by value on lifted_generator, whose b
+    # is the named generator at that value
+    n = 4
+    l = canonical_semitrace(ring, n).rep
+    named = {"scale": hyperbolic_scale, "eichler_vv": eichler_vv, "eichler_vd": eichler_vd, "eichler_dv": eichler_dv}
+    for kind, make in named.items():
+        for x in _nonzero_values(ring):
+            b, g, g_inv = lifted_generator(ring, n, kind, 1, 2, x)
+            assert b == (make(ring, n, 1, x) if kind == "scale" else make(ring, n, 1, 2, x)), (kind, x)
+            assert is_lift(g, g_inv, b), (kind, x)
+            assert in_alternating(g_inv * l * g - l), (kind, x)
+
+
+def test_pair_permutations_conjugate_the_certified_generators_onto_every_named_one():
+    # the group of the adjacent pair permutations, keyed by where it sends
+    # the pairs 1..n; conjugating swap1, scale1, perm12 and the (1, 2)
+    # Eichler generators by its elements gives every named generator
+    ring, n = GF5, 4
+    elements = {tuple(range(1, n + 1)): Matrix.identity(ring, 2 * n)}
+    queue = list(elements)
+    for sigma in queue:
+        for i in range(1, n):
+            moved = tuple(i + 1 if s == i else i if s == i + 1 else s for s in sigma)
+            if moved not in elements:
+                elements[moved] = matmul(pair_permutation(ring, n, i, i + 1), elements[sigma])
+                queue.append(moved)
+    assert len(elements) == 24
+    for sigma, p in elements.items():
+        i, j = sigma[0], sigma[1]
+
+        def conjugate(m):
+            return matmul(matmul(p, m), p.transpose())  # p is a permutation matrix
+
+        assert conjugate(hyperbolic_swap(ring, n, 1)) == hyperbolic_swap(ring, n, i)
+        assert conjugate(pair_permutation(ring, n, 1, 2)) == pair_permutation(ring, n, i, j)
+        for x in _nonzero_values(ring):
+            assert conjugate(hyperbolic_scale(ring, n, 1, x)) == hyperbolic_scale(ring, n, i, x)
+            for make in (eichler_vv, eichler_vd, eichler_dv):
+                assert conjugate(make(ring, n, 1, 2, x)) == make(ring, n, i, j, x)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3), ids=lambda r: r.name)
@@ -235,5 +359,5 @@ def test_non_clifford_conjugator_moves_the_semitrace(ring):
 
 
 def test_pgo_invariance_runs_at_rank_6():
-    out = pgo_invariance(GF2, 6, fresh_rng("pgo:6"), samples=5)
+    out = pgo_invariance(GF2, 6, fresh_rng("pgo:6"), words=5)
     assert out.passed, out.details
