@@ -11,14 +11,13 @@ determined by a representative l with l + tau(l) = 1 and evaluates
 symmetric elements via the reduced trace of l * s; two representatives
 give the same semi-trace exactly when they differ by an alternating
 element, because the alternating elements are the trace-orthogonal
-complement of the symmetric ones (`trace_orthogonality`).  A rank-one
-pairing m -> b(x, m) x is evaluated as trace(l * b(x, _) x) = b(x, l x).
+complement of the symmetric ones; `trace_orthogonality` certifies this
+on tau itself, with no basis built, as transposition carries tau-orbits
+onto tau-orbits with their signs.  A rank-one pairing m -> b(x, m) x is
+evaluated as trace(l * b(x, _) x) = b(x, l x).
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import itemgetter
 
 from .clifford import CliffordElement, canonical_involution, parity_masks, tau_unit
 from .errors import DomainError, UnsupportedRingError, UsageError
@@ -29,45 +28,50 @@ from .reporting import CheckOutcome
 from .rings import Element, Ring
 
 
-def _orbit_basis(ring: Ring, n: int, alternating: bool) -> Matrix:
-    """One row per tau-orbit of even matrix units that contributes to the
-    alternating (image of Id - tau) or symmetric (kernel) subspace; column
-    r * 2^n + c stands for E_rc, as in `Matrix.entries`.
-
-    An orbit is visited from its lower-indexed unit E_u, with
-    tau(E_u) = sign * E_p.  A two-unit orbit gives E_u - sign * E_p to Alt
-    and E_u + sign * E_p to Sym; a fixed unit gives 2 E_u to Alt when its
-    sign is -1 != 1 (so never in characteristic 2), and E_u to Sym when
-    its sign is 1.
-    """
+def _orbits(ring: Ring, n: int):
+    """Every even matrix unit E_rc with tau(E_rc) = sign * E_(pr, pc), as
+    (r, c, pr, pc, sign, alt, sym).  tau squares to 1 on units
+    (`involution_suite`); an orbit gives its basis elements at its
+    lower-indexed unit E_u (index r * 2^n + c, as in `Matrix.entries`),
+    where alt and sym say whether it gives one to Alt (the image of
+    Id - tau) and to Sym (the kernel): a two-unit orbit gives E_u - sign * E_p
+    and E_u + sign * E_p, a fixed unit 2 E_u to Alt if its sign is -1 != 1
+    (never in characteristic 2), E_u to Sym if it is 1."""
     if not ring.is_field:
         raise UnsupportedRingError(f"subspace bases need a field, not {ring.name}")
-    dim = 1 << n
-    one, two = ring.one, ring.from_int(2)
-    orbits = []
+    signs, dim = (ring.one, ring.sign(1)), 1 << n
+    plus = (True, ring.eq(signs[1], ring.one))
     for masks in parity_masks(n):
         for r in masks:
             for c in masks:
                 parity, pr, pc = tau_unit(n, r, c)
-                u, p = r * dim + c, pr * dim + pc
-                sign = ring.sign(parity)
-                if u < p:
-                    orbits.append(((u, one), (p, ring.neg(sign) if alternating else sign)))
-                elif u == p and ring.eq(sign, one) != alternating:
-                    orbits.append(((u, two if alternating else one),))
-    triples = ((k, col, v) for k, orbit in enumerate(orbits) for col, v in orbit)
-    return Matrix.from_nonzeros(ring, len(orbits), dim * dim, triples)
+                lower, fixed = r * dim + c < pr * dim + pc, (r, c) == (pr, pc)
+                alt, sym = lower or fixed and not plus[parity], lower or fixed and plus[parity]
+                yield r, c, pr, pc, signs[parity], alt, sym
+
+
+def _orbit_basis(ring: Ring, n: int, alternating: bool) -> Matrix:
+    """One row per tau-orbit of even units that gives the alternating or
+    the symmetric subspace a basis element (see `_orbits`)."""
+    dim, rows, triples = 1 << n, 0, []
+    for r, c, pr, pc, sign, alt, sym in _orbits(ring, n):
+        if alt if alternating else sym:
+            u, p = r * dim + c, pr * dim + pc
+            if u == p:
+                triples.append((rows, u, ring.from_int(2) if alternating else ring.one))
+            else:
+                triples += ((rows, u, ring.one), (rows, p, ring.neg(sign) if alternating else sign))
+            rows += 1
+    return Matrix.from_nonzeros(ring, rows, dim * dim, triples)
 
 
 def alt_basis(ring: Ring, n: int) -> Matrix:
-    """Basis of the alternating elements, the image of Id - tau, one row
-    per element over the matrix units (see `_orbit_basis`)."""
+    """Basis of Alt, the image of Id - tau, one row per element (see `_orbit_basis`)."""
     return _orbit_basis(ring, n, alternating=True)
 
 
 def sym_basis(ring: Ring, n: int) -> Matrix:
-    """Basis of the symmetric elements, the kernel of Id - tau, one row
-    per element over the matrix units (see `_orbit_basis`)."""
+    """Basis of Sym, the kernel of Id - tau, one row per element (see `_orbit_basis`)."""
     return _orbit_basis(ring, n, alternating=False)
 
 
@@ -143,30 +147,29 @@ class SemiTrace:
 
 def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     """Sym^perp = Alt under the trace form, which is nondegenerate on the
-    even algebra: the alternating and symmetric basis elements pair to zero
-    and number 2 * 4^(n-1) together.  trace(E_ab E_cd) = [b == c][a == d],
-    so only transposed units pair.
+    even algebra, certified on tau itself in one walk over the units.
+
+    trace(E_ab E_cd) = [b == c][a == d], so only transposed units pair.
+    For every even unit E_rc, tau(E_cr) must be the transpose of tau(E_rc)
+    with the same sign in the ring.  Transposition then carries each orbit
+    onto an orbit with its sign: an orbit's Alt element E_u - s E_p (see
+    `_orbits`) pairs with the Sym element of the transposed orbit to
+    1 - s^2 = 0 and with every other one to 0, and a fixed unit and its
+    transpose give Alt or Sym an element, never both.  The orbit bases have
+    disjoint supports and 2 * 4^(n-1) elements, the even algebra's dimension.
     """
     out = CheckOutcome()
-    alt, sym = alt_basis(ring, n), sym_basis(ring, n)
-    dim = 1 << n
-    # each unit lies in one tau-orbit, so in at most one symmetric basis element
-    holder = {k: s for s, k, _ in sym.nonzeros()}
-    for a, terms in groupby(alt.nonzeros(), key=itemgetter(0)):
-        totals: dict[int, Element] = {}
-        for _, k, coef in terms:
-            swapped = k % dim * dim + k // dim  # E_rc -> E_cr
-            if swapped in holder:
-                s = holder[swapped]
-                totals[s] = ring.add(totals.get(s, ring.zero), ring.mul(coef, sym.at(s, swapped)))
-        for s, total in totals.items():
-            if not ring.is_zero(total):
-                out.fail(f"trace pairing nonzero: alt basis row {a} vs sym basis row {s} -> {ring.show(total)}")
-    if alt.rows + sym.rows != 2 * 4 ** (n - 1):
-        out.fail(f"dim Alt + dim Sym = {alt.rows} + {sym.rows}, not {2 * 4 ** (n - 1)}")
+    dim_alt = dim_sym = 0
+    for r, c, pr, pc, sign, alt, sym in _orbits(ring, n):
+        parity, tr, tc = tau_unit(n, c, r)
+        if (tr, tc) != (pc, pr) or not ring.eq(ring.sign(parity), sign):
+            out.fail(f"tau(E_cr) is not the transpose of tau(E_rc) with its sign on unit ({r}, {c})")
+        dim_alt, dim_sym = dim_alt + alt, dim_sym + sym
+    if dim_alt + dim_sym != 2 * 4 ** (n - 1):
+        out.fail(f"dim Alt + dim Sym = {dim_alt} + {dim_sym}, not {2 * 4 ** (n - 1)}")
     if out.passed:
         out.note(
-            f"Sym^perp = Alt: {alt.rows} alternating and {sym.rows} symmetric basis "
+            f"Sym^perp = Alt: {dim_alt} alternating and {dim_sym} symmetric basis "
             f"elements, pairwise trace-orthogonal (n={n}, {ring.name})"
         )
     return out

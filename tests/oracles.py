@@ -5,18 +5,23 @@ elimination (rank, kernel and image bases, span membership), the matrix
 builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
 combinations, which the int kernels of `cliffqp.linalg` are tested
-against, and the bit-pair product of GF(4).  Everything is written on the
-public `Matrix` API, on the ring methods and on `cliffqp.linalg.rref`.
+against, the bit-pair product of GF(4), and the trace pairing of the
+tau-orbit bases of Alt and Sym, which `trace_orthogonality` certifies on
+tau itself.  Everything is written on the public `Matrix` API, on the
+ring methods, on `cliffqp.linalg.rref` and on the orbit bases.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import groupby
+from operator import itemgetter
 
 from cliffqp.clifford import CliffordElement, generator_matrix
 from cliffqp.errors import UsageError
 from cliffqp.exterior import ExteriorVector, mask_size, wedge_masks
 from cliffqp.forms import HyperbolicSpace
+from cliffqp.involution import alt_basis, sym_basis
 from cliffqp.linalg import Matrix, rref
 from cliffqp.rings import Element, Ring
 
@@ -182,3 +187,24 @@ def recompose(ring: Ring, n: int, coords: list) -> CliffordElement:
                 monomial = generator_matrix(ring, n, k) * monomial
         terms.append((c, monomial))
     return CliffordElement(ring, n, Matrix.combination(ring, dim, dim, terms))
+
+
+def basis_trace_pairing(ring: Ring, n: int) -> tuple[int, int, list]:
+    """The trace pairing of the two tau-orbit bases, row by row:
+    (dim Alt, dim Sym, [(a, s, value)] for each nonzero pairing of
+    alternating row a with symmetric row s).  trace(E_ab E_cd) =
+    [b == c][a == d], so only transposed units pair, and each unit lies in
+    one tau-orbit, so in at most one symmetric basis element."""
+    alt, sym = alt_basis(ring, n), sym_basis(ring, n)
+    dim = 1 << n
+    holder = {k: s for s, k, _ in sym.nonzeros()}
+    nonzero = []
+    for a, terms in groupby(alt.nonzeros(), key=itemgetter(0)):
+        totals: dict = {}
+        for _, k, coef in terms:
+            swapped = k % dim * dim + k // dim  # E_rc -> E_cr
+            if swapped in holder:
+                s = holder[swapped]
+                totals[s] = ring.add(totals.get(s, ring.zero), ring.mul(coef, sym.at(s, swapped)))
+        nonzero += [(a, s, total) for s, total in totals.items() if not ring.is_zero(total)]
+    return alt.rows, sym.rows, nonzero

@@ -24,6 +24,11 @@ ORACLES = (
     # span membership on `rref`: the oracle for the tau-orbit bases of Alt and Sym
     "linalg.SpanChecker",
     "linalg.SpanChecker.contains",
+    # the basis of Sym, which the tests pair with that of Alt; the checks
+    # certify Sym^perp = Alt on tau itself
+    "involution.sym_basis",
+    # the matrix of a rank-one pairing: the oracle for `SemiTrace.evaluate_rank_one`
+    "canonical.rank_one_wedge",
     # the n <= 4 monomial route for the group action, which conjugation by
     # lifts replaced in the checks
     "group.clifford_action",

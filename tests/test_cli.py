@@ -229,6 +229,9 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
             assert json.loads(text)["passed"] == passed
             texts.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text))
         assert texts[0] == texts[1]
+    # the last pair is the whole grid, which also matches its recorded text:
+    # a change to any status or detail of `all` must update the golden file
+    assert texts[0] == (Path(__file__).parent / "golden" / "all-trials1-seed0.json").read_text()
 
 
 def test_same_seed_gives_identical_json_across_processes():

@@ -1,5 +1,7 @@
 """Alternating/symmetric subspaces and semi-traces."""
 
+import tracemalloc
+
 import pytest
 
 from cliffqp import involution
@@ -23,7 +25,8 @@ from cliffqp.rings import GF2, GF3, GF4, QQ, ZZ
 from cliffqp.sampling import random_even_element
 
 from conftest import FIELDS, fresh_rng
-from oracles import image_basis, in_span, kernel_basis, rank
+import oracles
+from oracles import basis_trace_pairing, image_basis, in_span, kernel_basis, rank
 
 
 def even_units(n):
@@ -259,19 +262,66 @@ def test_trace_orthogonality_random_products():
 
 
 def test_trace_orthogonality_catches_a_flipped_partner_sign(monkeypatch):
+    # the basis-pairing oracle: E - sign * partner becomes E + sign * partner
+    # in the alternating basis, symmetric rather than alternating
     ring, n = GF3, 2
     good = alt_basis(ring, n)
-    assert trace_orthogonality(ring, n).passed
-    # E - sign * partner becomes E + sign * partner: symmetric, not alternating
+    assert basis_trace_pairing(ring, n)[2] == []
     triples = list(good.nonzeros())
     k = next(k for k in range(1, len(triples)) if triples[k][0] == triples[k - 1][0])
     row, col, coef = triples[k]
     triples[k] = (row, col, ring.neg(coef))
     bad = Matrix.from_nonzeros(ring, good.rows, good.cols, triples)
-    monkeypatch.setattr(involution, "alt_basis", lambda ring, n: bad)
-    out = trace_orthogonality(ring, n)
+    monkeypatch.setattr(oracles, "alt_basis", lambda ring, n: bad)
+    assert basis_trace_pairing(ring, n)[2] != []
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_orthogonality_matches_the_basis_pairing(ring, n):
+    """The certificate on tau and the row-by-row pairing of the two orbit
+    bases agree: both pass, with the same dimensions."""
+    alt, sym, nonzero = basis_trace_pairing(ring, n)
+    assert nonzero == [] and alt + sym == 2 * 4 ** (n - 1)
+    assert trace_orthogonality(ring, n).details == [
+        f"Sym^perp = Alt: {alt} alternating and {sym} symmetric basis elements, "
+        f"pairwise trace-orthogonal (n={n}, {ring.name})"
+    ]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_trace_orthogonality_catches_a_sign_flipped_on_one_unit(monkeypatch, n):
+    """tau(E_03) with its sign flipped and tau(E_30) kept: a fixed unit at
+    n = 2, one of a two-unit orbit at n = 3.  Over GF(3) the certificate
+    names both units and the basis-pairing oracle fails too; in
+    characteristic 2 the flip changes no sign in the ring."""
+    honest = involution.tau_unit
+
+    def flipped(n, r, c):
+        parity, pr, pc = honest(n, r, c)
+        return parity ^ ((r, c) == (0, 3)), pr, pc
+
+    monkeypatch.setattr(involution, "tau_unit", flipped)
+    out = trace_orthogonality(GF3, n)
     assert not out.passed
-    assert any("trace pairing nonzero" in line for line in out.details)
+    assert [line for line in out.details if "not the transpose" in line] == [
+        f"tau(E_cr) is not the transpose of tau(E_rc) with its sign on unit {unit}" for unit in ((0, 3), (3, 0))
+    ]
+    assert basis_trace_pairing(GF3, n)[2] != []
+    assert trace_orthogonality(GF2, n).passed
+
+
+def test_trace_orthogonality_builds_no_basis():
+    """The certificate holds no basis and no unit index: at n = 8 over
+    GF(2) it stays under 1 MB, where the two bases take about 12 MB."""
+    trace_orthogonality(GF2, 8)  # fills the per-n caches of the walk
+    tracemalloc.start()
+    try:
+        assert trace_orthogonality(GF2, 8).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, QQ), ids=lambda r: r.name)
