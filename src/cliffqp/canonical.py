@@ -85,12 +85,11 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
 def rho_xi_check(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
     """(Id + tau)(c(M)) = trace(M) * Id, exactly, on random matrices."""
     out = CheckOutcome()
-    ident = CliffordElement.identity(ring, n)
 
     def holds(m: Matrix, label: str) -> None:
         image = canonical_map_c(m)
         lhs = image + canonical_involution(image)
-        rhs = ident.scale(m.trace())
+        rhs = CliffordElement.scalar(ring, n, m.trace())
         if lhs != rhs:
             out.fail(f"{label}: (Id + tau)c(M) = {lhs!r} but trace(M) Id = {rhs!r}")
 
@@ -458,7 +457,7 @@ def base_change_report(rng, samples: int = 20) -> CheckOutcome:
             if map_clifford(phi, canonical_map_c(mm)) != canonical_map_c(map_matrix(phi, mm)):
                 out.fail(f"canonical mapping differs after base change, n={n} trial {t}")
             image = canonical_map_c(map_matrix(phi, mm))
-            want = CliffordElement.identity(big, n).scale(phi(mm.trace()))
+            want = CliffordElement.scalar(big, n, phi(mm.trace()))
             if image + canonical_involution(image) != want:
                 out.fail(f"trace compatibility differs after base change, n={n} trial {t}")
             if n >= 3:

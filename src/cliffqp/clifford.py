@@ -5,7 +5,11 @@ The generator v_i acts as left wedge multiplication and v_i^* as the
 dual-basis contraction, so every algebra element is a concrete
 2^n x 2^n `Matrix` and equality is decidable.  Generator matrices have
 at most one nonzero per column, so generator words and monomials stay
-sparse in that one format.  Matrices are immutable, so
+sparse in that one format.  The (row, col, sign) support of each
+generator is built once per n (`_generator_units`), and the 2n supports
+are disjoint: `generator_matrix` places +-1 on one support, and
+`phi_vector` places +-m_k on the supports of its nonzero coefficients,
+with no sum over the generator matrices.  Matrices are immutable, so
 `generator_matrix` hands every caller the one cached matrix.  The
 canonical involution is the adjoint of the subset pairing, G^-1 x^T G.
 The Gram matrix G is a signed permutation, so the involution moves each
@@ -38,8 +42,9 @@ from .rings import Element, Ring
 
 
 @cache
-def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
-    """The matrix of the k-th generator, cached and shared."""
+def _generator_units(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """The support of the k-th generator, one (row, col, sign parity) per
+    nonzero, a +-1; the supports of the 2n generators are disjoint."""
     dim = 1 << n
     if k < n:
         bit = 1 << k  # left multiplication by v_{k+1}
@@ -47,9 +52,14 @@ def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
     else:
         bit = 1 << (2 * n - k - 1)  # contraction by the matching dual vector
         units = ((col & ~bit, col) for col in range(dim) if col & bit)
-    return Matrix.from_nonzeros(
-        ring, dim, dim, ((r, c, ring.sign(mask_size(c & (bit - 1)))) for r, c in units)
-    )
+    return tuple((r, c, mask_size(c & (bit - 1)) & 1) for r, c in units)
+
+
+@cache
+def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
+    """The matrix of the k-th generator, cached and shared."""
+    dim = 1 << n
+    return Matrix.from_places(ring, dim, dim, (ring.one, ring.sign(1)), _generator_units(n, k))
 
 
 # --- algebra elements -----------------------------------------------------
@@ -73,6 +83,10 @@ class CliffordElement:
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "CliffordElement":
         return cls(ring, n, Matrix.identity(ring, 1 << n))
+
+    @classmethod
+    def scalar(cls, ring: Ring, n: int, c: Element) -> "CliffordElement":
+        return cls(ring, n, Matrix.scalar(ring, 1 << n, c))
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "CliffordElement":
@@ -130,11 +144,20 @@ def phi_word(ring: Ring, n: int, labels: Sequence[str]) -> CliffordElement:
 
 
 def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement:
-    """Image of a module element of H(V): the sum of scaled generators."""
+    """Image of a module element of H(V): the sum of scaled generators,
+    placed as +-m_k on the support of each generator with m_k nonzero;
+    the supports are disjoint, so nothing is summed."""
     if len(coeffs) != 2 * n:
         raise UsageError(f"expected {2 * n} coefficients")
-    gens = (generator_matrix(ring, n, k) for k in range(2 * n))
-    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
+    values = [*coeffs, *map(ring.neg, coeffs)]  # value k + 2n is -m_k
+    places = (
+        (r, c, k + 2 * n * parity)
+        for k, m in enumerate(coeffs)
+        if not ring.is_zero(m)
+        for r, c, parity in _generator_units(n, k)
+    )
+    dim = 1 << n
+    return CliffordElement(ring, n, Matrix.from_places(ring, dim, dim, values, places))
 
 
 # --- canonical involution and trace ---------------------------------------
@@ -204,9 +227,9 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
+    dim = 1 << n
     gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
-    zero = Matrix.zeros(ring, 1 << n, 1 << n)
-    ident = Matrix.identity(ring, 1 << n)
+    zero, ident = Matrix.zeros(ring, dim, dim), Matrix.identity(ring, dim)
 
     def check(name: str, got: Matrix, want: Matrix) -> None:
         if got != want:
@@ -234,7 +257,7 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
         phi = phi_vector(ring, n, coeffs).matrix
         square = phi * phi
         qm = hs.q(coeffs)
-        if square != ident.scale(qm):
+        if square != Matrix.scalar(ring, dim, qm):
             out.fail(
                 f"Phi(m)^2 != q(m) Id for m={coeffs!r} (trial {t}): "
                 f"q(m)={ring.show(qm)}, square={square!r}"

@@ -22,6 +22,8 @@ package because the benchmark's tracer names it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .canonical import canonical_semitrace
 from .clifford import (
     CliffordElement,
@@ -134,8 +136,17 @@ def lift_polynomial(
     Q = v_i* v_i) or 'eichler_vv', 'eichler_vd', 'eichler_dv' (x = t;
     b(t) = 1 + t N, lift 1 + t w for a square-zero generator product w,
     inverse 1 - t w).  'swap' and 'perm' have no parameter, so their
-    polynomials are constant.  j is unused by 'swap' and 'scale'.
+    polynomials are constant.  j is unused by 'swap' and 'scale'.  The
+    last few polynomials are cached per (ring, n, kind, i, j), and each
+    call hands out new dicts of the shared coefficients.
     """
+    return tuple(map(dict, _lift_polynomial(ring, n, kind, i, None if kind in ("swap", "scale") else j)))
+
+
+# A perm lift reads its Eichler part twice in a row.  A lift at n = 8 holds
+# about 130 KB, and an unbounded cache kept 13 MB to the end of `all`.
+@lru_cache(maxsize=4)
+def _lift_polynomial(ring: Ring, n: int, kind: str, i: int, j: int | None) -> tuple[dict, dict, dict]:
     one, eye = CliffordElement.identity(ring, n), Matrix.identity(ring, 2 * n)
     vi, di, vj, dj = f"v{i}", f"v{i}*", f"v{j}", f"v{j}*"
     eichler = {
@@ -170,7 +181,7 @@ def lift_polynomial(
         ("eichler_vv", i, j, plus),
         ("scale", j, None, minus),
     ):
-        _, h, h_inv = lifted_generator(ring, n, part, a, c, y)
+        _, h, h_inv = _at(ring, _lift_polynomial(ring, n, part, a, c), y)
         g, g_inv = g * h, h_inv * g_inv
     return {0: pair_permutation(ring, n, i, j)}, {0: g}, {0: g_inv}
 
@@ -181,9 +192,14 @@ def lifted_generator(
     """A named orthogonal generator b with a lift (g, g^-1) in the Clifford
     group, which `is_lift` certifies: the polynomials of `lift_polynomial`
     at x (see there; x is unused by 'swap' and 'perm')."""
+    return _at(ring, lift_polynomial(ring, n, kind, i, j), x)
+
+
+def _at(ring: Ring, polys, x: Element | None) -> tuple:
+    """The Laurent polynomials (b, g, g^-1) evaluated at x."""
     b, g, g_inv = (
         sum((c.scale(x if k == 1 else ring.inv(x)) for k, c in poly.items() if k), start=poly[0])
-        for poly in lift_polynomial(ring, n, kind, i, j)
+        for poly in polys
     )
     return b, g, g_inv
 
@@ -306,7 +322,7 @@ def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
     if not all(in_alternating(c) for c in moved.values()):
         return "the semi-trace moved on the symmetric elements"
     scalars = _times({k: canonical_involution(c) for k, c in g.items()}, g, one).values()
-    if not all(c == one.scale(c.matrix.at(0, 0)) for c in scalars):
+    if not all(c == CliffordElement.scalar(l.ring, l.n, c.matrix.at(0, 0)) for c in scalars):
         return "tau(g) g is not a scalar"
     return None
 

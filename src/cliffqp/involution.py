@@ -31,7 +31,7 @@ from .rings import Element, Ring
 def _orbits(ring: Ring, n: int):
     """Every even matrix unit E_rc with tau(E_rc) = sign * E_(pr, pc), as
     (r, c, pr, pc, sign, alt, sym).  tau squares to 1 on units
-    (`involution_suite`); an orbit gives its basis elements at its
+    (`trace_orthogonality`); an orbit gives its basis elements at its
     lower-indexed unit E_u (index r * 2^n + c, as in `Matrix.entries`),
     where alt and sym say whether it gives one to Alt (the image of
     Id - tau) and to Sym (the kernel): a two-unit orbit gives E_u - sign * E_p
@@ -147,7 +147,8 @@ class SemiTrace:
 
 def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     """Sym^perp = Alt under the trace form, which is nondegenerate on the
-    even algebra, certified on tau itself in one walk over the units.
+    even algebra, certified on tau itself in one walk over the units,
+    which also checks that tau squares to 1 on each unit, as `_orbits` assumes.
 
     trace(E_ab E_cd) = [b == c][a == d], so only transposed units pair.
     For every even unit E_rc, tau(E_cr) must be the transpose of tau(E_rc)
@@ -161,6 +162,9 @@ def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     out = CheckOutcome()
     dim_alt = dim_sym = 0
     for r, c, pr, pc, sign, alt, sym in _orbits(ring, n):
+        back, br, bc = tau_unit(n, pr, pc)
+        if (br, bc) != (r, c) or not ring.eq(ring.sign(back), sign):  # sign^2 = 1
+            out.fail(f"tau does not square to 1 on unit ({r}, {c})")
         parity, tr, tc = tau_unit(n, c, r)
         if (tr, tc) != (pc, pr) or not ring.eq(ring.sign(parity), sign):
             out.fail(f"tau(E_cr) is not the transpose of tau(E_rc) with its sign on unit ({r}, {c})")

@@ -6,7 +6,10 @@ ints are those of `Ring.lift` (GF(p) and Z elements, GF(4) elements packed
 as a | b << 32, Q numerators), and every matrix made is divided by the gcd
 of its ints and its scale, so equal matrices store equal ints.  A matrix
 is never written after it is built, so cached matrices and their rows are
-shared freely.  Products, combinations, `trace_of_product` and `apply`
+shared freely.  `from_places` builds a sparse matrix from values lifted
+once, each put at its (row, col) places; `zeros`, `scalar`, `identity`
+and the generator matrices go through it.
+Products, combinations, `trace_of_product` and `apply`
 sum products of stored ints and reduce them with `Ring.lower`, one
 kernel for all six rings.  Row reduction exists once, as `rref` on element
 rows over a field; `SpanChecker` answers span membership from its reduced
@@ -61,11 +64,39 @@ class Matrix:
         return m
 
     @classmethod
+    def from_places(
+        cls, ring: Ring, rows: int, cols: int, values: Sequence[Element], places: Iterable[tuple[int, int, int]]
+    ) -> "Matrix":
+        """The matrix with values[i] at (r, c) for every (r, c, i) in places.
+        The values are lifted once, a zero value places nothing, and a later
+        value at a position replaces an earlier one."""
+        if rows <= 0 or cols <= 0:
+            raise UsageError("matrix dimensions must be positive")
+        ints, scale = ring.lift(values)
+        out: list = [{} for _ in range(rows)]
+        r = c = i = None
+        try:  # an index past the values raises IndexError as well
+            for r, c, i in places:
+                if r < 0 or c < 0 or i < 0 or r >= rows or c >= cols:
+                    raise IndexError
+                v = ints[i]
+                if v:
+                    out[r][c] = v
+        except IndexError:
+            raise UsageError(
+                f"place ({r}, {c}) of value {i} outside a {rows}x{cols} matrix of {len(ints)} values"
+            ) from None
+        return cls._canonical(ring, rows, cols, out, scale)
+
+    @classmethod
     def from_nonzeros(
         cls, ring: Ring, rows: int, cols: int, triples: Iterable[tuple[int, int, Element]]
     ) -> "Matrix":
         """A matrix from (row, col, value) triples whose values are nonzero;
-        a position given twice keeps its last value."""
+        a position given twice keeps its last value.  It keeps its own
+        loop: a triple carries its value, and on the dense draws of
+        `random_even_element` the indexed loop of `from_places` costs about
+        a third more."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         out: list = [{} for _ in range(rows)]
@@ -111,11 +142,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        return cls.from_nonzeros(ring, rows, cols, ())
+        return cls.from_places(ring, rows, cols, (), ())
+
+    @classmethod
+    def scalar(cls, ring: Ring, size: int, c: Element) -> "Matrix":
+        """c times the identity."""
+        return cls.from_places(ring, size, size, (c,), ((i, i, 0) for i in range(size)))
 
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "Matrix":
-        return cls.from_nonzeros(ring, size, size, ((i, i, ring.one) for i in range(size)))
+        return cls.scalar(ring, size, ring.one)
 
     @property
     def entries(self) -> list:

@@ -149,13 +149,15 @@ class PrimeField(Ring):
 
 
 W = 1 << 32  # the element w of GF(4)
+SLOT_PARITIES = 1 | W | W * W  # the lowest bit of each slot of a GF(4) sum
 
 
 class GaloisField4(Ring):
     """GF(4) = GF(2)[w]/(w^2 + w + 1); a + b*w is the int a | b << 32.  A sum
     of products of these ints counts a0*b0, a0*b1 + a1*b0 and a1*b1 from
     bits 0, 32 and 64, exactly below 2^31 products; their parities, with
-    w^2 = w + 1, give the sum (`lower`, `mul`)."""
+    w^2 = w + 1, give the sum, read from an 8-entry table keyed by the
+    sum's `SLOT_PARITIES` bits (`lower`, `mul`)."""
 
     def __init__(self):
         self.name = "gf4"
@@ -166,6 +168,10 @@ class GaloisField4(Ring):
         self.omega = W
         self._shows = {0: "0", 1: "1", W: "w", 1 | W: "1+w"}
         self._elements = frozenset(self._shows)
+        bits = (0, 1)  # s0 + s1 w + s2 w^2 = (s0 + s2) + (s1 + s2) w
+        self._by_parities = {
+            s0 | s1 * W | s2 * W * W: (s0 ^ s2) | (s1 ^ s2) * W for s0 in bits for s1 in bits for s2 in bits
+        }
 
     def add(self, a, b):
         return a ^ b
@@ -174,8 +180,7 @@ class GaloisField4(Ring):
         return a
 
     def mul(self, a, b):
-        v = a * b
-        return (v ^ v >> 64) & 1 | (v ^ v >> 32) & W
+        return self._by_parities[a * b & SLOT_PARITIES]
 
     def inv(self, a):
         if a == 0:
@@ -192,8 +197,8 @@ class GaloisField4(Ring):
         return values, 1
 
     def lower(self, rows):
-        return [{j: r for j, v in row if (r := (v ^ v >> 64) & 1 | (v ^ v >> 32) & W)} if row else {}
-                for row in rows]
+        table = self._by_parities
+        return [{j: r for j, v in row if (r := table[v & SLOT_PARITIES])} if row else {} for row in rows]
 
     def elements(self):
         return iter(self._shows)

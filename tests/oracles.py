@@ -5,10 +5,12 @@ elimination (rank, kernel and image bases, span membership), the matrix
 builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
 combinations, which the int kernels of `cliffqp.linalg` are tested
-against, the bit-pair product of GF(4), and the trace pairing of the
-tau-orbit bases of Alt and Sym, which `trace_orthogonality` certifies on
-tau itself.  Everything is written on the public `Matrix` API, on the
-ring methods, on `cliffqp.linalg.rref` and on the orbit bases.
+against, the bit-pair product of GF(4) and the bit formula of its
+`lower`, Phi(m) as a combination of all the generator matrices, and the
+trace pairing of the tau-orbit bases of Alt and Sym, which
+`trace_orthogonality` certifies on tau itself.  Everything is written on
+the public `Matrix` API, on the ring methods, on `cliffqp.linalg.rref`
+and on the orbit bases.
 """
 
 from __future__ import annotations
@@ -87,6 +89,18 @@ def gf4_bit_pair_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """(a0 + a1 w)(b0 + b1 w) with w^2 = w + 1, on bit pairs."""
     x = a[1] & b[1]
     return (a[0] & b[0]) ^ x, (a[0] & b[1]) ^ (a[1] & b[0]) ^ x
+
+
+def gf4_lower_by_bits(v: int) -> int:
+    """The GF(4) element of a sum of products of stored ints, by shifts and
+    xors: bit 0 of v ^ v >> 64 and bit 32 of v ^ v >> 32."""
+    return (v ^ v >> 64) & 1 | (v ^ v >> 32) & (1 << 32)
+
+
+def phi_vector_by_combination(ring: Ring, n: int, coeffs: list) -> CliffordElement:
+    """Phi(m) as the sum of m_k times the k-th generator matrix, over all 2n."""
+    gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
+    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
 
 
 def mat_vec(a: Matrix, v: list) -> list:

@@ -26,7 +26,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
 from conftest import PALETTE, fresh_rng
-from oracles import from_rows, recompose
+from oracles import from_rows, phi_vector_by_combination, recompose
 
 
 def test_phi_word_n1_matrix():
@@ -62,6 +62,44 @@ def test_phi_word_rejects_bad_label():
 def test_relation_suite_small(ring, n):
     out = relation_suite(ring, n, fresh_rng(f"rel:{ring.name}:{n}"), trials=25)
     assert out.passed, out.details
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ, ZZ), ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi_vector_matches_the_combination_of_generators(ring, n):
+    # random columns, a zero column, every column with one nonzero, and
+    # random columns with zeros at random places
+    rng = fresh_rng(f"phi:{ring.name}:{n}")
+    columns = [ring.samples(rng, 2 * n) for _ in range(3)] + [[ring.zero] * (2 * n)]
+    for k in range(2 * n):
+        column = [ring.zero] * (2 * n)
+        column[k] = ring.samples(rng, 1)[0] if k % 2 else ring.one
+        columns.append(column)
+    for column in columns[:3]:
+        columns.append([ring.zero if rng.random() < 0.5 else c for c in column])
+    for column in columns:
+        assert phi_vector(ring, n, column) == phi_vector_by_combination(ring, n, column), column
+
+
+def _phi_without_dual_signs(ring, n, coeffs):
+    # m_k times the k-th generator, with the dual generators' signs dropped
+    triples = [
+        (r, c, ring.mul(m, v) if k < n else m)
+        for k, m in enumerate(coeffs)
+        for r, c, v in generator_matrix(ring, n, k).nonzeros()
+    ]
+    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, triples))
+
+
+def test_relation_trials_catch_a_phi_without_the_dual_signs(monkeypatch):
+    # the generator relations read the generator matrices, so they still
+    # hold; only the trials go through phi_vector
+    ring, n = GF3, 3
+    assert relation_suite(ring, n, fresh_rng("phi-signs"), trials=20).passed
+    monkeypatch.setattr(clifford, "phi_vector", _phi_without_dual_signs)
+    out = relation_suite(ring, n, fresh_rng("phi-signs"), trials=20)
+    assert not out.passed and out.details
+    assert all(line.startswith("Phi(m)^2 != q(m) Id") for line in out.details)
 
 
 def test_phi_square_is_form_value():

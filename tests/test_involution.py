@@ -311,6 +311,24 @@ def test_trace_orthogonality_catches_a_sign_flipped_on_one_unit(monkeypatch, n):
     assert trace_orthogonality(GF2, n).passed
 
 
+@pytest.mark.parametrize("n", (2, 4))
+def test_trace_orthogonality_catches_tau_squaring_to_minus_one(monkeypatch, n):
+    """tau(E_00) with its sign flipped and tau(E_ff) kept, f = 2^n - 1: E_00
+    and E_ff are transposes of themselves, so only tau^2 = 1 sees the flip
+    over GF(3), on both units; in characteristic 2 the flip changes no sign."""
+    honest = involution.tau_unit
+
+    def flipped(n, r, c):
+        parity, pr, pc = honest(n, r, c)
+        return parity ^ ((r, c) == (0, 0)), pr, pc
+
+    monkeypatch.setattr(involution, "tau_unit", flipped)
+    full = (1 << n) - 1
+    out = trace_orthogonality(GF3, n)
+    assert out.details == [f"tau does not square to 1 on unit {unit}" for unit in ((0, 0), (full, full))]
+    assert trace_orthogonality(GF2, n).passed
+
+
 def test_trace_orthogonality_builds_no_basis():
     """The certificate holds no basis and no unit index: at n = 8 over
     GF(2) it stays under 1 MB, where the two bases take about 12 MB."""

@@ -525,3 +525,36 @@ def test_rational_matrices_are_stored_in_lowest_terms(data):
     assert a.scale(c).scale(1 / c) == a
     assert a - a == Matrix.zeros(QQ, rows, inner) and (a - a)._scale == 1
     assert_entries_exact(matmul(a, y), ring_method_product(a, y).entries)
+    # a placement of unused and zero values is canonical as well
+    placed = Matrix.from_places(QQ, rows, inner, [c, 2 * c, QQ.zero, c / 3], [(0, 0, 1), (rows - 1, 0, 2)])
+    assert_canonical(placed)
+    assert placed == Matrix.from_nonzeros(QQ, rows, inner, [(0, 0, 2 * c)])
+
+
+def test_from_places_puts_each_value_at_its_places():
+    # values are shared between places, a zero places nothing, and a later
+    # value at a position replaces an earlier one
+    values = [3, 0, 1]
+    places = [(0, 1, 0), (1, 2, 0), (1, 0, 1), (0, 1, 2), (1, 1, 2)]
+    assert Matrix.from_places(GF5, 2, 3, values, places) == from_rows(GF5, [[0, 1, 0], [0, 1, 3]])
+    assert Matrix.from_places(GF5, 2, 2, values, ()) == Matrix.zeros(GF5, 2, 2)
+
+
+@pytest.mark.parametrize("place", [(-1, 0, 0), (2, 0, 0), (0, -1, 0), (0, 3, 0), (0, 0, -1), (0, 0, 2)])
+def test_from_places_rejects_a_position_or_index_out_of_range(place):
+    # every place is checked, also where the values are zero and place nothing
+    for values in ([GF3.one, GF3.one], [GF3.zero, GF3.zero]):
+        with pytest.raises(UsageError):
+            Matrix.from_places(GF3, 2, 3, values, [(0, 0, 0), place])
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ, ZZ), ids=lambda r: r.name)
+def test_scalar_matrix_is_the_scaled_identity(ring):
+    rng = fresh_rng(f"scalar:{ring.name}")
+    extra = [Fraction(-5, 9), Fraction(7, 3)] if ring is QQ else []
+    for c in [ring.zero, ring.one, *ring.samples(rng, 4), *extra]:
+        for size in (1, 4, 16):
+            scalar = Matrix.scalar(ring, size, c)
+            assert scalar == Matrix.identity(ring, size).scale(c), (c, size)
+            assert scalar.entries == [c if r == k else ring.zero for r in range(size) for k in range(size)]
+    assert Matrix.scalar(ring, 3, ring.zero) == Matrix.zeros(ring, 3, 3)

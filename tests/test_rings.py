@@ -11,7 +11,7 @@ from cliffqp.errors import DomainError
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, PrimeField, gf2_into_gf4, ring_by_name
 
 from conftest import ALL_RINGS, FINITE_RINGS
-from oracles import gf4_bit_pair_mul, gf4_pair
+from oracles import gf4_bit_pair_mul, gf4_lower_by_bits, gf4_pair
 
 # Q and Z are infinite, so their axioms are checked on drawn elements.
 RATIONALS = st.fractions(max_denominator=10**12)
@@ -158,6 +158,17 @@ def test_gf4_lower_reads_slot_parities_up_to_the_bound(counts):
     assert GF4.lower([[(0, v)]]) == [{0: want} if want else {}]
 
 
+@settings(max_examples=200, deadline=None)
+@given(counts=st.tuples(*[st.integers(0, SLOT)] * 3))
+@example((SLOT, SLOT, SLOT))
+@example((SLOT - 1, SLOT, 2))
+def test_gf4_lower_table_agrees_with_the_bit_formula_up_to_the_bound(counts):
+    s0, s1, s2 = counts
+    v = s0 | s1 << 32 | s2 << 64
+    want = gf4_lower_by_bits(v)
+    assert GF4.lower([[(0, v), (1, v ^ 1)]]) == [{j: x for j, x in ((0, want), (1, gf4_lower_by_bits(v ^ 1))) if x}]
+
+
 def test_gf4_products_match_the_bit_pair_formula():
     elements = list(GF4.elements())
     assert [gf4_pair(x) for x in elements] == [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -165,7 +176,7 @@ def test_gf4_products_match_the_bit_pair_formula():
         for b in elements:
             want = gf4_bit_pair_mul(gf4_pair(a), gf4_pair(b))
             assert gf4_pair(GF4.mul(a, b)) == want
-            assert GF4.lower([[(0, a * b)]])[0].get(0, 0) == GF4.mul(a, b)
+            assert GF4.lower([[(0, a * b)]])[0].get(0, 0) == GF4.mul(a, b) == gf4_lower_by_bits(a * b)
             assert gf4_pair(GF4.add(a, b)) == tuple(x ^ y for x, y in zip(gf4_pair(a), gf4_pair(b)))
 
 
