@@ -22,8 +22,6 @@ package because the benchmark's tracer names it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .canonical import canonical_semitrace
 from .clifford import (
     CliffordElement,
@@ -136,17 +134,8 @@ def lift_polynomial(
     Q = v_i* v_i) or 'eichler_vv', 'eichler_vd', 'eichler_dv' (x = t;
     b(t) = 1 + t N, lift 1 + t w for a square-zero generator product w,
     inverse 1 - t w).  'swap' and 'perm' have no parameter, so their
-    polynomials are constant.  j is unused by 'swap' and 'scale'.  The
-    last few polynomials are cached per (ring, n, kind, i, j), and each
-    call hands out new dicts of the shared coefficients.
+    polynomials are constant.  j is unused by 'swap' and 'scale'.
     """
-    return tuple(map(dict, _lift_polynomial(ring, n, kind, i, None if kind in ("swap", "scale") else j)))
-
-
-# A perm lift reads its Eichler part twice in a row.  A lift at n = 8 holds
-# about 130 KB, and an unbounded cache kept 13 MB to the end of `all`.
-@lru_cache(maxsize=4)
-def _lift_polynomial(ring: Ring, n: int, kind: str, i: int, j: int | None) -> tuple[dict, dict, dict]:
     one, eye = CliffordElement.identity(ring, n), Matrix.identity(ring, 2 * n)
     vi, di, vj, dj = f"v{i}", f"v{i}*", f"v{j}", f"v{j}*"
     eichler = {
@@ -172,18 +161,12 @@ def _lift_polynomial(ring: Ring, n: int, kind: str, i: int, j: int | None) -> tu
     if kind != "perm":
         raise UsageError(f"unknown generator kind {kind!r}")
     # pair_permutation(i, j) = E(i,j,1) E(j,i,-1) E(i,j,1) S(j,-1), with
-    # E = eichler_vv and S = the scale generator
+    # E = eichler_vv and S = the scale generator; E(i,j,1) is lifted once
     plus, minus = ring.one, ring.neg(ring.one)
-    g = g_inv = one
-    for part, a, c, y in (
-        ("eichler_vv", i, j, plus),
-        ("eichler_vv", j, i, minus),
-        ("eichler_vv", i, j, plus),
-        ("scale", j, None, minus),
-    ):
-        _, h, h_inv = _at(ring, _lift_polynomial(ring, n, part, a, c), y)
-        g, g_inv = g * h, h_inv * g_inv
-    return {0: pair_permutation(ring, n, i, j)}, {0: g}, {0: g_inv}
+    _, e, e_inv = lifted_generator(ring, n, "eichler_vv", i, j, plus)
+    _, f, f_inv = lifted_generator(ring, n, "eichler_vv", j, i, minus)
+    _, s, s_inv = lifted_generator(ring, n, "scale", j, None, minus)
+    return {0: pair_permutation(ring, n, i, j)}, {0: e * f * e * s}, {0: s_inv * e_inv * f_inv * e_inv}
 
 
 def lifted_generator(
@@ -192,14 +175,9 @@ def lifted_generator(
     """A named orthogonal generator b with a lift (g, g^-1) in the Clifford
     group, which `is_lift` certifies: the polynomials of `lift_polynomial`
     at x (see there; x is unused by 'swap' and 'perm')."""
-    return _at(ring, lift_polynomial(ring, n, kind, i, j), x)
-
-
-def _at(ring: Ring, polys, x: Element | None) -> tuple:
-    """The Laurent polynomials (b, g, g^-1) evaluated at x."""
     b, g, g_inv = (
         sum((c.scale(x if k == 1 else ring.inv(x)) for k, c in poly.items() if k), start=poly[0])
-        for poly in polys
+        for poly in lift_polynomial(ring, n, kind, i, j)
     )
     return b, g, g_inv
 

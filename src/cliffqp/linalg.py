@@ -68,8 +68,8 @@ class Matrix:
         cls, ring: Ring, rows: int, cols: int, values: Sequence[Element], places: Iterable[tuple[int, int, int]]
     ) -> "Matrix":
         """The matrix with values[i] at (r, c) for every (r, c, i) in places.
-        The values are lifted once, a zero value places nothing, and a later
-        value at a position replaces an earlier one."""
+        The values are lifted once, and a later value at a position replaces
+        an earlier one, a zero included, as in `from_nonzeros`."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         ints, scale = ring.lift(values)
@@ -82,6 +82,8 @@ class Matrix:
                 v = ints[i]
                 if v:
                     out[r][c] = v
+                else:
+                    out[r].pop(c, None)
         except IndexError:
             raise UsageError(
                 f"place ({r}, {c}) of value {i} outside a {rows}x{cols} matrix of {len(ints)} values"

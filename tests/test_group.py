@@ -260,27 +260,6 @@ def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mut
     assert _failures(out) == [f"{name}: the lift does not induce the generator"]
 
 
-def test_lift_polynomials_are_cached_and_handed_out_as_new_dicts():
-    first = group.lift_polynomial(GF3, 4, "perm", 1, 2)
-    again = group.lift_polynomial(GF3, 4, "perm", 1, 2)
-    assert all(p is not q and p == q for p, q in zip(first, again))
-    assert again[1][0] is first[1][0]  # the coefficients are shared
-    for poly in first:
-        poly.clear()
-    assert group.lift_polynomial(GF3, 4, "perm", 1, 2) == again
-    # j is unused by swap, so every j reads the one cached lift
-    assert group.lift_polynomial(GF3, 4, "swap", 1, 2)[1][0] is group.lift_polynomial(GF3, 4, "swap", 1, 3)[1][0]
-
-
-def test_a_mutated_lift_leaves_the_cache_as_it_was(monkeypatch):
-    # the perm lift is built from the cached Eichler lifts, never from a
-    # replaced lift_polynomial, so no mutant outlives its test
-    with monkeypatch.context() as patch:
-        _mutate(patch, "eichler_vv", lambda ring, n, i, b, g, g_inv: (b, g_inv, g))
-        assert not pgo_invariance(GF3, 4, fresh_rng("pgo:poison"), words=3).passed
-    assert pgo_invariance(GF3, 4, fresh_rng("pgo:poison"), words=3).passed
-
-
 def test_the_scale_mutation_is_right_at_every_value_of_gf3(monkeypatch):
     # what only a certificate of the coefficients can catch: no parameter
     # value of gf3 shows the inverted scale lift

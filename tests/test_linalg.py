@@ -526,17 +526,19 @@ def test_rational_matrices_are_stored_in_lowest_terms(data):
     assert a - a == Matrix.zeros(QQ, rows, inner) and (a - a)._scale == 1
     assert_entries_exact(matmul(a, y), ring_method_product(a, y).entries)
     # a placement of unused and zero values is canonical as well
-    placed = Matrix.from_places(QQ, rows, inner, [c, 2 * c, QQ.zero, c / 3], [(0, 0, 1), (rows - 1, 0, 2)])
+    placed = Matrix.from_places(QQ, rows, inner, [c, 2 * c, QQ.zero, c / 3], [(rows - 1, 0, 2), (0, 0, 1)])
     assert_canonical(placed)
     assert placed == Matrix.from_nonzeros(QQ, rows, inner, [(0, 0, 2 * c)])
 
 
 def test_from_places_puts_each_value_at_its_places():
     # values are shared between places, a zero places nothing, and a later
-    # value at a position replaces an earlier one
+    # value at a position replaces an earlier one, a zero included
     values = [3, 0, 1]
-    places = [(0, 1, 0), (1, 2, 0), (1, 0, 1), (0, 1, 2), (1, 1, 2)]
+    places = [(0, 1, 0), (1, 2, 0), (1, 0, 1), (0, 1, 2), (1, 1, 2), (0, 0, 0), (0, 0, 1)]
     assert Matrix.from_places(GF5, 2, 3, values, places) == from_rows(GF5, [[0, 1, 0], [0, 1, 3]])
+    triples = [(r, c, values[i]) for r, c, i in places]
+    assert Matrix.from_places(GF5, 2, 3, values, places) == Matrix.from_nonzeros(GF5, 2, 3, triples)
     assert Matrix.from_places(GF5, 2, 2, values, ()) == Matrix.zeros(GF5, 2, 2)
 
 

@@ -149,24 +149,18 @@ SLOT = 2 ** 31 - 1  # the largest count a slot of a GF(4) sum may hold
 @given(counts=st.tuples(*[st.integers(0, SLOT)] * 3))
 @example((SLOT, SLOT, SLOT))
 @example((SLOT, 0, 1))
+@example((SLOT - 1, SLOT, 2))
 def test_gf4_lower_reads_slot_parities_up_to_the_bound(counts):
     # a synthetic sum with s0, s1 and s2 products in its three slots is
-    # (s0 + s2) + (s1 + s2) w, since w^2 = w + 1
+    # (s0 + s2) + (s1 + s2) w, since w^2 = w + 1; the table agrees with the
+    # shift and xor formula, also one count off in the lowest slot
     s0, s1, s2 = counts
     v = s0 | s1 << 32 | s2 << 64
     want = (s0 + s2) % 2 | (s1 + s2) % 2 << 32
+    assert want == gf4_lower_by_bits(v)
     assert GF4.lower([[(0, v)]]) == [{0: want} if want else {}]
-
-
-@settings(max_examples=200, deadline=None)
-@given(counts=st.tuples(*[st.integers(0, SLOT)] * 3))
-@example((SLOT, SLOT, SLOT))
-@example((SLOT - 1, SLOT, 2))
-def test_gf4_lower_table_agrees_with_the_bit_formula_up_to_the_bound(counts):
-    s0, s1, s2 = counts
-    v = s0 | s1 << 32 | s2 << 64
-    want = gf4_lower_by_bits(v)
-    assert GF4.lower([[(0, v), (1, v ^ 1)]]) == [{j: x for j, x in ((0, want), (1, gf4_lower_by_bits(v ^ 1))) if x}]
+    odd = gf4_lower_by_bits(v ^ 1)
+    assert GF4.lower([[(1, v ^ 1)]]) == [{1: odd} if odd else {}]
 
 
 def test_gf4_products_match_the_bit_pair_formula():
