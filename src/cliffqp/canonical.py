@@ -41,7 +41,6 @@ from .sampling import (
     random_matrix,
     random_trace_one,
     random_trace_zero,
-    random_vector,
 )
 
 # --- the canonical mapping --------------------------------------------------
@@ -434,13 +433,13 @@ def base_change_report(rng, samples: int = 20) -> CheckOutcome:
         if map_matrix(phi, b_wedge_gram(small, n)) != b_wedge_gram(big, n):
             out.fail(f"Gram matrix does not commute with base change at n={n}")
         for t in range(samples):
-            w = random_vector(small, 2 * n, rng)
+            w = small.samples(rng, 2 * n)
             if not big.eq(phi(hs_small.q(w)), hs_big.q([phi(c) for c in w])):
                 out.fail(f"hyperbolic form value differs after base change, n={n} trial {t}")
             x = random_exterior(small, n, rng)
             if not big.eq(phi(q_wedge(x)), q_wedge(map_exterior(phi, x))):
                 out.fail(f"quadratic form on wedge V differs after base change, n={n} trial {t}")
-            m = random_vector(small, 2 * n, rng)
+            m = small.samples(rng, 2 * n)
             lifted = phi_vector(big, n, [phi(c) for c in m])
             if map_clifford(phi, phi_vector(small, n, m)) != lifted:
                 out.fail(f"Phi(m) differs after base change, n={n} trial {t}")

@@ -76,10 +76,6 @@ class ExteriorVector:
             raise UsageError(f"subset mask outside 0..2^{self.n}-1")
 
     @classmethod
-    def zero(cls, ring: Ring, n: int) -> "ExteriorVector":
-        return cls(ring, n, {})
-
-    @classmethod
     def basis(cls, ring: Ring, n: int, mask: int) -> "ExteriorVector":
         return cls(ring, n, {mask: ring.one})
 
@@ -87,35 +83,17 @@ class ExteriorVector:
         if self.n != other.n or self.ring != other.ring:
             raise UsageError("operands live in different exterior algebras")
 
-    def _combine(self, other: "ExteriorVector", op) -> "ExteriorVector":
+    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_mate(other)
-        zero, is_zero = self.ring.zero, self.ring.is_zero
+        add, is_zero = self.ring.add, self.ring.is_zero
         terms = dict(self.terms)
         for mask, b in other.terms.items():
-            c = op(terms.get(mask, zero), b)
+            c = add(terms[mask], b) if mask in terms else b
             if is_zero(c):
-                terms.pop(mask, None)
+                del terms[mask]
             else:
                 terms[mask] = c
         return ExteriorVector(self.ring, self.n, terms)
-
-    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
-        return self._combine(other, self.ring.add)
-
-    def __sub__(self, other: "ExteriorVector") -> "ExteriorVector":
-        return self._combine(other, self.ring.sub)
-
-    def _map_nonzeros(self, fn) -> "ExteriorVector":
-        is_zero = self.ring.is_zero
-        terms = {mask: b for mask, a in self.terms.items() if not is_zero(b := fn(a))}
-        return ExteriorVector(self.ring, self.n, terms)
-
-    def __neg__(self) -> "ExteriorVector":
-        return self._map_nonzeros(self.ring.neg)
-
-    def scale(self, c: Element) -> "ExteriorVector":
-        mul = self.ring.mul
-        return self._map_nonzeros(lambda a: mul(c, a))
 
     def wedge(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_mate(other)

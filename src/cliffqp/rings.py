@@ -6,8 +6,10 @@ unchanged over GF(p), GF(4), the rationals and the integers.  Equality of
 elements is structural and exact in every ring.  A `Matrix` stores ints:
 `lift` maps elements to them, `lower` reduces int sums of products back
 to stored ints, and `element` reads one stored int as an element.
-`samples(rng, count)` draws count elements in one batch, with the values
-and words of count calls of CPython's `randrange` (`_draws_below`).
+Every ring lists in `draws` the values its random elements are drawn from,
+uniformly, and `samples(rng, count)` draws count of them in one batch:
+draw i is `draws[randrange(len(draws))]`, with the values and words of
+count calls of CPython's `randrange` (`_draws_below`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class Ring:
     is_field: bool
     zero: Element
     one: Element
+    draws: Sequence[Element]  # what `samples` draws from, each entry equally likely
 
     def add(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
@@ -86,8 +89,10 @@ class Ring:
         raise NotImplementedError(f"{self.name} is not finite")
 
     def samples(self, rng, count: int) -> list[Element]:
-        """count random elements, drawn from rng in one batch."""
-        raise NotImplementedError
+        """count entries of `draws`, drawn uniformly from rng in one batch; an
+        index reads one byte of a word, so len(draws) < 256."""
+        draws = self.draws
+        return [draws[i] for i in _draws_below(rng, len(draws), count)]
 
     def show(self, a: Element) -> str:
         return str(a)
@@ -114,6 +119,7 @@ class PrimeField(Ring):
         self.is_field = True
         self.zero = 0
         self.one = 1 % p
+        self.draws = range(p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -145,7 +151,7 @@ class PrimeField(Ring):
         return iter(range(self.p))
 
     def samples(self, rng, count):
-        return list(_draws_below(rng, self.p, count))
+        return list(_draws_below(rng, self.p, count))  # draws[i] is i: no lookup per draw
 
 
 W = 1 << 32  # the element w of GF(4)
@@ -169,6 +175,7 @@ class GaloisField4(Ring):
         self.one = 1
         self.omega = W
         self._shows = {0: "0", 1: "1", W: "w", 1 | W: "1+w"}
+        self.draws = tuple(self._shows)
         self._elements = frozenset(self._shows)
         bits = (0, 1)  # s0 + s1 w + s2 w^2 = (s0 + s2) + (s1 + s2) w
         self._by_parities = {
@@ -205,10 +212,6 @@ class GaloisField4(Ring):
     def elements(self):
         return iter(self._shows)
 
-    def samples(self, rng, count):
-        bits = _draws_below(rng, 2, 2 * count)  # a, then b, per element
-        return [a | b << 32 for a, b in zip(bits[::2], bits[1::2])]
-
     def show(self, a):
         return self._shows[a]
 
@@ -222,9 +225,8 @@ class Rationals(Ring):
         self.is_field = True
         self.zero = Fraction(0)
         self.one = Fraction(1)
-        # the 171 values `samples` draws, keyed by the two draws: a lookup
-        # costs less than building and reducing a Fraction per draw
-        self._samples = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
+        # one entry per (a, b), as Fraction(randint(-9, 9), randint(1, 9)) draws
+        self.draws = tuple(Fraction(a, b) for a in range(-9, 10) for b in range(1, 10))
 
     def add(self, a, b):
         return a + b
@@ -253,20 +255,6 @@ class Rationals(Ring):
     def element(self, v, scale):
         return Fraction(v, scale)
 
-    def samples(self, rng, count):
-        # Fraction(randint(-9, 9), randint(1, 9)): top 5 bits of a word, redrawn
-        # at 19 or more, then top 4, redrawn at 9 or more; the bounds alternate
-        out, table, a = [], self._samples, None
-        while len(out) < count:
-            for top in _top_bytes(rng, 2 * (count - len(out)) - (a is not None)):
-                if a is None:
-                    if top < 19 << 3:
-                        a = (top >> 3) - 9
-                elif top < 9 << 4:
-                    out.append(table[a, (top >> 4) + 1])
-                    a = None
-        return out
-
 
 class Integers(Ring):
     """Arbitrary-precision integers; only the units +1 and -1 invert."""
@@ -277,6 +265,7 @@ class Integers(Ring):
         self.is_field = False
         self.zero = 0
         self.one = 1
+        self.draws = range(-9, 10)
 
     def add(self, a, b):
         return a + b
@@ -298,14 +287,6 @@ class Integers(Ring):
     def lift(self, values):
         return values, 1
 
-    def samples(self, rng, count):
-        return [v - 9 for v in _draws_below(rng, 19, count)]  # randint(-9, 9)
-
-
-def _top_bytes(rng, words: int) -> bytes:
-    """The top byte of each of the next 32-bit Mersenne words, in draw order."""
-    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-
 
 @cache
 def _below_tables(bound: int) -> tuple[bytes, bytes]:
@@ -323,7 +304,8 @@ def _draws_below(rng, bound: int, count: int) -> bytes:
     table, rejected = _below_tables(bound)
     out = b""
     while len(out) < count:
-        out += _top_bytes(rng, count - len(out)).translate(table, rejected)
+        words = count - len(out)  # the top byte of each word, in draw order
+        out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, rejected)
     return out
 
 

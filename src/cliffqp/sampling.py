@@ -1,7 +1,8 @@
 """Deterministic random inputs for the verification suites.
 
 Every sampler takes an explicit random.Random so runs are reproducible
-from a seed, and draws all its entries in one `Ring.samples` batch.
+from a seed, and draws all its entries in one `Ring.samples` batch,
+uniformly from the ring's `draws`; a random vector is such a batch.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from .rings import Ring
 
 def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
     return Matrix(ring, rows, cols, ring.samples(rng, rows * cols))
-
-
-def random_vector(ring: Ring, dim: int, rng) -> list:
-    return ring.samples(rng, dim)
 
 
 def _random_with_trace(ring: Ring, size: int, rng, trace) -> Matrix:

@@ -201,8 +201,8 @@ def test_rank_one_wedge_matches_bilinear_action():
     for mask in range(1 << n):
         e = ExteriorVector.basis(ring, n, mask)
         image = mat_vec(r.matrix, dense(e))
-        expect = x.scale(b_wedge(x, e))
-        assert image == dense(expect)
+        c = b_wedge(x, e)
+        assert image == [ring.mul(c, a) for a in dense(x)]
     # symmetric under the involution when the pairing is symmetric-enough
     assert canonical_involution(r) == r
 
@@ -237,7 +237,7 @@ def test_evaluate_rank_one_matches_the_rank_one_matrix(ring, n):
             want = f.evaluate(phi)
             got = f.evaluate_rank_one(x)
             assert got == want and type(got) is type(want)
-    zero = ExteriorVector.zero(ring, n)
+    zero = ExteriorVector(ring, n, {})
     assert f.evaluate_rank_one(zero) == f.evaluate(rank_one_wedge(zero)) == ring.zero
 
 

@@ -76,7 +76,7 @@ def test_reversal_is_an_involution(ring, n):
 
 def test_reversal_examples():
     v12 = ExteriorVector.basis(QQ, 2, 0b11)
-    assert v12.reversal() == -v12  # |I| = 2
+    assert v12.reversal() == ExteriorVector(QQ, 2, {0b11: QQ.neg(QQ.one)})  # |I| = 2
     v1 = ExteriorVector.basis(QQ, 2, 0b01)
     assert v1.reversal() == v1  # |I| = 1
     one = ExteriorVector.basis(QQ, 2, 0)
@@ -88,7 +88,7 @@ def test_pi_top():
     top = ExteriorVector.basis(ring, n, 0b111)
     assert top.pi_top() == ring.one
     assert ExteriorVector.basis(ring, n, 0).pi_top() == ring.zero
-    mixed = top.scale(3) + ExteriorVector.basis(ring, n, 0b001)
+    mixed = ExteriorVector(ring, n, {0b111: 3, 0b001: 1})
     assert mixed.pi_top() == 3
 
 
@@ -98,7 +98,7 @@ def test_contraction_examples():
     d1 = contraction_matrix(ring, n, 1)
     d2 = contraction_matrix(ring, n, 2)
     assert mat_vec(d1, dense(v12)) == dense(ExteriorVector.basis(ring, n, 0b10))
-    assert mat_vec(d2, dense(v12)) == dense(-ExteriorVector.basis(ring, n, 0b01))
+    assert mat_vec(d2, dense(v12)) == dense(ExteriorVector(ring, n, {0b01: ring.neg(ring.one)}))
 
 
 def test_left_mult_example():
@@ -125,7 +125,7 @@ def test_parity_detection():
     assert even.parity() == "even"
     assert odd.parity() == "odd"
     assert (even + odd).parity() == "mixed"
-    assert ExteriorVector.zero(ring, n).parity() == "even"
+    assert ExteriorVector(ring, n, {}).parity() == "even"
 
 
 def test_wedge_bilinear_matches_matrix():
@@ -196,14 +196,11 @@ def test_sparse_operations_match_the_dense_oracle(ring, data):
     n = data.draw(st.integers(1, 5), label="n")
     coeffs = st.lists(_coefficients(ring), min_size=1 << n, max_size=1 << n)
     xs, ys = data.draw(coeffs, label="x"), data.draw(coeffs, label="y")
-    c = data.draw(_coefficients(ring), label="c")
     zero = [ring.zero] * (1 << n)
     for u, v in ((xs, ys), (xs, zero), (zero, ys)):
         x, y = exterior_from_coeffs(ring, n, u), exterior_from_coeffs(ring, n, v)
         assert dense(x) == u and dense(y) == v
         assert dense(x + y) == [ring.add(a, b) for a, b in zip(u, v)]
-        assert dense(x - y) == [ring.sub(a, b) for a, b in zip(u, v)]
-        assert dense(x.scale(c)) == [ring.mul(c, a) for a in u]
         assert dense(x.wedge(y)) == dense_wedge(ring, n, u, v)
         assert dense(x.reversal()) == dense_reversal(ring, u)
         assert ring.eq(b_wedge(x, y), dense_pairing(ring, n, u, v))
@@ -212,7 +209,7 @@ def test_sparse_operations_match_the_dense_oracle(ring, data):
         polar = ring.sub(ring.sub(dense_q(ring, n, uv), dense_q(ring, n, u)), dense_q(ring, n, v))
         assert ring.eq(q_wedge_polar(x, y), polar)
         # no zero coefficient is ever stored
-        for w in (x + y, x - y, x.scale(c), x.wedge(y), x.reversal()):
+        for w in (x + y, x.wedge(y), x.reversal()):
             assert not any(ring.is_zero(a) for a in w.terms.values())
 
 
@@ -234,7 +231,6 @@ def test_wrong_length_coefficient_list_is_rejected():
 
 def test_repr_lists_terms_in_mask_order():
     ring, n = GF5, 3
-    x = ExteriorVector.basis(ring, n, 0b110).scale(2) + ExteriorVector.basis(ring, n, 0)
-    x = x + ExteriorVector.basis(ring, n, 0b001).scale(3)
+    x = ExteriorVector(ring, n, {0b110: 2, 0: 1}) + ExteriorVector(ring, n, {0b001: 3})
     assert repr(x) == "1*1 + 3*v1 + 2*v23"
-    assert repr(ExteriorVector.zero(ring, n)) == "0"
+    assert repr(ExteriorVector(ring, n, {})) == "0"

@@ -21,7 +21,7 @@ from cliffqp.linalg import (
     trace_of_product,
 )
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
-from cliffqp.sampling import random_matrix, random_vector
+from cliffqp.sampling import random_matrix
 
 from conftest import fresh_rng
 from oracles import (
@@ -123,13 +123,13 @@ def test_span_checker_matches_in_span(rng):
     # v lies in the span exactly when appending it leaves the rank unchanged;
     # the basis carries one dependent vector, half the draws are combinations
     # of it and half are uniform vectors, which almost all lie outside
-    basis = [random_vector(GF5, 6, rng) for _ in range(3)]
+    basis = [GF5.samples(rng, 6) for _ in range(3)]
     basis.append([GF5.add(x, y) for x, y in zip(basis[0], basis[1])])
     checker = SpanChecker(GF5, basis)
     base_rank = rank(from_rows(GF5, basis))
     seen = set()
     for t in range(40):
-        v = random_vector(GF5, 6, rng)
+        v = GF5.samples(rng, 6)
         if t % 2 == 0:
             v = [GF5.zero] * 6
             for b in basis:
@@ -152,8 +152,8 @@ def test_span_checker_matches_a_brute_force_span(ring, dim):
     rng = fresh_rng(f"brute:{ring.name}:{dim}")
     elements = list(ring.elements())
     for t in range(6):
-        a, b = random_vector(ring, dim, rng), random_vector(ring, dim, rng)
-        third = random_vector(ring, dim, rng) if t % 2 else [ring.add(x, y) for x, y in zip(a, b)]
+        a, b = ring.samples(rng, dim), ring.samples(rng, dim)
+        third = ring.samples(rng, dim) if t % 2 else [ring.add(x, y) for x, y in zip(a, b)]
         basis = [a, b, third]
         span = {
             tuple(ring.add(ring.add(ring.mul(c1, x), ring.mul(c2, y)), ring.mul(c3, z)) for x, y, z in zip(*basis))

@@ -1,6 +1,7 @@
 """Ring axioms, inverses, characteristics, and morphisms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffqp.errors import DomainError
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, PrimeField, gf2_into_gf4, ring_by_name
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, GaloisField4, PrimeField, gf2_into_gf4, ring_by_name
 
 from conftest import ALL_RINGS, FINITE_RINGS
 from oracles import gf4_bit_pair_mul, gf4_lower_by_bits, gf4_pair
@@ -174,21 +175,48 @@ def test_gf4_products_match_the_bit_pair_formula():
             assert gf4_pair(GF4.add(a, b)) == tuple(x ^ y for x, y in zip(gf4_pair(a), gf4_pair(b)))
 
 
-def test_gf4_samples_keep_their_seeded_stream():
-    # a + b*w draws a, then b, as the bit pairs did
-    rng, again = random.Random(4), random.Random(4)
-    assert GF4.samples(rng, 200) == [again.randrange(2) | again.randrange(2) << 32 for _ in range(200)]
-
-
 def textbook_draw(ring, rng):
-    """One element from one `randrange`/`randint` call per draw."""
-    if ring is GF4:
-        return rng.randrange(2) | rng.randrange(2) << 32
+    """One element from one `randrange` call per draw."""
+    return ring.draws[rng.randrange(len(ring.draws))]
+
+
+def test_prime_field_and_integer_draws_are_randrange_and_randint():
+    # so textbook_draw is randrange(p) over GF(p) and randint(-9, 9) over Z:
+    # the streams these rings drew before `draws` existed
+    for ring in (GF2, GF3, GF5, PrimeField(251)):
+        assert ring.draws == range(ring.p)
+    assert ZZ.draws == range(-9, 10)
+    rng, again = random.Random(9311), random.Random(9311)
+    assert ZZ.samples(rng, 500) == [again.randint(-9, 9) for _ in range(500)]
+
+
+def textbook_distribution(ring) -> Counter:
+    """How often each value comes up among the draws: every element of a finite
+    ring once, Q as Fraction(randint(-9, 9), randint(1, 9)) and Z as randint(-9, 9)."""
     if ring is QQ:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Counter(Fraction(a, b) for a in range(-9, 10) for b in range(1, 10))
     if ring is ZZ:
-        return rng.randint(-9, 9)
-    return rng.randrange(ring.p)
+        return Counter(range(-9, 10))
+    return Counter(ring.elements())
+
+
+def assert_samples_cover(ring, want: Counter):
+    assert Counter(ring.draws) == want
+    drawn = ring.samples(random.Random(9312), 4000)
+    assert set(drawn) == set(want)  # every value comes up
+    assert all(type(x) is type(ring.zero) for x in drawn)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_samples_cover_every_draw(ring):
+    assert_samples_cover(ring, textbook_distribution(ring))
+
+
+def test_samples_cover_fails_on_a_gf4_that_never_draws_one_plus_w():
+    mutant = GaloisField4()
+    mutant.draws = (0, 1, mutant.omega)
+    with pytest.raises(AssertionError):
+        assert_samples_cover(mutant, textbook_distribution(mutant))
 
 
 @pytest.mark.parametrize("count", (0, 1, 2, 7, 256, 1000))
@@ -218,16 +246,3 @@ def test_ring_by_name():
     assert ring_by_name("q") is QQ
     with pytest.raises(DomainError):
         ring_by_name("gf6")
-
-
-def test_rational_samples_keep_their_seeded_stream():
-    # the draws are Fraction(randint(-9, 9), randint(1, 9)) in that order,
-    # looked up in a table; a seeded run must keep drawing the same values
-    rng = random.Random(2023)
-    drawn = QQ.samples(rng, 12)
-    want = ["3/8", "1/2", "3/2", "-3", "0", "7/5", "-1", "-4", "-1/2", "-7/3", "-2", "-5/8"]
-    assert [str(x) for x in drawn] == want
-    assert all(type(x) is Fraction for x in drawn)
-    rng, again = random.Random(5), random.Random(5)
-    assert QQ.samples(rng, 2000) == [Fraction(again.randint(-9, 9), again.randint(1, 9)) for _ in range(2000)]
-    assert rng.random() == again.random()  # the same number of draws
