@@ -6,18 +6,19 @@ The canonical map sends a 2n x 2n matrix, decomposed through the polar
 pairing into rank-one tensors, to the corresponding sum of generator
 pair products.  Trace-zero matrices land among the alternating elements
 once n >= 3, so any trace-1 matrix yields the same semi-trace on the even
-algebra; at n = 2 the alternating subspace is too small and an exhaustive
-search over GF(4) shows every candidate representative is moved off its
-class by the Eichler transformation B(t) = eichler_vv(2, 1, t), which acts
-by conjugation with its lift 1 + t v1 v2*.  On rank-one pairings the
-semi-trace is the quadratic form on wedge V, f(b(x, _) x) = q(x), with
-f(b(x, _) x) = trace(l * b(x, _) x) = b(x, l x) (`SemiTrace.evaluate_rank_one`).
+algebra; at n = 2 the alternating subspace is too small: over GF(4) every
+candidate representative is moved off its class by some Eichler
+transformation B(t) = eichler_vv(2, 1, t), which acts by conjugation with
+its lift 1 + t v1 v2*.  The move is linear in the candidate, so its values
+on the eight even monomials certify all 4^6 candidates at once.  On
+rank-one pairings the semi-trace is the quadratic form on wedge V,
+f(b(x, _) x) = q(x), with f(b(x, _) x) = trace(l * b(x, _) x) = b(x, l x)
+(`SemiTrace.evaluate_rank_one`).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 
 from .clifford import (
     CliffordElement,
@@ -316,15 +317,19 @@ def degree4_alt_report(ring: Ring) -> CheckOutcome:
 
 
 def degree4_no_canonical(ring: Ring) -> CheckOutcome:
-    """Exhaustive form of the degree-4 negative result over a finite field of
-    characteristic 2 with an element t where t^2 != t (GF(4)).
+    """The degree-4 negative result, certified by linearity over a finite
+    field of characteristic 2 with an element t where t^2 != t (GF(4)).
 
-    Every l with l + tau(l) = 1 is parameterized by six free coefficients
-    (the identity constraint forces a7 = 0 and a3 + a4 = 1); for each of
-    the 4^6 candidates there must be a nonzero t with
-    l - g l g^-1 = (t + t^2 a5) v1v2* + t a5 (v1v1* + v2v2*)
-    not alternating, for the certified lift g = 1 + t v1 v2* of
-    B(t) = eichler_vv(2, 1, t), so no candidate class is stable under the B(t).
+    Every l with l + tau(l) = 1 is sum a_k m_k over the eight even
+    monomials with a7 = 0 and a4 = 1 + a3 (`degree4_alt_report`).  For the
+    certified lift g = 1 + t v1 v2* of B(t) = eichler_vv(2, 1, t),
+    l - g l g^-1 is linear in l, so its values on the monomials give it on
+    every candidate: zero on m0, m1, m2 and m6, t v1v2* on m3 and on m4
+    (their sum vanishes in characteristic 2, so a3 drops out) and
+    t^2 v1v2* + t (v1v1* + v2v2*) on m5.  The difference is (t + t^2 a5) v1v2* + t a5 (v1v1* + v2v2*),
+    which leaves Alt exactly when t + t^2 a5 != 0, as v1v1* + v2v2* is
+    alternating and v1v2* is not.  Each a5 has a nonzero t where it does,
+    so no candidate class is stable under every B(t).
     """
     # local: group imports this module
     from .group import is_lift, is_orthogonal, lifted_generator
@@ -341,54 +346,26 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
     out = CheckOutcome()
     out.merge(degree4_alt_report(ring))
 
-    nonzero_ts = [t for t in elems if not ring.is_zero(t)]
     mono = even_monomials_n2(ring)
-    ident = CliffordElement.identity(ring, 2)
-
-    deltas = {}
-    for t in nonzero_ts:
+    pair, pairs = mono[2], mono[3] + mono[4]  # v1v2*, v1v1* + v2v2*
+    zero = CliffordElement.zero(ring, 2)
+    ts = [t for t in elems if not ring.is_zero(t)]
+    for t in ts:
         b, g, g_inv = lifted_generator(ring, 2, "eichler_vv", 2, 1, t)
         if not (is_orthogonal(b) and is_lift(g, g_inv, b)):
             out.fail(f"B({ring.show(t)}) is not a certified orthogonal element with lift g")
-        deltas[t] = [(m - g * m * g_inv).matrix for m in mono]
-
-    # the displayed closed form of the difference depends on (t, a5) only
-    m2, m34 = mono[2].matrix, (mono[3] + mono[4]).matrix
-    forms = {}
-    for t, a5 in product(nonzero_ts, elems):
-        coef = ring.add(t, ring.mul(ring.mul(t, t), a5))
-        forms[t, a5] = coef, Matrix.combination(ring, 4, 4, ((coef, m2), (ring.mul(t, a5), m34)))
-    candidates = 0
-    moved = 0
-    for a0, a1, a2, a3, a5, a6 in product(elems, repeat=6):
-        candidates += 1
-        coeffs = (a0, a1, a2, a3, ring.add(ring.one, a3), a5, a6, ring.zero)
-        for t in nonzero_ts:
-            diff = Matrix.combination(ring, 4, 4, zip(coeffs, deltas[t]))
-            coef, form = forms[t, a5]
-            if diff != form:
-                out.fail(f"difference formula failed at a5={ring.show(a5)}, t={ring.show(t)}")
-            member = in_alternating(CliffordElement(ring, 2, diff))
-            if member != ring.is_zero(coef):
-                out.fail(
-                    f"membership disagrees with the v1v2* coefficient "
-                    f"at a5={ring.show(a5)}, t={ring.show(t)}"
-                )
-            if not member:
-                moved += 1
-                break
-        else:
-            out.fail(
-                "candidate with coefficients "
-                f"({', '.join(ring.show(c) for c in coeffs)}) "
-                "is stable under every B(t)"
-            )
-    # Spot-check that the parameterization hits the constraint l + tau(l) = 1.
-    spot = phi_word(ring, 2, ("v1", "v1*"))
-    if spot + canonical_involution(spot) != ident:
-        out.fail("parameterized representative fails l + tau(l) = 1")
+        shift = pair.scale(t)
+        wants = (zero, zero, zero, shift, shift, pair.scale(ring.mul(t, t)) + pairs.scale(t), zero)
+        for word, m, want in zip(EVEN_WORDS_N2, mono, wants):  # a7 = 0 leaves m7 out
+            if m - g * m * g_inv != want:
+                out.fail(f"l - g l g^-1 at t={ring.show(t)} is not as stated on monomial {word}")
+    if not in_alternating(pairs) or in_alternating(pair):
+        out.fail("membership: v1v1* + v2v2* must be alternating and v1v2* must not")
+    for a5 in elems:
+        if all(ring.is_zero(ring.add(t, ring.mul(ring.mul(t, t), a5))) for t in ts):
+            out.fail(f"no B(t) moves the {len(elems) ** 5} candidates with a5={ring.show(a5)}")
     if out.passed:
-        out.note(f"{candidates} candidates, all moved")
+        out.note(f"{len(elems) ** 6} candidates, all moved")
     return out
 
 

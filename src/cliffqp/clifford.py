@@ -382,7 +382,6 @@ class EvenInvolutionReport:
     n: int
     ring: Ring
     center_fixed: bool
-    block_labels: frozenset[str]
     involution_labels: frozenset[str]
 
     @property
@@ -423,7 +422,6 @@ def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
         n=n,
         ring=ring,
         center_fixed=center_fixed,
-        block_labels=frozenset(labels),
         involution_labels=frozenset(involution),
     )
 

@@ -333,11 +333,10 @@ class RingMorphism:
     domain: Ring
     codomain: Ring
     fn: Callable[[Element], Element]
-    name: str
 
     def __call__(self, a: Element) -> Element:
         return self.fn(a)
 
 
 def gf2_into_gf4() -> RingMorphism:
-    return RingMorphism(GF2, GF4, lambda a: a, "gf2->gf4")
+    return RingMorphism(GF2, GF4, lambda a: a)

@@ -8,22 +8,26 @@ combinations, which the int kernels of `cliffqp.linalg` are tested
 against, the bit-pair product of GF(4) and the bit formula of its
 `lower`, Phi(m) as a combination of all the generator matrices, and the
 trace pairing of the tau-orbit bases of Alt and Sym, which
-`trace_orthogonality` certifies on tau itself.  Everything is written on
-the public `Matrix` API, on the ring methods, on `cliffqp.linalg.rref`
-and on the orbit bases.
+`trace_orthogonality` certifies on tau itself, and the degree-4 negative
+result by enumerating its 4^6 candidates, which
+`canonical.degree4_no_canonical` certifies by linearity.  Everything is
+written on the public `Matrix` API, on the ring methods, on
+`cliffqp.linalg.rref`, on the orbit bases and on the lifted generators.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
-from cliffqp.clifford import CliffordElement, generator_matrix
+from cliffqp.canonical import EVEN_WORDS_N2
+from cliffqp.clifford import CliffordElement, canonical_involution, generator_matrix, phi_word
 from cliffqp.errors import UsageError
 from cliffqp.exterior import ExteriorVector, mask_size, wedge_masks
 from cliffqp.forms import HyperbolicSpace
-from cliffqp.involution import alt_basis, sym_basis
+from cliffqp.group import lifted_generator
+from cliffqp.involution import alt_basis, in_alternating, sym_basis
 from cliffqp.linalg import Matrix, rref
 from cliffqp.rings import Element, Ring
 
@@ -222,3 +226,26 @@ def basis_trace_pairing(ring: Ring, n: int) -> tuple[int, int, list]:
                 totals[s] = ring.add(totals.get(s, ring.zero), ring.mul(coef, sym.at(s, swapped)))
         nonzero += [(a, s, total) for s, total in totals.items() if not ring.is_zero(total)]
     return alt.rows, sym.rows, nonzero
+
+
+def degree4_stable_candidates(ring: Ring) -> tuple[int, list]:
+    """The degree-4 negative result by brute force over a finite ring of
+    characteristic 2: each l = sum a_k m_k over the even monomials at n = 2
+    with a7 = 0 and a4 = 1 + a3 that satisfies l + tau(l) = 1 is a
+    candidate, conjugated by the lift g of every B(t) = eichler_vv(2, 1, t),
+    t != 0.  Returns the number of candidates and the coefficients of
+    those with l - g l g^-1 alternating for every t."""
+    elems = list(ring.elements())
+    mono = [phi_word(ring, 2, word).matrix for word in EVEN_WORDS_N2]
+    lifts = [lifted_generator(ring, 2, "eichler_vv", 2, 1, t)[1:] for t in elems if not ring.is_zero(t)]
+    one = CliffordElement.identity(ring, 2)
+    count, stable = 0, []
+    for a0, a1, a2, a3, a5, a6 in product(elems, repeat=6):
+        coeffs = (a0, a1, a2, a3, ring.add(ring.one, a3), a5, a6, ring.zero)
+        l = CliffordElement(ring, 2, Matrix.combination(ring, 4, 4, zip(coeffs, mono)))
+        if l + canonical_involution(l) != one:
+            continue
+        count += 1
+        if all(in_alternating(l - g * l * g_inv) for g, g_inv in lifts):
+            stable.append(coeffs)
+    return count, stable

@@ -167,7 +167,7 @@ def test_criterion_09_degree4_negative_result():
         failures.append("enumeration did not cover all 4096 candidates")
     if elapsed >= 10.0:
         failures.append(f"enumeration took {elapsed:.1f}s (budget 10s)")
-    report(9, "degree4-negative-result", not failures, f"enumeration in {elapsed:.2f}s")
+    report(9, "degree4-negative-result", not failures, f"certificate in {elapsed:.2f}s")
 
 
 def test_criterion_10_base_change():

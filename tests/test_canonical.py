@@ -1,5 +1,7 @@
 """The canonical mapping, the canonical semi-trace, and the degree-4 results."""
 
+import inspect
+
 import pytest
 
 from cliffqp import canonical
@@ -35,7 +37,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
 from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng
-from oracles import from_rows, mat_vec, rank
+from oracles import degree4_stable_candidates, from_rows, mat_vec, rank
 
 
 def unit_matrix(ring, size, r, c):
@@ -342,9 +344,60 @@ def test_degree4_alt_report_fails_on_dependent_stated_elements(monkeypatch):
 
 
 def test_degree4_enumeration():
+    # the certificate and the oracle's enumeration give the same verdict
     out = degree4_no_canonical(GF4)
     assert out.passed, out.details[:5]
     assert any("4096 candidates, all moved" in line for line in out.details)
+    assert degree4_stable_candidates(GF4) == (4096, [])
+
+
+def failures(out):
+    """The failure lines of a degree-4 run, past the notes of its passing
+    `degree4_alt_report`."""
+    assert not out.passed
+    return out.details[2:]
+
+
+def test_degree4_certificate_fails_on_a_wrong_monomial(monkeypatch):
+    # v2 v1* in place of v2* v1* passes every probe of degree4_alt_report,
+    # but B(t) moves it, so the difference on m6 is not zero
+    honest = canonical.even_monomials_n2
+
+    def wrong(ring):
+        mono = honest(ring)
+        mono[6] = mono[5]
+        return mono
+
+    monkeypatch.setattr(canonical, "even_monomials_n2", wrong)
+    out = degree4_no_canonical(GF4)
+    assert failures(out) == [
+        f"l - g l g^-1 at t={t} is not as stated on monomial ('v2*', 'v1*')" for t in ("1", "w", "1+w")
+    ]
+
+
+def test_degree4_certificate_fails_when_v1v2_star_counts_as_alternating(monkeypatch):
+    pair = even_monomials_n2(GF4)[2]
+    honest = canonical.in_alternating
+    monkeypatch.setattr(canonical, "in_alternating", lambda x: x == pair or honest(x))
+    out = degree4_no_canonical(GF4)
+    assert failures(out) == ["membership: v1v1* + v2v2* must be alternating and v1v2* must not"]
+
+
+def test_degree4_certificate_fails_per_a5_when_only_t_1_moves():
+    # B(1) alone fixes the candidates with a5 = 1; every difference identity
+    # still holds at t = 1, so only the per-a5 step sees it.  The check's
+    # source is run with its range of t cut to 1.
+    source = inspect.getsource(canonical.degree4_no_canonical)
+    mutated = source.replace("ts = [t for t in elems if not ring.is_zero(t)]", "ts = [ring.one]")
+    assert mutated != source
+    scope = dict(vars(canonical))
+    exec(mutated, scope)
+    out = scope["degree4_no_canonical"](GF4)
+    assert failures(out) == ["no B(t) moves the 1024 candidates with a5=1"]
+    # the oracle agrees where only B(1) exists: over GF(2) it finds exactly
+    # the 2^5 candidates with a5 = 1 stable, so it can find stable ones
+    count, stable = degree4_stable_candidates(GF2)
+    assert count == 64 and len(stable) == 32 and all(coeffs[5] == 1 for coeffs in stable)
 
 
 def test_degree4_needs_t_with_t2_neq_t():
