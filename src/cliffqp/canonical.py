@@ -32,6 +32,7 @@ from .clifford import (
 from .errors import EligibilityError, UsageError
 from .exterior import ExteriorVector, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram, q_wedge
+from .group import is_lift, is_orthogonal, lifted_generator
 from .involution import SemiTrace, alt_basis, in_alternating, trace_orthogonality
 from .linalg import Matrix
 from .reporting import CheckOutcome
@@ -177,11 +178,11 @@ def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
     return SemiTrace(canonical_map_c(phi_b_unit(ring, n, 0, 2 * n - 1)))
 
 
-def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) -> CheckOutcome:
-    """c(a) and c(a') induce the same semi-trace for random trace-1 a':
-    c(a) - c(a') is alternating, which is exact once the check has
-    certified Sym^perp = Alt."""
-    f = canonical_semitrace(ring, n)
+def check_representative_independence(f: SemiTrace, rng, count: int = 20) -> CheckOutcome:
+    """f and c(a') induce the same semi-trace for random trace-1 a': their
+    representatives differ by an alternating element, which is exact once
+    the check has certified Sym^perp = Alt."""
+    ring, n = f.ring, f.n
     out = trace_orthogonality(ring, n)
     for t in range(count):
         a = random_trace_one(ring, 2 * n, rng)
@@ -193,10 +194,14 @@ def check_representative_independence(ring: Ring, n: int, rng, count: int = 20) 
     return out
 
 
-def check_semitrace_defining(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
-    """f(x + tau(x)) = trace(x) for random even x."""
+def check_semitrace_defining(f: SemiTrace, rng, trials: int = 100) -> CheckOutcome:
+    """f(x + tau(x)) = trace(x) for random even x.
+
+    Every representative l with l + tau(l) = 1 passes, as
+    trace(l (x + tau x)) = trace((l + tau l) x): this certifies that f is a
+    semi-trace, not which one it is."""
+    ring, n = f.ring, f.n
     out = CheckOutcome()
-    f = canonical_semitrace(ring, n)
     for t in range(trials):
         x = random_even_element(ring, n, rng)
         got = f.evaluate(x + canonical_involution(x))
@@ -231,12 +236,12 @@ def rank_one_wedge(x: ExteriorVector) -> CliffordElement:
     return CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, triples))
 
 
-def correspondence_with_q_wedge(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
-    """The canonical semi-trace evaluates rank-one pairings to the quadratic
-    form: f(b(x, _) x) = q(x) on both parity blocks.
+def correspondence_with_q_wedge(f: SemiTrace, rng, trials: int = 100) -> CheckOutcome:
+    """The semi-trace f evaluates rank-one pairings to the quadratic form,
+    f(b(x, _) x) = q(x) on both parity blocks, as the canonical one does.
     """
+    ring, n = f.ring, f.n
     out = CheckOutcome()
-    f = canonical_semitrace(ring, n)
     for parity in (0, 1):
         for t in range(trials):
             x = random_exterior(ring, n, rng, parity=parity)
@@ -331,9 +336,6 @@ def degree4_no_canonical(ring: Ring) -> CheckOutcome:
     alternating and v1v2* is not.  Each a5 has a nonzero t where it does,
     so no candidate class is stable under every B(t).
     """
-    # local: group imports this module
-    from .group import is_lift, is_orthogonal, lifted_generator
-
     if ring.char != 2:
         raise EligibilityError(f"the degree-4 counterexample needs characteristic 2, not {ring.name}")
     try:

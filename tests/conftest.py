@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ
+from cliffqp.canonical import canonical_semitrace
+from cliffqp.clifford import CliffordElement, parity_masks, tau_unit
+from cliffqp.involution import SemiTrace
+from cliffqp.linalg import Matrix
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, Ring
 
 ALL_RINGS = (GF2, GF3, GF4, GF5, QQ, ZZ)
 FIELDS = (GF2, GF3, GF4, GF5, QQ)
@@ -22,3 +26,17 @@ def fresh_rng(tag: str) -> random.Random:
 def dense(x) -> list:
     """The coefficients of an ExteriorVector as a list of length 2^n in mask order."""
     return [x.terms.get(mask, x.ring.zero) for mask in range(1 << x.n)]
+
+
+def off_canonical_semitraces(ring: Ring, n: int) -> list[tuple[tuple[int, int], SemiTrace]]:
+    """The semi-traces l + E_u of characteristic 2, l the canonical
+    representative and u = (row, col) one of the tau-fixed even units with
+    sign +1: E_u is symmetric but not alternating, and
+    l' + tau(l') = l + tau(l) = 1, so each l' carries a semi-trace off the
+    canonical class.  In any other characteristic SemiTrace refuses them."""
+    l, dim = canonical_semitrace(ring, n).rep, 1 << n
+    fixed = [(a, b) for masks in parity_masks(n) for a in masks for b in masks if tau_unit(n, a, b) == (0, a, b)]
+    return [
+        ((a, b), SemiTrace(l + CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(a, b, ring.one)]))))
+        for a, b in fixed
+    ]

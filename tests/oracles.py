@@ -6,7 +6,8 @@ builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
 combinations, which the int kernels of `cliffqp.linalg` are tested
 against, the bit-pair product of GF(4) and the bit formula of its
-`lower`, Phi(m) as a combination of all the generator matrices, and the
+`lower`, Phi(m) as a combination of all the generator matrices, the two
+Eichler kinds that swaps conjugate `group.eichler_vv` onto, the
 trace pairing of the tau-orbit bases of Alt and Sym, which
 `trace_orthogonality` certifies on tau itself, and the degree-4 negative
 result by enumerating its 4^6 candidates, which
@@ -47,6 +48,34 @@ def hyperbolic_scale(ring: Ring, n: int, i: int, u: Element) -> Matrix:
     hs = HyperbolicSpace(ring, n)
     diagonal = {k: ring.one for k in range(2 * n)} | {hs.vector_index(i): u, hs.dual_index(i): ring.inv(u)}
     return Matrix.from_nonzeros(ring, 2 * n, 2 * n, ((k, k, v) for k, v in diagonal.items()))
+
+
+def _transvection(ring: Ring, n: int, t: Element, plus: tuple[int, int], minus: tuple[int, int]) -> Matrix:
+    """The identity on H(V) with t at the (row, col) plus and -t at minus."""
+    values = {(k, k): ring.one for k in range(2 * n)} | {plus: t, minus: ring.neg(t)}
+    return Matrix.from_nonzeros(ring, 2 * n, 2 * n, ((r, c, v) for (r, c), v in values.items() if not ring.is_zero(v)))
+
+
+def eichler_vd(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
+    """v_i -> v_i + t v_j^*, v_j -> v_j - t v_i^*: an Eichler kind that
+    `group.pgo_invariance` does not certify, since it is
+    `group.eichler_vv`(i, j, t) conjugated by the swap of pair j."""
+    if i == j:
+        raise UsageError("distinct indices required")
+    hs = HyperbolicSpace(ring, n)
+    vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
+    return _transvection(ring, n, t, (dj, vi), (di, vj))
+
+
+def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
+    """v_i^* -> v_i^* + t v_j, v_j^* -> v_j^* - t v_i: an Eichler kind that
+    `group.pgo_invariance` does not certify, since it is
+    `group.eichler_vv`(i, j, t) conjugated by the swap of pair i."""
+    if i == j:
+        raise UsageError("distinct indices required")
+    hs = HyperbolicSpace(ring, n)
+    vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
+    return _transvection(ring, n, t, (vj, di), (vi, dj))
 
 
 def element_rows(m: Matrix) -> list[dict]:

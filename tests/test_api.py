@@ -117,3 +117,25 @@ def test_modules_share_no_private_names():
             elif isinstance(node, ast.Attribute) and node.attr in ("_rows", "_scale", "_canonical") and mod != "linalg":
                 leaks.append(f"{mod} reads .{node.attr}")
     assert leaks == []
+
+
+# Function-local sibling imports the package keeps: sampling builds
+# CliffordElements, so clifford can import it only once both are loaded.
+LOCAL_IMPORTS = {("clifford.involution_suite", "sampling")}
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    """Module imports form the dependency graph; an import inside a
+    function hides a cycle instead, so each one is listed above."""
+    found = set()
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom) and (inner.level or (inner.module or "").startswith("cliffqp")):
+                    targets = [inner.module] if inner.module else [a.name for a in inner.names]
+                    found.update((f"{mod}.{node.name}", t.removeprefix("cliffqp.")) for t in targets)
+                elif isinstance(inner, ast.Import):
+                    found.update((f"{mod}.{node.name}", a.name) for a in inner.names if a.name.startswith("cliffqp"))
+    assert found == LOCAL_IMPORTS

@@ -21,13 +21,7 @@ from cliffqp.canonical import (
     rho_xi_check,
     sl_basis,
 )
-from cliffqp.clifford import (
-    CliffordElement,
-    canonical_involution,
-    parity_masks,
-    phi_word,
-    tau_unit,
-)
+from cliffqp.clifford import CliffordElement, canonical_involution, phi_word
 from cliffqp.errors import DomainError, EligibilityError, UsageError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
@@ -36,7 +30,7 @@ from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
 from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
-from conftest import ALL_RINGS, dense, fresh_rng
+from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
 from oracles import degree4_stable_candidates, from_rows, mat_vec, rank
 
 
@@ -174,7 +168,7 @@ def test_canonical_semitrace_errors():
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_representative_independence_n4(ring):
-    out = check_representative_independence(ring, 4, fresh_rng(f"ind:{ring.name}"), count=8)
+    out = check_representative_independence(canonical_semitrace(ring, 4), fresh_rng(f"ind:{ring.name}"), count=8)
     assert out.passed, out.details
 
 
@@ -188,7 +182,7 @@ def test_representative_independence_requires_trace_one():
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_semitrace_defining_n4(ring):
-    out = check_semitrace_defining(ring, 4, fresh_rng(f"def:{ring.name}"), trials=25)
+    out = check_semitrace_defining(canonical_semitrace(ring, 4), fresh_rng(f"def:{ring.name}"), trials=25)
     assert out.passed, out.details
 
 
@@ -269,26 +263,33 @@ def test_rank_one_routes_refuse_a_mixed_or_foreign_vector():
 
 
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
-def test_correspondence_fails_for_a_semitrace_off_the_canonical_class(monkeypatch, ring):
-    # l' = l + E_u for a tau-fixed unit u with sign +1: E_u is symmetric but
-    # not alternating, and l' + tau(l') = l + tau(l) = 1 in characteristic 2,
-    # so l' carries another semi-trace, which the check must refuse
-    n, dim = 4, 16
-    honest = canonical_semitrace(ring, n)
-    fixed = [(a, b) for masks in parity_masks(n) for a in masks for b in masks if tau_unit(n, a, b) == (0, a, b)]
-    assert len(fixed) == 16
-    for a, b in fixed:
-        unit = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(a, b, ring.one)]))
-        shifted = SemiTrace(honest.rep + unit)
-        assert not shifted.agrees_with(honest)
-        monkeypatch.setattr(canonical, "canonical_semitrace", lambda ring, n: shifted)
-        out = correspondence_with_q_wedge(ring, n, fresh_rng(f"shifted:{ring.name}:{a}"), trials=25)
+def test_correspondence_fails_for_a_semitrace_off_the_canonical_class(ring):
+    # l' = l + E_u carries another semi-trace (`off_canonical_semitraces`),
+    # which the check must refuse
+    honest = canonical_semitrace(ring, 4)
+    shifted = off_canonical_semitraces(ring, 4)
+    assert len(shifted) == 16
+    for (a, _), f in shifted:
+        assert not f.agrees_with(honest)
+        out = correspondence_with_q_wedge(f, fresh_rng(f"shifted:{ring.name}:{a}"), trials=25)
         assert not out.passed
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
+def test_canonical_semitrace_cell_refuses_a_semitrace_off_the_canonical_class(ring):
+    # representative independence refuses every l + E_u; the defining
+    # identity cannot, as trace(l' (x + tau x)) = trace((l' + tau l') x)
+    # holds for every semi-trace, so it accepts each one
+    for (a, b), f in off_canonical_semitraces(ring, 4):
+        out = check_representative_independence(f, fresh_rng(f"shifted ind:{ring.name}:{a}"), count=3)
+        assert not out.passed, (a, b)
+        assert out.details[-1].startswith("trial 2: representative c(a') disagrees on Sym")
+        assert check_semitrace_defining(f, fresh_rng(f"shifted def:{ring.name}:{a}"), trials=25).passed, (a, b)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_correspondence_random(ring):
-    out = correspondence_with_q_wedge(ring, 4, fresh_rng(f"corr:{ring.name}"), trials=25)
+    out = correspondence_with_q_wedge(canonical_semitrace(ring, 4), fresh_rng(f"corr:{ring.name}"), trials=25)
     assert out.passed, out.details
 
 

@@ -2,18 +2,15 @@
 action, and invariance."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from cliffqp import group
 from cliffqp.canonical import canonical_semitrace
-from cliffqp.clifford import CliffordElement, canonical_involution, parity_masks, phi_word, tau_unit
-from cliffqp.errors import DomainError
+from cliffqp.cli import run
+from cliffqp.clifford import CliffordElement, canonical_involution, parity_masks, phi_word
 from cliffqp.group import (
     clifford_action,
-    eichler_dv,
-    eichler_vd,
     eichler_vv,
     hyperbolic_swap,
     is_lift,
@@ -28,8 +25,8 @@ from cliffqp.linalg import Matrix, matmul
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
 from cliffqp.sampling import random_clifford_element, random_even_element
 
-from conftest import fresh_rng
-from oracles import from_rows, hyperbolic_scale, mat_vec
+from conftest import fresh_rng, off_canonical_semitraces
+from oracles import eichler_dv, eichler_vd, from_rows, hyperbolic_scale, mat_vec
 
 
 def test_identity_is_orthogonal():
@@ -145,15 +142,17 @@ def test_action_commutes_with_involution_samples():
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_pgo_invariance_small_sample(ring):
-    out = pgo_invariance(ring, 4, fresh_rng(f"pgo:{ring.name}"), words=8)
+    out = pgo_invariance(canonical_semitrace(ring, 4), fresh_rng(f"pgo:{ring.name}"), words=8)
     assert out.passed, out.details
-    assert "the group generated by the 8 named generators, all parameter values" in out.details[-1]
+    assert "the group generated by the 6 named generators, all parameter values" in out.details[-1]
     assert "8 random words agree" in out.details[-1]
 
 
 def test_pgo_invariance_rejects_ineligible():
-    with pytest.raises(DomainError):
-        pgo_invariance(GF3, 2, fresh_rng("bad"), words=1)
+    # the cell builds the semi-trace it certifies, and skips where none exists
+    (report,) = run("pgo-invariance", 2, GF3, trials=1, seed=0)
+    assert report.status == "skipped"
+    assert report.details == ["canonical semi-trace unavailable for n=2 over gf3: involution symplectic, not orthogonal"]
 
 
 def test_composition_equals_product_action():
@@ -165,7 +164,7 @@ def test_composition_equals_product_action():
     assert clifford_action(matmul(b1, b2), x) == clifford_action(b1, clifford_action(b2, x))
 
 
-KINDS = ("swap", "perm", "scale", "eichler_vv", "eichler_vd", "eichler_dv")
+KINDS = ("swap", "perm", "scale", "eichler_vv")
 
 
 def _lifts_match_oracle(ring, n, pairs, rng, samples):
@@ -215,15 +214,20 @@ def _failures(out):
     return [line for line in out.details if not line.startswith("Sym^perp = Alt")]
 
 
+def _eichler_flipped(ring, n, i, b, g, g_inv):
+    # the lift of eichler_vv(-t) in place of that of eichler_vv(t)
+    return b, g_inv, g
+
+
 def test_pgo_invariance_fails_with_a_wrong_eichler_lift_sign(monkeypatch):
     # the lift of eichler_vv(-t) in place of eichler_vv(t): the certificate
     # alone, with no random word, must see it
-    _mutate(monkeypatch, "eichler_vv", lambda ring, n, i, b, g, g_inv: (b, g_inv, g))
-    out = pgo_invariance(GF3, 4, fresh_rng("pgo:flip"), words=0)
+    _mutate(monkeypatch, "eichler_vv", _eichler_flipped)
+    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng("pgo:flip"), words=0)
     assert not out.passed
     assert "eichler_vv12: the lift does not induce the generator" in out.details
     # -t = t in characteristic 2, so there the flipped lift is the right one
-    assert pgo_invariance(GF2, 4, fresh_rng("pgo:flip"), words=10).passed
+    assert pgo_invariance(canonical_semitrace(GF2, 4), fresh_rng("pgo:flip"), words=10).passed
 
 
 def _swap_plus(ring, n, i, b, g, g_inv):
@@ -239,24 +243,21 @@ def _scale_inverted(ring, n, i, b, g, g_inv):
     return b, {-1: g[1], 0: g[0]}, {0: g_inv[0], 1: g_inv[-1]}
 
 
-def _eichler_vd_flipped(ring, n, i, b, g, g_inv):
-    # the lift of eichler_vd(-t); pair_permutation uses only eichler_vv
-    return b, g_inv, g
-
-
 @pytest.mark.parametrize(
-    "kind, mutation, name",
+    "kind, mutation, names",
     [
-        ("swap", _swap_plus, "swap1"),
-        ("scale", _scale_inverted, "scale1"),
-        ("eichler_vd", _eichler_vd_flipped, "eichler_vd12"),
+        ("swap", _swap_plus, ["swap1"]),
+        ("scale", _scale_inverted, ["scale1"]),
+        # a perm lift is E(i,j,1) E(j,i,-1) E(i,j,1) S(j,-1) with E = eichler_vv,
+        # so the perm certificates see the flipped Eichler lift too
+        ("eichler_vv", _eichler_flipped, ["perm12", "perm23", "perm34", "eichler_vv12"]),
     ],
     ids=("swap", "scale", "eichler"),
 )
-def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mutation, name):
+def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mutation, names):
     _mutate(monkeypatch, kind, mutation)
-    out = pgo_invariance(GF3, 4, fresh_rng(f"pgo:mutant:{kind}"), words=0)
-    assert _failures(out) == [f"{name}: the lift does not induce the generator"]
+    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng(f"pgo:mutant:{kind}"), words=0)
+    assert _failures(out) == [f"{name}: the lift does not induce the generator" for name in names]
 
 
 def test_the_scale_mutation_is_right_at_every_value_of_gf3(monkeypatch):
@@ -269,18 +270,13 @@ def test_the_scale_mutation_is_right_at_every_value_of_gf3(monkeypatch):
 
 
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
-def test_pgo_invariance_certificate_refuses_a_semitrace_off_the_canonical_class(monkeypatch, ring):
-    # l + E_u for each of the 16 tau-fixed even units u with sign +1 still has
-    # l' + tau(l') = 1 in characteristic 2, but is not canonical
-    n, dim = 4, 16
-    l = canonical_semitrace(ring, n).rep
-    fixed = [(a, b) for masks in parity_masks(n) for a in masks for b in masks if tau_unit(n, a, b) == (0, a, b)]
-    assert len(fixed) == 16
-    for a, b in fixed:
-        unit = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, [(a, b, ring.one)]))
-        shifted = SimpleNamespace(rep=l + unit)
-        monkeypatch.setattr(group, "canonical_semitrace", lambda ring, n: shifted)
-        out = pgo_invariance(ring, n, fresh_rng("pgo:shifted"), words=0)
+def test_pgo_invariance_certificate_refuses_a_semitrace_off_the_canonical_class(ring):
+    # l + E_u for each of the 16 tau-fixed even units u with sign +1 is a
+    # semi-trace (`off_canonical_semitraces`), but not the canonical one
+    shifted = off_canonical_semitraces(ring, 4)
+    assert len(shifted) == 16
+    for (a, b), f in shifted:
+        out = pgo_invariance(f, fresh_rng("pgo:shifted"), words=0)
         assert not out.passed, (a, b)
         assert all(line.endswith("the semi-trace moved on the symmetric elements") for line in _failures(out))
 
@@ -298,8 +294,7 @@ def test_certified_lifts_pass_their_oracle_at_every_parameter_value(ring):
     # is the named generator at that value
     n = 4
     l = canonical_semitrace(ring, n).rep
-    named = {"scale": hyperbolic_scale, "eichler_vv": eichler_vv, "eichler_vd": eichler_vd, "eichler_dv": eichler_dv}
-    for kind, make in named.items():
+    for kind, make in {"scale": hyperbolic_scale, "eichler_vv": eichler_vv}.items():
         for x in _nonzero_values(ring):
             b, g, g_inv = lifted_generator(ring, n, kind, 1, 2, x)
             assert b == (make(ring, n, 1, x) if kind == "scale" else make(ring, n, 1, 2, x)), (kind, x)
@@ -309,8 +304,9 @@ def test_certified_lifts_pass_their_oracle_at_every_parameter_value(ring):
 
 def test_pair_permutations_conjugate_the_certified_generators_onto_every_named_one():
     # the group of the adjacent pair permutations, keyed by where it sends
-    # the pairs 1..n; conjugating swap1, scale1, perm12 and the (1, 2)
-    # Eichler generators by its elements gives every named generator
+    # the pairs 1..n; conjugating swap1, scale1, perm12 and eichler_vv12 by
+    # its elements gives every named generator, and the swaps conjugate
+    # eichler_vv onto the other two Eichler kinds
     ring, n = GF5, 4
     elements = {tuple(range(1, n + 1)): Matrix.identity(ring, 2 * n)}
     queue = list(elements)
@@ -331,8 +327,11 @@ def test_pair_permutations_conjugate_the_certified_generators_onto_every_named_o
         assert conjugate(pair_permutation(ring, n, 1, 2)) == pair_permutation(ring, n, i, j)
         for x in _nonzero_values(ring):
             assert conjugate(hyperbolic_scale(ring, n, 1, x)) == hyperbolic_scale(ring, n, i, x)
-            for make in (eichler_vv, eichler_vd, eichler_dv):
-                assert conjugate(make(ring, n, 1, 2, x)) == make(ring, n, i, j, x)
+            e = conjugate(eichler_vv(ring, n, 1, 2, x))
+            assert e == eichler_vv(ring, n, i, j, x)
+            s_i, s_j = hyperbolic_swap(ring, n, i), hyperbolic_swap(ring, n, j)
+            assert matmul(matmul(s_j, e), s_j) == eichler_vd(ring, n, i, j, x)
+            assert matmul(matmul(s_i, e), s_i) == eichler_dv(ring, n, i, j, x)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3), ids=lambda r: r.name)
@@ -358,5 +357,5 @@ def test_non_clifford_conjugator_moves_the_semitrace(ring):
 
 
 def test_pgo_invariance_runs_at_rank_6():
-    out = pgo_invariance(GF2, 6, fresh_rng("pgo:6"), words=5)
+    out = pgo_invariance(canonical_semitrace(GF2, 6), fresh_rng("pgo:6"), words=5)
     assert out.passed, out.details
