@@ -27,6 +27,7 @@ from .clifford import (
     generator_matrix,
     phi_vector,
     phi_word,
+    predicted_even_involution,
     reduced_trace,
 )
 from .errors import EligibilityError, UsageError
@@ -166,10 +167,11 @@ def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcom
 
 def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
     """The semi-trace with representative c(a) for the trace-1 unit E_{2n,2n}."""
+    predicted = predicted_even_involution(ring, n)
     reason = None
-    if n % 2 == 1:
+    if predicted == "center-nontrivial":
         reason = "involution acts non-trivially on the center for odd n"
-    elif n % 4 == 2 and ring.char != 2:
+    elif "orthogonal" not in predicted:
         reason = "involution symplectic, not orthogonal"
     elif n < 4:
         reason = "no canonical semi-trace exists in degree 4"
@@ -444,12 +446,9 @@ def base_change_report(rng, samples: int = 20) -> CheckOutcome:
                     out.fail(f"alternating membership lost after base change, n={n} trial {t}")
 
     for n in (2, 3, 4, 5):
-        small_labels = classify_even_involution(small, n)
-        big_labels = classify_even_involution(big, n)
-        if small_labels.involution_labels != big_labels.involution_labels:
-            out.fail(f"involution type differs after base change at n={n}")
-        if small_labels.center_fixed != big_labels.center_fixed:
-            out.fail(f"center behaviour differs after base change at n={n}")
+        small_type, big_type = classify_even_involution(small, n), classify_even_involution(big, n)
+        if small_type != big_type:
+            out.fail(f"involution type differs after base change at n={n}: {small_type}, then {big_type}")
 
     n = 4
     f_small = canonical_semitrace(small, n)

@@ -41,10 +41,10 @@ Runner = Callable[[Ring, int, random.Random, int], CheckOutcome]
 
 
 def _classify(ring: Ring, n: int, rng, trials: int) -> CheckOutcome:
-    report = clifford.classify_even_involution(ring, n)
-    ok, want = clifford.involution_type_matches(report)
-    verb = "matches" if ok else "does not match"
-    return CheckOutcome(ok, [f"verdict {report.verdict} {verb} the prediction {want}"])
+    verdict = clifford.classify_even_involution(ring, n)
+    want = clifford.predicted_even_involution(ring, n)
+    verb = "matches" if verdict == want else "does not match"
+    return CheckOutcome(verdict == want, [f"verdict {verdict} {verb} the prediction {want}"])
 
 
 def _at_rank_2(n: int, result: Callable[[], CheckOutcome]) -> CheckOutcome:
@@ -73,7 +73,7 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
             clifford.involution_suite(ring, n, rng, min(trials, 100))
         ),
     ),
-    "classify": ([(n, r) for n in range(2, 6) for r in DEFAULT_RINGS], _classify),
+    "classify": ([(n, r) for n in range(2, MAX_N + 1) for r in DEFAULT_RINGS], _classify),
     "polar": (
         [(n, r) for n in range(2, 6) for r in DEFAULT_RINGS],
         lambda ring, n, rng, trials: forms.polar_matches_prediction(ring, n),

@@ -16,8 +16,10 @@ The Gram matrix G is a signed permutation, so the involution moves each
 matrix unit to +- one unit, the one `tau_unit` names; the alternating
 membership test reads those orbits, and `involution_suite` checks every
 unit against the adjoint.
-An element's coordinates are its `Matrix.entries`; the parity blocks
-are cut out (`even_blocks`) only for the even-involution type report.
+An element's coordinates are its `Matrix.entries`.  The type of the
+involution on the even part is read off the whole Gram matrix, which
+preserves parity for even n, and `predicted_even_involution` states the
+paper's rule for it once.
 The 4^n ordered generator products form a monomial basis with a
 division-free coordinate decomposition (their leading entries are +-1
 and triangular by degree); no check uses it, it backs the n <= 4 oracle
@@ -202,18 +204,6 @@ def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return even, odd
 
 
-def even_blocks(x: CliffordElement) -> tuple[Matrix, Matrix]:
-    """The two diagonal blocks of an even element, in parity-sorted order."""
-    if x.parity != "even":
-        raise UsageError("parity blocks need an even element")
-    blocks = []
-    for masks in parity_masks(x.n):
-        index = {m: i for i, m in enumerate(masks)}  # an even x keeps r and c in one block
-        triples = ((index[r], index[c], v) for r, c, v in x.matrix.nonzeros() if r in index)
-        blocks.append(Matrix.from_nonzeros(x.ring, len(masks), len(masks), triples))
-    return blocks[0], blocks[1]
-
-
 # --- relation suite ---------------------------------------------------------
 
 
@@ -377,70 +367,37 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 100) -> CheckOutcome:
 # --- involution type on the even part ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EvenInvolutionReport:
-    n: int
-    ring: Ring
-    center_fixed: bool
-    involution_labels: frozenset[str]
+def predicted_even_involution(ring: Ring, n: int) -> str:
+    """The paper's rule for the type of the involution on the even part:
+    odd n moves the center; in characteristic 2 the Gram matrix is both
+    symmetric and alternating at every even n; otherwise the involution is
+    orthogonal when 4 | n, that is 8 | 2n, and symplectic when n = 2 mod 4.
+    """
+    if n % 2 == 1:
+        return "center-nontrivial"
+    if ring.char == 2:
+        return "orthogonal+symplectic"
+    return "orthogonal" if n % 4 == 0 else "symplectic"
 
-    @property
-    def verdict(self) -> str:
-        if not self.center_fixed:
-            return "center-nontrivial"
-        return "+".join(sorted(self.involution_labels)) or "unclassified"
 
-
-def classify_even_involution(ring: Ring, n: int) -> EvenInvolutionReport:
-    """Type of the involution restricted to the even part.
+def classify_even_involution(ring: Ring, n: int) -> str:
+    """Type of the involution restricted to the even part, in the words of
+    `predicted_even_involution`.
 
     The center of the even algebra is spanned by the two parity-block
     identities; the involution either fixes both (n even) or swaps them
-    (n odd).  When it fixes them, the restricted Gram blocks classify it:
-    symmetric blocks give an orthogonal involution, alternating blocks a
-    symplectic one, and in characteristic 2 both can hold at once.
+    (n odd).  When it fixes them, the Gram matrix preserves parity, so its
+    labels are exactly those both parity blocks share: symmetric gives an
+    orthogonal involution, alternating a symplectic one, and in
+    characteristic 2 both can hold at once.
     """
     if n < 2:
         raise EligibilityError("the even involution type needs n >= 2")
     dim = 1 << n
-    block_identities = (
-        CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, ((m, m, ring.one) for m in masks)))
-        for masks in parity_masks(n)
-    )
-    center_fixed = all(canonical_involution(e) == e for e in block_identities)
-
-    labels: set[str] = set()
-    if center_fixed:  # so n is even and the Gram matrix preserves parity
-        for block in even_blocks(CliffordElement(ring, n, b_wedge_gram(ring, n))):
-            labels |= classify_bilinear(block)
-    involution = set()
-    if "symmetric" in labels:
-        involution.add("orthogonal")
-    if "alternating" in labels:
-        involution.add("symplectic")
-    return EvenInvolutionReport(
-        n=n,
-        ring=ring,
-        center_fixed=center_fixed,
-        involution_labels=frozenset(involution),
-    )
-
-
-def involution_type_matches(report: EvenInvolutionReport) -> tuple[bool, str]:
-    """Compare the computed even-involution type with the rank prediction:
-    odd n moves the center, n = 0 mod 4 is orthogonal, n = 2 mod 4 is
-    symplectic and additionally orthogonal in characteristic 2.
-    """
-    n, ring = report.n, report.ring
-    if n % 2 == 1:
-        return (not report.center_fixed), "center-nontrivial"
-    if not report.center_fixed:
-        return False, "center unexpectedly moved for even n"
-    if n % 4 == 0:
-        want = "orthogonal"
-        return ("orthogonal" in report.involution_labels), want
-    want = "symplectic+orthogonal" if ring.char == 2 else "symplectic"
-    ok = "symplectic" in report.involution_labels and (
-        ring.char != 2 or "orthogonal" in report.involution_labels
-    )
-    return ok, want
+    for masks in parity_masks(n):
+        e = CliffordElement(ring, n, Matrix.from_nonzeros(ring, dim, dim, ((m, m, ring.one) for m in masks)))
+        if canonical_involution(e) != e:
+            return "center-nontrivial"
+    labels = classify_bilinear(b_wedge_gram(ring, n))
+    kinds = [kind for label, kind in (("symmetric", "orthogonal"), ("alternating", "symplectic")) if label in labels]
+    return "+".join(kinds) or "unclassified"

@@ -257,12 +257,11 @@ class Matrix:
         return Matrix(ring or self.ring, self.rows, self.cols, [fn(a) for a in self.entries])
 
     def __repr__(self) -> str:
+        """The shape and the stored nonzeros in (row, col) order, so a
+        witness costs its nonzeros, not its rows times its columns."""
         show = self.ring.show
-        rows = [
-            "[" + ", ".join(show(self.at(r, c)) for c in range(self.cols)) + "]"
-            for r in range(self.rows)
-        ]
-        return f"Matrix({self.ring.name}, [" + ", ".join(rows) + "])"
+        entries = ", ".join(f"({r}, {c}): {show(v)}" for r, c, v in sorted(self.nonzeros()))
+        return f"Matrix({self.ring.name}, {self.rows}x{self.cols}, {{{entries}}})"
 
 
 def _check_shape(ring: Ring, rows: int, cols: int, other: Matrix) -> None:

@@ -21,7 +21,7 @@ from cliffqp.canonical import (
 from cliffqp.clifford import (
     classify_even_involution,
     involution_suite,
-    involution_type_matches,
+    predicted_even_involution,
     relation_suite,
 )
 from cliffqp.forms import b_wedge_gram, classify_bilinear, gram_agreement_suite, q_wedge_polar_gram
@@ -94,13 +94,12 @@ def test_criterion_03_polar_identity():
 
 def test_criterion_04_involution_type_table():
     failures = []
-    for n in (2, 3, 4, 5):
+    for n in range(2, 11):
         for ring in (GF2, GF3, QQ):
-            rep = classify_even_involution(ring, n)
-            ok, want = involution_type_matches(rep)
-            if not ok:
-                failures.append(f"n={n} {ring.name}: got {rep.verdict}, want {want}")
-    report(4, "involution-type-table", not failures, "n=2..5 x {gf2,gf3,q}")
+            got, want = classify_even_involution(ring, n), predicted_even_involution(ring, n)
+            if got != want:
+                failures.append(f"n={n} {ring.name}: got {got}, want {want}")
+    report(4, "involution-type-table", not failures, "n=2..10 x {gf2,gf3,q}, exact types")
 
 
 def test_criterion_05_sl_into_alt():

@@ -21,13 +21,13 @@ from cliffqp.canonical import (
     rho_xi_check,
     sl_basis,
 )
-from cliffqp.clifford import CliffordElement, canonical_involution, phi_word
+from cliffqp.clifford import CliffordElement, canonical_involution, phi_word, predicted_even_involution
 from cliffqp.errors import DomainError, EligibilityError, UsageError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
 from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
 from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
@@ -164,6 +164,27 @@ def test_canonical_semitrace_errors():
     with pytest.raises(EligibilityError):
         canonical_semitrace(QQ, 3)
     canonical_semitrace(GF2, 6)  # eligible: characteristic 2
+
+
+@pytest.mark.parametrize("ring", RING_BY_NAME.values(), ids=RING_BY_NAME)
+def test_canonical_semitrace_exists_exactly_where_the_prediction_is_orthogonal(ring):
+    # the reasons, written out from the rank and the characteristic alone
+    for n in range(1, 11):
+        if n % 2 == 1:
+            reason = "involution acts non-trivially on the center for odd n"
+        elif n % 4 == 2 and ring.char != 2:
+            reason = "involution symplectic, not orthogonal"
+        elif n < 4:
+            reason = "no canonical semi-trace exists in degree 4"
+        else:
+            reason = None
+        assert (reason is None) == ("orthogonal" in predicted_even_involution(ring, n) and n >= 4)
+        if reason is not None:
+            with pytest.raises(EligibilityError) as caught:
+                canonical_semitrace(ring, n)
+            assert str(caught.value) == f"canonical semi-trace unavailable for n={n} over {ring.name}: {reason}"
+        elif n <= 6:  # larger ranks build the same way, only slower
+            assert canonical_semitrace(ring, n).n == n
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))

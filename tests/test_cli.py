@@ -12,6 +12,7 @@ import pytest
 import cliffqp
 from cliffqp import canonical, clifford, forms
 from cliffqp.cli import CHECKS, MAX_N, main, run
+from cliffqp.linalg import Matrix
 from cliffqp.rings import ring_by_name
 
 
@@ -134,6 +135,37 @@ def test_polar_negative_control_passes_as_predicted(capsys):
     assert "differs" in doc["reports"][0]["details"][0]
 
 
+def _negate_odd_row(gram):
+    # mask 1 has one member: only the odd block loses its symmetry
+    ring = gram.ring
+    triples = ((r, c, ring.neg(v) if r == 1 else v) for r, c, v in gram.nonzeros())
+    return Matrix.from_nonzeros(ring, gram.rows, gram.cols, triples)
+
+
+def _add_diagonal_unit(gram):
+    # symmetric still, but no longer alternating
+    return gram + Matrix.from_nonzeros(gram.ring, gram.rows, gram.cols, [(0, 0, gram.ring.one)])
+
+
+@pytest.mark.parametrize(
+    "n, ring, mutate, detail",
+    [
+        (4, "gf3", _negate_odd_row, "verdict unclassified does not match the prediction orthogonal"),
+        (4, "gf2", _add_diagonal_unit, "verdict orthogonal does not match the prediction orthogonal+symplectic"),
+    ],
+)
+def test_classify_fails_on_a_mutated_gram(capsys, monkeypatch, n, ring, mutate, detail):
+    # the verdict must equal the prediction, over the whole Gram matrix: a
+    # mutant in one parity block, or one that drops a label, fails the cell
+    args = ["classify", "--n", str(n), "--ring", ring, "--trials", "1"]
+    assert run_json(capsys, args)[0] == 0  # fills tau's cached G^-1 with the true one
+    gram = clifford.b_wedge_gram(ring_by_name(ring), n)
+    monkeypatch.setattr(clifford, "b_wedge_gram", lambda *_: mutate(gram))
+    code, doc = run_json(capsys, args)
+    assert code == 1
+    assert doc["reports"][0]["details"] == [detail]
+
+
 def test_degree4_counterexample_details(capsys):
     code, doc = run_json(capsys, ["degree4-counterexample", "--ring", "gf4"])
     assert code == 0
@@ -221,7 +253,7 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
         (["rho-xi", "--n", "3", "--ring", "z", "--seed", "3"], 1),
         (["gram", "--n", "3", "--ring", "gf4", "--seed", "3"], 1),
         (["canonical-semitrace", "--n", "4", "--ring", "gf2", "--seed", "3"], 1),
-        (["all", "--trials", "1", "--seed", "0"], 111),
+        (["all", "--trials", "1", "--seed", "0"], 131),
     ):
         texts = []
         for _ in range(2):

@@ -7,14 +7,13 @@ from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
     classify_even_involution,
-    even_blocks,
     generator_matrix,
     involution_suite,
-    involution_type_matches,
     monomial_basis,
     parity_masks,
     phi_vector,
     phi_word,
+    predicted_even_involution,
     reduced_trace,
     relation_suite,
 )
@@ -41,10 +40,11 @@ def test_phi_anticommutator_is_identity():
 
 
 def test_phi_word_n2_even_blocks():
+    # at n=2 the even block sits on masks 0 and 3, the odd block on 1 and 2
     x = phi_word(QQ, 2, ["v1", "v2"])
-    b0, b1 = even_blocks(x)
-    assert b0 == from_rows(QQ, [[QQ.zero, QQ.zero], [QQ.one, QQ.zero]])
-    assert b1 == Matrix.zeros(QQ, 2, 2)
+    assert x.parity == "even"
+    assert [[x.matrix.at(r, c) for c in (0, 3)] for r in (0, 3)] == [[QQ.zero, QQ.zero], [QQ.one, QQ.zero]]
+    assert [[x.matrix.at(r, c) for c in (1, 2)] for r in (1, 2)] == [[QQ.zero, QQ.zero], [QQ.zero, QQ.zero]]
 
 
 def test_element_rejects_a_matrix_over_another_ring():
@@ -210,15 +210,12 @@ def test_involution_on_n2_blocks_swaps_diagonal():
     for ring in (GF2, QQ):
         x = random_even_element(ring, 2, rng)
         t = canonical_involution(x)
-        xb0, xb1 = even_blocks(x)
-        tb0, tb1 = even_blocks(t)
-        for xb, tb in ((xb0, tb0), (xb1, tb1)):
-            assert tb.at(0, 0) == xb.at(1, 1)
-            assert tb.at(1, 1) == xb.at(0, 0)
-        if ring.char == 2:  # full matrix form [[d, b], [c, a]] per block
-            for xb, tb in ((xb0, tb0), (xb1, tb1)):
-                assert tb.at(0, 1) == xb.at(0, 1)
-                assert tb.at(1, 0) == xb.at(1, 0)
+        for lo, hi in ((0, 3), (1, 2)):  # the even block's masks, then the odd block's
+            assert t.matrix.at(lo, lo) == x.matrix.at(hi, hi)
+            assert t.matrix.at(hi, hi) == x.matrix.at(lo, lo)
+            if ring.char == 2:  # full matrix form [[d, b], [c, a]] per block
+                assert t.matrix.at(lo, hi) == x.matrix.at(lo, hi)
+                assert t.matrix.at(hi, lo) == x.matrix.at(hi, lo)
 
 
 def test_reduced_trace_examples():
@@ -312,18 +309,20 @@ def test_decompose_monomial_function():
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_involution_type_table(ring, n):
-    report = classify_even_involution(ring, n)
-    ok, want = involution_type_matches(report)
-    assert ok, f"n={n} over {ring.name}: verdict {report.verdict}, want {want}"
+    want = {2: "symplectic", 3: "center-nontrivial", 4: "orthogonal", 5: "center-nontrivial"}[n]
+    if ring.char == 2 and n % 2 == 0:
+        want = "orthogonal+symplectic"
+    assert classify_even_involution(ring, n) == want
+    assert predicted_even_involution(ring, n) == want
 
 
 def test_involution_type_char2_refinement():
-    report = classify_even_involution(GF2, 2)
-    assert report.involution_labels == {"orthogonal", "symplectic"}
-    report = classify_even_involution(GF3, 2)
-    assert report.involution_labels == {"symplectic"}
-    report = classify_even_involution(QQ, 4)
-    assert report.involution_labels == {"orthogonal"}
+    # in characteristic 2 the Gram matrix is symmetric and alternating at
+    # every even n, so the type names both, at n = 0 mod 4 as well
+    assert classify_even_involution(GF2, 2) == "orthogonal+symplectic"
+    assert classify_even_involution(GF2, 4) == "orthogonal+symplectic"
+    assert classify_even_involution(GF3, 2) == "symplectic"
+    assert classify_even_involution(QQ, 4) == "orthogonal"
 
 
 def test_center_behaviour():

@@ -560,3 +560,15 @@ def test_scalar_matrix_is_the_scaled_identity(ring):
             assert scalar == Matrix.identity(ring, size).scale(c), (c, size)
             assert scalar.entries == [c if r == k else ring.zero for r in range(size) for k in range(size)]
     assert Matrix.scalar(ring, 3, ring.zero) == Matrix.zeros(ring, 3, 3)
+
+
+def test_repr_lists_exactly_the_nonzeros_in_row_col_order():
+    triples = [(2, 1, Fraction(-1, 2)), (0, 3, QQ.one), (2, 0, QQ.zero), (0, 0, QQ.from_int(5))]
+    m = Matrix.from_nonzeros(QQ, 3, 4, triples)
+    assert repr(m) == "Matrix(q, 3x4, {(0, 0): 5, (0, 3): 1, (2, 1): -1/2})"
+    assert repr(Matrix.zeros(GF4, 2, 2)) == "Matrix(gf4, 2x2, {})"
+
+
+def test_repr_of_a_large_sparse_matrix_costs_its_nonzeros():
+    # 2^10 x 2^10 with 512 nonzeros: a dense repr would run to megabytes
+    assert len(repr(generator_matrix(GF2, 10, 0))) < 20_000
