@@ -4,9 +4,12 @@ result.
 
 The canonical map sends a 2n x 2n matrix, decomposed through the polar
 pairing into rank-one tensors, to the corresponding sum of generator
-pair products.  Trace-zero matrices land among the alternating elements
-once n >= 3, so any trace-1 matrix yields the same semi-trace on the even
-algebra; at n = 2 the alternating subspace is too small: over GF(4) every
+pair products; each pair product is a signed partial permutation, so
+the sum is taken in one pass over the composed supports
+(`clifford.word_support`), with no product and no pair matrix.
+Trace-zero matrices land among the alternating elements once n >= 3, so
+any trace-1 matrix yields the same semi-trace on the even algebra; at
+n = 2 the alternating subspace is too small: over GF(4) every
 candidate representative is moved off its class by some Eichler
 transformation B(t) = eichler_vv(2, 1, t), which acts by conjugation with
 its lift 1 + t v1 v2*.  The move is linear in the candidate, so its values
@@ -18,17 +21,15 @@ f(b(x, _) x) = q(x), with f(b(x, _) x) = trace(l * b(x, _) x) = b(x, l x)
 
 from __future__ import annotations
 
-from functools import cache
-
 from .clifford import (
     CliffordElement,
     canonical_involution,
     classify_even_involution,
-    generator_matrix,
     phi_vector,
     phi_word,
     predicted_even_involution,
     reduced_trace,
+    word_support,
 )
 from .errors import EligibilityError, UsageError
 from .exterior import ExteriorVector, sign_exponent
@@ -49,12 +50,6 @@ from .sampling import (
 # --- the canonical mapping --------------------------------------------------
 
 
-@cache
-def _pair_matrix(ring: Ring, n: int, k: int, l: int) -> Matrix:
-    """The generator pair product Phi(e_k) Phi(e_l); cached and shared."""
-    return generator_matrix(ring, n, k) * generator_matrix(ring, n, l)
-
-
 def phi_b_unit(ring: Ring, n: int, k: int, l: int) -> Matrix:
     """The endomorphism b(e_k, _) e_l of H(V): a single matrix unit.
 
@@ -71,14 +66,17 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
     """Canonical mapping of a 2n x 2n matrix into the even Clifford algebra.
 
     The matrix is written as a sum of rank-one pairings through the polar
-    form and each e_k (x) e_l term contributes Phi(e_k) Phi(e_l).
+    form: its unit E_lj is b(e_k, _) e_l with k = 2n - 1 - j, and goes to
+    the generator pair product Phi(e_k) Phi(e_l), a signed partial
+    permutation whose support `word_support` composes.  The image sums the
+    entries of m over those supports in one pass (`Matrix.linear_image`).
     """
     if m.rows != m.cols or m.rows % 2 != 0:
         raise UsageError("the canonical mapping needs a square even-size matrix")
-    ring = m.ring
     n = m.rows // 2
-    terms = ((coef, _pair_matrix(ring, n, 2 * n - 1 - j, l)) for l, j, coef in m.nonzeros())
-    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, terms))
+    dim = 1 << n
+    image = Matrix.linear_image(m, dim, dim, lambda l, j: word_support(n, (2 * n - 1 - j, l)))
+    return CliffordElement(m.ring, n, image)
 
 
 # --- rho/xi compatibility ----------------------------------------------------

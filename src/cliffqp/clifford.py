@@ -7,9 +7,13 @@ dual-basis contraction, so every algebra element is a concrete
 at most one nonzero per column, so generator words and monomials stay
 sparse in that one format.  The (row, col, sign) support of each
 generator is built once per n (`_generator_units`), and the 2n supports
-are disjoint: `generator_matrix` places +-1 on one support, and
-`phi_vector` places +-m_k on the supports of its nonzero coefficients,
-with no sum over the generator matrices.  Matrices are immutable, so
+are disjoint: `phi_vector` places +-m_k on the supports of its nonzero
+coefficients, with no sum over the generator matrices.  Each generator
+is a signed partial permutation, so a generator word is one too:
+`word_support` composes the supports along the word by index arithmetic,
+cached per (n, word) and ring-free, and `generator_matrix`, `phi_word`
+and the generator identities of `relation_suite` place +-1 on the
+composed support, with no product.  Matrices are immutable, so
 `generator_matrix` hands every caller the one cached matrix.  The
 canonical involution is the adjoint of the subset pairing, G^-1 x^T G.
 The Gram matrix G is a signed permutation, so the involution moves each
@@ -46,7 +50,8 @@ from .rings import Element, Ring
 @cache
 def _generator_units(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """The support of the k-th generator, one (row, col, sign parity) per
-    nonzero, a +-1; the supports of the 2n generators are disjoint."""
+    nonzero, a +-1, in column order; the supports of the 2n generators are
+    disjoint."""
     dim = 1 << n
     if k < n:
         bit = 1 << k  # left multiplication by v_{k+1}
@@ -58,10 +63,38 @@ def _generator_units(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @cache
+def word_support(n: int, word: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The support of the generator product Phi(e_k1) ... Phi(e_km) for the
+    word (k1, ..., km), one (row, col, sign parity) per nonzero, a +-1, in
+    column order; the empty word gives the identity's support.
+
+    Each generator support must hit every row and every column at most
+    once, or DomainError is raised; a product of such signed partial
+    permutations is one as well, so its support follows each column of the
+    rightmost factor through the others, with no sum and no ring."""
+    if not word:
+        return tuple((c, c, 0) for c in range(1 << n))
+    if len(word) == 1:
+        units = _generator_units(n, word[0])
+        if len({c for _, c, _ in units}) != len(units) or len({r for r, _, _ in units}) != len(units):
+            raise DomainError(f"the support of generator {word[0]} hits a row or a column twice")
+        return units
+    left = {c: (r, p) for r, c, p in word_support(n, word[:1])}
+    return tuple(
+        (left[r][0], c, p ^ left[r][1]) for r, c, p in word_support(n, word[1:]) if r in left
+    )
+
+
+def _word_matrix(ring: Ring, n: int, word: tuple[int, ...]) -> Matrix:
+    """The matrix of a generator word, +-1 placed on its `word_support`."""
+    dim = 1 << n
+    return Matrix.from_places(ring, dim, dim, (ring.one, ring.sign(1)), word_support(n, word))
+
+
+@cache
 def generator_matrix(ring: Ring, n: int, k: int) -> Matrix:
     """The matrix of the k-th generator, cached and shared."""
-    dim = 1 << n
-    return Matrix.from_places(ring, dim, dim, (ring.one, ring.sign(1)), _generator_units(n, k))
+    return _word_matrix(ring, n, (k,))
 
 
 # --- algebra elements -----------------------------------------------------
@@ -137,12 +170,10 @@ class CliffordElement:
 
 
 def phi_word(ring: Ring, n: int, labels: Sequence[str]) -> CliffordElement:
-    """Image of a generator word, e.g. ("v1", "v2*"), as a matrix product."""
+    """Image of a generator word, e.g. ("v1", "v2*"), placed on the
+    support `word_support` composes."""
     hs = HyperbolicSpace(ring, n)
-    m = Matrix.identity(ring, 1 << n)
-    for label in labels:
-        m = m * generator_matrix(ring, n, hs.index_of(label))
-    return CliffordElement(ring, n, m)
+    return CliffordElement(ring, n, _word_matrix(ring, n, tuple(map(hs.index_of, labels))))
 
 
 def phi_vector(ring: Ring, n: int, coeffs: Sequence[Element]) -> CliffordElement:
@@ -218,29 +249,29 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
     dim = 1 << n
-    gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
     zero, ident = Matrix.zeros(ring, dim, dim), Matrix.identity(ring, dim)
 
     def check(name: str, got: Matrix, want: Matrix) -> None:
         if got != want:
             out.fail(f"{name}: got {got!r}, want {want!r}")
 
-    for i in range(n):
-        vi, di = gens[i], gens[hs.dual_index(i + 1)]
-        check(f"v{i + 1}^2 = 0", vi * vi, zero)
-        check(f"(v{i + 1}*)^2 = 0", di * di, zero)
-        check(f"v{i + 1} v{i + 1}* = 1 - v{i + 1}* v{i + 1}", vi * di, ident - di * vi)
+    def pair(k: int, l: int) -> Matrix:
+        return _word_matrix(ring, n, (k, l))
+
+    for i in range(n):  # v_{i+1} is generator i
+        di = hs.dual_index(i + 1)
+        check(f"v{i + 1}^2 = 0", pair(i, i), zero)
+        check(f"(v{i + 1}*)^2 = 0", pair(di, di), zero)
+        check(f"v{i + 1} v{i + 1}* = 1 - v{i + 1}* v{i + 1}", pair(i, di), ident - pair(di, i))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            vi, vj = gens[i], gens[j]
-            di = gens[hs.dual_index(i + 1)]
-            dj = gens[hs.dual_index(j + 1)]
+            di, dj = hs.dual_index(i + 1), hs.dual_index(j + 1)
             if i < j:
-                check(f"v{i + 1} v{j + 1} = -v{j + 1} v{i + 1}", vi * vj, -(vj * vi))
-                check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", di * dj, -(dj * di))
-            check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", vi * dj, -(dj * vi))
+                check(f"v{i + 1} v{j + 1} = -v{j + 1} v{i + 1}", pair(i, j), -pair(j, i))
+                check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", pair(di, dj), -pair(dj, di))
+            check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", pair(i, dj), -pair(dj, i))
 
     for t in range(trials):
         coeffs = ring.samples(rng, 2 * n)

@@ -9,19 +9,21 @@ is never written after it is built, so cached matrices and their rows are
 shared freely.  `from_places` builds a sparse matrix from values lifted
 once, each put at its (row, col) places; `zeros`, `scalar`, `identity`
 and the generator matrices go through it.
-Products, combinations, `trace_of_product` and `apply`
-sum products of stored ints and reduce them with `Ring.lower`, one
-kernel for all six rings.  Row reduction exists once, as `rref` on element
-rows over a field; `SpanChecker` answers span membership from its reduced
-rows, and no check eliminates.  Signed permutation matrices invert
-without division, keeping the Gram-matrix machinery over the integers.
+Products, combinations, `linear_image` (the image of a matrix under a
+linear map given by the signed units each matrix unit goes to),
+`trace_of_product` and `apply` sum products of stored ints and reduce
+them with `Ring.lower`, one kernel for all six rings.  Row reduction
+exists once, as `rref` on element rows over a field; `SpanChecker`
+answers span membership from its reduced rows, and no check eliminates.
+Signed permutation matrices invert without division, keeping the
+Gram-matrix machinery over the integers.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
 from .rings import Element, Ring
@@ -95,10 +97,7 @@ class Matrix:
         cls, ring: Ring, rows: int, cols: int, triples: Iterable[tuple[int, int, Element]]
     ) -> "Matrix":
         """A matrix from (row, col, value) triples whose values are nonzero;
-        a position given twice keeps its last value.  It keeps its own
-        loop: a triple carries its value, and on the dense draws of
-        `random_even_element` the indexed loop of `from_places` costs about
-        a third more."""
+        a position given twice keeps its last value."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         out: list = [{} for _ in range(rows)]
@@ -112,6 +111,30 @@ class Matrix:
             ints = iter(ints)  # zip takes the next int only while a row has a column left
             out = [{c: v for c, v in zip(row, ints) if v} for row in out]
         return cls._canonical(ring, rows, cols, out, scale)
+
+    @classmethod
+    def linear_image(
+        cls, m: "Matrix", rows: int, cols: int, unit_images: Callable[[int, int], Iterable[tuple[int, int, int]]]
+    ) -> "Matrix":
+        """The image of m under the linear map that sends each matrix unit
+        E_rc to the sum of (-1)**p E_ij over the (i, j, p) in
+        unit_images(r, c), a rows x cols matrix.  The stored ints of m,
+        signed, are summed over those units in one pass and lowered once;
+        no element is built."""
+        if rows <= 0 or cols <= 0:
+            raise UsageError("matrix dimensions must be positive")
+        ring = m.ring
+        (one, minus_one), sscale = ring.lift([ring.one, ring.sign(1)])
+        acc: list = [{} for _ in range(rows)]
+        for r, row in enumerate(m._rows):
+            for c, v in row.items():
+                signed = (v * one, v * minus_one)
+                for i, j, p in unit_images(r, c):
+                    if not (0 <= i < rows and 0 <= j < cols):
+                        raise UsageError(f"image ({i}, {j}) of unit ({r}, {c}) outside a {rows}x{cols} matrix")
+                    target = acc[i]
+                    target[j] = target.get(j, 0) + signed[p]
+        return cls._canonical(ring, rows, cols, ring.lower(row.items() for row in acc), m._scale * sscale)
 
     @classmethod
     def combination(

@@ -7,6 +7,8 @@ uniformly from the ring's `draws`; a random vector is such a batch.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .clifford import CliffordElement, parity_masks
 from .exterior import ExteriorVector
 from .linalg import Matrix
@@ -35,12 +37,20 @@ def random_trace_one(ring: Ring, size: int, rng) -> Matrix:
     return _random_with_trace(ring, size, rng, ring.one)
 
 
-def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:
-    """Both parity blocks, the even block row-major first."""
+@cache
+def _even_units(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows and columns of the even matrix units in draw order: both parity
+    blocks, the even block row-major first; built once per n."""
     units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
-    is_zero = ring.is_zero
-    triples = [(r, c, v) for (r, c), v in zip(units, ring.samples(rng, len(units))) if not is_zero(v)]
-    return CliffordElement(ring, n, Matrix.from_nonzeros(ring, 1 << n, 1 << n, triples))
+    return tuple(r for r, _ in units), tuple(c for _, c in units)
+
+
+def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:
+    """One draw per even unit, placed on the unit."""
+    rows, cols = _even_units(n)
+    values = ring.samples(rng, len(rows))
+    dim = 1 << n
+    return CliffordElement(ring, n, Matrix.from_places(ring, dim, dim, values, zip(rows, cols, range(len(rows)))))
 
 
 def random_clifford_element(ring: Ring, n: int, rng) -> CliffordElement:

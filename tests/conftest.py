@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cliffqp import clifford
 from cliffqp.canonical import canonical_semitrace
 from cliffqp.clifford import CliffordElement, parity_masks, tau_unit
 from cliffqp.involution import SemiTrace
@@ -17,6 +18,19 @@ PALETTE = (GF2, GF3, GF4, QQ)  # the default verification palette
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture
+def fresh_generator_caches():
+    """Empty the caches built from the generator supports before and after
+    the test, so a test that patches `clifford._generator_units` neither
+    reads nor leaves a matrix of the other supports."""
+    caches = (clifford.word_support, clifford.generator_matrix, clifford.monomial_basis)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 def fresh_rng(tag: str) -> random.Random:

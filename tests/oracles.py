@@ -6,7 +6,9 @@ builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
 combinations, which the int kernels of `cliffqp.linalg` are tested
 against, the bit-pair product of GF(4) and the bit formula of its
-`lower`, Phi(m) as a combination of all the generator matrices, the two
+`lower`, Phi(m) as a combination of all the generator matrices, the
+generator matrices built from wedge and contraction and their words as
+`matmul` products, c(M) as a combination of those pair products, the two
 Eichler kinds that swaps conjugate `group.eichler_vv` onto, the
 trace pairing of the tau-orbit bases of Alt and Sym, which
 `trace_orthogonality` certifies on tau itself, and the degree-4 negative
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import groupby, product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from cliffqp.canonical import EVEN_WORDS_N2
 from cliffqp.clifford import CliffordElement, canonical_involution, generator_matrix, phi_word
@@ -134,6 +136,30 @@ def phi_vector_by_combination(ring: Ring, n: int, coeffs: list) -> CliffordEleme
     """Phi(m) as the sum of m_k times the k-th generator matrix, over all 2n."""
     gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
     return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
+
+
+def generator_by_wedge(ring: Ring, n: int, k: int) -> Matrix:
+    """The k-th generator, built as left wedge multiplication by v_{k+1}
+    for k < n and as the contraction by v_{2n-k}^* otherwise."""
+    if k < n:
+        return left_mult_matrix(ExteriorVector.basis(ring, n, 1 << k))
+    return contraction_matrix(ring, n, 2 * n - k)
+
+
+def word_by_products(gens: list, word: tuple) -> Matrix:
+    """The `matmul` product of gens[k] over the generator indices k of the
+    word, left to right; the identity for the empty word."""
+    return reduce(mul, (gens[k] for k in word), Matrix.identity(gens[0].ring, gens[0].rows))
+
+
+def canonical_map_by_products(m: Matrix) -> CliffordElement:
+    """c(M) as the combination of the pair products Phi(e_k) Phi(e_l), one
+    `matmul` of the generators built by `generator_by_wedge` per nonzero
+    M_lj, with k = 2n - 1 - j."""
+    ring, n = m.ring, m.rows // 2
+    gens = [generator_by_wedge(ring, n, k) for k in range(2 * n)]
+    terms = [(coef, gens[2 * n - 1 - j] * gens[l]) for l, j, coef in m.nonzeros()]
+    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, terms))
 
 
 def mat_vec(a: Matrix, v: list) -> list:

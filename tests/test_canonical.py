@@ -31,7 +31,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
 from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
-from oracles import degree4_stable_candidates, from_rows, mat_vec, rank
+from oracles import canonical_map_by_products, degree4_stable_candidates, from_rows, mat_vec, rank
 
 
 def unit_matrix(ring, size, r, c):
@@ -46,6 +46,19 @@ def test_canonical_map_examples(ring, n):
     ident = Matrix.identity(ring, 2 * n)
     expect = CliffordElement.identity(ring, n).scale(ring.from_int(n))
     assert canonical_map_c(ident) == expect
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_map_matches_the_pair_products(ring, n):
+    # every unit E_lj and five random matrices, against the combination of
+    # matmul pair products
+    size = 2 * n
+    rng = fresh_rng(f"c-products:{ring.name}:{n}")
+    inputs = [unit_matrix(ring, size, l, j) for l in range(size) for j in range(size)]
+    inputs += [random_matrix(ring, size, size, rng) for _ in range(5)]
+    for m in inputs:
+        assert canonical_map_c(m) == canonical_map_by_products(m), m
 
 
 def test_canonical_map_single_tensor():

@@ -166,6 +166,21 @@ def test_classify_fails_on_a_mutated_gram(capsys, monkeypatch, n, ring, mutate, 
     assert doc["reports"][0]["details"] == [detail]
 
 
+def test_a_flipped_generator_sign_fails_relations_and_rho_xi(capsys, monkeypatch, fresh_generator_caches):
+    # v1 at n=3 sends column 0 to row 1 with sign -1 instead of +1: the
+    # generator identities and c(M) both read the composed supports, and
+    # each cell names its witness (over gf2 the sign is invisible)
+    units = clifford._generator_units
+    (r, c, parity), *rest = units(3, 0)
+    flipped = ((r, c, parity ^ 1), *rest)
+    monkeypatch.setattr(clifford, "_generator_units", lambda n, k: flipped if (n, k) == (3, 0) else units(n, k))
+    for check, witness in (("relations", "v1 v2 = -v2 v1: got"), ("rho-xi", "trace-1 matrix unit: ")):
+        code, doc = run_json(capsys, [check, "--n", "3", "--ring", "gf3", "--trials", "5"])
+        report = doc["reports"][0]
+        assert code == 1 and report["status"] == "fail"
+        assert any(line.startswith(witness) for line in report["details"]), report["details"]
+
+
 def test_degree4_counterexample_details(capsys):
     code, doc = run_json(capsys, ["degree4-counterexample", "--ring", "gf4"])
     assert code == 0

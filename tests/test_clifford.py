@@ -1,5 +1,7 @@
 """Generator words, relations, the involution, traces, and decomposition."""
 
+from itertools import product
+
 import pytest
 
 from cliffqp import clifford
@@ -16,16 +18,17 @@ from cliffqp.clifford import (
     predicted_even_involution,
     reduced_trace,
     relation_suite,
+    word_support,
 )
-from cliffqp.errors import UnsupportedRingError, UsageError
+from cliffqp.errors import DomainError, UnsupportedRingError, UsageError
 from cliffqp.exterior import mask_size
 from cliffqp.forms import b_wedge_gram
 from cliffqp.linalg import Matrix, SignedPermutation, rref, signed_perm_inverse, trace_of_product
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
-from conftest import PALETTE, fresh_rng
-from oracles import from_rows, phi_vector_by_combination, recompose
+from conftest import ALL_RINGS, PALETTE, fresh_rng
+from oracles import from_rows, generator_by_wedge, phi_vector_by_combination, recompose, word_by_products
 
 
 def test_phi_word_n1_matrix():
@@ -50,6 +53,32 @@ def test_phi_word_n2_even_blocks():
 def test_element_rejects_a_matrix_over_another_ring():
     with pytest.raises(UsageError):
         CliffordElement(GF2, 2, Matrix.identity(GF3, 4))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_word_supports_are_the_generator_products(ring, n):
+    # every word of length <= 3, the empty word and the pairs included,
+    # against matmul products of generators built from wedge and contraction
+    gens = [generator_by_wedge(ring, n, k) for k in range(2 * n)]
+    dim, signs = 1 << n, (ring.one, ring.sign(1))
+    for length in range(4):
+        for word in product(range(2 * n), repeat=length):
+            placed = Matrix.from_places(ring, dim, dim, signs, word_support(n, word))
+            assert placed == word_by_products(gens, word), word
+    assert [generator_matrix(ring, n, k) for k in range(2 * n)] == gens
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [(0, 0, 0), (1, 1, 0)],  # v1 at n=2 holds (1, 0) and (3, 2): a column, then a row, hit twice
+    ids=("column", "row"),
+)
+def test_word_support_refuses_a_generator_support_that_hits_twice(monkeypatch, fresh_generator_caches, extra):
+    units = clifford._generator_units
+    monkeypatch.setattr(clifford, "_generator_units", lambda n, k: units(n, k) + (extra,) if k == 0 else units(n, k))
+    with pytest.raises(DomainError, match="hits a row or a column twice"):
+        word_support(2, (1, 0))
 
 
 def test_phi_word_rejects_bad_label():
@@ -92,8 +121,8 @@ def _phi_without_dual_signs(ring, n, coeffs):
 
 
 def test_relation_trials_catch_a_phi_without_the_dual_signs(monkeypatch):
-    # the generator relations read the generator matrices, so they still
-    # hold; only the trials go through phi_vector
+    # the generator relations read the composed generator supports, so
+    # they still hold; only the trials go through phi_vector
     ring, n = GF3, 3
     assert relation_suite(ring, n, fresh_rng("phi-signs"), trials=20).passed
     monkeypatch.setattr(clifford, "phi_vector", _phi_without_dual_signs)

@@ -519,11 +519,13 @@ def test_rational_matrices_are_stored_in_lowest_terms(data):
     c = data.draw(st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 6))))
     made = [a, a + b, a - b, -a, a.scale(c), a.transpose(), matmul(a, y), a - a]
     made.append(Matrix.combination(QQ, rows, inner, [(c, a), (-c, b), (c, b)]))
+    made.append(Matrix.linear_image(a, inner, rows, lambda r, k: ((k, r, 1),)))
     for m in made:
         assert_canonical(m)
     assert (a + b) - b == a
     assert a.scale(c).scale(1 / c) == a
     assert a - a == Matrix.zeros(QQ, rows, inner) and (a - a)._scale == 1
+    assert made[-1] == -a.transpose()
     assert_entries_exact(matmul(a, y), ring_method_product(a, y).entries)
     # a placement of unused and zero values is canonical as well
     placed = Matrix.from_places(QQ, rows, inner, [c, 2 * c, QQ.zero, c / 3], [(rows - 1, 0, 2), (0, 0, 1)])
@@ -548,6 +550,25 @@ def test_from_places_rejects_a_position_or_index_out_of_range(place):
     for values in ([GF3.one, GF3.one], [GF3.zero, GF3.zero]):
         with pytest.raises(UsageError):
             Matrix.from_places(GF3, 2, 3, values, [(0, 0, 0), place])
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ, ZZ), ids=lambda r: r.name)
+def test_linear_image_sums_the_signed_unit_images(ring):
+    # E_rc goes to E_cr - E_00: every image meets at (0, 0), where the
+    # entries of m sum with sign -1, and the rest is the transpose
+    rng = fresh_rng(f"image:{ring.name}")
+    for m in (random_matrix(ring, 3, 4, rng), Matrix.zeros(ring, 3, 4)):
+        image = Matrix.linear_image(m, 4, 3, lambda r, c: ((c, r, 0), (0, 0, 1)))
+        total = reduce(ring.add, m.entries, ring.zero)
+        corner = Matrix.from_places(ring, 4, 3, [ring.neg(total)], [(0, 0, 0)])
+        assert image == m.transpose() + corner
+
+
+@pytest.mark.parametrize("image", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 3, 0)])
+def test_linear_image_rejects_a_unit_image_outside_the_shape(image):
+    m = Matrix.identity(GF3, 3)
+    with pytest.raises(UsageError):
+        Matrix.linear_image(m, 4, 3, lambda r, c: ((r, c, 0), image))
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ, ZZ), ids=lambda r: r.name)
