@@ -17,9 +17,12 @@ composed support, with no product.  Matrices are immutable, so
 `generator_matrix` hands every caller the one cached matrix.  The
 canonical involution is the adjoint of the subset pairing, G^-1 x^T G.
 The Gram matrix G is a signed permutation, so the involution moves each
-matrix unit to +- one unit, the one `tau_unit` names; the alternating
-membership test reads those orbits, and `involution_suite` checks every
-unit against the adjoint.
+matrix unit to +- one unit, the one `tau_unit` names; `tau_relabel`
+applies this unit rule to an element in one pass, and the alternating
+membership test reads its orbits.  `involution_suite` certifies the rule:
+it is the adjoint on every unit and anti-multiplicative on every pair of
+units, so on every pair of elements by bilinearity; `canonical_involution`,
+which moves rows, is checked against it on random pairs.
 An element's coordinates are its `Matrix.entries`.  The type of the
 involution on the even part is read off the whole Gram matrix, which
 preserves parity for even n, and `predicted_even_involution` states the
@@ -218,6 +221,20 @@ def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
     return parity, full ^ b, full ^ a
 
 
+def tau_relabel(x: CliffordElement) -> CliffordElement:
+    """The involution as the unit rule: every nonzero of x moved to the
+    signed unit `tau_unit` names, in one pass (`Matrix.linear_image`).
+    `involution_suite` certifies the rule and checks `canonical_involution`
+    against it."""
+    n, dim = x.n, 1 << x.n
+
+    def image(a: int, b: int) -> tuple[tuple[int, int, int]]:
+        parity, r, c = tau_unit(n, a, b)
+        return ((r, c, parity),)
+
+    return CliffordElement(x.ring, n, Matrix.linear_image(x.matrix, dim, dim, image))
+
+
 def reduced_trace(x: CliffordElement) -> Element:
     """The matrix trace; on the even part this is the sum of block traces."""
     return x.matrix.trace()
@@ -280,7 +297,7 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
         qm = hs.q(coeffs)
         if square != Matrix.scalar(ring, dim, qm):
             out.fail(
-                f"Phi(m)^2 != q(m) Id for m={coeffs!r} (trial {t}): "
+                f"Phi(m)^2 != q(m) Id for m=[{', '.join(map(ring.show, coeffs))}] (trial {t}): "
                 f"q(m)={ring.show(qm)}, square={square!r}"
             )
     if out.passed:
@@ -355,31 +372,54 @@ def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
     return MonomialBasis(ring, n)
 
 
-def involution_suite(ring: Ring, n: int, rng, pairs: int = 100) -> CheckOutcome:
-    """The involution is the adjoint G^-1 x^T G on every matrix unit, fixes
-    every generator, squares to the identity on all matrix units, and is
-    anti-multiplicative on random pairs (n <= 4).
+def involution_suite(ring: Ring, n: int, rng, pairs: int = 10) -> CheckOutcome:
+    """The involution is the adjoint G^-1 x^T G on every matrix unit,
+    squares to the identity there, fixes every generator, and is
+    anti-multiplicative on every pair of elements.
 
-    G has one nonzero s_m at (m, pi(m)) per row, so the adjoint of E_ab is
-    G^-1 E_ba G = s_a s_b E_{pi(b), pi(a)}; by linearity the unit check
-    covers every element.
+    G must hold one nonzero g_a per row a, at (a, pi(a)), with pi injective
+    and every g_a^2 = 1: a signed permutation.  These premises are checked
+    on the rows of G, in O(2^n); if one fails, nothing else is.  The adjoint
+    of E_ab is then G^-1 E_ba G = g_a g_b E_{pi(b), pi(a)}, and the walk over
+    the units checks `tau_unit` against it on each one; by linearity the
+    unit rule is the adjoint on every element.  The rule is
+    anti-multiplicative on all 16^n pairs of units:
+    tau(E_cd) tau(E_ab) = g_c g_d g_a g_b E_{pi(d), pi(c)} E_{pi(b), pi(a)}
+    = [b == c] g_a g_d E_{pi(d), pi(a)} = tau(E_ab E_cd), since pi(c) = pi(b)
+    only when c = b (pi injective), and then g_b^2 = 1.  By bilinearity
+    tau(xy) = tau(y) tau(x) for every pair x, y, at every n.
+
+    At n <= 4, random pairs cross-check the implementation: on x and on y
+    `canonical_involution`, the adjoint by row moves, must equal
+    `tau_relabel`, the unit rule, and tau(xy) = tau(y) tau(x) must hold
+    through the dense product.
     """
     out = CheckOutcome()
+    dim = 1 << n
+    nonzeros = list(b_wedge_gram(ring, n).nonzeros())
+    gram = {a: (pa, g) for a, pa, g in nonzeros}
+    if len(nonzeros) != dim or len(gram) != dim:
+        out.fail("the Gram matrix does not hold exactly one nonzero per row")
+    elif len({pa for pa, _ in gram.values()}) != dim:
+        out.fail("the Gram matrix hits a column twice, so pi is not injective")
+    elif unsquared := [a for a, (_, g) in gram.items() if not ring.is_one(ring.mul(g, g))]:
+        more = f" and {len(unsquared) - 1} more rows" if len(unsquared) > 1 else ""
+        out.fail(f"the Gram entry g_a of row {unsquared[0]}{more} does not square to 1")
+    if not out.passed:
+        return out
+    for a in range(dim):
+        for b in range(dim):
+            p1, r1, c1 = tau_unit(n, a, b)
+            (pa, ga), (pb, gb) = gram[a], gram[b]
+            if (r1, c1) != (pb, pa) or not ring.eq(ring.sign(p1), ring.mul(ga, gb)):
+                out.fail_unit("involution is not the adjoint G^-1 x^T G", (a, b))
+            p2, r2, c2 = tau_unit(n, r1, c1)
+            if (r2, c2) != (a, b) or (p1 + p2) % 2 != 0:
+                out.fail_unit("involution does not square to the identity", (a, b))
     for k, label in enumerate(HyperbolicSpace(ring, n).labels()):
         g = CliffordElement(ring, n, generator_matrix(ring, n, k))
         if canonical_involution(g) != g:
             out.fail(f"involution moves generator {label}")
-    gram = {r: (c, sign) for r, c, sign in b_wedge_gram(ring, n).nonzeros()}
-    dim = 1 << n
-    for a in range(dim):
-        for b in range(dim):
-            p1, r1, c1 = tau_unit(n, a, b)
-            (pa, sa), (pb, sb) = gram[a], gram[b]
-            if (r1, c1) != (pb, pa) or not ring.eq(ring.sign(p1), ring.mul(sa, sb)):
-                out.fail(f"involution is not the adjoint G^-1 x^T G on unit ({a}, {b})")
-            p2, r2, c2 = tau_unit(n, r1, c1)
-            if (r2, c2) != (a, b) or (p1 + p2) % 2 != 0:
-                out.fail(f"involution does not square to the identity on unit ({a}, {b})")
     if n <= 4:
         # local: sampling imports this module
         from .sampling import random_clifford_element
@@ -387,11 +427,17 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 100) -> CheckOutcome:
         for t in range(pairs):
             x = random_clifford_element(ring, n, rng)
             y = random_clifford_element(ring, n, rng)
-            if canonical_involution(x * y) != canonical_involution(y) * canonical_involution(x):
+            tx, ty = canonical_involution(x), canonical_involution(y)
+            if tx != tau_relabel(x) or ty != tau_relabel(y):
+                out.fail(f"canonical_involution is not the unit rule on random pair {t}")
+            if canonical_involution(x * y) != ty * tx:
                 out.fail(f"involution not anti-multiplicative on random pair {t}")
     if out.passed:
-        extra = f"; anti-multiplicative on {pairs} random pairs" if n <= 4 else ""
-        out.note(f"involution fixes all generators and squares to the identity (n={n}){extra}")
+        extra = f"; {pairs} random pairs agree with the unit rule and the dense product" if n <= 4 else ""
+        out.note(
+            f"involution is the adjoint on all {4 ** n} units, squares to the identity, fixes all "
+            f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n}){extra}"
+        )
     return out
 
 

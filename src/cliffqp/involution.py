@@ -164,10 +164,10 @@ def trace_orthogonality(ring: Ring, n: int) -> CheckOutcome:
     for r, c, pr, pc, sign, alt, sym in _orbits(ring, n):
         back, br, bc = tau_unit(n, pr, pc)
         if (br, bc) != (r, c) or not ring.eq(ring.sign(back), sign):  # sign^2 = 1
-            out.fail(f"tau does not square to 1 on unit ({r}, {c})")
+            out.fail_unit("tau does not square to 1", (r, c))
         parity, tr, tc = tau_unit(n, c, r)
         if (tr, tc) != (pc, pr) or not ring.eq(ring.sign(parity), sign):
-            out.fail(f"tau(E_cr) is not the transpose of tau(E_rc) with its sign on unit ({r}, {c})")
+            out.fail_unit("tau(E_cr) is not the transpose of tau(E_rc) with its sign", (r, c))
         dim_alt, dim_sym = dim_alt + alt, dim_sym + sym
     if dim_alt + dim_sym != 2 * 4 ** (n - 1):
         out.fail(f"dim Alt + dim Sym = {dim_alt} + {dim_sym}, not {2 * 4 ** (n - 1)}")

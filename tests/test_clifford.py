@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cliffqp import clifford
+from cliffqp import cli, clifford, involution
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
@@ -426,3 +426,108 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
     out = involution_suite(ring, n, fresh_rng("unit-sign"), pairs=0)
     assert not out.passed
     assert out.details == ["involution is not the adjoint G^-1 x^T G on unit (1, 2)"]
+
+
+def test_unit_walks_report_each_kind_of_failure_once(monkeypatch):
+    # the sign rule shifted by a fails half the units of each walk; every
+    # kind of failure keeps one line, its first unit and a count of the rest
+    unit = clifford.tau_unit
+
+    def shifted(n, a, b):
+        parity, r, c = unit(n, a, b)
+        return (parity + a) % 2, r, c
+
+    monkeypatch.setattr(clifford, "tau_unit", shifted)
+    monkeypatch.setattr(involution, "tau_unit", shifted)
+    assert involution_suite(GF3, 6, fresh_rng("shifted"), pairs=0).details == [
+        "involution does not square to the identity on unit (0, 0) and 2047 more units",
+        "involution is not the adjoint G^-1 x^T G on unit (1, 0) and 2047 more units",
+    ]
+    assert involution.trace_orthogonality(GF3, 6).details == [
+        "tau does not square to 1 on unit (0, 0) and 1023 more units",
+        "tau(E_cr) is not the transpose of tau(E_rc) with its sign on unit (0, 3) and 1023 more units",
+    ]
+
+
+def test_relation_witness_shows_ring_elements(monkeypatch):
+    # Phi(m) + Id squares to (q(m) + 1) Id in characteristic 2; the witness
+    # prints m as GF(4) elements, not as their stored ints
+    honest = clifford.phi_vector
+    monkeypatch.setattr(
+        clifford, "phi_vector", lambda ring, n, coeffs: honest(ring, n, coeffs) + CliffordElement.identity(ring, n)
+    )
+    out = relation_suite(GF4, 2, fresh_rng("witness"), trials=20)
+    assert not out.passed
+    assert any("1+w" in line for line in out.details)
+    assert not any("4294967296" in line for line in out.details)
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
+def test_gram_cells_catch_a_negated_row_of_the_gram_inverse(monkeypatch, ring):
+    # a row of G^-1 negated by D makes canonical_involution x -> D tau(x) D,
+    # still anti-multiplicative, so only the comparison with the unit rule
+    # names a pair; in characteristic 2, -1 = 1 and nothing changes
+    honest = clifford._gram_inverse
+
+    def negated(ring, n):
+        ginv = honest(ring, n)
+        return SignedPermutation(ring, ginv.perm, ginv.negated ^ {0})
+
+    monkeypatch.setattr(clifford, "_gram_inverse", negated)
+    for report in cli.run("gram", None, ring, 100, 0):
+        if ring.char == 2:
+            assert report.status == "pass", report.details
+        elif report.n <= 4:
+            assert report.status == "fail"
+            assert any(line.startswith("canonical_involution is not the unit rule on random pair") for line in report.details)
+            assert not any("anti-multiplicative on random pair" in line for line in report.details)
+
+
+def _gram_with(monkeypatch, entry):
+    """Patch the Gram matrix that involution_suite reads: row 0 gets
+    entry(ring, n, column, value) in place of its nonzero."""
+    honest = clifford.b_wedge_gram
+
+    def patched(ring, n):
+        g = honest(ring, n)
+        rows = [entry(ring, n, c, v) if r == 0 else (c, v) for r, c, v in g.nonzeros()]
+        return Matrix.from_nonzeros(ring, g.rows, g.cols, ((r, c, v) for r, (c, v) in enumerate(rows)))
+
+    monkeypatch.setattr(clifford, "b_wedge_gram", patched)
+
+
+@pytest.mark.parametrize("ring", (GF5, QQ), ids=lambda r: r.name)
+@pytest.mark.parametrize("n", (1, 3))
+def test_involution_suite_refuses_a_gram_entry_that_does_not_square_to_one(monkeypatch, ring, n):
+    _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.from_int(2)))
+    out = involution_suite(ring, n, fresh_rng("gram-two"), pairs=10)
+    assert out.details == ["the Gram entry g_a of row 0 does not square to 1"]
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
+@pytest.mark.parametrize("n", (1, 3))
+def test_involution_suite_refuses_a_gram_that_hits_a_column_twice(monkeypatch, ring, n):
+    # row 0 moved onto row 1's column; signed_perm_inverse would raise on it
+    _gram_with(monkeypatch, lambda ring, n, c, v: (c ^ 1, v))
+    out = involution_suite(ring, n, fresh_rng("gram-column"), pairs=10)
+    assert out.details == ["the Gram matrix hits a column twice, so pi is not injective"]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_tau_relabel_is_the_adjoint(ring, n):
+    # the unit rule against G^-1 x^T G multiplied out, as in
+    # test_sparse_paths_match_dense, on dense, generator and zero elements
+    g = b_wedge_gram(ring, n)
+    ginv = signed_perm_inverse(g)
+    rng = fresh_rng(f"relabel:{ring.name}:{n}")
+    elements = [random_clifford_element(ring, n, rng) for _ in range(5)]
+    elements += [phi_word(ring, n, ["v1"]), CliffordElement.zero(ring, n)]
+    for x in elements:
+        assert clifford.tau_relabel(x).matrix == ginv * x.matrix.transpose() * g
+
+
+def test_involution_suite_refuses_a_gram_with_an_empty_row(monkeypatch):
+    _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.zero))
+    out = involution_suite(GF3, 2, fresh_rng("gram-row"), pairs=10)
+    assert out.details == ["the Gram matrix does not hold exactly one nonzero per row"]
