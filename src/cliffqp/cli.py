@@ -63,9 +63,11 @@ def _semitrace_check(check: Callable[[SemiTrace, random.Random, int], CheckOutco
 # Every check: its default (n, ring) cells and its runner, in the order `all`
 # runs them.  A check whose one cell is (None, None) takes neither --n nor --ring.
 CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
+    # Phi(m)^2 = q(m) Id certified for every m by polarization over the
+    # generator pairs, then min(trials, 10) random m as a cross-check
     "relations": (
         [(n, r) for n in range(1, 7) for r in DEFAULT_RINGS],
-        lambda ring, n, rng, trials: clifford.relation_suite(ring, n, rng, trials),
+        lambda ring, n, rng, trials: clifford.relation_suite(ring, n, rng, min(trials, 10)),
     ),
     # every unit and unit pair certified by linearity, then min(trials, 10)
     # random pairs as a cross-check of the implementation
@@ -88,12 +90,14 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
         [(n, r) for n in (2, 3, 4) for r in DEFAULT_RINGS],
         lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n, rng, trials),
     ),
+    # f(x + tau x) = trace(x) certified on every even unit, then
+    # min(trials, 10) random even x as a cross-check
     "canonical-semitrace": (
         [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
         _semitrace_check(
             lambda f, rng, trials: canonical.check_representative_independence(
                 f, rng, count=min(trials, 20)
-            ).merge(canonical.check_semitrace_defining(f, rng, trials))
+            ).merge(canonical.check_semitrace_defining(f, rng, min(trials, 10)))
         ),
     ),
     "q-wedge-correspondence": (
@@ -185,7 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ring", default=None, choices=sorted(RING_BY_NAME), help="restrict to one ring"
     )
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="random trials per cell")
+    parser.add_argument(
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help="random trials per cell; checks that certify their claim cap the cross-checking trials",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     try:

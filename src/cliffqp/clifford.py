@@ -8,7 +8,9 @@ at most one nonzero per column, so generator words and monomials stay
 sparse in that one format.  The (row, col, sign) support of each
 generator is built once per n (`_generator_units`), and the 2n supports
 are disjoint: `phi_vector` places +-m_k on the supports of its nonzero
-coefficients, with no sum over the generator matrices.  Each generator
+coefficients, with no sum over the generator matrices.  `relation_suite`
+checks that, so Phi is linear and Phi(m)^2 = q(m) Id follows for every m
+from the generator identities by polarization.  Each generator
 is a signed partial permutation, so a generator word is one too:
 `word_support` composes the supports along the word by index arithmetic,
 cached per (n, word) and ring-free, and `generator_matrix`, `phi_word`
@@ -256,16 +258,27 @@ def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
-    """Check the defining relations of the algebra as matrix identities.
+    """Check the defining relations of the algebra as matrix identities, and
+    certify Phi(m)^2 = q(m) * Id for every module element m.
 
     The six generator families: squares of the v_i and of the v_i^* vanish,
     distinct v's anticommute, distinct duals anticommute, v_i v_i^* is
     1 - v_i^* v_i, and mixed pairs with distinct indices anticommute.
-    On top of that, Phi(m)^2 = q(m) * Id for random module elements m.
+    Together they name all (2n)^2 ordered generator pairs: Phi(e_k)^2 = 0 and
+    Phi(e_k) Phi(e_l) + Phi(e_l) Phi(e_k) = b(e_k, e_l) Id, where q(e_k) = 0
+    and the polar b(e_k, e_l) of the hyperbolic form is 1 for a dual pair and
+    0 otherwise, as checked on `HyperbolicSpace.q` itself.  Two premises make
+    `phi_vector` linear: the 2n generator supports are pairwise disjoint, so
+    placing +-m_k on each overwrites nothing, and phi_vector(e_k) is the k-th
+    generator matrix.  Then Phi(m) = sum m_k Phi(e_k), and
+    Phi(m)^2 = sum_k m_k^2 Phi(e_k)^2 + sum_{k<l} m_k m_l (Phi(e_k) Phi(e_l)
+    + Phi(e_l) Phi(e_k)) = q(m) Id by polarization, for every m.
+    Random module elements cross-check the implementation through the
+    dense product.
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
-    dim = 1 << n
+    dim, labels = 1 << n, hs.labels()
     zero, ident = Matrix.zeros(ring, dim, dim), Matrix.identity(ring, dim)
 
     def check(name: str, got: Matrix, want: Matrix) -> None:
@@ -290,6 +303,23 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
                 check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", pair(di, dj), -pair(dj, di))
             check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", pair(i, dj), -pair(dj, i))
 
+    e = [[ring.one if i == k else ring.zero for i in range(2 * n)] for k in range(2 * n)]
+    owner: dict = {}
+    for k, label in enumerate(labels):
+        for l in range(k, 2 * n):  # position 2n - 1 - k holds the dual of generator k
+            got = hs.q(e[k]) if k == l else hs.polar(e[k], e[l])
+            want = ring.one if k + l == 2 * n - 1 else ring.zero
+            if not ring.eq(got, want):
+                form = f"q({label})" if k == l else f"b({label}, {labels[l]})"
+                out.fail(f"{form} = {ring.show(got)}, but the generator identities need {ring.show(want)}")
+        for r, c, _ in _generator_units(n, k):
+            first = owner.setdefault(r * dim + c, k)
+            if first != k:
+                out.fail_unit(f"the supports of {labels[first]} and {label} overlap", (r, c))
+        # generator_matrix's matrix, built without filling its cache
+        if phi_vector(ring, n, e[k]).matrix != _word_matrix(ring, n, (k,)):
+            out.fail(f"phi_vector(e_{k}) is not the generator matrix of {label}")
+
     for t in range(trials):
         coeffs = ring.samples(rng, 2 * n)
         phi = phi_vector(ring, n, coeffs).matrix
@@ -301,7 +331,10 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
                 f"q(m)={ring.show(qm)}, square={square!r}"
             )
     if out.passed:
-        out.note(f"relations hold for n={n} over {ring.name} ({trials} random module elements)")
+        out.note(
+            f"relations hold for n={n} over {ring.name}: Phi(m)^2 = q(m) Id for every m, by "
+            f"polarization over all {4 * n * n} generator pairs; {trials} random module elements agree"
+        )
     return out
 
 

@@ -220,6 +220,41 @@ def test_semitrace_defining_n4(ring):
     assert out.passed, out.details
 
 
+def test_semitrace_walk_fails_when_tau_flips_one_even_unit(monkeypatch):
+    # tau(E_ab) = +-E_rc with its sign flipped on the one even unit whose
+    # image reads a nonzero l[c, r]: with the trial loop off, the walk names
+    # that unit on one line
+    ring, n = GF3, 4
+    f = canonical_semitrace(ring, n)
+    honest = canonical.tau_unit
+    (i, j, _), *_ = f.rep.matrix.nonzeros()
+    _, a, b = honest(n, j, i)  # tau(E_ab) = +-E_ji, so the walk reads l[i, j] there
+
+    def flipped(n_, r, c):
+        parity, rr, cc = honest(n_, r, c)
+        return parity ^ ((r, c) == (a, b)), rr, cc
+
+    monkeypatch.setattr(canonical, "tau_unit", flipped)
+    out = check_semitrace_defining(f, fresh_rng("flipped tau"), trials=0)
+    assert out.details == [f"f(E_ab + tau E_ab) is not trace(E_ab) on unit {(a, b)}"]
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
+def test_semitrace_walk_fails_on_a_representative_shifted_by_a_non_alternating_unit(ring):
+    # l' = l + E_u for the even unit u = (0, 3), which tau moves to (12, 15):
+    # l' + tau l' = 1 + E_u + tau E_u != 1, so SemiTrace refuses l' and the
+    # test builds it around that check; with the trial loop off, the walk
+    # names the two units that read E_u on one line
+    n = 4
+    rep = canonical_semitrace(ring, n).rep + CliffordElement(ring, n, unit_matrix(ring, 16, 0, 3))
+    with pytest.raises(DomainError):
+        SemiTrace(rep)
+    f = SemiTrace.__new__(SemiTrace)
+    f.ring, f.n, f.rep = ring, n, rep
+    out = check_semitrace_defining(f, fresh_rng("shifted walk"), trials=0)
+    assert out.details == ["f(E_ab + tau E_ab) is not trace(E_ab) on unit (3, 0) and 1 more unit"]
+
+
 def test_rank_one_wedge_matches_bilinear_action():
     ring, n = GF3, 4
     rng = fresh_rng("rankone")

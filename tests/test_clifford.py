@@ -122,13 +122,58 @@ def _phi_without_dual_signs(ring, n, coeffs):
 
 def test_relation_trials_catch_a_phi_without_the_dual_signs(monkeypatch):
     # the generator relations read the composed generator supports, so
-    # they still hold; only the trials go through phi_vector
+    # they still hold; the premise phi_vector(e_k) = Phi(e_k) names the
+    # first dual generator v3* (v1* has no sign to drop), and the trials fail
     ring, n = GF3, 3
     assert relation_suite(ring, n, fresh_rng("phi-signs"), trials=20).passed
     monkeypatch.setattr(clifford, "phi_vector", _phi_without_dual_signs)
     out = relation_suite(ring, n, fresh_rng("phi-signs"), trials=20)
-    assert not out.passed and out.details
-    assert all(line.startswith("Phi(m)^2 != q(m) Id") for line in out.details)
+    assert not out.passed
+    premises = [line for line in out.details if line.startswith("phi_vector(e_")]
+    assert premises == [
+        "phi_vector(e_3) is not the generator matrix of v3*",
+        "phi_vector(e_4) is not the generator matrix of v2*",
+    ]
+    trials = [line for line in out.details if line.startswith("Phi(m)^2 != q(m) Id")]
+    assert trials and len(premises) + len(trials) == len(out.details)
+
+
+def test_relation_certificate_fails_on_overlapping_generator_supports(monkeypatch, fresh_generator_caches):
+    # v2 at n=2 moves its nonzero of column 0 from row 2 to row 1, where v1
+    # has one: each support still hits a row and a column at most once, and
+    # with the trial loop off the disjointness premise names the position
+    units = clifford._generator_units
+    v1, (_, *v2_rest) = units(2, 0), units(2, 1)
+    moved = (v1[0], *v2_rest)
+    assert v1[0][:2] == (1, 0)
+    monkeypatch.setattr(clifford, "_generator_units", lambda n, k: moved if (n, k) == (2, 1) else units(n, k))
+    out = relation_suite(GF3, 2, fresh_rng("overlap"), trials=0)
+    assert not out.passed
+    assert "the supports of v1 and v2 overlap on unit (1, 0)" in out.details
+
+
+def test_relation_certificate_fails_on_a_form_the_identities_do_not_name(monkeypatch):
+    # a hyperbolic form that pairs v1 with v2 as well: the generator
+    # identities still hold, and with the trial loop off only the form's
+    # values on the generator pairs can see it
+    honest = clifford.HyperbolicSpace.q
+    monkeypatch.setattr(
+        clifford.HyperbolicSpace, "q", lambda self, m: GF3.add(honest(self, m), GF3.mul(m[0], m[1]))
+    )
+    out = relation_suite(GF3, 2, fresh_rng("form"), trials=0)
+    assert out.details == ["b(v1, v2) = 1, but the generator identities need 0"]
+
+
+def test_certified_checks_cap_their_trials_in_the_cli_only():
+    # the CLI runs min(--trials, 10) cross-checking trials in the certified
+    # cells; a library call runs what it is given
+    (relations,) = cli.run("relations", 8, GF2, 100, 0)
+    (semitrace,) = cli.run("canonical-semitrace", 6, GF2, 100, 0)
+    assert relations.status == semitrace.status == "pass"
+    assert relations.details[-1].endswith("; 10 random module elements agree")
+    assert semitrace.details[-1].endswith("; 10 random even elements agree")
+    out = relation_suite(GF2, 3, fresh_rng("cap"), trials=25)
+    assert out.passed and out.details[-1].endswith("; 25 random module elements agree")
 
 
 def test_phi_square_is_form_value():
