@@ -3,7 +3,7 @@
 The package builds the algebra faithfully as endomorphisms of the
 exterior algebra, equips it with its canonical involution and the
 canonical semi-trace, verifies invariance under the orthogonal group,
-and carries the exhaustive degree-4 counterexample over GF(4).
+and certifies the degree-4 counterexample over every char-2 base.
 """
 
 from .canonical import (

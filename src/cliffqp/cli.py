@@ -115,7 +115,7 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
         lambda ring, n, rng, trials: _at_rank_2(n, lambda: canonical.degree4_alt_report(ring)),
     ),
     "degree4-counterexample": (
-        [(2, GF4)],
+        [(2, GF2), (2, GF4)],
         lambda ring, n, rng, trials: _at_rank_2(n, lambda: canonical.degree4_no_canonical(ring)),
     ),
     "base-change": (

@@ -13,10 +13,11 @@ checks that, so Phi is linear and Phi(m)^2 = q(m) Id follows for every m
 from the generator identities by polarization.  Each generator
 is a signed partial permutation, so a generator word is one too:
 `word_support` composes the supports along the word by index arithmetic,
-cached per (n, word) and ring-free, and `generator_matrix`, `phi_word`
-and the generator identities of `relation_suite` place +-1 on the
-composed support, with no product.  Matrices are immutable, so
-`generator_matrix` hands every caller the one cached matrix.  The
+cached per (n, word) and ring-free; `generator_matrix` and `phi_word`
+place +-1 on the composed support, with no product, and the generator
+identities of `relation_suite` sum supports, with no matrix.  Matrices
+are immutable, so `generator_matrix` hands every caller the one cached
+matrix.  The
 canonical involution is the adjoint of the subset pairing, G^-1 x^T G.
 The Gram matrix G is a signed permutation, so the involution moves each
 matrix unit to +- one unit, the one `tau_unit` names; `tau_relabel`
@@ -258,16 +259,17 @@ def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
-    """Check the defining relations of the algebra as matrix identities, and
-    certify Phi(m)^2 = q(m) * Id for every module element m.
+    """Check the defining relations of the algebra on the generator
+    supports, and certify Phi(m)^2 = q(m) * Id for every module element m.
 
-    The six generator families: squares of the v_i and of the v_i^* vanish,
-    distinct v's anticommute, distinct duals anticommute, v_i v_i^* is
-    1 - v_i^* v_i, and mixed pairs with distinct indices anticommute.
-    Together they name all (2n)^2 ordered generator pairs: Phi(e_k)^2 = 0 and
-    Phi(e_k) Phi(e_l) + Phi(e_l) Phi(e_k) = b(e_k, e_l) Id, where q(e_k) = 0
-    and the polar b(e_k, e_l) of the hyperbolic form is 1 for a dual pair and
-    0 otherwise, as checked on `HyperbolicSpace.q` itself.  Two premises make
+    Every generator word is a signed partial permutation (`word_support`),
+    so the identities on all (2n)^2 ordered generator pairs need no matrix:
+    Phi(e_k)^2 = 0 exactly when the support of (k, k) is empty, and for
+    k < l, Phi(e_k) Phi(e_l) + Phi(e_l) Phi(e_k) = b(e_k, e_l) Id is
+    compared per unit as a sum of +-1 in Z mapped by `Ring.from_int`, where
+    q(e_k) = 0 and the polar b(e_k, e_l) of the hyperbolic form is 1 for a
+    dual pair and 0 otherwise, as checked on `HyperbolicSpace.q` itself.
+    Two premises make
     `phi_vector` linear: the 2n generator supports are pairwise disjoint, so
     placing +-m_k on each overwrites nothing, and phi_vector(e_k) is the k-th
     generator matrix.  Then Phi(m) = sum m_k Phi(e_k), and
@@ -279,39 +281,27 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
     dim, labels = 1 << n, hs.labels()
-    zero, ident = Matrix.zeros(ring, dim, dim), Matrix.identity(ring, dim)
-
-    def check(name: str, got: Matrix, want: Matrix) -> None:
-        if got != want:
-            out.fail(f"{name}: got {got!r}, want {want!r}")
-
-    def pair(k: int, l: int) -> Matrix:
-        return _word_matrix(ring, n, (k, l))
-
-    for i in range(n):  # v_{i+1} is generator i
-        di = hs.dual_index(i + 1)
-        check(f"v{i + 1}^2 = 0", pair(i, i), zero)
-        check(f"(v{i + 1}*)^2 = 0", pair(di, di), zero)
-        check(f"v{i + 1} v{i + 1}* = 1 - v{i + 1}* v{i + 1}", pair(i, di), ident - pair(di, i))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            di, dj = hs.dual_index(i + 1), hs.dual_index(j + 1)
-            if i < j:
-                check(f"v{i + 1} v{j + 1} = -v{j + 1} v{i + 1}", pair(i, j), -pair(j, i))
-                check(f"v{i + 1}* v{j + 1}* = -v{j + 1}* v{i + 1}*", pair(di, dj), -pair(dj, di))
-            check(f"v{i + 1} v{j + 1}* = -v{j + 1}* v{i + 1}", pair(i, dj), -pair(dj, i))
-
     e = [[ring.one if i == k else ring.zero for i in range(2 * n)] for k in range(2 * n)]
     owner: dict = {}
     for k, label in enumerate(labels):
-        for l in range(k, 2 * n):  # position 2n - 1 - k holds the dual of generator k
+        if word_support(n, (k, k)):
+            out.fail(f"{label}^2 is not 0")
+        for l in range(k, 2 * n):
+            polar = int(k + l == 2 * n - 1)  # position 2n - 1 - k holds the dual of generator k
             got = hs.q(e[k]) if k == l else hs.polar(e[k], e[l])
-            want = ring.one if k + l == 2 * n - 1 else ring.zero
-            if not ring.eq(got, want):
+            if not ring.eq(got, ring.from_int(polar)):
                 form = f"q({label})" if k == l else f"b({label}, {labels[l]})"
-                out.fail(f"{form} = {ring.show(got)}, but the generator identities need {ring.show(want)}")
+                out.fail(f"{form} = {ring.show(got)}, but the generator identities need {polar}")
+            if k == l:
+                continue
+            # Phi(e_k) Phi(e_l) + Phi(e_l) Phi(e_k) - b(e_k, e_l) Id, over Z
+            diff = {(c, c): -1 for c in range(dim)} if polar else {}
+            for r, c, p in word_support(n, (k, l)) + word_support(n, (l, k)):
+                diff[r, c] = diff.get((r, c), 0) + 1 - 2 * p
+            wrong = [u for u, x in diff.items() if x and not ring.is_zero(ring.from_int(x))]
+            if wrong:
+                other = labels[l]
+                out.fail(f"{label} {other} + {other} {label} is not {polar} Id on unit {min(wrong)}")
         for r, c, _ in _generator_units(n, k):
             first = owner.setdefault(r * dim + c, k)
             if first != k:

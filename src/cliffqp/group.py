@@ -6,8 +6,8 @@ vectors and the polar form on basis pairs, which together force
 preservation everywhere.  Each named generator comes with a lift g in the
 Clifford group, kept as Laurent polynomials in the generator's parameter
 (`lift_polynomial`); a word lifts to the product of its generators' lifts,
-and `is_lift` certifies a lift against its matrix.  The group acts on even
-elements by conjugation x -> g x g^-1, also when g is odd (a swap).
+and `lift_problem` certifies a lift against its matrix.  The group acts on
+even elements by conjugation x -> g x g^-1, also when g is odd (a swap).
 Invariance composes: if g^-1 l g - l and h^-1 l h - l are alternating
 and tau(h) h = lambda is a nonzero scalar, so that conjugation by h maps
 Alt to Alt, then (gh)^-1 l (gh) - l = h^-1 (g^-1 l g - l) h + (h^-1 l h - l)
@@ -151,8 +151,8 @@ def lifted_generator(
     ring: Ring, n: int, kind: str, i: int, j: int | None, x: Element | None
 ) -> tuple[Matrix, CliffordElement, CliffordElement]:
     """A named orthogonal generator b with a lift (g, g^-1) in the Clifford
-    group, which `is_lift` certifies: the polynomials of `lift_polynomial`
-    at x (see there; x is unused by 'swap' and 'perm')."""
+    group: the polynomials of `lift_polynomial` at x (see there; x is
+    unused by 'swap' and 'perm')."""
     b, g, g_inv = (
         sum((c.scale(x if k == 1 else ring.inv(x)) for k, c in poly.items() if k), start=poly[0])
         for poly in lift_polynomial(ring, n, kind, i, j)
@@ -171,10 +171,16 @@ def _times(p: dict, q: dict, one: CliffordElement) -> dict:
     return out
 
 
-def _lift_problem(b: dict, g: dict, g_inv: dict) -> str | None:
+def lift_problem(b: dict, g: dict, g_inv: dict) -> str | None:
     """What keeps the lift polynomials g, g^-1 (`lift_polynomial`) from
-    inducing b, or None when the identities of `is_lift` hold coefficient
-    by coefficient, and so at every value of the parameter."""
+    inducing b, or None when g g^-1 = 1 and g Phi(e_k) g^-1 = eps Phi(b e_k)
+    for every basis vector e_k, with one sign eps in {1, -1}, coefficient by
+    coefficient, and so at every value of the parameter.  Constant
+    polynomials {0: ...} certify a single element.
+
+    The generators generate the algebra, so x -> g x g^-1 is then the
+    automorphism b induces on even elements, whatever eps is.
+    """
     ring, n = next((c.ring, c.n) for c in g.values())
     one, zero = CliffordElement.identity(ring, n), CliffordElement.zero(ring, n)
 
@@ -196,15 +202,14 @@ def _lift_problem(b: dict, g: dict, g_inv: dict) -> str | None:
     return "the lift does not induce the generator"
 
 
-def is_lift(g: CliffordElement, g_inv: CliffordElement, b: Matrix) -> bool:
-    """Whether conjugation by g induces b: g g^-1 = 1 and
-    g Phi(e_k) g^-1 = eps Phi(b e_k) for every basis vector e_k, with one
-    sign eps in {1, -1}.
-
-    The generators generate the algebra, so x -> g x g^-1 is then the
-    automorphism b induces on even elements, whatever eps is.
-    """
-    return _lift_problem({0: b}, {0: g}, {0: g_inv}) is None
+def conjugation_move(l: CliffordElement, g: dict, g_inv: dict) -> dict:
+    """g^-1 l g - l for the lift polynomials g, g^-1 (`lift_polynomial`), a
+    Laurent polynomial {power: CliffordElement} in their parameter with no
+    zero coefficient."""
+    one = CliffordElement.identity(l.ring, l.n)
+    moved = _times(_times(g_inv, {0: l}, one), g, one)
+    moved[0] = moved[0] - l
+    return {k: c for k, c in moved.items() if not c.matrix.is_zero()}
 
 
 def sample_orthogonal(
@@ -267,15 +272,13 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
 def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
     """What fails for the lift polynomials of a generator, or None when
     every coefficient passes, so that each claim holds at every value of
-    the parameter: g lifts b (`is_lift`), g^-1 l g - l is alternating and
-    tau(g) g is a scalar (nonzero, as g is invertible)."""
+    the parameter: g lifts b (`lift_problem`), g^-1 l g - l is alternating
+    and tau(g) g is a scalar (nonzero, as g is invertible)."""
     one = CliffordElement.identity(l.ring, l.n)
-    problem = _lift_problem(b, g, g_inv)
+    problem = lift_problem(b, g, g_inv)
     if problem:
         return problem
-    moved = _times(_times(g_inv, {0: l}, one), g, one)
-    moved[0] = moved[0] - l
-    if not all(in_alternating(c) for c in moved.values()):
+    if not all(in_alternating(c) for c in conjugation_move(l, g, g_inv).values()):
         return "the semi-trace moved on the symmetric elements"
     scalars = _times({k: canonical_involution(c) for k, c in g.items()}, g, one).values()
     if not all(c == CliffordElement.scalar(l.ring, l.n, c.matrix.at(0, 0)) for c in scalars):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .clifford import CliffordElement, canonical_involution, parity_masks, tau_unit
 from .errors import DomainError, UnsupportedRingError, UsageError
-from .exterior import ExteriorVector
+from .exterior import ExteriorVector, mask_size
 from .forms import b_wedge
 from .linalg import Matrix, trace_of_product
 from .reporting import CheckOutcome
@@ -79,20 +79,23 @@ def in_alternating(x: CliffordElement) -> bool:
     """Membership of an even element in the alternating subspace, orbit by
     orbit (see `alt_basis`): a two-unit orbit tau(E_u) = sign * E_p needs
     x[p] = -sign * x[u], and a fixed unit is zero unless its sign is -1 != 1.
+    x's nonzeros are read once, and an odd one raises UsageError.
     """
     ring, n = x.ring, x.n
     if not ring.is_field:
         raise UnsupportedRingError(f"membership tests need a field, not {ring.name}")
-    if x.parity != "even":
-        raise UsageError("alternating membership is defined for even elements")
-    m = x.matrix
-    for r, c, v in m.nonzeros():
+    values = {}
+    for r, c, v in x.matrix.nonzeros():
+        if (mask_size(r) ^ mask_size(c)) & 1:
+            raise UsageError("alternating membership is defined for even elements")
+        values[r, c] = v
+    for (r, c), v in values.items():
         parity, pr, pc = tau_unit(n, r, c)
         sign = ring.sign(parity)
         if (pr, pc) == (r, c):
             if ring.eq(sign, ring.one):
                 return False
-        elif not ring.eq(m.at(pr, pc), ring.neg(ring.mul(sign, v))):
+        elif not ring.eq(values.get((pr, pc), ring.zero), ring.neg(ring.mul(sign, v))):
             return False
     return True
 

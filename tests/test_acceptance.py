@@ -159,15 +159,16 @@ def test_criterion_09_degree4_negative_result():
     if not degree4_alt_report(GF2).passed:
         failures.append("alternating computation over gf2")
     started = time.perf_counter()
-    out = degree4_no_canonical(GF4)
+    for ring in (GF2, GF4):
+        out = degree4_no_canonical(ring)
+        if not out.passed:
+            failures.append(f"certificate over {ring.name}: {out.details[2:3]}")
+        if not any(f"B(t) over {ring.name}[t] moves every candidate" in line for line in out.details):
+            failures.append(f"the certificate over {ring.name} did not cover every candidate")
     elapsed = time.perf_counter() - started
-    if not out.passed:
-        failures.append(f"enumeration: {out.details[:1]}")
-    if not any("4096 candidates, all moved" in line for line in out.details):
-        failures.append("enumeration did not cover all 4096 candidates")
     if elapsed >= 10.0:
-        failures.append(f"enumeration took {elapsed:.1f}s (budget 10s)")
-    report(9, "degree4-negative-result", not failures, f"certificate in {elapsed:.2f}s")
+        failures.append(f"certificate took {elapsed:.1f}s (budget 10s)")
+    report(9, "degree4-negative-result", not failures, f"certificate over gf2[t] and gf4[t] in {elapsed:.2f}s")
 
 
 def test_criterion_10_base_change():

@@ -1,7 +1,5 @@
 """The canonical mapping, the canonical semi-trace, and the degree-4 results."""
 
-import inspect
-
 import pytest
 
 from cliffqp import canonical
@@ -413,11 +411,19 @@ def test_degree4_alt_report_fails_on_dependent_stated_elements(monkeypatch):
     assert "the stated elements are not independent" in out.details
 
 
+DEGREE4_NOTE = (
+    "B(t) over {}[t] moves every candidate: the t coefficient of g^-1 l g - l "
+    "is v1v2* + a5 (v1v1* + v2v2*), alternating for no a5"
+)
+
+
 def test_degree4_enumeration():
-    # the certificate and the oracle's enumeration give the same verdict
-    out = degree4_no_canonical(GF4)
-    assert out.passed, out.details[:5]
-    assert any("4096 candidates, all moved" in line for line in out.details)
+    # the certificate over R[t] passes over both rings, and over GF(4) the
+    # oracle's enumeration at the three nonzero t gives the same verdict
+    for ring in (GF2, GF4):
+        out = degree4_no_canonical(ring)
+        assert out.passed, out.details[:5]
+        assert out.details[-1] == DEGREE4_NOTE.format(ring.name)
     assert degree4_stable_candidates(GF4) == (4096, [])
 
 
@@ -430,7 +436,7 @@ def failures(out):
 
 def test_degree4_certificate_fails_on_a_wrong_monomial(monkeypatch):
     # v2 v1* in place of v2* v1* passes every probe of degree4_alt_report,
-    # but B(t) moves it, so the difference on m6 is not zero
+    # but B(t) moves it, so the move on m6 is not zero
     honest = canonical.even_monomials_n2
 
     def wrong(ring):
@@ -439,40 +445,50 @@ def test_degree4_certificate_fails_on_a_wrong_monomial(monkeypatch):
         return mono
 
     monkeypatch.setattr(canonical, "even_monomials_n2", wrong)
-    out = degree4_no_canonical(GF4)
-    assert failures(out) == [
-        f"l - g l g^-1 at t={t} is not as stated on monomial ('v2*', 'v1*')" for t in ("1", "w", "1+w")
+    for ring in (GF2, GF4):
+        out = degree4_no_canonical(ring)
+        assert failures(out) == ["g^-1 l g - l is not as stated on monomial ('v2*', 'v1*')"]
+
+
+@pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
+def test_degree4_certificate_fails_on_a_lift_with_the_wrong_pair_product(monkeypatch, ring):
+    # w = v2 v1* in place of v1 v2*: still square-zero, so g g^-1 = 1, but it
+    # lifts no B(t), and it moves four monomials otherwise than stated
+    honest = canonical.lift_polynomial
+
+    def wrong(ring, n, kind, i, j):
+        b, g, g_inv = honest(ring, n, kind, i, j)
+        w = phi_word(ring, 2, ("v2", "v1*"))
+        return b, {0: g[0], 1: w}, {0: g_inv[0], 1: -w}
+
+    monkeypatch.setattr(canonical, "lift_polynomial", wrong)
+    out = degree4_no_canonical(ring)
+    assert failures(out) == ["B(t): the lift does not induce the generator"] + [
+        f"g^-1 l g - l is not as stated on monomial {word}"
+        for word in (("v1", "v2*"), ("v1", "v1*"), ("v2", "v2*"), ("v2", "v1*"))
     ]
 
 
 def test_degree4_certificate_fails_when_v1v2_star_counts_as_alternating(monkeypatch):
-    pair = even_monomials_n2(GF4)[2]
     honest = canonical.in_alternating
-    monkeypatch.setattr(canonical, "in_alternating", lambda x: x == pair or honest(x))
-    out = degree4_no_canonical(GF4)
-    assert failures(out) == ["membership: v1v1* + v2v2* must be alternating and v1v2* must not"]
+    for ring in (GF2, GF4):
+        pair = even_monomials_n2(ring)[2]
+        monkeypatch.setattr(canonical, "in_alternating", lambda x: x == pair or honest(x))
+        out = degree4_no_canonical(ring)
+        assert failures(out) == ["membership: v1v1* + v2v2* must be alternating and v1v2* must not"]
 
 
-def test_degree4_certificate_fails_per_a5_when_only_t_1_moves():
-    # B(1) alone fixes the candidates with a5 = 1; every difference identity
-    # still holds at t = 1, so only the per-a5 step sees it.  The check's
-    # source is run with its range of t cut to 1.
-    source = inspect.getsource(canonical.degree4_no_canonical)
-    mutated = source.replace("ts = [t for t in elems if not ring.is_zero(t)]", "ts = [ring.one]")
-    assert mutated != source
-    scope = dict(vars(canonical))
-    exec(mutated, scope)
-    out = scope["degree4_no_canonical"](GF4)
-    assert failures(out) == ["no B(t) moves the 1024 candidates with a5=1"]
-    # the oracle agrees where only B(1) exists: over GF(2) it finds exactly
-    # the 2^5 candidates with a5 = 1 stable, so it can find stable ones
+def test_degree4_over_gf2_needs_the_indeterminate():
+    # B(1), the only B(t) at a value of GF(2), fixes the 2^5 candidates with
+    # a5 = 1, so an evaluation at the points of GF(2) finds stable ones: the
+    # certificate has to read t as an indeterminate
     count, stable = degree4_stable_candidates(GF2)
     assert count == 64 and len(stable) == 32 and all(coeffs[5] == 1 for coeffs in stable)
 
 
 def test_degree4_needs_t_with_t2_neq_t():
-    with pytest.raises(DomainError):
-        degree4_no_canonical(GF2)
+    # the certificate works in R[t], so GF(2) runs; characteristic 3 does not
+    assert degree4_no_canonical(GF2).passed
     with pytest.raises(DomainError):
         degree4_no_canonical(GF3)
 

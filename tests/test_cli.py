@@ -45,7 +45,7 @@ def test_degree4_skips_on_wrong_ring(capsys):
     assert doc["reports"][0]["status"] == "skipped"
     code, doc = run_json(capsys, ["degree4-counterexample", "--ring", "gf2"])
     assert code == 0
-    assert doc["reports"][0]["status"] == "skipped"  # gf2 lacks t with t^2 != t
+    assert doc["reports"][0]["status"] == "pass"  # t is an indeterminate, not an element of gf2
 
 
 # The package function each check's runner calls first; the runners of the
@@ -174,7 +174,7 @@ def test_a_flipped_generator_sign_fails_relations_and_rho_xi(capsys, monkeypatch
     (r, c, parity), *rest = units(3, 0)
     flipped = ((r, c, parity ^ 1), *rest)
     monkeypatch.setattr(clifford, "_generator_units", lambda n, k: flipped if (n, k) == (3, 0) else units(n, k))
-    for check, witness in (("relations", "v1 v2 = -v2 v1: got"), ("rho-xi", "trace-1 matrix unit: ")):
+    for check, witness in (("relations", "v1 v2 + v2 v1 is not 0 Id on unit "), ("rho-xi", "trace-1 matrix unit: ")):
         code, doc = run_json(capsys, [check, "--n", "3", "--ring", "gf3", "--trials", "5"])
         report = doc["reports"][0]
         assert code == 1 and report["status"] == "fail"
@@ -182,10 +182,14 @@ def test_a_flipped_generator_sign_fails_relations_and_rho_xi(capsys, monkeypatch
 
 
 def test_degree4_counterexample_details(capsys):
-    code, doc = run_json(capsys, ["degree4-counterexample", "--ring", "gf4"])
+    code, doc = run_json(capsys, ["degree4-counterexample"])
     assert code == 0
-    assert doc["reports"][0]["status"] == "pass"
-    assert any("4096 candidates, all moved" in d for d in doc["reports"][0]["details"])
+    assert [(r["ring"], r["status"]) for r in doc["reports"]] == [("gf2", "pass"), ("gf4", "pass")]
+    for r in doc["reports"]:
+        assert r["details"][-1] == (
+            f"B(t) over {r['ring']}[t] moves every candidate: the t coefficient of g^-1 l g - l "
+            "is v1v2* + a5 (v1v1* + v2v2*), alternating for no a5"
+        )
 
 
 def test_trials_below_one_is_usage_error(capsys):
@@ -268,7 +272,7 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
         (["rho-xi", "--n", "3", "--ring", "z", "--seed", "3"], 1),
         (["gram", "--n", "3", "--ring", "gf4", "--seed", "3"], 1),
         (["canonical-semitrace", "--n", "4", "--ring", "gf2", "--seed", "3"], 1),
-        (["all", "--trials", "1", "--seed", "0"], 131),
+        (["all", "--trials", "1", "--seed", "0"], 132),
     ):
         texts = []
         for _ in range(2):

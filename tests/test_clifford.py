@@ -152,6 +152,25 @@ def test_relation_certificate_fails_on_overlapping_generator_supports(monkeypatc
     assert "the supports of v1 and v2 overlap on unit (1, 0)" in out.details
 
 
+def test_relation_certificate_names_each_pair_a_flipped_generator_sign_breaks(monkeypatch, fresh_generator_caches):
+    # v1 at n=3 sends column 0 to row 1 with sign -1 instead of +1: each pair
+    # with v1 names its smallest wrong unit over gf3; over gf2 -1 = 1, so the
+    # support sums map to the same ring elements and every identity holds
+    units = clifford._generator_units
+    (r, c, parity), *rest = units(3, 0)
+    flipped = ((r, c, parity ^ 1), *rest)
+    monkeypatch.setattr(clifford, "_generator_units", lambda n, k: flipped if (n, k) == (3, 0) else units(n, k))
+    out = relation_suite(GF3, 3, fresh_rng("flip"), trials=0)
+    assert out.details == [
+        "v1 v2 + v2 v1 is not 0 Id on unit (3, 0)",
+        "v1 v3 + v3 v1 is not 0 Id on unit (5, 0)",
+        "v1 v3* + v3* v1 is not 0 Id on unit (1, 4)",
+        "v1 v2* + v2* v1 is not 0 Id on unit (1, 2)",
+        "v1 v1* + v1* v1 is not 1 Id on unit (0, 0)",
+    ]
+    assert relation_suite(GF2, 3, fresh_rng("flip"), trials=0).passed
+
+
 def test_relation_certificate_fails_on_a_form_the_identities_do_not_name(monkeypatch):
     # a hyperbolic form that pairs v1 with v2 as well: the generator
     # identities still hold, and with the trial loop off only the form's

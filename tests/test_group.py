@@ -13,8 +13,8 @@ from cliffqp.group import (
     clifford_action,
     eichler_vv,
     hyperbolic_swap,
-    is_lift,
     is_orthogonal,
+    lift_problem,
     lifted_generator,
     pair_permutation,
     pgo_invariance,
@@ -71,7 +71,7 @@ def test_sampled_words_are_certified(ring):
     for _ in range(20):
         _, b, (g, g_inv) = sample_orthogonal(ring, 3, rng)
         assert is_orthogonal(b)
-        assert is_lift(g, g_inv, b)
+        assert lift_problem({0: b}, {0: g}, {0: g_inv}) is None
 
 
 def test_action_fixes_identity():
@@ -173,7 +173,7 @@ def _lifts_match_oracle(ring, n, pairs, rng, samples):
             x = group._nonzero(ring, rng)
             b, g, g_inv = lifted_generator(ring, n, kind, i, j, x)
             assert is_orthogonal(b), (kind, i, j)
-            assert is_lift(g, g_inv, b), (kind, i, j)
+            assert lift_problem({0: b}, {0: g}, {0: g_inv}) is None, (kind, i, j)
             for _ in range(samples):
                 y = random_even_element(ring, n, rng)
                 assert g * y * g_inv == clifford_action(b, y), (kind, i, j)
@@ -193,10 +193,11 @@ def test_lifts_match_the_monomial_oracle_at_rank_4():
 
 def test_is_lift_rejects_a_wrong_lift():
     b, g, g_inv = lifted_generator(GF3, 3, "eichler_vv", 1, 2, GF3.one)
-    assert not is_lift(g_inv, g, b)  # the lift of eichler_vv(1, 2, -1)
-    assert not is_lift(g, g, b)  # not an inverse pair
+    # the lift of eichler_vv(1, 2, -1)
+    assert lift_problem({0: b}, {0: g_inv}, {0: g}) == "the lift does not induce the generator"
+    assert lift_problem({0: b}, {0: g}, {0: g}) == "g g^-1 is not 1"  # not an inverse pair
     _, h, h_inv = lifted_generator(GF3, 3, "swap", 1, None, None)
-    assert not is_lift(h, h_inv, b)
+    assert lift_problem({0: b}, {0: h}, {0: h_inv}) == "the lift does not induce the generator"
 
 
 def _mutate(monkeypatch, kind, mutation):
@@ -266,7 +267,7 @@ def test_the_scale_mutation_is_right_at_every_value_of_gf3(monkeypatch):
     _mutate(monkeypatch, "scale", _scale_inverted)
     for u in (GF3.one, GF3.neg(GF3.one)):
         b, g, g_inv = lifted_generator(GF3, 4, "scale", 1, None, u)
-        assert is_lift(g, g_inv, b)
+        assert lift_problem({0: b}, {0: g}, {0: g_inv}) is None
 
 
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
@@ -289,7 +290,7 @@ def _nonzero_values(ring):
 
 @pytest.mark.parametrize("ring", (GF3, GF4, GF5, QQ), ids=lambda r: r.name)
 def test_certified_lifts_pass_their_oracle_at_every_parameter_value(ring):
-    # the certificate reads coefficients; here is_lift and the invariance of
+    # the certificate reads coefficients; here lift_problem and the invariance of
     # the semi-trace are checked value by value on lifted_generator, whose b
     # is the named generator at that value
     n = 4
@@ -298,7 +299,7 @@ def test_certified_lifts_pass_their_oracle_at_every_parameter_value(ring):
         for x in _nonzero_values(ring):
             b, g, g_inv = lifted_generator(ring, n, kind, 1, 2, x)
             assert b == (make(ring, n, 1, x) if kind == "scale" else make(ring, n, 1, 2, x)), (kind, x)
-            assert is_lift(g, g_inv, b), (kind, x)
+            assert lift_problem({0: b}, {0: g}, {0: g_inv}) is None, (kind, x)
             assert in_alternating(g_inv * l * g - l), (kind, x)
 
 

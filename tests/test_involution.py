@@ -182,6 +182,12 @@ def test_in_alternating_matches_elimination(ring, n):
 def test_in_alternating_rejects_odd_parity():
     with pytest.raises(UsageError):
         in_alternating(phi_word(GF2, 2, ["v1"]))
+    # the even unit E_00, read first, already fails membership; the odd unit
+    # E_31 read after it still makes the element mixed
+    mixed = Matrix.from_nonzeros(GF3, 4, 4, [(0, 0, GF3.one), (3, 1, GF3.one)])
+    assert not in_alternating(CliffordElement(GF3, 2, Matrix.from_nonzeros(GF3, 4, 4, [(0, 0, GF3.one)])))
+    with pytest.raises(UsageError):
+        in_alternating(CliffordElement(GF3, 2, mixed))
 
 
 def test_subspaces_need_field():
