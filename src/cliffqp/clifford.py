@@ -26,7 +26,8 @@ membership test reads its orbits.  `involution_suite` certifies the rule:
 it is the adjoint on every unit and anti-multiplicative on every pair of
 units, so on every pair of elements by bilinearity; `canonical_involution`,
 which moves rows, is checked against it on random pairs.
-An element's coordinates are its `Matrix.entries`.  The type of the
+An element's coordinates are its matrix entries, row by row: column
+r * 2^n + c holds E_rc.  The type of the
 involution on the even part is read off the whole Gram matrix, which
 preserves parity for even n, and `predicted_even_involution` states the
 paper's rule for it once.

@@ -5,11 +5,10 @@ The involution permutes matrix units up to sign, so the image of Id - tau
 and the kernel of Id - tau both have explicit bases indexed by unit
 orbits, and membership in the alternating subspace is decided orbit by
 orbit; no elimination is needed for either.  A basis is a `Matrix` with
-one row per element in the coordinates of `Matrix.entries`: column
-r * 2^n + c holds the coefficient of the unit E_rc.  A semi-trace is
-determined by a representative l with l + tau(l) = 1 and evaluates
-symmetric elements via the reduced trace of l * s; two representatives
-give the same semi-trace exactly when they differ by an alternating
+one row per element, whose column r * 2^n + c holds the coefficient of
+the unit E_rc.  A semi-trace is determined by a representative l with
+l + tau(l) = 1 and evaluates symmetric elements via the reduced trace of
+l * s; two representatives give the same semi-trace exactly when they differ by an alternating
 element, because the alternating elements are the trace-orthogonal
 complement of the symmetric ones; `trace_orthogonality` certifies this
 on tau itself, with no basis built, as transposition carries tau-orbits
@@ -32,7 +31,7 @@ def _orbits(ring: Ring, n: int):
     """Every even matrix unit E_rc with tau(E_rc) = sign * E_(pr, pc), as
     (r, c, pr, pc, sign, alt, sym).  tau squares to 1 on units
     (`trace_orthogonality`); an orbit gives its basis elements at its
-    lower-indexed unit E_u (index r * 2^n + c, as in `Matrix.entries`),
+    lower-indexed unit E_u (index r * 2^n + c, the column of E_rc in a basis),
     where alt and sym say whether it gives one to Alt (the image of
     Id - tau) and to Sym (the kernel): a two-unit orbit gives E_u - sign * E_p
     and E_u + sign * E_p, a fixed unit 2 E_u to Alt if its sign is -1 != 1

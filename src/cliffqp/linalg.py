@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError, UnsupportedRingError, UsageError
 from .rings import Element, Ring
@@ -96,8 +96,8 @@ class Matrix:
     def from_nonzeros(
         cls, ring: Ring, rows: int, cols: int, triples: Iterable[tuple[int, int, Element]]
     ) -> "Matrix":
-        """A matrix from (row, col, value) triples whose values are nonzero;
-        a position given twice keeps its last value."""
+        """A matrix from (row, col, value) triples; a position given twice
+        keeps its last value, and a zero value is not stored."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         out: list = [{} for _ in range(rows)]
@@ -177,13 +177,6 @@ class Matrix:
     @classmethod
     def identity(cls, ring: Ring, size: int) -> "Matrix":
         return cls.scalar(ring, size, ring.one)
-
-    @property
-    def entries(self) -> list:
-        """All entries, row-major, as a new list: a dense read-only view."""
-        element, scale = self.ring.element, self._scale
-        cols = range(self.cols)
-        return [element(row.get(c, 0), scale) for row in self._rows for c in cols]
 
     def at(self, r: int, c: int) -> Element:
         return self.ring.element(self._rows[r].get(c, 0), self._scale)
@@ -274,10 +267,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self._rows)
-
-    def map_entries(self, fn, ring: Optional[Ring] = None) -> "Matrix":
-        """Apply a coefficient map entrywise, e.g. a ring morphism."""
-        return Matrix(ring or self.ring, self.rows, self.cols, [fn(a) for a in self.entries])
 
     def __repr__(self) -> str:
         """The shape and the stored nonzeros in (row, col) order, so a

@@ -1,6 +1,7 @@
 """Independent routes to what the checks compute, kept out of the package.
 
-No check eliminates or builds a matrix from dense rows, so the field
+No check eliminates, builds a matrix from dense rows or reads one
+densely, so the dense row-major view of a matrix (`entries`), the field
 elimination (rank, kernel and image bases, span membership), the matrix
 builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
@@ -78,6 +79,12 @@ def eichler_dv(ring: Ring, n: int, i: int, j: int, t: Element) -> Matrix:
     hs = HyperbolicSpace(ring, n)
     vi, di, vj, dj = hs.vector_index(i), hs.dual_index(i), hs.vector_index(j), hs.dual_index(j)
     return _transvection(ring, n, t, (vj, di), (vi, dj))
+
+
+def entries(m: Matrix) -> list:
+    """All entries of m, row-major, as a new list: column r * cols + c holds
+    the entry at (r, c)."""
+    return [m.at(r, c) for r in range(m.rows) for c in range(m.cols)]
 
 
 def element_rows(m: Matrix) -> list[dict]:

@@ -172,5 +172,5 @@ def test_criterion_09_degree4_negative_result():
 
 
 def test_criterion_10_base_change():
-    out = base_change_report(rng_for("base-change"), samples=20)
-    report(10, "base-change", out.passed, "gf2 -> gf4 entrywise, 20 samples per check")
+    out = base_change_report()
+    report(10, "base-change", out.passed, "gf2 -> gf4 on bases at n = 2, 3, 4, so on every gf4 input")

@@ -25,11 +25,11 @@ from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import q_wedge
 from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
+from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, RingMorphism
 from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
-from oracles import canonical_map_by_products, degree4_stable_candidates, from_rows, mat_vec, rank
+from oracles import canonical_map_by_products, degree4_stable_candidates, entries, from_rows, mat_vec, rank
 
 
 def unit_matrix(ring, size, r, c):
@@ -84,7 +84,7 @@ def test_sl_basis_is_a_basis_of_sl(ring, n):
     basis = [m for _, m in sl_basis(ring, n)]
     assert len(basis) == 4 * n * n - 1
     assert all(ring.is_zero(m.trace()) for m in basis)
-    assert rank(from_rows(ring, [m.entries for m in basis])) == len(basis)
+    assert rank(from_rows(ring, [entries(m) for m in basis])) == len(basis)
 
 
 def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
@@ -129,7 +129,7 @@ def test_trace_samplers_shift_only_the_corner_of_a_random_matrix(ring):
         m = sampler(ring, 4, fresh_rng(f"trace:{ring.name}"))
         drawn = random_matrix(ring, 4, 4, fresh_rng(f"trace:{ring.name}"))
         assert ring.eq(m.trace(), trace)
-        assert m.entries[1:] == drawn.entries[1:]
+        assert entries(m)[1:] == entries(drawn)[1:]
 
 
 def test_sl_into_alt_row_identity_example():
@@ -515,5 +515,51 @@ def test_degree4_difference_formula_spot():
 
 
 def test_base_change_suite():
-    out = base_change_report(fresh_rng("bc"), samples=5)
+    out = base_change_report()
     assert out.passed, out.details
+    assert out.details == [
+        "910 values on bases at n = 2, 3, 4 commute with gf2 -> gf4, so every gf4 input "
+        "does; involution types agree at n = 2..5, canonical representatives at n = 4"
+    ]
+
+
+def test_base_change_fails_on_a_gf4_tau_that_moves_an_odd_unit(monkeypatch):
+    # over gf4 only, tau(x) gains x[0, 1] E_(0,1): even elements cannot see
+    # it, the odd unit E_(0,1) does, at every n
+    honest = canonical.canonical_involution
+
+    def moved(x):
+        v = x.matrix.at(0, 1)
+        if x.ring != GF4 or GF4.is_zero(v):
+            return honest(x)
+        dim = 1 << x.n
+        return honest(x) + CliffordElement(GF4, x.n, Matrix.from_nonzeros(GF4, dim, dim, [(0, 1, v)]))
+
+    monkeypatch.setattr(canonical, "canonical_involution", moved)
+    out = base_change_report()
+    assert not out.passed
+    assert out.details == [f"tau(E_ab) differs after base change at n={n} on unit (0, 1)" for n in (2, 3, 4)]
+
+
+def test_base_change_fails_on_a_morphism_that_sends_1_to_w(monkeypatch):
+    w = next(a for a in GF4.elements() if not (GF4.is_zero(a) or GF4.is_one(a)))
+    monkeypatch.setattr(canonical, "gf2_into_gf4", lambda: RingMorphism(GF2, GF4, lambda a: GF4.mul(w, a)))
+    out = base_change_report()
+    assert not out.passed
+    # the tables presuppose a morphism, so only the axioms are reported
+    assert out.details == ["morphism does not preserve multiplication at (1, 1)", "morphism does not preserve 0 and 1"]
+
+
+def test_base_change_fails_on_a_gf4_canonical_map_that_drops_a_unit(monkeypatch):
+    # c(E_01) = Phi(e_(2n-2)) Phi(e_0) = v2* v1 is nonzero at every n
+    honest = canonical.canonical_map_c
+
+    def dropped(m):
+        if m.ring == GF4:
+            m = Matrix.from_nonzeros(GF4, m.rows, m.cols, [t for t in m.nonzeros() if t[:2] != (0, 1)])
+        return honest(m)
+
+    monkeypatch.setattr(canonical, "canonical_map_c", dropped)
+    out = base_change_report()
+    assert not out.passed
+    assert out.details == [f"c(E_ij) differs after base change at n={n} on unit (0, 1)" for n in (2, 3, 4)]

@@ -213,6 +213,16 @@ def test_base_change_refuses_n_and_ring(capsys, flags):
     assert "usage: cliffqp" in captured.err and "base-change takes neither --n nor --ring" in captured.err
 
 
+def test_base_change_draws_nothing(capsys):
+    # the certificate reads neither the trial count nor the seed
+    cells = set()
+    for trials in ("1", "100"):
+        for seed in ("0", "7"):
+            (cell,) = run_json(capsys, ["base-change", "--trials", trials, "--seed", seed])[1]["reports"]
+            cells.add((cell["status"], *cell["details"]))
+    assert len(cells) == 1 and cells.pop()[0] == "pass"
+
+
 def test_all_still_runs_base_change_under_n_or_ring(capsys):
     for flags in (["--n", "2"], ["--ring", "gf2"]):
         reports = run_json(capsys, ["all", *flags, "--trials", "1"])[1]["reports"]

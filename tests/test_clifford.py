@@ -28,7 +28,7 @@ from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
 from cliffqp.sampling import random_clifford_element, random_even_element
 
 from conftest import ALL_RINGS, PALETTE, fresh_rng
-from oracles import from_rows, generator_by_wedge, phi_vector_by_combination, recompose, word_by_products
+from oracles import entries, from_rows, generator_by_wedge, phi_vector_by_combination, recompose, word_by_products
 
 
 def test_phi_word_n1_matrix():
@@ -249,12 +249,12 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             "apply": lambda: (a.apply(vector), perm.apply(vector)),
         }
         stored = [(m._rows, [dict(row) for row in m._rows], m._scale) for m in (a, b, perm)]
-        before = [m.entries for m in (a, b, perm)]
+        before = [entries(m) for m in (a, b, perm)]
         for name, operation in operations.items():
             operation()
             for m, (rows, copies, scale) in zip((a, b, perm), stored):
                 assert m._rows is rows and m._rows == copies and m._scale == scale, (ring.name, name)
-            assert [m.entries for m in (a, b, perm)] == before, (ring.name, name)
+            assert [entries(m) for m in (a, b, perm)] == before, (ring.name, name)
             assert vector == {0: c, 3: ring.one}, (ring.name, name)
 
 

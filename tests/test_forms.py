@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliffqp import forms
 from cliffqp.exterior import ExteriorVector
 from cliffqp.forms import (
     HyperbolicSpace,
@@ -157,3 +158,12 @@ def test_hyperbolic_witness_block_form(ring, n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gram_agreement_suite(ring, n):
     assert gram_agreement_suite(ring, n).passed
+
+
+def test_gram_agreement_suite_names_the_first_wrong_entry_of_the_hyperbolic_witness(monkeypatch):
+    honest = q_wedge_hyperbolic_gram(GF3, 3)
+    extra = Matrix.from_nonzeros(GF3, 8, 8, [(2, 5, GF3.one), (1, 6, GF3.one)])
+    monkeypatch.setattr(forms, "q_wedge_hyperbolic_gram", lambda ring, n: honest + extra)
+    out = gram_agreement_suite(GF3, 3)
+    assert not out.passed
+    assert out.details == ["hyperbolic witness Gram has 1 at (1, 6)"]
