@@ -8,7 +8,7 @@ pair products; each pair product is a signed partial permutation, so
 the sum is taken in one pass over the composed supports
 (`clifford.word_support`), with no product and no pair matrix.
 Trace-zero matrices land among the alternating elements once n >= 3, so
-any trace-1 matrix yields the same semi-trace on the even algebra; at
+by linearity any trace-1 matrix yields the same semi-trace; at
 n = 2 the alternating subspace is too small: over any base R of
 characteristic 2, every candidate representative is moved off its class
 by the Eichler transformation B(t) = eichler_vv(2, 1, t) over R[t], which
@@ -45,13 +45,7 @@ from .involution import SemiTrace, alt_basis, in_alternating, trace_orthogonalit
 from .linalg import Matrix
 from .reporting import CheckOutcome
 from .rings import Element, Ring, RingMorphism, gf2_into_gf4
-from .sampling import (
-    random_even_element,
-    random_exterior,
-    random_matrix,
-    random_trace_one,
-    random_trace_zero,
-)
+from .sampling import random_even_element, random_exterior, random_matrix, random_trace_zero
 
 # --- the canonical mapping --------------------------------------------------
 
@@ -88,23 +82,28 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
 # --- rho/xi compatibility ----------------------------------------------------
 
 
-def rho_xi_check(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
-    """(Id + tau)(c(M)) = trace(M) * Id, exactly, on random matrices."""
+def rho_xi_check(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
+    """(Id + tau) c(M) = trace(M) Id for every M, certified on the (2n)^2
+    units E_ij, as both sides are linear in M: the walk reads each c(E_ij)
+    and moves its nonzeros by the unit rule `tau_unit`, as `tau_relabel`
+    does; random matrices cross-check `canonical_involution`."""
     out = CheckOutcome()
-
-    def holds(m: Matrix, label: str) -> None:
-        image = canonical_map_c(m)
-        lhs = image + canonical_involution(image)
-        rhs = CliffordElement.scalar(ring, n, m.trace())
-        if lhs != rhs:
-            out.fail(f"{label}: (Id + tau)c(M) = {lhs!r} but trace(M) Id = {rhs!r}")
-
-    holds(phi_b_unit(ring, n, 0, 2 * n - 1), "trace-1 matrix unit")
-    holds(Matrix.zeros(ring, 2 * n, 2 * n), "zero matrix")
+    size, zero, ops = 2 * n, ring.zero, (ring.add, ring.sub)
+    for i, j in product(range(size), repeat=2):
+        image = canonical_map_c(Matrix.from_nonzeros(ring, size, size, [(i, j, ring.one)]))
+        total = {(d, d): ring.sign(1) for d in range(1 << n)} if i == j else {}  # - trace(E_ij) Id
+        for a, b, v in image.matrix.nonzeros():
+            for parity, r, c in ((0, a, b), tau_unit(n, a, b)):
+                total[r, c] = ops[parity](total.get((r, c), zero), v)
+        if not all(map(ring.is_zero, total.values())):
+            out.fail_unit("(Id + tau) c(E_ij) is not trace(E_ij) Id", (i, j))
     for t in range(trials):
-        holds(random_matrix(ring, 2 * n, 2 * n, rng), f"random trial {t}")
+        m = random_matrix(ring, size, size, rng)
+        image = canonical_map_c(m)
+        if image + canonical_involution(image) != CliffordElement.scalar(ring, n, m.trace()):
+            out.fail(f"random trial {t}: (Id + tau) c(M) is not trace(M) Id, M={m!r}")
     if out.passed:
-        out.note(f"(Id + tau) c agrees with the trace on {trials} random matrices")
+        out.note(f"(Id + tau) c = trace Id on all {size * size} units E_ij; {trials} random matrices agree")
     return out
 
 
@@ -123,7 +122,7 @@ def sl_basis(ring: Ring, n: int) -> list[tuple[str, Matrix]]:
     return basis
 
 
-def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcome:
+def check_sl_into_alt(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
     """Trace-zero matrices map into the alternating elements when n >= 3.
 
     c is linear, so the standard basis of sl_2n covers every trace-zero
@@ -154,13 +153,13 @@ def check_sl_into_alt(ring: Ring, n: int, rng, randoms: int = 50) -> CheckOutcom
     for label, m in basis:
         if not in_alternating(canonical_map_c(m)):
             out.fail(f"c({label}) is not alternating over {ring.name}, n={n}")
-    for t in range(randoms):
+    for t in range(trials):
         m = random_trace_zero(ring, 2 * n, rng)
         if not in_alternating(canonical_map_c(m)):
             out.fail(f"random trace-zero trial {t}: c(M) not alternating, M={m!r}")
     if out.passed:
         out.note(
-            f"{len(basis)} basis elements of sl_{2 * n} and {randoms} random "
+            f"{len(basis)} basis elements of sl_{2 * n} and {trials} random "
             f"trace-zero matrices map into Alt (n={n}, {ring.name})"
         )
     return out
@@ -184,19 +183,22 @@ def canonical_semitrace(ring: Ring, n: int) -> SemiTrace:
     return SemiTrace(canonical_map_c(phi_b_unit(ring, n, 0, 2 * n - 1)))
 
 
-def check_representative_independence(f: SemiTrace, rng, count: int = 20) -> CheckOutcome:
-    """f and c(a') induce the same semi-trace for random trace-1 a': their
-    representatives differ by an alternating element, which is exact once
-    the check has certified Sym^perp = Alt."""
+def check_representative_independence(f: SemiTrace, rng, trials: int = 10) -> CheckOutcome:
+    """f is the semi-trace of c(a') for every trace-1 a'.  c is linear, so
+    c(a') - c(E) = c(a' - E) lies in c(sl_2n) for the trace-1 unit
+    E = E_(2n-1,2n-1); with Sym^perp = Alt (`trace_orthogonality`) the claim
+    holds exactly when f agrees with c(E) and c(sl_2n) lies in Alt, which
+    `check_sl_into_alt` certifies for n >= 3 (at n = 2 c(sl_4) leaves Alt)."""
     ring, n = f.ring, f.n
+    if n < 3:
+        raise EligibilityError("representative independence needs n >= 3 (c(sl_4) is not in Alt)")
     out = trace_orthogonality(ring, n)
-    for t in range(count):
-        a = random_trace_one(ring, 2 * n, rng)
-        other = SemiTrace(canonical_map_c(a))
-        if not f.agrees_with(other):
-            out.fail(f"trial {t}: representative c(a') disagrees on Sym, a'={a!r}")
+    last = 2 * n - 1
+    if not f.agrees_with(SemiTrace(canonical_map_c(phi_b_unit(ring, n, 0, last)))):
+        out.fail(f"f is not the semi-trace of c(E) for the trace-1 unit E = E_({last},{last})")
+    out.merge(check_sl_into_alt(ring, n, rng, trials))
     if out.passed:
-        out.note(f"{count} random trace-1 representatives give the same semi-trace")
+        out.note(f"so every trace-1 representative c(a') gives f, the semi-trace of c(E_({last},{last}))")
     return out
 
 

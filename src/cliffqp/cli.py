@@ -85,19 +85,20 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
     # the basis of sl_2n certified, then min(trials, 10) random matrices as a cross-check
     "sl-into-alt": (
         [(n, r) for n in (2, 3, 4) for r in (GF2, GF3)],
-        lambda ring, n, rng, trials: canonical.check_sl_into_alt(ring, n, rng, randoms=min(trials, 10)),
+        lambda ring, n, rng, trials: canonical.check_sl_into_alt(ring, n, rng, min(trials, 10)),
     ),
+    # the (2n)^2 units E_ij certified by linearity, then min(trials, 10) random matrices as a cross-check
     "rho-xi": (
         [(n, r) for n in (2, 3, 4) for r in DEFAULT_RINGS],
-        lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n, rng, trials),
+        lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n, rng, min(trials, 10)),
     ),
-    # f(x + tau x) = trace(x) certified on every even unit, then
-    # min(trials, 10) random even x as a cross-check
+    # every trace-1 representative and every even unit certified, then
+    # min(trials, 10) random trace-zero matrices and even x as cross-checks
     "canonical-semitrace": (
         [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
         _semitrace_check(
             lambda f, rng, trials: canonical.check_representative_independence(
-                f, rng, count=min(trials, 20)
+                f, rng, min(trials, 10)
             ).merge(canonical.check_semitrace_defining(f, rng, min(trials, 10)))
         ),
     ),
@@ -195,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trials",
         type=int,
         default=DEFAULT_TRIALS,
-        help="random trials per cell; certified checks cap their cross-checks, and base-change draws none",
+        help="random trials per cell: q-wedge-correspondence draws this many per parity, every other check at most 10",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")

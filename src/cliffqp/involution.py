@@ -85,16 +85,16 @@ def in_alternating(x: CliffordElement) -> bool:
         raise UnsupportedRingError(f"membership tests need a field, not {ring.name}")
     values = {}
     for r, c, v in x.matrix.nonzeros():
-        if (mask_size(r) ^ mask_size(c)) & 1:
+        if mask_size(r ^ c) & 1:  # |r| and |c| of different parity
             raise UsageError("alternating membership is defined for even elements")
         values[r, c] = v
+    neg_sign, sign_is_one = (ring.sign(1), ring.one), (True, ring.eq(ring.sign(1), ring.one))
     for (r, c), v in values.items():
         parity, pr, pc = tau_unit(n, r, c)
-        sign = ring.sign(parity)
-        if (pr, pc) == (r, c):
-            if ring.eq(sign, ring.one):
+        if pr == r and pc == c:
+            if sign_is_one[parity]:
                 return False
-        elif not ring.eq(values.get((pr, pc), ring.zero), ring.neg(ring.mul(sign, v))):
+        elif not ring.eq(values.get((pr, pc), ring.zero), ring.mul(neg_sign[parity], v)):
             return False
     return True
 

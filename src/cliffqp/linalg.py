@@ -125,16 +125,19 @@ class Matrix:
             raise UsageError("matrix dimensions must be positive")
         ring = m.ring
         (one, minus_one), sscale = ring.lift([ring.one, ring.sign(1)])
-        acc: list = [{} for _ in range(rows)]
+        acc: dict = {}  # only the rows reached are summed and lowered
         for r, row in enumerate(m._rows):
-            for c, v in row.items():
+            for c, v in row.items() if row else ():
                 signed = (v * one, v * minus_one)
                 for i, j, p in unit_images(r, c):
                     if not (0 <= i < rows and 0 <= j < cols):
                         raise UsageError(f"image ({i}, {j}) of unit ({r}, {c}) outside a {rows}x{cols} matrix")
-                    target = acc[i]
+                    target = acc[i] = acc.get(i) or {}
                     target[j] = target.get(j, 0) + signed[p]
-        return cls._canonical(ring, rows, cols, ring.lower(row.items() for row in acc), m._scale * sscale)
+        out: list = [{} for _ in range(rows)]
+        for i, row in zip(acc, ring.lower(row.items() for row in acc.values())):
+            out[i] = row
+        return cls._canonical(ring, rows, cols, out, m._scale * sscale)
 
     @classmethod
     def combination(
@@ -185,7 +188,7 @@ class Matrix:
         """(row, col, value) for every stored nonzero entry."""
         element, scale = self.ring.element, self._scale
         for r, row in enumerate(self._rows):
-            for c, v in row.items():
+            for c, v in row.items() if row else ():
                 yield r, c, element(v, scale)
 
     def col(self, c: int) -> Vector:

@@ -7,7 +7,7 @@ uniformly from the ring's `draws`; a random vector is such a batch.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 
 from .clifford import CliffordElement, parity_masks
 from .exterior import ExteriorVector
@@ -19,22 +19,11 @@ def random_matrix(ring: Ring, rows: int, cols: int, rng) -> Matrix:
     return Matrix(ring, rows, cols, ring.samples(rng, rows * cols))
 
 
-def _random_with_trace(ring: Ring, size: int, rng, trace) -> Matrix:
-    """A random matrix whose (0, 0) entry is shifted to give it the trace."""
-    entries = ring.samples(rng, size * size)
-    drawn = ring.zero
-    for i in range(size):
-        drawn = ring.add(drawn, entries[i * (size + 1)])
-    entries[0] = ring.add(entries[0], ring.sub(trace, drawn))
-    return Matrix(ring, size, size, entries)
-
-
 def random_trace_zero(ring: Ring, size: int, rng) -> Matrix:
-    return _random_with_trace(ring, size, rng, ring.zero)
-
-
-def random_trace_one(ring: Ring, size: int, rng) -> Matrix:
-    return _random_with_trace(ring, size, rng, ring.one)
+    """A random matrix whose (0, 0) entry is minus the sum of the other diagonal entries."""
+    entries = ring.samples(rng, size * size)
+    entries[0] = ring.neg(reduce(ring.add, entries[size + 1 :: size + 1], ring.zero))
+    return Matrix(ring, size, size, entries)
 
 
 @cache

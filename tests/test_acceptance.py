@@ -106,7 +106,7 @@ def test_criterion_05_sl_into_alt():
     failures = []
     for n in (3, 4):
         for ring in (GF2, GF3):
-            out = check_sl_into_alt(ring, n, rng_for(f"sl:{n}:{ring.name}"), randoms=50)
+            out = check_sl_into_alt(ring, n, rng_for(f"sl:{n}:{ring.name}"), trials=50)
             if not out.passed:
                 failures.append(f"n={n} {ring.name}: {out.details[:1]}")
     negative = check_sl_into_alt(GF2, 2, rng_for("sl:neg"))
@@ -122,7 +122,7 @@ def test_criterion_06_rho_xi():
             out = rho_xi_check(ring, n, rng_for(f"rhoxi:{n}:{ring.name}"), trials=100)
             if not out.passed:
                 failures.append(f"n={n} {ring.name}")
-    report(6, "rho-xi-compatibility", not failures, "100 random M, n=2..4, all palette fields")
+    report(6, "rho-xi-compatibility", not failures, "all (2n)^2 units E_ij + 100 random M, n=2..4, all palette fields")
 
 
 def test_criterion_07_canonical_semitrace():
@@ -130,7 +130,7 @@ def test_criterion_07_canonical_semitrace():
     cells = [(4, GF2), (4, GF3), (4, QQ), (6, GF2)]
     for n, ring in cells:
         tag, f = f"{n}:{ring.name}", canonical_semitrace(ring, n)
-        if not check_representative_independence(f, rng_for(f"ind:{tag}"), count=20).passed:
+        if not check_representative_independence(f, rng_for(f"ind:{tag}"), trials=10).passed:
             failures.append(f"independence n={n} {ring.name}")
         if not check_semitrace_defining(f, rng_for(f"def:{tag}"), trials=100).passed:
             failures.append(f"defining identity n={n} {ring.name}")

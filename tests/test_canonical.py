@@ -26,7 +26,7 @@ from cliffqp.forms import q_wedge
 from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, RingMorphism
-from cliffqp.sampling import random_exterior, random_matrix, random_trace_one, random_trace_zero
+from cliffqp.sampling import random_exterior, random_matrix, random_trace_zero
 
 from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
 from oracles import canonical_map_by_products, degree4_stable_candidates, entries, from_rows, mat_vec, rank
@@ -92,7 +92,7 @@ def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
     ring, n = GF3, 3
     honest = canonical.canonical_map_c
     monkeypatch.setattr(canonical, "canonical_map_c", lambda m: honest(m) + CliffordElement.identity(ring, n))
-    out = check_sl_into_alt(ring, n, fresh_rng("sl-mutant"), randoms=0)
+    out = check_sl_into_alt(ring, n, fresh_rng("sl-mutant"), trials=0)
     assert not out.passed
     assert len(out.details) == 4 * n * n - 1
     assert "c(E_(0,1)) is not alternating over gf3, n=3" in out.details
@@ -101,13 +101,13 @@ def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
 @pytest.mark.parametrize("ring", (GF2, GF3))
 @pytest.mark.parametrize("n", (3, 4))
 def test_sl_into_alt(ring, n):
-    out = check_sl_into_alt(ring, n, fresh_rng(f"sl:{ring.name}:{n}"), randoms=20)
+    out = check_sl_into_alt(ring, n, fresh_rng(f"sl:{ring.name}:{n}"), trials=20)
     assert out.passed, out.details
 
 
 @pytest.mark.parametrize("ring", (GF4, GF5, QQ))
 def test_sl_into_alt_every_palette_field(ring):
-    out = check_sl_into_alt(ring, 3, fresh_rng(f"slall:{ring.name}"), randoms=10)
+    out = check_sl_into_alt(ring, 3, fresh_rng(f"slall:{ring.name}"), trials=10)
     assert out.passed, out.details
 
 
@@ -125,11 +125,10 @@ def test_equal_trace_images_differ_by_alternating():
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
 def test_trace_samplers_shift_only_the_corner_of_a_random_matrix(ring):
-    for sampler, trace in ((random_trace_zero, ring.zero), (random_trace_one, ring.one)):
-        m = sampler(ring, 4, fresh_rng(f"trace:{ring.name}"))
-        drawn = random_matrix(ring, 4, 4, fresh_rng(f"trace:{ring.name}"))
-        assert ring.eq(m.trace(), trace)
-        assert entries(m)[1:] == entries(drawn)[1:]
+    m = random_trace_zero(ring, 4, fresh_rng(f"trace:{ring.name}"))
+    drawn = random_matrix(ring, 4, 4, fresh_rng(f"trace:{ring.name}"))
+    assert ring.is_zero(m.trace())
+    assert entries(m)[1:] == entries(drawn)[1:]
 
 
 def test_sl_into_alt_row_identity_example():
@@ -145,7 +144,7 @@ def test_sl_into_alt_row_identity_example():
 
 
 def test_sl_into_alt_negative_control_needs_char2():
-    out = check_sl_into_alt(GF2, 2, fresh_rng("neg"), randoms=0)
+    out = check_sl_into_alt(GF2, 2, fresh_rng("neg"), trials=0)
     assert out.passed
     with pytest.raises(EligibilityError):
         check_sl_into_alt(GF3, 2, fresh_rng("neg3"))
@@ -200,16 +199,76 @@ def test_canonical_semitrace_exists_exactly_where_the_prediction_is_orthogonal(r
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_representative_independence_n4(ring):
-    out = check_representative_independence(canonical_semitrace(ring, 4), fresh_rng(f"ind:{ring.name}"), count=8)
+    out = check_representative_independence(canonical_semitrace(ring, 4), fresh_rng(f"ind:{ring.name}"), trials=8)
     assert out.passed, out.details
 
 
 def test_representative_independence_requires_trace_one():
-    ring = GF3
+    # the certificate's conclusion against drawn representatives: E + z for
+    # a random trace-zero z gives f; a representative needs trace 1, as
+    # c(a) + tau c(a) = trace(a) Id
+    ring, n = GF3, 4
+    f = canonical_semitrace(ring, n)
+    e = phi_b_unit(ring, n, 0, 2 * n - 1)
     rng = fresh_rng("tr1")
     for _ in range(5):
-        a = random_trace_one(ring, 8, rng)
-        assert a.trace() == ring.one
+        a = e + random_trace_zero(ring, 2 * n, rng)
+        assert ring.is_one(a.trace())
+        assert f.agrees_with(SemiTrace(canonical_map_c(a)))
+    for trace in (0, 2):
+        with pytest.raises(DomainError):
+            SemiTrace(canonical_map_c(e.scale(ring.from_int(trace))))
+
+
+def test_representative_independence_refuses_rank_2():
+    # at n = 2 over gf2 the trace-1 representatives give different
+    # semi-traces, while the sl basis walk is the passing negative control:
+    # the check refuses the rank before any walk rather than pass vacuously
+    ring, n = GF2, 2
+    e = phi_b_unit(ring, n, 0, 3)
+    f = SemiTrace(canonical_map_c(e))
+    assert not f.agrees_with(SemiTrace(canonical_map_c(e + phi_b_unit(ring, n, 0, 1))))
+    with pytest.raises(EligibilityError, match="n >= 3"):
+        check_representative_independence(f, fresh_rng("ind n2"))
+
+
+def test_rho_xi_walk_fails_when_the_unit_rule_flips_one_unit(monkeypatch):
+    # tau's unit rule with the sign of one unit's image flipped, while
+    # canonical_involution, which the random trials read, stays honest: the
+    # walk names the first E_ij whose image meets that unit on one line, and
+    # the random trials add nothing
+    ring, n = GF3, 3
+    (a, b, _), *_ = canonical_map_c(unit_matrix(ring, 2 * n, 0, 0)).matrix.nonzeros()
+    honest = canonical.tau_unit
+
+    def flipped(n_, r, c):
+        parity, rr, cc = honest(n_, r, c)
+        return parity ^ ((r, c) == (a, b)), rr, cc
+
+    monkeypatch.setattr(canonical, "tau_unit", flipped)
+    walk = rho_xi_check(ring, n, fresh_rng("flipped unit rule"), trials=0)
+    assert not walk.passed and len(walk.details) == 1
+    assert walk.details[0].startswith("(Id + tau) c(E_ij) is not trace(E_ij) Id on unit (0, 0)")
+    assert rho_xi_check(ring, n, fresh_rng("flipped unit rule"), trials=10).details == walk.details
+
+
+def test_a_canonical_map_that_drops_one_unit_fails_rho_xi_and_representative_independence(monkeypatch):
+    # c with the image of E_(0,0) dropped: (Id + tau) c(E_(0,0)) is 0, not Id,
+    # and c(E_(0,0) - E_(1,1)) = -c(E_(1,1)) leaves Alt; the canonical
+    # representative c(E_(7,7)) is unchanged, so f is still built
+    ring, n = GF3, 4
+    honest = canonical.canonical_map_c
+
+    def dropped(m):
+        kept = [(r, c, v) for r, c, v in m.nonzeros() if (r, c) != (0, 0)]
+        return honest(Matrix.from_nonzeros(m.ring, m.rows, m.cols, kept))
+
+    monkeypatch.setattr(canonical, "canonical_map_c", dropped)
+    rho = rho_xi_check(ring, n, fresh_rng("dropped unit"), trials=0)
+    assert rho.details == ["(Id + tau) c(E_ij) is not trace(E_ij) Id on unit (0, 0)"]
+    out = check_representative_independence(canonical_semitrace(ring, n), fresh_rng("dropped unit"), trials=0)
+    assert not out.passed
+    assert f"c(E_(0,0) - E_(1,1)) is not alternating over gf3, n={n}" in out.details
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
@@ -309,7 +368,7 @@ def test_evaluate_rank_one_matches_the_rank_one_matrix(ring, n):
 def test_evaluate_rank_one_vanishes_at_odd_rank(ring, n):
     # at odd n the pairing b joins the two parity blocks, so both routes give 0
     rng = fresh_rng(f"rank-one odd:{ring.name}:{n}")
-    f = SemiTrace(canonical_map_c(random_trace_one(ring, 2 * n, rng)))
+    f = SemiTrace(canonical_map_c(phi_b_unit(ring, n, 0, 2 * n - 1) + random_trace_zero(ring, 2 * n, rng)))
     for parity in (0, 1):
         x = random_exterior(ring, n, rng, parity=parity)
         assert f.evaluate_rank_one(x) == f.evaluate(rank_one_wedge(x)) == ring.zero
@@ -344,13 +403,17 @@ def test_correspondence_fails_for_a_semitrace_off_the_canonical_class(ring):
 
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
 def test_canonical_semitrace_cell_refuses_a_semitrace_off_the_canonical_class(ring):
-    # representative independence refuses every l + E_u; the defining
-    # identity cannot, as trace(l' (x + tau x)) = trace((l' + tau l') x)
-    # holds for every semi-trace, so it accepts each one
+    # representative independence refuses every l + E_u on its one
+    # comparison with c(E); the defining identity cannot, as
+    # trace(l' (x + tau x)) = trace((l' + tau l') x) holds for every
+    # semi-trace, so it accepts each one
     for (a, b), f in off_canonical_semitraces(ring, 4):
-        out = check_representative_independence(f, fresh_rng(f"shifted ind:{ring.name}:{a}"), count=3)
+        out = check_representative_independence(f, fresh_rng(f"shifted ind:{ring.name}:{a}"), trials=3)
         assert not out.passed, (a, b)
-        assert out.details[-1].startswith("trial 2: representative c(a') disagrees on Sym")
+        assert [line for line in out.details if line.startswith("f is not")] == [
+            "f is not the semi-trace of c(E) for the trace-1 unit E = E_(7,7)"
+        ]
+        assert len(out.details) == 3  # the two certificates' notes around it
         assert check_semitrace_defining(f, fresh_rng(f"shifted def:{ring.name}:{a}"), trials=25).passed, (a, b)
 
 

@@ -174,7 +174,7 @@ def test_a_flipped_generator_sign_fails_relations_and_rho_xi(capsys, monkeypatch
     (r, c, parity), *rest = units(3, 0)
     flipped = ((r, c, parity ^ 1), *rest)
     monkeypatch.setattr(clifford, "_generator_units", lambda n, k: flipped if (n, k) == (3, 0) else units(n, k))
-    for check, witness in (("relations", "v1 v2 + v2 v1 is not 0 Id on unit "), ("rho-xi", "trace-1 matrix unit: ")):
+    for check, witness in (("relations", "v1 v2 + v2 v1 is not 0 Id on unit "), ("rho-xi", "(Id + tau) c(E_ij) is not trace(E_ij) Id on unit ")):
         code, doc = run_json(capsys, [check, "--n", "3", "--ring", "gf3", "--trials", "5"])
         report = doc["reports"][0]
         assert code == 1 and report["status"] == "fail"
@@ -245,11 +245,11 @@ def test_sl_into_alt_runs_at_rank_8(capsys):
     assert doc["reports"][0]["n"] == 8
 
 
-def test_canonical_semitrace_draws_at_most_trials_representatives(capsys):
-    for trials, drawn in (("1", 1), ("100", 20)):
+def test_canonical_semitrace_draws_at_most_ten_trace_zero_matrices(capsys):
+    for trials, drawn in (("1", 1), ("100", 10)):
         args = ["canonical-semitrace", "--n", "4", "--ring", "gf2", "--trials", trials]
         details = run_json(capsys, args)[1]["reports"][0]["details"]
-        assert f"{drawn} random trace-1 representatives give the same semi-trace" in details
+        assert f"63 basis elements of sl_8 and {drawn} random trace-zero matrices map into Alt (n=4, gf2)" in details
 
 
 def test_degree4_checks_skip_other_ranks(capsys):
