@@ -113,13 +113,11 @@ def rho_xi_check(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
 def sl_basis(ring: Ring, n: int) -> list[tuple[str, Matrix]]:
     """The standard basis of sl_2n with labels: the off-diagonal units E_ij
     and the differences E_kk - E_(k+1)(k+1), 4n^2 - 1 matrices."""
-    dim = 2 * n
-    unit = lambda i, j: phi_b_unit(ring, n, dim - 1 - j, i)  # E_ij
-    basis = [(f"E_({i},{j})", unit(i, j)) for i in range(dim) for j in range(dim) if i != j]
+    dim, one, minus_one = 2 * n, ring.one, ring.sign(1)
+    basis = [(f"E_({i},{j})", [(i, j, one)]) for i in range(dim) for j in range(dim) if i != j]
     for k in range(dim - 1):
-        terms = ((ring.one, unit(k, k)), (ring.sign(1), unit(k + 1, k + 1)))
-        basis.append((f"E_({k},{k}) - E_({k + 1},{k + 1})", Matrix.combination(ring, dim, dim, terms)))
-    return basis
+        basis.append((f"E_({k},{k}) - E_({k + 1},{k + 1})", [(k, k, one), (k + 1, k + 1, minus_one)]))
+    return [(label, Matrix.from_nonzeros(ring, dim, dim, triples)) for label, triples in basis]
 
 
 def check_sl_into_alt(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
@@ -202,7 +200,7 @@ def check_representative_independence(f: SemiTrace, rng, trials: int = 10) -> Ch
     return out
 
 
-def check_semitrace_defining(f: SemiTrace, rng, trials: int = 100) -> CheckOutcome:
+def check_semitrace_defining(f: SemiTrace, rng, trials: int = 10) -> CheckOutcome:
     """f(x + tau(x)) = trace(x) for every even x, certified on the even units.
 
     f(s) = trace(l s) and trace(l E_ab) = l[b, a], so with

@@ -110,7 +110,7 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
     # parameters, then min(trials, 10) random words as a cross-check
     "pgo-invariance": (
         [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)],
-        _semitrace_check(lambda f, rng, trials: group.pgo_invariance(f, rng, words=min(trials, 10))),
+        _semitrace_check(lambda f, rng, trials: group.pgo_invariance(f, rng, min(trials, 10))),
     ),
     "degree4-alt": (
         [(2, GF2), (2, GF4)],

@@ -259,7 +259,7 @@ def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # --- relation suite ---------------------------------------------------------
 
 
-def relation_suite(ring: Ring, n: int, rng, trials: int = 100) -> CheckOutcome:
+def relation_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
     """Check the defining relations of the algebra on the generator
     supports, and certify Phi(m)^2 = q(m) * Id for every module element m.
 
@@ -396,7 +396,7 @@ def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
     return MonomialBasis(ring, n)
 
 
-def involution_suite(ring: Ring, n: int, rng, pairs: int = 10) -> CheckOutcome:
+def involution_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
     """The involution is the adjoint G^-1 x^T G on every matrix unit,
     squares to the identity there, fixes every generator, and is
     anti-multiplicative on every pair of elements.
@@ -413,8 +413,8 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 10) -> CheckOutcome:
     only when c = b (pi injective), and then g_b^2 = 1.  By bilinearity
     tau(xy) = tau(y) tau(x) for every pair x, y, at every n.
 
-    At n <= 4, random pairs cross-check the implementation: on x and on y
-    `canonical_involution`, the adjoint by row moves, must equal
+    At n <= 4, `trials` random pairs cross-check the implementation: on x
+    and on y `canonical_involution`, the adjoint by row moves, must equal
     `tau_relabel`, the unit rule, and tau(xy) = tau(y) tau(x) must hold
     through the dense product.
     """
@@ -448,7 +448,7 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 10) -> CheckOutcome:
         # local: sampling imports this module
         from .sampling import random_clifford_element
 
-        for t in range(pairs):
+        for t in range(trials):
             x = random_clifford_element(ring, n, rng)
             y = random_clifford_element(ring, n, rng)
             tx, ty = canonical_involution(x), canonical_involution(y)
@@ -457,7 +457,7 @@ def involution_suite(ring: Ring, n: int, rng, pairs: int = 10) -> CheckOutcome:
             if canonical_involution(x * y) != ty * tx:
                 out.fail(f"involution not anti-multiplicative on random pair {t}")
     if out.passed:
-        extra = f"; {pairs} random pairs agree with the unit rule and the dense product" if n <= 4 else ""
+        extra = f"; {trials} random pairs agree with the unit rule and the dense product" if n <= 4 else ""
         out.note(
             f"involution is the adjoint on all {4 ** n} units, squares to the identity, fixes all "
             f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n}){extra}"

@@ -265,8 +265,8 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     if b.rows != 2 * n or b.cols != 2 * n or b.ring != ring:
         raise UsageError("the acting matrix must be 2n x 2n over the same ring")
     coords = monomial_basis(ring, n).decompose(x)
-    images = (image.matrix for image in _transformed_monomials(ring, n, b))
-    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coords, images)))
+    terms = zip(coords, _transformed_monomials(ring, n, b))
+    return sum((image.scale(c) for c, image in terms if not ring.is_zero(c)), CliffordElement.zero(ring, n))
 
 
 def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
@@ -286,11 +286,11 @@ def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
     return None
 
 
-def pgo_invariance(f: SemiTrace, rng, words: int = 10) -> CheckOutcome:
+def pgo_invariance(f: SemiTrace, rng, trials: int = 10) -> CheckOutcome:
     """The group generated by the n + 2 generators swap_1, scale_1(u),
     perm(i, i+1) for i < n and eichler_vv(1, 2, t), at every u and t,
     leaves the semi-trace f invariant on all symmetric elements and
-    commutes with the involution; `words` random words of length 1-3 repeat
+    commutes with the involution; `trials` random words of length 1-3 repeat
     the checks on composites.
 
     An element b with a lift g acts on even elements as x -> g x g^-1.  The
@@ -311,7 +311,7 @@ def pgo_invariance(f: SemiTrace, rng, words: int = 10) -> CheckOutcome:
         problem = _certify(l, *lift_polynomial(ring, n, kind, i, j))
         if problem:
             out.fail(f"{kind}{i}{'' if j is None else j}: {problem}")
-    for _ in range(words):
+    for _ in range(trials):
         desc, b, (g, g_inv) = sample_orthogonal(ring, n, rng)
         problem = _certify(l, {0: b}, {0: g}, {0: g_inv})
         if problem:
@@ -319,6 +319,6 @@ def pgo_invariance(f: SemiTrace, rng, words: int = 10) -> CheckOutcome:
     if out.passed:
         out.note(
             f"the group generated by the {len(named)} named generators, all parameter values, "
-            f"preserves the semi-trace and the involution; {words} random words agree"
+            f"preserves the semi-trace and the involution; {trials} random words agree"
         )
     return out

@@ -7,21 +7,22 @@ as a | b << 32, Q numerators), and every matrix made is divided by the gcd
 of its ints and its scale, so equal matrices store equal ints.  A matrix
 is never written after it is built, so cached matrices and their rows are
 shared freely.  `from_places` builds a sparse matrix from values lifted
-once, each put at its (row, col) places; `zeros`, `scalar`, `identity`
-and the generator matrices go through it.
-Products, combinations, `linear_image` (the image of a matrix under a
-linear map given by the signed units each matrix unit goes to),
-`trace_of_product` and `apply` sum products of stored ints and reduce
-them with `Ring.lower`, one kernel for all six rings.  Row reduction
-exists once, as `rref` on element rows over a field; `SpanChecker`
-answers span membership from its reduced rows, and no check eliminates.
+once, each put at its (row, col) places; `from_nonzeros`, `zeros`,
+`scalar`, `identity` and the generator matrices go through it.
+Products, `scale`, `linear_image` (the image of a matrix under a linear
+map given by the signed units each matrix unit goes to),
+`trace_of_product` and `apply` multiply stored ints, sum the products
+and reduce them with `Ring.lower`, one kernel per job for all six rings;
+`+` and `-` apply the ring's `add` and `sub` to the stored ints entry by
+entry.  Row reduction exists once, as `rref` on element rows over a
+field; `SpanChecker` answers span membership from its reduced rows, and
+no check eliminates.
 Signed permutation matrices invert without division, keeping the
 Gram-matrix machinery over the integers.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -71,7 +72,7 @@ class Matrix:
     ) -> "Matrix":
         """The matrix with values[i] at (r, c) for every (r, c, i) in places.
         The values are lifted once, and a later value at a position replaces
-        an earlier one, a zero included, as in `from_nonzeros`."""
+        an earlier one, a zero included."""
         if rows <= 0 or cols <= 0:
             raise UsageError("matrix dimensions must be positive")
         ints, scale = ring.lift(values)
@@ -96,21 +97,12 @@ class Matrix:
     def from_nonzeros(
         cls, ring: Ring, rows: int, cols: int, triples: Iterable[tuple[int, int, Element]]
     ) -> "Matrix":
-        """A matrix from (row, col, value) triples; a position given twice
-        keeps its last value, and a zero value is not stored."""
-        if rows <= 0 or cols <= 0:
-            raise UsageError("matrix dimensions must be positive")
-        out: list = [{} for _ in range(rows)]
-        for r, c, v in triples:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise UsageError(f"position ({r}, {c}) outside a {rows}x{cols} matrix")
-            out[r][c] = v
-        values = list(chain.from_iterable(map(dict.values, out)))
-        ints, scale = ring.lift(values)
-        if ints is not values or 0 in ints:  # some value changed or is zero: rebuild the rows
-            ints = iter(ints)  # zip takes the next int only while a row has a column left
-            out = [{c: v for c, v in zip(row, ints) if v} for row in out]
-        return cls._canonical(ring, rows, cols, out, scale)
+        """A matrix from (row, col, value) triples, each value at its own
+        place of `from_places`: a position given twice keeps its last value,
+        and a zero value is not stored."""
+        triples = list(triples)
+        places = [(r, c, i) for i, (r, c, _) in enumerate(triples)]
+        return cls.from_places(ring, rows, cols, [v for _, _, v in triples], places)
 
     @classmethod
     def linear_image(
@@ -138,35 +130,6 @@ class Matrix:
         for i, row in zip(acc, ring.lower(row.items() for row in acc.values())):
             out[i] = row
         return cls._canonical(ring, rows, cols, out, m._scale * sscale)
-
-    @classmethod
-    def combination(
-        cls, ring: Ring, rows: int, cols: int, terms: Iterable[tuple[Element, "Matrix"]]
-    ) -> "Matrix":
-        """The sum of c * m over the (c, m) pairs in terms, each m a rows x cols
-        matrix over ring; zero coefficients are skipped.  The lifted
-        coefficients times the terms' stored ints, brought to one scale, are
-        summed in an int dict for each row that a term reaches."""
-        terms = list(terms)
-        coeffs, cscale = ring.lift([c for c, _ in terms])
-        mscale = 1
-        for _, m in terms:
-            _check_shape(ring, rows, cols, m)
-            mscale = lcm(mscale, m._scale)
-        acc: list = [None] * rows
-        for c, (_, m) in zip(coeffs, terms):
-            if not c:
-                continue
-            c *= mscale // m._scale
-            for r, mrow in enumerate(m._rows):
-                if mrow:
-                    row = acc[r]
-                    if row is None:
-                        acc[r] = row = {}
-                    for j, v in mrow.items():
-                        row[j] = row.get(j, 0) + c * v
-        out = ring.lower(row.items() if row else () for row in acc)
-        return cls._canonical(ring, rows, cols, out, cscale * mscale)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
@@ -237,7 +200,12 @@ class Matrix:
         return Matrix._canonical(self.ring, self.rows, self.cols, rows, self._scale)
 
     def scale(self, c: Element) -> "Matrix":
-        return Matrix.combination(self.ring, self.rows, self.cols, ((c, self),))
+        """c times the matrix: c is lifted once, every stored int is
+        multiplied by it, and the rows are lowered in one call."""
+        ring = self.ring
+        (k,), cscale = ring.lift([c])
+        rows = ring.lower(((j, k * v) for j, v in row.items()) if row else () for row in self._rows)
+        return Matrix._canonical(ring, self.rows, self.cols, rows, self._scale * cscale)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return matmul(self, other)
@@ -445,11 +413,11 @@ def signed_perm_inverse(b: Matrix) -> SignedPermutation:
     minus_one = ring.neg(ring.one)
     perm = [-1] * b.rows
     negated = set()
-    for r, row in enumerate(b._element_rows()):
-        hits = list(row.items())
-        if len(hits) != 1:
-            raise DomainError(f"row {r} does not have exactly one nonzero entry")
-        c, val = hits[0]
+    expected = 0  # the nonzeros come row by row, so row k holds the k-th of them
+    for r, c, val in b.nonzeros():
+        if r != expected:  # a second entry in row r, or an empty row `expected`
+            raise DomainError(f"row {min(r, expected)} does not have exactly one nonzero entry")
+        expected += 1
         if not (ring.eq(val, ring.one) or ring.eq(val, minus_one)):
             raise DomainError(f"entry at ({r}, {c}) is not +1 or -1")
         if perm[c] >= 0:
@@ -457,4 +425,6 @@ def signed_perm_inverse(b: Matrix) -> SignedPermutation:
         perm[c] = r  # the inverse holds the same sign at (c, r): (+-1)^-1 = +-1
         if not ring.eq(val, ring.one):
             negated.add(c)
+    if expected != b.rows:
+        raise DomainError(f"row {expected} does not have exactly one nonzero entry")
     return SignedPermutation(ring, perm, frozenset(negated))

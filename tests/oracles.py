@@ -5,18 +5,21 @@ densely, so the dense row-major view of a matrix (`entries`), the field
 elimination (rank, kernel and image bases, span membership), the matrix
 builds of wedge and contraction on wedge V and the monomial recomposition
 live here, and so do the ring-method loops of the product and of linear
-combinations, which the int kernels of `cliffqp.linalg` are tested
-against, the bit-pair product of GF(4) and the bit formula of its
-`lower`, Phi(m) as a combination of all the generator matrices, the
-generator matrices built from wedge and contraction and their words as
-`matmul` products, c(M) as a combination of those pair products, the two
-Eichler kinds that swaps conjugate `group.eichler_vv` onto, the
-trace pairing of the tau-orbit bases of Alt and Sym, which
+combinations, which the int kernels of `cliffqp.linalg` (`matmul`,
+`Matrix.scale`) are tested against, the bit-pair product of GF(4) and the
+bit formula of its `lower`, Phi(m) as a combination of all the generator
+matrices, the generator matrices built from wedge and contraction and
+their words as `matmul` products, c(M) as a combination of those pair
+products, the two Eichler kinds that swaps conjugate `group.eichler_vv`
+onto, the trace pairing of the tau-orbit bases of Alt and Sym, which
 `trace_orthogonality` certifies on tau itself, and the degree-4 negative
 result by enumerating its 4^6 candidates, which
-`canonical.degree4_no_canonical` certifies by linearity.  Everything is
-written on the public `Matrix` API, on the ring methods, on
-`cliffqp.linalg.rref`, on the orbit bases and on the lifted generators.
+`canonical.degree4_no_canonical` certifies by linearity.  Every linear
+combination here, the recomposition included, sums through
+`ring_method_combination`, so no oracle leans on an int kernel it is
+compared with.  Everything is written on the public `Matrix` API, on the
+ring methods, on `cliffqp.linalg.rref`, on the orbit bases and on the
+lifted generators.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import groupby, product
 from operator import itemgetter, mul
+from typing import Iterable
 
 from cliffqp.canonical import EVEN_WORDS_N2
 from cliffqp.clifford import CliffordElement, canonical_involution, generator_matrix, phi_word
@@ -110,7 +114,7 @@ def ring_method_product(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_nonzeros(ring, a.rows, b.cols, triples)
 
 
-def ring_method_combination(ring: Ring, rows: int, cols: int, terms: list) -> Matrix:
+def ring_method_combination(ring: Ring, rows: int, cols: int, terms: Iterable) -> Matrix:
     """The sum of c * m over the (c, m) terms through the ring methods,
     one `mul` per nonzero of each term and one `add` where terms meet."""
     acc: list = [{} for _ in range(rows)]
@@ -142,7 +146,7 @@ def gf4_lower_by_bits(v: int) -> int:
 def phi_vector_by_combination(ring: Ring, n: int, coeffs: list) -> CliffordElement:
     """Phi(m) as the sum of m_k times the k-th generator matrix, over all 2n."""
     gens = [generator_matrix(ring, n, k) for k in range(2 * n)]
-    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
+    return CliffordElement(ring, n, ring_method_combination(ring, 1 << n, 1 << n, zip(coeffs, gens)))
 
 
 def generator_by_wedge(ring: Ring, n: int, k: int) -> Matrix:
@@ -166,7 +170,7 @@ def canonical_map_by_products(m: Matrix) -> CliffordElement:
     ring, n = m.ring, m.rows // 2
     gens = [generator_by_wedge(ring, n, k) for k in range(2 * n)]
     terms = [(coef, gens[2 * n - 1 - j] * gens[l]) for l, j, coef in m.nonzeros()]
-    return CliffordElement(ring, n, Matrix.combination(ring, 1 << n, 1 << n, terms))
+    return CliffordElement(ring, n, ring_method_combination(ring, 1 << n, 1 << n, terms))
 
 
 def mat_vec(a: Matrix, v: list) -> list:
@@ -266,7 +270,7 @@ def recompose(ring: Ring, n: int, coords: list) -> CliffordElement:
             if mask >> k & 1:
                 monomial = generator_matrix(ring, n, k) * monomial
         terms.append((c, monomial))
-    return CliffordElement(ring, n, Matrix.combination(ring, dim, dim, terms))
+    return CliffordElement(ring, n, ring_method_combination(ring, dim, dim, terms))
 
 
 def basis_trace_pairing(ring: Ring, n: int) -> tuple[int, int, list]:
@@ -304,7 +308,7 @@ def degree4_stable_candidates(ring: Ring) -> tuple[int, list]:
     count, stable = 0, []
     for a0, a1, a2, a3, a5, a6 in product(elems, repeat=6):
         coeffs = (a0, a1, a2, a3, ring.add(ring.one, a3), a5, a6, ring.zero)
-        l = CliffordElement(ring, 2, Matrix.combination(ring, 4, 4, zip(coeffs, mono)))
+        l = CliffordElement(ring, 2, ring_method_combination(ring, 4, 4, zip(coeffs, mono)))
         if l + canonical_involution(l) != one:
             continue
         count += 1

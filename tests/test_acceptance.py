@@ -61,8 +61,8 @@ def test_criterion_02_gram_involution_suite():
             if not gram_agreement_suite(ring, n).passed:
                 failures.append(f"gram n={n} {ring.name}")
             rng = rng_for(f"tau:{n}:{ring.name}")
-            pairs = 100 if n <= 4 else 0
-            if not involution_suite(ring, n, rng, pairs=pairs).passed:
+            trials = 100 if n <= 4 else 0
+            if not involution_suite(ring, n, rng, trials=trials).passed:
                 failures.append(f"involution n={n} {ring.name}")
     for n in range(2, 6):
         for ring in PALETTE:
@@ -142,7 +142,7 @@ def test_criterion_07_canonical_semitrace():
 def test_criterion_08_group_invariance():
     failures = []
     for ring in (GF2, GF3):
-        out = pgo_invariance(canonical_semitrace(ring, 4), rng_for(f"pgo:{ring.name}"), words=10)
+        out = pgo_invariance(canonical_semitrace(ring, 4), rng_for(f"pgo:{ring.name}"), trials=10)
         if not out.passed:
             failures.append(f"{ring.name}: {out.details[:1]}")
     report(

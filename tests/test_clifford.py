@@ -240,9 +240,8 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
             "+": lambda: a + b,
             "-": lambda: a - b,
             "neg": lambda: -a,
-            "scale": lambda: a.scale(c),
+            "scale": lambda: (a.scale(c), perm.scale(c)),
             "transpose": lambda: (a.transpose(), perm.transpose()),
-            "combination": lambda: Matrix.combination(ring, 4, 4, [(c, a), (c, b), (c, perm)]),
             "rref": lambda: (rref(a), rref(perm)),
             "trace_of_product": lambda: (trace_of_product(a, b), trace_of_product(perm, a)),
             "*": lambda: (a * b, perm * a, a * perm, perm * perm),
@@ -260,7 +259,7 @@ def test_generators_are_shared_and_no_operation_writes_its_operands():
 
 def test_a_shared_generator_is_lifted_once():
     # a matrix is lifted when it is built: products lift nothing, and a
-    # combination lifts only its coefficients, once
+    # scale lifts only its coefficient, once
     g = generator_matrix(QQ, 3, 1)
     rows = g._rows
     x = random_clifford_element(QQ, 3, fresh_rng("lift once")).matrix
@@ -270,10 +269,10 @@ def test_a_shared_generator_is_lifted_once():
     try:
         for _ in range(2):
             x * g, g * x, g * g
-            Matrix.combination(QQ, 8, 8, [(QQ.one, g), (QQ.one, x)])
+            g.scale(QQ.one), x.scale(QQ.one)
     finally:
         del QQ.lift
-    assert lifted == [[QQ.one, QQ.one]] * 2
+    assert lifted == [[QQ.one]] * 4
     assert generator_matrix(QQ, 3, 1)._rows is rows
 
 
@@ -295,7 +294,7 @@ def test_involution_anti_multiplicative(ring):
 
 
 def test_involution_suite_runs():
-    assert involution_suite(GF3, 2, fresh_rng("isuite"), pairs=10).passed
+    assert involution_suite(GF3, 2, fresh_rng("isuite"), trials=10).passed
 
 
 def test_involution_on_n2_blocks_swaps_diagonal():
@@ -479,7 +478,7 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
     # E_{1, 2} is a fixed unit at n = 2, so a flipped sign still squares to
     # the identity; only the comparison with the adjoint sees it
     ring, n = GF3, 2
-    assert involution_suite(ring, n, fresh_rng("unit-sign"), pairs=0).passed
+    assert involution_suite(ring, n, fresh_rng("unit-sign"), trials=0).passed
     unit = clifford.tau_unit
 
     def flipped(n, a, b):
@@ -487,7 +486,7 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
         return (parity + ((a, b) == (1, 2))) % 2, r, c
 
     monkeypatch.setattr(clifford, "tau_unit", flipped)
-    out = involution_suite(ring, n, fresh_rng("unit-sign"), pairs=0)
+    out = involution_suite(ring, n, fresh_rng("unit-sign"), trials=0)
     assert not out.passed
     assert out.details == ["involution is not the adjoint G^-1 x^T G on unit (1, 2)"]
 
@@ -503,7 +502,7 @@ def test_unit_walks_report_each_kind_of_failure_once(monkeypatch):
 
     monkeypatch.setattr(clifford, "tau_unit", shifted)
     monkeypatch.setattr(involution, "tau_unit", shifted)
-    assert involution_suite(GF3, 6, fresh_rng("shifted"), pairs=0).details == [
+    assert involution_suite(GF3, 6, fresh_rng("shifted"), trials=0).details == [
         "involution does not square to the identity on unit (0, 0) and 2047 more units",
         "involution is not the adjoint G^-1 x^T G on unit (1, 0) and 2047 more units",
     ]
@@ -564,7 +563,7 @@ def _gram_with(monkeypatch, entry):
 @pytest.mark.parametrize("n", (1, 3))
 def test_involution_suite_refuses_a_gram_entry_that_does_not_square_to_one(monkeypatch, ring, n):
     _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.from_int(2)))
-    out = involution_suite(ring, n, fresh_rng("gram-two"), pairs=10)
+    out = involution_suite(ring, n, fresh_rng("gram-two"), trials=10)
     assert out.details == ["the Gram entry g_a of row 0 does not square to 1"]
 
 
@@ -573,7 +572,7 @@ def test_involution_suite_refuses_a_gram_entry_that_does_not_square_to_one(monke
 def test_involution_suite_refuses_a_gram_that_hits_a_column_twice(monkeypatch, ring, n):
     # row 0 moved onto row 1's column; signed_perm_inverse would raise on it
     _gram_with(monkeypatch, lambda ring, n, c, v: (c ^ 1, v))
-    out = involution_suite(ring, n, fresh_rng("gram-column"), pairs=10)
+    out = involution_suite(ring, n, fresh_rng("gram-column"), trials=10)
     assert out.details == ["the Gram matrix hits a column twice, so pi is not injective"]
 
 
@@ -593,5 +592,5 @@ def test_tau_relabel_is_the_adjoint(ring, n):
 
 def test_involution_suite_refuses_a_gram_with_an_empty_row(monkeypatch):
     _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.zero))
-    out = involution_suite(GF3, 2, fresh_rng("gram-row"), pairs=10)
+    out = involution_suite(GF3, 2, fresh_rng("gram-row"), trials=10)
     assert out.details == ["the Gram matrix does not hold exactly one nonzero per row"]

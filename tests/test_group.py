@@ -142,7 +142,7 @@ def test_action_commutes_with_involution_samples():
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_pgo_invariance_small_sample(ring):
-    out = pgo_invariance(canonical_semitrace(ring, 4), fresh_rng(f"pgo:{ring.name}"), words=8)
+    out = pgo_invariance(canonical_semitrace(ring, 4), fresh_rng(f"pgo:{ring.name}"), trials=8)
     assert out.passed, out.details
     assert "the group generated by the 6 named generators, all parameter values" in out.details[-1]
     assert "8 random words agree" in out.details[-1]
@@ -224,11 +224,11 @@ def test_pgo_invariance_fails_with_a_wrong_eichler_lift_sign(monkeypatch):
     # the lift of eichler_vv(-t) in place of eichler_vv(t): the certificate
     # alone, with no random word, must see it
     _mutate(monkeypatch, "eichler_vv", _eichler_flipped)
-    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng("pgo:flip"), words=0)
+    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng("pgo:flip"), trials=0)
     assert not out.passed
     assert "eichler_vv12: the lift does not induce the generator" in out.details
     # -t = t in characteristic 2, so there the flipped lift is the right one
-    assert pgo_invariance(canonical_semitrace(GF2, 4), fresh_rng("pgo:flip"), words=10).passed
+    assert pgo_invariance(canonical_semitrace(GF2, 4), fresh_rng("pgo:flip"), trials=10).passed
 
 
 def _swap_plus(ring, n, i, b, g, g_inv):
@@ -257,7 +257,7 @@ def _scale_inverted(ring, n, i, b, g, g_inv):
 )
 def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mutation, names):
     _mutate(monkeypatch, kind, mutation)
-    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng(f"pgo:mutant:{kind}"), words=0)
+    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng(f"pgo:mutant:{kind}"), trials=0)
     assert _failures(out) == [f"{name}: the lift does not induce the generator" for name in names]
 
 
@@ -277,7 +277,7 @@ def test_pgo_invariance_certificate_refuses_a_semitrace_off_the_canonical_class(
     shifted = off_canonical_semitraces(ring, 4)
     assert len(shifted) == 16
     for (a, b), f in shifted:
-        out = pgo_invariance(f, fresh_rng("pgo:shifted"), words=0)
+        out = pgo_invariance(f, fresh_rng("pgo:shifted"), trials=0)
         assert not out.passed, (a, b)
         assert all(line.endswith("the semi-trace moved on the symmetric elements") for line in _failures(out))
 
@@ -358,5 +358,5 @@ def test_non_clifford_conjugator_moves_the_semitrace(ring):
 
 
 def test_pgo_invariance_runs_at_rank_6():
-    out = pgo_invariance(canonical_semitrace(GF2, 6), fresh_rng("pgo:6"), words=5)
+    out = pgo_invariance(canonical_semitrace(GF2, 6), fresh_rng("pgo:6"), trials=5)
     assert out.passed, out.details

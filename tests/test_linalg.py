@@ -58,6 +58,10 @@ def test_shape_errors():
         matmul(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
     with pytest.raises(UsageError):
         Matrix.identity(QQ, 2) + Matrix.identity(QQ, 3)
+    with pytest.raises(UsageError):
+        Matrix.identity(QQ, 2) - Matrix.zeros(QQ, 2, 3)
+    with pytest.raises(UsageError):
+        Matrix.identity(GF3, 2) + Matrix.identity(GF5, 2)
 
 
 @pytest.mark.parametrize("position", [(-1, 0), (2, 0), (0, -1), (0, 5), (0, 2)])
@@ -118,6 +122,14 @@ def test_signed_perm_rejects_bad_input():
         signed_perm_inverse(from_rows(QQ, [[QQ.one, QQ.one], [QQ.zero, QQ.one]]))
     with pytest.raises(DomainError):
         signed_perm_inverse(from_rows(QQ, [[QQ.from_int(2), QQ.zero], [QQ.zero, QQ.one]]))
+    # the nonzeros come row by row: each row must hold exactly the next one
+    for rows, row in (([[1, 1, 0], [0, 0, 1], [0, 0, 0]], 0), ([[1, 0, 0], [0, 0, 0], [0, 1, 0]], 1)):
+        with pytest.raises(DomainError, match=f"row {row} does not have exactly one"):
+            signed_perm_inverse(from_rows(GF3, rows))
+    with pytest.raises(DomainError, match="row 2 does not have exactly one"):
+        signed_perm_inverse(from_rows(GF3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    with pytest.raises(DomainError, match="column 0 hit twice"):
+        signed_perm_inverse(from_rows(GF3, [[1, 0], [2, 0]]))
 
 
 def test_span_checker_matches_in_span(rng):
@@ -420,15 +432,22 @@ def test_apply_matches_the_ring_method_product_with_a_vector(ring, data):
 
 
 def assert_combination_exact(ring, rows, cols, terms):
-    """`Matrix.combination`, the ring-method loop and a fold of sums and
-    scales agree entry for entry, down to the Python type of every entry."""
-    want = Matrix.zeros(ring, rows, cols)
+    """A fold of sums and scales and the ring-method loop agree entry for
+    entry, down to the Python type of every entry."""
+    got = Matrix.zeros(ring, rows, cols)
     for c, m in terms:
-        want = want + m.scale(c)
-    got = Matrix.combination(ring, rows, cols, terms)
+        got = got + m.scale(c)
+    want = ring_method_combination(ring, rows, cols, terms)
     assert got == want
-    for m in (got, ring_method_combination(ring, rows, cols, terms)):
-        assert_entries_exact(m, entries(want))
+    assert_entries_exact(got, entries(want))
+
+
+def coefficient_strategy(ring):
+    """Coefficients with zero among them, and unreduced ints over GF(p)."""
+    coefficient = st.one_of(st.just(ring.zero), element_strategy(ring))
+    if hasattr(ring, "p"):
+        coefficient = st.one_of(coefficient, st.integers(ring.p, 2 * ring.p))
+    return coefficient
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
@@ -436,15 +455,37 @@ def assert_combination_exact(ring, rows, cols, terms):
 @given(data=st.data())
 def test_combination_matches_a_fold_of_sums_and_scales(ring, data):
     rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    coefficient = st.one_of(st.just(ring.zero), element_strategy(ring))
-    if hasattr(ring, "p"):
-        coefficient = st.one_of(coefficient, st.integers(ring.p, 2 * ring.p))  # unreduced
-    term = st.tuples(coefficient, matrix_strategy(ring, rows, cols))
+    term = st.tuples(coefficient_strategy(ring), matrix_strategy(ring, rows, cols))
     assert_combination_exact(ring, rows, cols, data.draw(st.lists(term, max_size=5)))
     m = data.draw(matrix_strategy(ring, rows, cols))
     c = data.draw(element_strategy(ring).filter(lambda c: not ring.is_zero(c)))
-    cancelled = Matrix.combination(ring, rows, cols, [(c, m), (ring.neg(c), m)])
+    cancelled = m.scale(c) + m.scale(ring.neg(c))
     assert cancelled == Matrix.zeros(ring, rows, cols) and cancelled.is_zero()
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.name)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scale_matches_the_one_term_ring_method_combination(ring, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    m = data.draw(matrix_strategy(ring, rows, cols))
+    c = data.draw(coefficient_strategy(ring))
+    scaled = m.scale(c)
+    assert_entries_exact(scaled, entries(ring_method_combination(ring, rows, cols, [(c, m)])))
+    assert m.scale(ring.zero) == Matrix.zeros(ring, rows, cols) and m.scale(ring.zero).is_zero()
+
+
+def test_scale_reduces_its_coefficient_and_keeps_lowest_terms():
+    g = from_rows(GF3, [[1, 2], [0, 1]])
+    # 4 is one in GF(3) without being the stored one, and 3 is zero
+    assert g.scale(4) == g and entries(g.scale(4)) == [1, 2, 0, 1]
+    assert g.scale(3) == Matrix.zeros(GF3, 2, 2)
+    a = from_rows(QQ, [[Fraction(1, 6), Fraction(2 ** 65, 3)], [QQ.zero, Fraction(-5, 4)]])
+    for c in (Fraction(3, 7), Fraction(-6, 5), Fraction(12), QQ.zero):
+        scaled = a.scale(c)
+        assert_canonical(scaled)
+        assert_entries_exact(scaled, [c * x for x in entries(a)])
+    assert a.scale(Fraction(12))._scale == 1
 
 
 def test_combination_of_mixed_denominators_and_zero_or_unreduced_coefficients():
@@ -452,31 +493,24 @@ def test_combination_of_mixed_denominators_and_zero_or_unreduced_coefficients():
     b = from_rows(QQ, [[Fraction(9, 2 ** 64), QQ.one], [Fraction(7, 10), QQ.zero]])
     terms = [(Fraction(3, 7), a), (QQ.zero, b), (Fraction(-5, 9), b), (Fraction(4, 7), a)]
     assert_combination_exact(QQ, 2, 2, terms)
-    assert Matrix.combination(QQ, 2, 2, terms) == a + b.scale(Fraction(-5, 9))
+    assert ring_method_combination(QQ, 2, 2, terms) == a + b.scale(Fraction(-5, 9))
     g = from_rows(GF3, [[1, 2], [0, 1]])
     # 3 is zero in GF(3) without being the stored zero, and 4 is one
     assert_combination_exact(GF3, 2, 2, [(3, g), (GF3.zero, g)])
-    assert Matrix.combination(GF3, 2, 2, [(3, g), (4, g)]) == g
-
-
-@pytest.mark.parametrize(
-    "term",
-    [
-        (GF3.one, Matrix.identity(GF3, 3)),
-        (GF3.zero, Matrix.zeros(GF3, 2, 3)),  # checked although its coefficient is zero
-        (GF3.one, Matrix.identity(GF5, 2)),
-    ],
-    ids=("rows", "cols", "ring"),
-)
-def test_combination_rejects_a_term_of_another_shape_or_ring(term):
-    with pytest.raises(UsageError):
-        Matrix.combination(GF3, 2, 2, [(GF3.one, Matrix.identity(GF3, 2)), term])
+    assert_combination_exact(GF3, 2, 2, [(3, g), (4, g)])
 
 
 def test_from_nonzeros_keeps_the_last_value_of_a_position():
     m = Matrix.from_nonzeros(GF5, 2, 3, [(0, 2, 4), (1, 0, 1), (0, 2, 3)])
     assert m == from_rows(GF5, [[0, 0, 3], [1, 0, 0]])
     assert Matrix.from_nonzeros(GF5, 2, 2, ()) == Matrix.zeros(GF5, 2, 2)
+    # the replaced 1/3 still takes part in the lift, and the result is
+    # stored in lowest terms all the same
+    m = Matrix.from_nonzeros(QQ, 2, 2, [(0, 1, Fraction(1, 3)), (1, 0, QQ.one), (0, 1, Fraction(1, 2))])
+    assert m == Matrix(QQ, 2, 2, [QQ.zero, Fraction(1, 2), QQ.one, QQ.zero])
+    assert_canonical(m)
+    assert m._scale == 2
+    assert Matrix.from_nonzeros(QQ, 1, 1, [(0, 0, Fraction(1, 3)), (0, 0, QQ.zero)]) == Matrix.zeros(QQ, 1, 1)
 
 
 def test_prime_field_matrices_reduce_their_entries():
@@ -493,8 +527,6 @@ def test_gf4_matrices_refuse_anything_but_the_four_elements(bad):
         Matrix(GF4, 1, 2, [GF4.one, bad])
     with pytest.raises(DomainError):
         Matrix.from_nonzeros(GF4, 1, 1, [(0, 0, bad)])
-    with pytest.raises(DomainError):
-        Matrix.combination(GF4, 1, 1, [(bad, Matrix.identity(GF4, 1))])
     with pytest.raises(DomainError):
         Matrix.identity(GF4, 1).scale(bad)
 
@@ -519,7 +551,7 @@ def test_rational_matrices_are_stored_in_lowest_terms(data):
     y = data.draw(rational_matrix(inner, cols))
     c = data.draw(st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 6))))
     made = [a, a + b, a - b, -a, a.scale(c), a.transpose(), matmul(a, y), a - a]
-    made.append(Matrix.combination(QQ, rows, inner, [(c, a), (-c, b), (c, b)]))
+    made.append(a.scale(c) + b.scale(-c))
     made.append(Matrix.linear_image(a, inner, rows, lambda r, k: ((k, r, 1),)))
     for m in made:
         assert_canonical(m)
