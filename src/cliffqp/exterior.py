@@ -1,12 +1,13 @@
 """Exterior algebra of a free module of rank n, indexed by subset bitmasks.
 
-Subsets I of {1, .., n} are stored as bitmasks with bit i-1 set iff i is
-in I, and the basis vector v_I is the wedge of the v_i for i in I in
-increasing order.  An element of wedge V stores only its nonzero
-coefficients, as a dict {mask: coefficient} in the idiom of a `Matrix`
-row, so every operation walks the stored terms; the even/odd grading is
-the popcount parity.  The module builds no matrices: `clifford` builds
-the generator matrices from the mask arithmetic here.
+Subsets I of {1, .., n} are bitmasks with bit i-1 set iff i is in I, and
+v_I is the wedge of the v_i for i in I in increasing order.  An element
+of wedge V stores only its nonzero coefficients, as a dict {mask:
+coefficient} in the idiom of a `Matrix` row, so every operation walks the
+stored terms; the even/odd grading is the popcount parity.  `+`, `wedge`
+and `reversal` skip the constructor's mask check: their masks are in
+range by construction.  No matrices are built here: `clifford` builds
+the generator matrices from the mask arithmetic.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ def mask_size(mask: int) -> int:
 
 def mask_total(mask: int) -> int:
     """Sum of the 1-based members of the subset."""
-    total = 0
-    i = 1
-    while mask:
-        if mask & 1:
-            total += i
-        mask >>= 1
-        i += 1
-    return total
+    return sum(mask_members(mask))
 
 
 @lru_cache(maxsize=None)  # one int per distinct mask: at most 2^n at rank n
@@ -62,10 +56,11 @@ def wedge_masks(mask_i: int, mask_j: int) -> Optional[tuple[int, int]]:
     return sign, mask_i | mask_j
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExteriorVector:
     """An element of wedge V as a dict {mask: nonzero coefficient}; zero
-    coefficients are never stored, so structural equality is equality."""
+    coefficients are never stored, so structural equality is equality.
+    No operation writes into an existing vector; vectors are unhashable."""
 
     ring: Ring
     n: int
@@ -76,11 +71,18 @@ class ExteriorVector:
             raise UsageError(f"subset mask outside 0..2^{self.n}-1")
 
     @classmethod
+    def _unchecked(cls, ring: Ring, n: int, terms: dict) -> "ExteriorVector":
+        """The vector with these terms, without the mask check."""
+        v = cls.__new__(cls)
+        v.ring, v.n, v.terms = ring, n, terms
+        return v
+
+    @classmethod
     def basis(cls, ring: Ring, n: int, mask: int) -> "ExteriorVector":
         return cls(ring, n, {mask: ring.one})
 
     def _check_mate(self, other: "ExteriorVector") -> None:
-        if self.n != other.n or self.ring != other.ring:
+        if self.n != other.n or (self.ring is not other.ring and self.ring != other.ring):  # `is` skips a Python call
             raise UsageError("operands live in different exterior algebras")
 
     def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
@@ -93,7 +95,7 @@ class ExteriorVector:
                 del terms[mask]
             else:
                 terms[mask] = c
-        return ExteriorVector(self.ring, self.n, terms)
+        return ExteriorVector._unchecked(self.ring, self.n, terms)
 
     def wedge(self, other: "ExteriorVector") -> "ExteriorVector":
         self._check_mate(other)
@@ -110,7 +112,7 @@ class ExteriorVector:
                     term = ring.neg(term)
                 out[mu] = ring.add(out[mu], term) if mu in out else term
         terms = {mask: c for mask, c in out.items() if not ring.is_zero(c)}
-        return ExteriorVector(ring, self.n, terms)
+        return ExteriorVector._unchecked(ring, self.n, terms)
 
     def reversal(self) -> "ExteriorVector":
         """Reverse the wedge factors: v_I picks up (-1)**(|I|(|I|-1)/2)."""
@@ -118,7 +120,7 @@ class ExteriorVector:
         terms = {
             mask: a if mask_size(mask) % 4 in (0, 1) else neg(a) for mask, a in self.terms.items()
         }
-        return ExteriorVector(self.ring, self.n, terms)
+        return ExteriorVector._unchecked(self.ring, self.n, terms)
 
     def pi_top(self) -> Element:
         """Coefficient of the top basis vector v_{1..n}."""

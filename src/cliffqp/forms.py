@@ -4,7 +4,8 @@ pairing of complementary subsets on wedge V.
 Quadratic forms are kept as evaluation procedures, never as symmetric
 matrices: in characteristic 2 the form and its polar carry genuinely
 different information, and conflating them is exactly the mistake this
-package exists to avoid.
+package exists to avoid.  So polars are computed literally, as
+q(x + y) - q(x) - q(y), with q of each vector evaluated once per walk.
 """
 
 from __future__ import annotations
@@ -61,11 +62,15 @@ class HyperbolicSpace:
             total = ring.add(total, ring.mul(coeffs[i], coeffs[self.dim - 1 - i]))
         return total
 
-    def polar(self, x: Sequence[Element], y: Sequence[Element]) -> Element:
-        """The polar form q(x + y) - q(x) - q(y), computed literally."""
-        ring = self.ring
-        xy = [ring.add(a, b) for a, b in zip(x, y)]
-        return ring.sub(ring.sub(self.q(xy), self.q(x)), self.q(y))
+    def polars(self, vectors: list) -> tuple[list, dict]:
+        """q of each vector, and the polar q(x + y) - q(x) - q(y) on each pair
+        of positions k < l, computed literally: q of each vector once."""
+        ring, qs = self.ring, [self.q(x) for x in vectors]
+        return qs, {
+            (k, l): ring.sub(ring.sub(self.q(list(map(ring.add, x, vectors[l]))), qs[k]), qs[l])
+            for k, x in enumerate(vectors)
+            for l in range(k + 1, len(vectors))
+        }
 
     def __repr__(self) -> str:
         return f"HyperbolicSpace({self.ring.name}, n={self.n})"
@@ -91,14 +96,9 @@ def b_wedge(x: ExteriorVector, y: ExteriorVector) -> Element:
     """Pairing of complementary subsets:
     sum over I of (-1)**((sum I) - |I|) x_I y_{I^c}.
     """
-    if x.n != y.n or x.ring != y.ring:
+    if x.n != y.n or (x.ring is not y.ring and x.ring != y.ring):  # `is` skips a Python call
         raise UsageError("operands live in different exterior algebras")
     return _complement_sum(x, y, x.terms)
-
-
-def b_wedge_via_top(x: ExteriorVector, y: ExteriorVector) -> Element:
-    """The defining description: top coefficient of reversal(x) wedge y."""
-    return x.reversal().wedge(y).pi_top()
 
 
 def b_wedge_gram(ring: Ring, n: int) -> Matrix:
@@ -117,20 +117,16 @@ def q_wedge(x: ExteriorVector) -> Element:
     return _complement_sum(x, x, (mask for mask in x.terms if mask & 1))
 
 
-def q_wedge_polar(x: ExteriorVector, y: ExteriorVector) -> Element:
-    """The polar form of q_wedge, q(x + y) - q(x) - q(y), computed literally."""
-    ring = x.ring
-    return ring.sub(ring.sub(q_wedge(x + y), q_wedge(x)), q_wedge(y))
-
-
 def _polar_gram(ring: Ring, vectors: list[ExteriorVector]) -> Matrix:
-    """Gram matrix of q_wedge_polar on the given vectors."""
-    dim = len(vectors)
+    """Gram matrix of the polar form q(x + y) - q(x) - q(y) of q_wedge on
+    the given vectors, computed literally, q of each vector once."""
+    dim, sub, is_zero = len(vectors), ring.sub, ring.is_zero
+    with_q = [(x, q_wedge(x)) for x in vectors]
     triples = (
         (r, c, v)
-        for r, x in enumerate(vectors)
-        for c, y in enumerate(vectors)
-        if not ring.is_zero(v := q_wedge_polar(x, y))
+        for r, (x, qx) in enumerate(with_q)
+        for c, (y, qy) in enumerate(with_q)
+        if not is_zero(v := sub(sub(q_wedge(x + y), qx), qy))
     )
     return Matrix.from_nonzeros(ring, dim, dim, triples)
 
@@ -168,10 +164,10 @@ def gram_agreement_suite(ring: Ring, n: int) -> CheckOutcome:
     out = CheckOutcome()
     dim = 1 << n
     basis = [ExteriorVector.basis(ring, n, mask) for mask in range(dim)]
-    for mi in range(dim):
-        for mj in range(dim):
-            lhs = b_wedge(basis[mi], basis[mj])
-            rhs = b_wedge_via_top(basis[mi], basis[mj])
+    for mi, (x, rx) in enumerate(zip(basis, [v.reversal() for v in basis])):  # each reversed once
+        for mj, y in enumerate(basis):
+            lhs = b_wedge(x, y)
+            rhs = rx.wedge(y).pi_top()
             if not ring.eq(lhs, rhs):
                 out.fail(
                     f"pairing mismatch at basis pair ({mi}, {mj}): "

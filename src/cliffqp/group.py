@@ -46,21 +46,18 @@ from .rings import Element, Ring
 def is_orthogonal(b: Matrix) -> bool:
     """Whether b preserves the hyperbolic form.
 
-    Checks q on the basis vectors and the polar values on all basis pairs;
-    bilinear expansion then gives preservation on every vector.
+    Checks q on the basis vectors and the polar values on all pairs of
+    distinct basis vectors (`HyperbolicSpace.polars`); bilinear expansion
+    then gives preservation on every vector.
     """
     if b.rows != b.cols or b.rows % 2 != 0:
         return False
     ring, dim = b.ring, b.rows
     hs = HyperbolicSpace(ring, dim // 2)
-    cols = [b.col(k) for k in range(dim)]
-    basis = [[ring.one if r == k else ring.zero for r in range(dim)] for k in range(dim)]
+    q_cols, polar_cols = hs.polars([b.col(k) for k in range(dim)])
+    _, polar_basis = hs.polars([[ring.one if r == k else ring.zero for r in range(dim)] for k in range(dim)])
     # hyperbolic basis vectors are isotropic
-    return all(ring.is_zero(hs.q(c)) for c in cols) and all(
-        ring.eq(hs.polar(cols[k], cols[l]), hs.polar(basis[k], basis[l]))
-        for k in range(dim)
-        for l in range(k, dim)
-    )
+    return all(map(ring.is_zero, q_cols)) and all(map(ring.eq, polar_cols.values(), polar_basis.values()))
 
 
 # --- certified generators -----------------------------------------------------
@@ -262,7 +259,7 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     by the product of the images of its generators.
     """
     ring, n = x.ring, x.n
-    if b.rows != 2 * n or b.cols != 2 * n or b.ring != ring:
+    if b.rows != 2 * n or b.cols != 2 * n or (b.ring is not ring and b.ring != ring):  # `is` skips a Python call
         raise UsageError("the acting matrix must be 2n x 2n over the same ring")
     coords = monomial_basis(ring, n).decompose(x)
     terms = zip(coords, _transformed_monomials(ring, n, b))

@@ -123,7 +123,7 @@ class SemiTrace:
     def evaluate(self, s: CliffordElement) -> Element:
         """Value on a symmetric element: the reduced trace of rep * s,
         summed without forming the product."""
-        if s.ring != self.ring or s.n != self.n:
+        if (s.ring is not self.ring and s.ring != self.ring) or s.n != self.n:
             raise UsageError("the element lives in a different algebra")
         return trace_of_product(self.rep.matrix, s.matrix)
 
@@ -133,7 +133,7 @@ class SemiTrace:
         odd n, b joins the two blocks and the value is 0."""
         if x.parity() == "mixed":
             raise UsageError("rank-one pairing needs a parity-homogeneous element")
-        if x.ring != self.ring or x.n != self.n:
+        if (x.ring is not self.ring and x.ring != self.ring) or x.n != self.n:
             raise UsageError("the element lives in a different algebra")
         lx = ExteriorVector(self.ring, self.n, self.rep.matrix.apply(x.terms))
         return b_wedge(x, lx)
@@ -142,7 +142,7 @@ class SemiTrace:
         """Equality as semi-traces: the representatives differ by an
         alternating element, exact since Sym^perp = Alt
         (`trace_orthogonality`)."""
-        if self.ring != other.ring or self.n != other.n:
+        if (self.ring is not other.ring and self.ring != other.ring) or self.n != other.n:
             return False
         return in_alternating(self.rep - other.rep)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -62,9 +62,11 @@ class Ring:
     def from_int(self, k: int) -> Element:
         raise NotImplementedError
 
+    _signs = cached_property(lambda self: (self.one, self.neg(self.one)))  # what `sign` returns
+
     def sign(self, parity: int) -> Element:
-        """(-1)**parity as a ring element."""
-        return self.one if parity % 2 == 0 else self.neg(self.one)
+        """(-1)**parity as a ring element, one of a stored pair."""
+        return self._signs[parity % 2]
 
     def lift(self, values: Sequence[Element]) -> tuple[list[int], int]:
         """The ints a `Matrix` stores for the values, and their common scale:
@@ -127,6 +129,9 @@ class PrimeField(Ring):
     def neg(self, a):
         return (-a) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -188,6 +193,8 @@ class GaloisField4(Ring):
     def neg(self, a):
         return a
 
+    sub = add  # characteristic 2
+
     def mul(self, a, b):
         return self._by_parities[a * b & _SLOT_PARITIES]
 
@@ -216,7 +223,23 @@ class GaloisField4(Ring):
         return self._shows[a]
 
 
-class Rationals(Ring):
+class _PythonNumbers(Ring):
+    """A ring of Python numbers, Q or Z, whose +, - and * are the ring's."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+
+class Rationals(_PythonNumbers):
     """Exact rationals; Fraction keeps lowest terms and positive denominator."""
 
     def __init__(self):
@@ -227,15 +250,6 @@ class Rationals(Ring):
         self.one = Fraction(1)
         # one entry per (a, b), as Fraction(randint(-9, 9), randint(1, 9)) draws
         self.draws = tuple(Fraction(a, b) for a in range(-9, 10) for b in range(1, 10))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def inv(self, a):
         if a == 0:
@@ -256,7 +270,7 @@ class Rationals(Ring):
         return Fraction(v, scale)
 
 
-class Integers(Ring):
+class Integers(_PythonNumbers):
     """Arbitrary-precision integers; only the units +1 and -1 invert."""
 
     def __init__(self):
@@ -266,15 +280,6 @@ class Integers(Ring):
         self.zero = 0
         self.one = 1
         self.draws = range(-9, 10)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def inv(self, a):
         if a not in (1, -1):

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,15 @@ def fresh_generator_caches():
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+def perfbench_tracer():
+    """The benchmark's tracer module, `perfbench/tracer.py`, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def fresh_rng(tag: str) -> random.Random:

@@ -14,7 +14,12 @@ products, the two Eichler kinds that swaps conjugate `group.eichler_vv`
 onto, the trace pairing of the tau-orbit bases of Alt and Sym, which
 `trace_orthogonality` certifies on tau itself, and the degree-4 negative
 result by enumerating its 4^6 candidates, which
-`canonical.degree4_no_canonical` certifies by linearity.  Every linear
+`canonical.degree4_no_canonical` certifies by linearity, and the
+pairwise forms: the polars of the hyperbolic form and of q_wedge, each
+q(x + y) - q(x) - q(y) evaluated whole for one pair, and the pairing of
+wedge V as the top coefficient of reversal(x) wedge y, against which the
+walks of `forms` and `clifford.relation_suite`, which evaluate what
+depends on one vector once per walk, are tested.  Every linear
 combination here, the recomposition included, sums through
 `ring_method_combination`, so no oracle leans on an int kernel it is
 compared with.  Everything is written on the public `Matrix` API, on the
@@ -33,7 +38,7 @@ from cliffqp.canonical import EVEN_WORDS_N2
 from cliffqp.clifford import CliffordElement, canonical_involution, generator_matrix, phi_word
 from cliffqp.errors import UsageError
 from cliffqp.exterior import ExteriorVector, mask_size, wedge_masks
-from cliffqp.forms import HyperbolicSpace
+from cliffqp.forms import HyperbolicSpace, q_wedge
 from cliffqp.group import lifted_generator
 from cliffqp.involution import alt_basis, in_alternating, sym_basis
 from cliffqp.linalg import Matrix, rref
@@ -46,6 +51,24 @@ def from_rows(ring: Ring, rows: list[list[Element]]) -> Matrix:
     if any(len(row) != ncols for row in rows):
         raise UsageError("ragged rows")
     return Matrix(ring, len(rows), ncols, [x for row in rows for x in row])
+
+
+def hyperbolic_polar(hs: HyperbolicSpace, x: list, y: list) -> Element:
+    """The polar form q(x + y) - q(x) - q(y) of the hyperbolic form, for one pair."""
+    ring = hs.ring
+    xy = [ring.add(a, b) for a, b in zip(x, y)]
+    return ring.sub(ring.sub(hs.q(xy), hs.q(x)), hs.q(y))
+
+
+def q_wedge_polar(x: ExteriorVector, y: ExteriorVector) -> Element:
+    """The polar form of q_wedge, q(x + y) - q(x) - q(y), for one pair."""
+    ring = x.ring
+    return ring.sub(ring.sub(q_wedge(x + y), q_wedge(x)), q_wedge(y))
+
+
+def b_wedge_via_top(x: ExteriorVector, y: ExteriorVector) -> Element:
+    """The pairing's defining description: top coefficient of reversal(x) wedge y."""
+    return x.reversal().wedge(y).pi_top()
 
 
 def hyperbolic_scale(ring: Ring, n: int, i: int, u: Element) -> Matrix:

@@ -11,10 +11,11 @@ every other method of the same name.
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
 import cliffqp
+
+from conftest import perfbench_tracer
 
 PACKAGE = Path(cliffqp.__file__).resolve().parent
 
@@ -93,11 +94,7 @@ def test_oracles_exist():
 def test_every_oracle_is_a_tracer_target():
     """What keeps an oracle in the package: a `TARGETS` entry of the
     benchmark's tracer with the same module and first path element."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    traced = {(module, attrs[0]) for module, attrs in tracer.TARGETS.values()}
+    traced = {(module, attrs[0]) for module, attrs in perfbench_tracer().TARGETS.values()}
     assert [name for name in ORACLES if tuple(name.split(".")[:2]) not in traced] == []
 
 

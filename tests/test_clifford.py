@@ -183,6 +183,22 @@ def test_relation_certificate_fails_on_a_form_the_identities_do_not_name(monkeyp
     assert out.details == ["b(v1, v2) = 1, but the generator identities need 0"]
 
 
+def test_relations_read_the_form_of_each_generator_into_its_polars(monkeypatch):
+    # q(e_k) is evaluated once and read by every polar b(e_k, e_l); a form
+    # off by one on v1 alone moves all of them
+    honest = clifford.HyperbolicSpace.q
+    v1 = [GF3.one] + [GF3.zero] * 5
+    off = lambda self, m: GF3.add(honest(self, m), GF3.one) if list(m) == v1 else honest(self, m)
+    monkeypatch.setattr(clifford.HyperbolicSpace, "q", off)
+    (report,) = cli.run("relations", 3, GF3, 10, 0)
+    assert report.status == "fail"
+    assert report.details == [
+        "q(v1) = 1, but the generator identities need 0",
+        *(f"b(v1, {other}) = 2, but the generator identities need 0" for other in ("v2", "v3", "v3*", "v2*")),
+        "b(v1, v1*) = 0, but the generator identities need 1",
+    ]
+
+
 def test_certified_checks_cap_their_trials_in_the_cli_only():
     # the CLI runs min(--trials, 10) cross-checking trials in the certified
     # cells; a library call runs what it is given

@@ -13,12 +13,13 @@ from cliffqp.exterior import (
     sign_exponent,
     wedge_masks,
 )
-from cliffqp.forms import b_wedge, q_wedge, q_wedge_polar
+from cliffqp.forms import b_wedge, q_wedge
 from cliffqp.linalg import Matrix, matmul
 from cliffqp.rings import GF3, GF5, QQ, ZZ
+from cliffqp.sampling import random_exterior
 
-from conftest import PALETTE, dense
-from oracles import contraction_matrix, exterior_from_coeffs, left_mult_matrix, mat_vec
+from conftest import PALETTE, dense, fresh_rng, perfbench_tracer
+from oracles import contraction_matrix, exterior_from_coeffs, left_mult_matrix, mat_vec, q_wedge_polar
 
 
 def test_subset_index_fields():
@@ -220,6 +221,40 @@ def test_mask_outside_the_algebra_is_rejected():
         ExteriorVector(QQ, 3, {0: QQ.one, 9: QQ.one})
     with pytest.raises(UsageError):
         ExteriorVector(QQ, 3, {-1: QQ.one})
+
+
+@pytest.mark.parametrize("ring", PALETTE, ids=lambda r: r.name)
+def test_built_results_equal_vectors_built_fresh(ring):
+    # +, wedge and reversal skip the constructor's mask check
+    rng = fresh_rng(f"fresh:{ring.name}")
+    for n in range(1, 5):
+        for _ in range(20):
+            x, y = random_exterior(ring, n, rng), random_exterior(ring, n, rng)
+            for w in (x + y, x.wedge(y), x.reversal()):
+                assert type(w) is ExteriorVector and (w.ring, w.n) == (ring, n)
+                assert w == ExteriorVector(ring, n, dict(w.terms))
+
+
+def test_vectors_are_unhashable_and_compare_structurally():
+    x = ExteriorVector(GF5, 3, {0b101: 2})
+    with pytest.raises(TypeError):
+        hash(x)
+    assert x == ExteriorVector(GF5, 3, {0b101: 2})
+    assert x != ExteriorVector(GF5, 4, {0b101: 2}) and x != ExteriorVector(GF3, 3, {0b101: 2})
+    assert x != {0b101: 2}
+
+
+def test_the_benchmark_tracer_still_wraps_wedge():
+    tracer_module = perfbench_tracer()
+    stem = "exterior.ExteriorVector.wedge"
+    tracer = tracer_module.Tracer({stem: tracer_module.TARGETS[stem]})
+    tracer.install()
+    try:
+        ExteriorVector.basis(QQ, 2, 0b01).wedge(ExteriorVector.basis(QQ, 2, 0b10))
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["absent"] == [] and summary["functions"][stem]["calls"] == 1
 
 
 def test_wrong_length_coefficient_list_is_rejected():

@@ -4,26 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from cliffqp import forms
-from cliffqp.exterior import ExteriorVector
+from cliffqp import cli, forms
+from cliffqp.exterior import ExteriorVector, mask_size
 from cliffqp.forms import (
     HyperbolicSpace,
     b_wedge,
     b_wedge_gram,
-    b_wedge_via_top,
     classify_bilinear,
     gram_agreement_suite,
     polar_matches_prediction,
     q_wedge,
     q_wedge_hyperbolic_gram,
-    q_wedge_polar,
     q_wedge_polar_gram,
 )
 from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, QQ, ZZ
 from cliffqp.sampling import random_exterior
 
-from conftest import PALETTE, fresh_rng
+from conftest import ALL_RINGS, PALETTE, fresh_rng
+from oracles import b_wedge_via_top, hyperbolic_polar, q_wedge_polar
 
 
 def basis(ring, n, mask):
@@ -47,10 +46,10 @@ def test_basis_order_matches_degree_4_convention():
 def test_polar_examples():
     hs = HyperbolicSpace(QQ, 2)
     e = lambda k: [QQ.one if i == k else QQ.zero for i in range(4)]
-    assert hs.polar(e(0), e(3)) == QQ.one  # b(v1, v1*) = 1
-    assert hs.polar(e(0), e(2)) == QQ.zero
+    assert hyperbolic_polar(hs, e(0), e(3)) == QQ.one  # b(v1, v1*) = 1
+    assert hyperbolic_polar(hs, e(0), e(2)) == QQ.zero
     x = [Fraction(2), Fraction(1), Fraction(3), Fraction(5)]
-    assert hs.polar(x, x) == 2 * hs.q(x)
+    assert hyperbolic_polar(hs, x, x) == 2 * hs.q(x)
 
 
 def test_polar_vanishes_on_diagonal_in_char_2():
@@ -58,7 +57,7 @@ def test_polar_vanishes_on_diagonal_in_char_2():
     rng = fresh_rng("polar-char2")
     for _ in range(20):
         x = GF2.samples(rng, 6)
-        assert hs.polar(x, x) == GF2.zero
+        assert hyperbolic_polar(hs, x, x) == GF2.zero
 
 
 def test_q_wedge_polar_vanishes_on_diagonal_in_char_2():
@@ -167,3 +166,65 @@ def test_gram_agreement_suite_names_the_first_wrong_entry_of_the_hyperbolic_witn
     out = gram_agreement_suite(GF3, 3)
     assert not out.passed
     assert out.details == ["hyperbolic witness Gram has 1 at (1, 6)"]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_polar_gram_evaluates_q_once_per_vector_and_once_per_pair(monkeypatch, n):
+    calls = []
+    honest = forms.q_wedge
+    monkeypatch.setattr(forms, "q_wedge", lambda x: calls.append(x) or honest(x))
+    q_wedge_polar_gram(GF2, n)
+    assert len(calls) == 2**n + 4**n  # 3 * 4^n when each pair evaluated all three
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pairwise_oracles_agree_with_the_walks(ring, n):
+    # the walks evaluate what depends on one vector once; the oracles
+    # evaluate each pair whole
+    dim = 1 << n
+    basis = [ExteriorVector.basis(ring, n, mask) for mask in range(dim)]
+    polar, pairing = q_wedge_polar_gram(ring, n), b_wedge_gram(ring, n)
+    for mi, x in enumerate(basis):
+        for mj, y in enumerate(basis):
+            assert ring.eq(q_wedge_polar(x, y), polar.at(mi, mj))
+            assert ring.eq(b_wedge_via_top(x, y), pairing.at(mi, mj))
+    hs, rng = HyperbolicSpace(ring, n), fresh_rng(f"polars:{ring.name}:{n}")
+    e = [[ring.one if i == k else ring.zero for i in range(2 * n)] for k in range(2 * n)]
+    vectors = e + [ring.samples(rng, 2 * n) for _ in range(4)]
+    qs, polars = hs.polars(vectors)
+    assert qs == [hs.q(v) for v in vectors]
+    pairs = [(k, l) for k in range(len(vectors)) for l in range(k + 1, len(vectors))]
+    assert polars == {(k, l): hyperbolic_polar(hs, vectors[k], vectors[l]) for k, l in pairs}
+
+
+def off_on_one_basis_vector(ring, mask):
+    """A q_wedge that is wrong by one on the basis vector v_mask alone."""
+    honest = forms.q_wedge
+
+    def q(x):
+        value = honest(x)
+        return ring.add(value, ring.one) if x.terms == {mask: ring.one} else value
+
+    return q
+
+
+@pytest.mark.parametrize("check", ["polar", "gram"])
+def test_a_q_wedge_wrong_on_one_basis_vector_fails_the_cell(monkeypatch, check):
+    (honest,) = cli.run(check, 3, GF2, 10, 0)
+    assert honest.status == "pass"
+    monkeypatch.setattr(forms, "q_wedge", off_on_one_basis_vector(GF2, 0b010))
+    (report,) = cli.run(check, 3, GF2, 10, 0)
+    assert report.status == "fail"
+
+
+def test_a_reversal_with_the_wrong_sign_fails_the_pairing_comparison(monkeypatch):
+    # reversal must negate v_I for |I| = 2 mod 4; this one leaves them as they are
+    def reversal(x):
+        keep = lambda mask: mask_size(mask) % 4 in (0, 1, 2)
+        return ExteriorVector(x.ring, x.n, {m: a if keep(m) else x.ring.neg(a) for m, a in x.terms.items()})
+
+    monkeypatch.setattr(ExteriorVector, "reversal", reversal)
+    out = gram_agreement_suite(GF3, 3)
+    assert not out.passed
+    assert out.details[0].startswith("pairing mismatch at basis pair (3, 4)")

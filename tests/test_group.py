@@ -20,6 +20,7 @@ from cliffqp.group import (
     pgo_invariance,
     sample_orthogonal,
 )
+from cliffqp.forms import HyperbolicSpace
 from cliffqp.involution import in_alternating
 from cliffqp.linalg import Matrix, matmul
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
@@ -31,6 +32,15 @@ from oracles import eichler_dv, eichler_vd, from_rows, hyperbolic_scale, mat_vec
 
 def test_identity_is_orthogonal():
     assert is_orthogonal(Matrix.identity(GF3, 4))
+
+
+def test_an_isotropic_map_that_breaks_one_polar_value_is_refused():
+    # v1 -> 2 v1 keeps every column isotropic, but b(2 v1, v1*) = 2 != 1
+    b = Matrix.from_nonzeros(GF3, 4, 4, [(0, 0, 2), (1, 1, 1), (2, 2, 1), (3, 3, 1)])
+    hs = HyperbolicSpace(GF3, 2)
+    assert all(GF3.is_zero(hs.q(b.col(k))) for k in range(4))
+    assert hs.polars([b.col(k) for k in range(4)])[1][0, 3] == 2
+    assert not is_orthogonal(b)
 
 
 def test_transvection_matrix_shape():

@@ -65,6 +65,18 @@ def test_from_int_is_a_homomorphism(ring, j, k):
     assert ring.is_zero(f(0)) and ring.is_one(f(1))
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_sub_and_sign_agree_with_their_definitions(ring):
+    # each ring defines sub directly and keeps the pair (1, -1) for sign
+    elems = list(ring.elements()) if ring.char else list(ring.draws)
+    for a in elems:
+        for b in elems:
+            assert ring.eq(ring.sub(a, b), ring.add(a, ring.neg(b)))
+    for k in range(4):
+        assert ring.eq(ring.sign(k), ring.from_int((-1) ** k))
+    assert ring.sign(1) is ring.sign(3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=RATIONALS)
 @example(Fraction(0))
