@@ -4,9 +4,11 @@ Every construction in the package is exposed as a subcommand that runs a
 deterministic check grid and reports pass/fail/skip per (n, ring) cell,
 as text or as a single JSON document.  A check is one entry of `CHECKS`:
 its name, its default cells and the runner of one cell, so adding a check
-takes one entry.  Exit status 0 means everything passed or was skipped
-for a declared eligibility reason, 1 means some check failed or errored,
-2 means the invocation itself was malformed.
+takes one entry.  Every check but `cross-check` is a certificate and
+draws nothing; only `cross-check`, the random comparisons of `sampling`,
+reads the seed and --trials.  Exit status 0 means everything passed or
+was skipped for a declared eligibility reason, 1 means some check failed
+or errored, 2 means the invocation itself was malformed.
 """
 
 from __future__ import annotations
@@ -21,22 +23,22 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import canonical, clifford, forms, group
+from . import canonical, clifford, forms, group, sampling
 from .errors import EligibilityError, UnsupportedRingError
 from .involution import SemiTrace
 from .reporting import CheckOutcome
 from .rings import GF2, GF3, GF4, QQ, RING_BY_NAME, Ring, ring_by_name
 
 DEFAULT_RINGS = (GF2, GF3, GF4, QQ)
-DEFAULT_TRIALS = 100
+DEFAULT_TRIALS = 10
 # The largest rank whose dense even elements stay under a million entries
 # (2 * 4^(n-1)); a larger --n is refused before any matrix is built.
 MAX_N = 10
 
-# A runner takes (ring, n, rng, trials) and returns the cell's outcome.  Each
-# runner looks its check up on the module when it is called, never earlier,
-# so that a function rebound on its module (by a tracer or a test) is the one
-# that runs.
+# A runner takes (ring, n, rng, trials) and returns the cell's outcome; only
+# the runner of `cross-check` reads rng and trials.  Each runner looks its
+# check up on the module when it is called, never earlier, so that a function
+# rebound on its module (by a tracer or a test) is the one that runs.
 Runner = Callable[[Ring, int, random.Random, int], CheckOutcome]
 
 
@@ -54,63 +56,57 @@ def _at_rank_2(n: int, result: Callable[[], CheckOutcome]) -> CheckOutcome:
     return result()
 
 
-def _semitrace_check(check: Callable[[SemiTrace, random.Random, int], CheckOutcome]) -> Runner:
+def _semitrace_check(check: Callable[[SemiTrace], CheckOutcome]) -> Runner:
     """The runner of a check of the canonical semi-trace, built once per cell;
     building it raises EligibilityError where it does not exist."""
-    return lambda ring, n, rng, trials: check(canonical.canonical_semitrace(ring, n), rng, trials)
+    return lambda ring, n, rng, trials: check(canonical.canonical_semitrace(ring, n))
 
 
 # Every check: its default (n, ring) cells and its runner, in the order `all`
 # runs them.  A check whose one cell is (None, None) takes neither --n nor --ring.
 CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
-    # Phi(m)^2 = q(m) Id certified for every m by polarization over the
-    # generator pairs, then min(trials, 10) random m as a cross-check
+    # Phi(m)^2 = q(m) Id certified for every m by polarization over the generator pairs
     "relations": (
         [(n, r) for n in range(1, 7) for r in DEFAULT_RINGS],
-        lambda ring, n, rng, trials: clifford.relation_suite(ring, n, rng, min(trials, 10)),
+        lambda ring, n, rng, trials: clifford.relation_suite(ring, n),
     ),
-    # every unit and unit pair certified by linearity, then min(trials, 10)
-    # random pairs as a cross-check of the implementation
+    # every unit and unit pair certified by linearity
     "gram": (
         [(n, r) for n in range(1, 6) for r in DEFAULT_RINGS],
-        lambda ring, n, rng, trials: forms.gram_agreement_suite(ring, n).merge(
-            clifford.involution_suite(ring, n, rng, min(trials, 10))
-        ),
+        lambda ring, n, rng, trials: forms.gram_agreement_suite(ring, n).merge(clifford.involution_suite(ring, n)),
     ),
     "classify": ([(n, r) for n in range(2, MAX_N + 1) for r in DEFAULT_RINGS], _classify),
+    # (6, gf2) is the premise of q-wedge-correspondence there
     "polar": (
-        [(n, r) for n in range(2, 6) for r in DEFAULT_RINGS],
+        [(n, r) for n in range(2, 6) for r in DEFAULT_RINGS] + [(6, GF2)],
         lambda ring, n, rng, trials: forms.polar_matches_prediction(ring, n),
     ),
-    # the basis of sl_2n certified, then min(trials, 10) random matrices as a cross-check
+    # the basis of sl_2n certified
     "sl-into-alt": (
         [(n, r) for n in (2, 3, 4) for r in (GF2, GF3)],
-        lambda ring, n, rng, trials: canonical.check_sl_into_alt(ring, n, rng, min(trials, 10)),
+        lambda ring, n, rng, trials: canonical.check_sl_into_alt(ring, n),
     ),
-    # the (2n)^2 units E_ij certified by linearity, then min(trials, 10) random matrices as a cross-check
+    # the (2n)^2 units E_ij certified by linearity
     "rho-xi": (
         [(n, r) for n in (2, 3, 4) for r in DEFAULT_RINGS],
-        lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n, rng, min(trials, 10)),
+        lambda ring, n, rng, trials: canonical.rho_xi_check(ring, n),
     ),
-    # every trace-1 representative and every even unit certified, then
-    # min(trials, 10) random trace-zero matrices and even x as cross-checks
+    # every trace-1 representative and every even unit certified
     "canonical-semitrace": (
         [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
         _semitrace_check(
-            lambda f, rng, trials: canonical.check_representative_independence(
-                f, rng, min(trials, 10)
-            ).merge(canonical.check_semitrace_defining(f, rng, min(trials, 10)))
+            lambda f: canonical.check_representative_independence(f).merge(canonical.check_semitrace_defining(f))
         ),
     ),
+    # every coefficient certified, given the premise that `polar` certifies
     "q-wedge-correspondence": (
         [(4, GF2), (4, GF3), (4, QQ), (6, GF2)],
-        _semitrace_check(lambda f, rng, trials: canonical.correspondence_with_q_wedge(f, rng, trials)),
+        _semitrace_check(lambda f: canonical.correspondence_with_q_wedge(f)),
     ),
-    # n + 2 generators certified coefficient by coefficient in their
-    # parameters, then min(trials, 10) random words as a cross-check
+    # n + 2 generators certified coefficient by coefficient in their parameters
     "pgo-invariance": (
         [(4, GF2), (4, GF3), (6, GF2), (6, GF4), (8, GF2), (8, GF3)],
-        _semitrace_check(lambda f, rng, trials: group.pgo_invariance(f, rng, min(trials, 10))),
+        _semitrace_check(lambda f: group.pgo_invariance(f)),
     ),
     "degree4-alt": (
         [(2, GF2), (2, GF4)],
@@ -126,6 +122,41 @@ CHECKS: dict[str, tuple[list[tuple[int | None, Ring | None]], Runner]] = {
         lambda ring, n, rng, trials: canonical.base_change_report(),
     ),
 }
+
+# The routes of `sampling`, each with the checks it cross-checks, in the order
+# a `cross-check` cell runs them from its one rng: each route whose checks
+# hold the cell among their default cells, where the route is defined.
+ROUTES: tuple[tuple[tuple[str, ...], Runner], ...] = (
+    (("relations",), lambda *cell: sampling.phi_square(*cell)),
+    (("gram",), lambda *cell: sampling.involution_pairs(*cell)),
+    (("sl-into-alt", "canonical-semitrace"), lambda *cell: sampling.trace_zero_into_alt(*cell)),
+    (("rho-xi",), lambda *cell: sampling.dense_rho_xi(*cell)),
+    (("canonical-semitrace",), lambda *cell: sampling.semitrace_defining(*cell)),
+    (("q-wedge-correspondence",), lambda *cell: sampling.rank_one_values(*cell)),
+    (("pgo-invariance",), lambda *cell: sampling.orthogonal_words(*cell)),
+)
+
+
+def _cross_check(ring: Ring, n: int, rng: random.Random, trials: int) -> CheckOutcome:
+    """`trials` draws per route at this cell (see ROUTES); no route is a declared skip."""
+    out, ran = CheckOutcome(), False
+    for homes, route in ROUTES:
+        if any((n, ring) in CHECKS[home][0] for home in homes):
+            try:
+                outcome = route(ring, n, rng, trials)
+            except EligibilityError:
+                continue
+            out, ran = out.merge(outcome), True
+    if not ran:
+        raise EligibilityError(f"no random comparison is cross-checked at n={n} over {ring.name}")
+    return out
+
+
+# the union of the checks' default cells, run after every certificate
+CHECKS["cross-check"] = (
+    list(dict.fromkeys(cell for homes, _ in ROUTES for home in homes for cell in CHECKS[home][0])),
+    _cross_check,
+)
 
 
 @dataclass
@@ -196,9 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trials",
         type=int,
         default=DEFAULT_TRIALS,
-        help="random trials per cell: q-wedge-correspondence draws this many per parity, every other check at most 10",
+        help="random draws per route in a cross-check cell; every other check draws nothing",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all random sampling")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the cross-check draws")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     try:
         args = parser.parse_args(argv)

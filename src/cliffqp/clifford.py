@@ -24,8 +24,9 @@ matrix unit to +- one unit, the one `tau_unit` names; `tau_relabel`
 applies this unit rule to an element in one pass, and the alternating
 membership test reads its orbits.  `involution_suite` certifies the rule:
 it is the adjoint on every unit and anti-multiplicative on every pair of
-units, so on every pair of elements by bilinearity; `canonical_involution`,
-which moves rows, is checked against it on random pairs.
+units, so on every pair of elements by bilinearity;
+`sampling.involution_pairs` checks `canonical_involution`, which moves
+rows, against it on random pairs.
 An element's coordinates are its matrix entries, row by row: column
 r * 2^n + c holds E_rc.  The type of the
 involution on the even part is read off the whole Gram matrix, which
@@ -228,8 +229,8 @@ def tau_unit(n: int, a: int, b: int) -> tuple[int, int, int]:
 def tau_relabel(x: CliffordElement) -> CliffordElement:
     """The involution as the unit rule: every nonzero of x moved to the
     signed unit `tau_unit` names, in one pass (`Matrix.linear_image`).
-    `involution_suite` certifies the rule and checks `canonical_involution`
-    against it."""
+    `involution_suite` certifies the rule, and `sampling.involution_pairs`
+    checks `canonical_involution` against it."""
     n, dim = x.n, 1 << x.n
 
     def image(a: int, b: int) -> tuple[tuple[int, int, int]]:
@@ -259,7 +260,7 @@ def parity_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # --- relation suite ---------------------------------------------------------
 
 
-def relation_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
+def relation_suite(ring: Ring, n: int) -> CheckOutcome:
     """Check the defining relations of the algebra on the generator
     supports, and certify Phi(m)^2 = q(m) * Id for every module element m.
 
@@ -276,8 +277,6 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
     generator matrix.  Then Phi(m) = sum m_k Phi(e_k), and
     Phi(m)^2 = sum_k m_k^2 Phi(e_k)^2 + sum_{k<l} m_k m_l (Phi(e_k) Phi(e_l)
     + Phi(e_l) Phi(e_k)) = q(m) Id by polarization, for every m.
-    Random module elements cross-check the implementation through the
-    dense product.
     """
     out = CheckOutcome()
     hs = HyperbolicSpace(ring, n)
@@ -311,20 +310,10 @@ def relation_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
         if phi_vector(ring, n, e[k]).matrix != _word_matrix(ring, n, (k,)):
             out.fail(f"phi_vector(e_{k}) is not the generator matrix of {label}")
 
-    for t in range(trials):
-        coeffs = ring.samples(rng, 2 * n)
-        phi = phi_vector(ring, n, coeffs).matrix
-        square = phi * phi
-        qm = hs.q(coeffs)
-        if square != Matrix.scalar(ring, dim, qm):
-            out.fail(
-                f"Phi(m)^2 != q(m) Id for m=[{', '.join(map(ring.show, coeffs))}] (trial {t}): "
-                f"q(m)={ring.show(qm)}, square={square!r}"
-            )
     if out.passed:
         out.note(
             f"relations hold for n={n} over {ring.name}: Phi(m)^2 = q(m) Id for every m, by "
-            f"polarization over all {4 * n * n} generator pairs; {trials} random module elements agree"
+            f"polarization over all {4 * n * n} generator pairs"
         )
     return out
 
@@ -396,7 +385,7 @@ def monomial_basis(ring: Ring, n: int) -> MonomialBasis:
     return MonomialBasis(ring, n)
 
 
-def involution_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
+def involution_suite(ring: Ring, n: int) -> CheckOutcome:
     """The involution is the adjoint G^-1 x^T G on every matrix unit,
     squares to the identity there, fixes every generator, and is
     anti-multiplicative on every pair of elements.
@@ -412,11 +401,6 @@ def involution_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
     = [b == c] g_a g_d E_{pi(d), pi(a)} = tau(E_ab E_cd), since pi(c) = pi(b)
     only when c = b (pi injective), and then g_b^2 = 1.  By bilinearity
     tau(xy) = tau(y) tau(x) for every pair x, y, at every n.
-
-    At n <= 4, `trials` random pairs cross-check the implementation: on x
-    and on y `canonical_involution`, the adjoint by row moves, must equal
-    `tau_relabel`, the unit rule, and tau(xy) = tau(y) tau(x) must hold
-    through the dense product.
     """
     out = CheckOutcome()
     dim = 1 << n
@@ -444,23 +428,10 @@ def involution_suite(ring: Ring, n: int, rng, trials: int = 10) -> CheckOutcome:
         g = CliffordElement(ring, n, generator_matrix(ring, n, k))
         if canonical_involution(g) != g:
             out.fail(f"involution moves generator {label}")
-    if n <= 4:
-        # local: sampling imports this module
-        from .sampling import random_clifford_element
-
-        for t in range(trials):
-            x = random_clifford_element(ring, n, rng)
-            y = random_clifford_element(ring, n, rng)
-            tx, ty = canonical_involution(x), canonical_involution(y)
-            if tx != tau_relabel(x) or ty != tau_relabel(y):
-                out.fail(f"canonical_involution is not the unit rule on random pair {t}")
-            if canonical_involution(x * y) != ty * tx:
-                out.fail(f"involution not anti-multiplicative on random pair {t}")
     if out.passed:
-        extra = f"; {trials} random pairs agree with the unit rule and the dense product" if n <= 4 else ""
         out.note(
             f"involution is the adjoint on all {4 ** n} units, squares to the identity, fixes all "
-            f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n}){extra}"
+            f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n})"
         )
     return out
 

@@ -108,7 +108,7 @@ def lift_polynomial(
 ) -> tuple[dict[int, Matrix], dict[int, CliffordElement], dict[int, CliffordElement]]:
     """A named orthogonal generator b(x) with its lift g(x) and g(x)^-1 in
     the Clifford group, as Laurent polynomials {power: coefficient} in the
-    parameter x, which `lifted_generator` evaluates and `_certify` checks.
+    parameter x, which `lifted_generator` evaluates and `invariance_problem` checks.
 
     kind is 'swap' (lift v_i - v_i*, odd, inverse its negative), 'perm',
     'scale' (x = u; lift u P + Q, inverse u^-1 P + Q, with P = v_i v_i* and
@@ -266,7 +266,7 @@ def clifford_action(b: Matrix, x: CliffordElement) -> CliffordElement:
     return sum((image.scale(c) for c, image in terms if not ring.is_zero(c)), CliffordElement.zero(ring, n))
 
 
-def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
+def invariance_problem(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
     """What fails for the lift polynomials of a generator, or None when
     every coefficient passes, so that each claim holds at every value of
     the parameter: g lifts b (`lift_problem`), g^-1 l g - l is alternating
@@ -283,12 +283,11 @@ def _certify(l: CliffordElement, b: dict, g: dict, g_inv: dict) -> str | None:
     return None
 
 
-def pgo_invariance(f: SemiTrace, rng, trials: int = 10) -> CheckOutcome:
+def pgo_invariance(f: SemiTrace) -> CheckOutcome:
     """The group generated by the n + 2 generators swap_1, scale_1(u),
     perm(i, i+1) for i < n and eichler_vv(1, 2, t), at every u and t,
     leaves the semi-trace f invariant on all symmetric elements and
-    commutes with the involution; `trials` random words of length 1-3 repeat
-    the checks on composites.
+    commutes with the involution.
 
     An element b with a lift g acts on even elements as x -> g x g^-1.  The
     trace is cyclic, so f(g s g^-1) = trace(g^-1 l g s) for the
@@ -305,17 +304,12 @@ def pgo_invariance(f: SemiTrace, rng, trials: int = 10) -> CheckOutcome:
     named += [("perm", i, i + 1) for i in range(1, n)]
     named.append(("eichler_vv", 1, 2))
     for kind, i, j in named:
-        problem = _certify(l, *lift_polynomial(ring, n, kind, i, j))
+        problem = invariance_problem(l, *lift_polynomial(ring, n, kind, i, j))
         if problem:
             out.fail(f"{kind}{i}{'' if j is None else j}: {problem}")
-    for _ in range(trials):
-        desc, b, (g, g_inv) = sample_orthogonal(ring, n, rng)
-        problem = _certify(l, {0: b}, {0: g}, {0: g_inv})
-        if problem:
-            out.fail(f"{desc}: {problem}")
     if out.passed:
         out.note(
             f"the group generated by the {len(named)} named generators, all parameter values, "
-            f"preserves the semi-trace and the involution; {trials} random words agree"
+            "preserves the semi-trace and the involution"
         )
     return out

@@ -26,6 +26,15 @@ from cliffqp.clifford import (
 )
 from cliffqp.forms import b_wedge_gram, classify_bilinear, gram_agreement_suite, q_wedge_polar_gram
 from cliffqp.group import pgo_invariance
+from cliffqp.sampling import (
+    dense_rho_xi,
+    involution_pairs,
+    orthogonal_words,
+    phi_square,
+    rank_one_values,
+    semitrace_defining,
+    trace_zero_into_alt,
+)
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ
 
 PALETTE = (GF2, GF3, GF4, QQ)
@@ -48,7 +57,7 @@ def test_criterion_01_relation_suite():
     failures = []
     for n in range(1, 7):
         for ring in PALETTE:
-            out = relation_suite(ring, n, rng_for(f"rel:{n}:{ring.name}"), trials=100)
+            out = relation_suite(ring, n).merge(phi_square(ring, n, rng_for(f"rel:{n}:{ring.name}"), trials=100))
             if not out.passed:
                 failures.append(f"n={n} {ring.name}: {out.details[:1]}")
     report(1, "relation-suite", not failures, "n=1..6 x {gf2,gf3,gf4,q}, 100 random m each")
@@ -60,10 +69,10 @@ def test_criterion_02_gram_involution_suite():
         for ring in PALETTE:
             if not gram_agreement_suite(ring, n).passed:
                 failures.append(f"gram n={n} {ring.name}")
-            rng = rng_for(f"tau:{n}:{ring.name}")
-            trials = 100 if n <= 4 else 0
-            if not involution_suite(ring, n, rng, trials=trials).passed:
+            if not involution_suite(ring, n).passed:
                 failures.append(f"involution n={n} {ring.name}")
+            if n <= 4 and not involution_pairs(ring, n, rng_for(f"tau:{n}:{ring.name}"), trials=100).passed:
+                failures.append(f"involution pairs n={n} {ring.name}")
     for n in range(2, 6):
         for ring in PALETTE:
             labels = classify_bilinear(b_wedge_gram(ring, n))
@@ -106,10 +115,12 @@ def test_criterion_05_sl_into_alt():
     failures = []
     for n in (3, 4):
         for ring in (GF2, GF3):
-            out = check_sl_into_alt(ring, n, rng_for(f"sl:{n}:{ring.name}"), trials=50)
+            out = check_sl_into_alt(ring, n).merge(
+                trace_zero_into_alt(ring, n, rng_for(f"sl:{n}:{ring.name}"), trials=50)
+            )
             if not out.passed:
                 failures.append(f"n={n} {ring.name}: {out.details[:1]}")
-    negative = check_sl_into_alt(GF2, 2, rng_for("sl:neg"))
+    negative = check_sl_into_alt(GF2, 2)
     if not negative.passed:
         failures.append("negative control at n=2 over gf2 failed")
     report(5, "sl-into-alt", not failures, "basis of sl_2n + 50 randoms; n=2 control over gf2")
@@ -119,7 +130,7 @@ def test_criterion_06_rho_xi():
     failures = []
     for n in (2, 3, 4):
         for ring in PALETTE_FIELDS:
-            out = rho_xi_check(ring, n, rng_for(f"rhoxi:{n}:{ring.name}"), trials=100)
+            out = rho_xi_check(ring, n).merge(dense_rho_xi(ring, n, rng_for(f"rhoxi:{n}:{ring.name}"), trials=100))
             if not out.passed:
                 failures.append(f"n={n} {ring.name}")
     report(6, "rho-xi-compatibility", not failures, "all (2n)^2 units E_ij + 100 random M, n=2..4, all palette fields")
@@ -130,11 +141,14 @@ def test_criterion_07_canonical_semitrace():
     cells = [(4, GF2), (4, GF3), (4, QQ), (6, GF2)]
     for n, ring in cells:
         tag, f = f"{n}:{ring.name}", canonical_semitrace(ring, n)
-        if not check_representative_independence(f, rng_for(f"ind:{tag}"), trials=10).passed:
+        if not check_representative_independence(f).passed:
             failures.append(f"independence n={n} {ring.name}")
-        if not check_semitrace_defining(f, rng_for(f"def:{tag}"), trials=100).passed:
+        if not trace_zero_into_alt(ring, n, rng_for(f"ind:{tag}"), trials=10).passed:
+            failures.append(f"random trace-zero matrices n={n} {ring.name}")
+        if not check_semitrace_defining(f).merge(semitrace_defining(ring, n, rng_for(f"def:{tag}"), trials=100)).passed:
             failures.append(f"defining identity n={n} {ring.name}")
-        if not correspondence_with_q_wedge(f, rng_for(f"corr:{tag}"), trials=100).passed:
+        rank_one = rank_one_values(ring, n, rng_for(f"corr:{tag}"), trials=100)
+        if not correspondence_with_q_wedge(f).merge(rank_one).passed:
             failures.append(f"quadratic-form correspondence n={n} {ring.name}")
     report(7, "canonical-semitrace", not failures, "n=4 x {gf2,gf3,q} and n=6 x gf2")
 
@@ -142,7 +156,9 @@ def test_criterion_07_canonical_semitrace():
 def test_criterion_08_group_invariance():
     failures = []
     for ring in (GF2, GF3):
-        out = pgo_invariance(canonical_semitrace(ring, 4), rng_for(f"pgo:{ring.name}"), trials=10)
+        out = pgo_invariance(canonical_semitrace(ring, 4)).merge(
+            orthogonal_words(ring, 4, rng_for(f"pgo:{ring.name}"), trials=10)
+        )
         if not out.passed:
             failures.append(f"{ring.name}: {out.details[:1]}")
     report(

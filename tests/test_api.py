@@ -116,9 +116,8 @@ def test_modules_share_no_private_names():
     assert leaks == []
 
 
-# Function-local sibling imports the package keeps: sampling builds
-# CliffordElements, so clifford can import it only once both are loaded.
-LOCAL_IMPORTS = {("clifford.involution_suite", "sampling")}
+# Function-local sibling imports the package keeps: none.
+LOCAL_IMPORTS = set()
 
 
 def test_no_module_imports_a_sibling_inside_a_function():
@@ -136,3 +135,38 @@ def test_no_module_imports_a_sibling_inside_a_function():
                 elif isinstance(inner, ast.Import):
                     found.update((f"{mod}.{node.name}", a.name) for a in inner.names if a.name.startswith("cliffqp"))
     assert found == LOCAL_IMPORTS
+    assert LOCAL_IMPORTS == set()
+
+
+# Functions that take a random source outside `sampling` and the CLI: the
+# rings' batch draw and the word sampler of the group, which `sampling` calls.
+DRAWING = {
+    "rings.Ring.samples",
+    "rings.PrimeField.samples",
+    "rings._draws_below",
+    "group._nonzero",
+    "group.sample_orthogonal",
+}
+
+
+def _functions(tree: ast.Module):
+    """(name, definition) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_no_certificate_takes_an_rng_or_trials():
+    """Every check but `cross-check` is a certificate: the functions its
+    runner calls take neither an rng nor a trial count, so only the
+    samplers and routes of `sampling` draw."""
+    found = set()
+    for mod, tree in _modules().items():
+        if mod in ("sampling", "cli"):
+            continue
+        for name, func in _functions(tree):
+            if {a.arg for a in func.args.args + func.args.kwonlyargs} & {"rng", "trials"}:
+                found.add(f"{mod}.{name}")
+    assert found == DRAWING

@@ -26,7 +26,15 @@ from cliffqp.forms import q_wedge
 from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, RingMorphism
-from cliffqp.sampling import random_exterior, random_matrix, random_trace_zero
+from cliffqp.sampling import (
+    dense_rho_xi,
+    random_exterior,
+    random_matrix,
+    random_trace_zero,
+    rank_one_values,
+    semitrace_defining,
+    trace_zero_into_alt,
+)
 
 from conftest import ALL_RINGS, dense, fresh_rng, off_canonical_semitraces
 from oracles import canonical_map_by_products, degree4_stable_candidates, entries, from_rows, mat_vec, rank
@@ -68,7 +76,7 @@ def test_canonical_map_single_tensor():
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ))
 @pytest.mark.parametrize("n", (2, 3))
 def test_rho_xi(ring, n):
-    out = rho_xi_check(ring, n, fresh_rng(f"rhoxi:{ring.name}:{n}"), trials=25)
+    out = rho_xi_check(ring, n).merge(dense_rho_xi(ring, n, fresh_rng(f"rhoxi:{ring.name}:{n}"), trials=25))
     assert out.passed, out.details
 
 
@@ -92,7 +100,7 @@ def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
     ring, n = GF3, 3
     honest = canonical.canonical_map_c
     monkeypatch.setattr(canonical, "canonical_map_c", lambda m: honest(m) + CliffordElement.identity(ring, n))
-    out = check_sl_into_alt(ring, n, fresh_rng("sl-mutant"), trials=0)
+    out = check_sl_into_alt(ring, n)
     assert not out.passed
     assert len(out.details) == 4 * n * n - 1
     assert "c(E_(0,1)) is not alternating over gf3, n=3" in out.details
@@ -101,13 +109,13 @@ def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
 @pytest.mark.parametrize("ring", (GF2, GF3))
 @pytest.mark.parametrize("n", (3, 4))
 def test_sl_into_alt(ring, n):
-    out = check_sl_into_alt(ring, n, fresh_rng(f"sl:{ring.name}:{n}"), trials=20)
+    out = check_sl_into_alt(ring, n).merge(trace_zero_into_alt(ring, n, fresh_rng(f"sl:{ring.name}:{n}"), trials=20))
     assert out.passed, out.details
 
 
 @pytest.mark.parametrize("ring", (GF4, GF5, QQ))
 def test_sl_into_alt_every_palette_field(ring):
-    out = check_sl_into_alt(ring, 3, fresh_rng(f"slall:{ring.name}"), trials=10)
+    out = check_sl_into_alt(ring, 3).merge(trace_zero_into_alt(ring, 3, fresh_rng(f"slall:{ring.name}"), trials=10))
     assert out.passed, out.details
 
 
@@ -144,10 +152,10 @@ def test_sl_into_alt_row_identity_example():
 
 
 def test_sl_into_alt_negative_control_needs_char2():
-    out = check_sl_into_alt(GF2, 2, fresh_rng("neg"), trials=0)
+    out = check_sl_into_alt(GF2, 2)
     assert out.passed
     with pytest.raises(EligibilityError):
-        check_sl_into_alt(GF3, 2, fresh_rng("neg3"))
+        check_sl_into_alt(GF3, 2)
 
 
 def test_eligibility_table():
@@ -199,7 +207,8 @@ def test_canonical_semitrace_exists_exactly_where_the_prediction_is_orthogonal(r
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_representative_independence_n4(ring):
-    out = check_representative_independence(canonical_semitrace(ring, 4), fresh_rng(f"ind:{ring.name}"), trials=8)
+    out = check_representative_independence(canonical_semitrace(ring, 4))
+    out.merge(trace_zero_into_alt(ring, 4, fresh_rng(f"ind:{ring.name}"), trials=8))
     assert out.passed, out.details
 
 
@@ -229,14 +238,14 @@ def test_representative_independence_refuses_rank_2():
     f = SemiTrace(canonical_map_c(e))
     assert not f.agrees_with(SemiTrace(canonical_map_c(e + phi_b_unit(ring, n, 0, 1))))
     with pytest.raises(EligibilityError, match="n >= 3"):
-        check_representative_independence(f, fresh_rng("ind n2"))
+        check_representative_independence(f)
 
 
 def test_rho_xi_walk_fails_when_the_unit_rule_flips_one_unit(monkeypatch):
     # tau's unit rule with the sign of one unit's image flipped, while
-    # canonical_involution, which the random trials read, stays honest: the
+    # canonical_involution, which the random route reads, stays honest: the
     # walk names the first E_ij whose image meets that unit on one line, and
-    # the random trials add nothing
+    # the random route sees nothing
     ring, n = GF3, 3
     (a, b, _), *_ = canonical_map_c(unit_matrix(ring, 2 * n, 0, 0)).matrix.nonzeros()
     honest = canonical.tau_unit
@@ -246,10 +255,10 @@ def test_rho_xi_walk_fails_when_the_unit_rule_flips_one_unit(monkeypatch):
         return parity ^ ((r, c) == (a, b)), rr, cc
 
     monkeypatch.setattr(canonical, "tau_unit", flipped)
-    walk = rho_xi_check(ring, n, fresh_rng("flipped unit rule"), trials=0)
+    walk = rho_xi_check(ring, n)
     assert not walk.passed and len(walk.details) == 1
     assert walk.details[0].startswith("(Id + tau) c(E_ij) is not trace(E_ij) Id on unit (0, 0)")
-    assert rho_xi_check(ring, n, fresh_rng("flipped unit rule"), trials=10).details == walk.details
+    assert dense_rho_xi(ring, n, fresh_rng("flipped unit rule"), trials=10).passed
 
 
 def test_a_canonical_map_that_drops_one_unit_fails_rho_xi_and_representative_independence(monkeypatch):
@@ -264,23 +273,23 @@ def test_a_canonical_map_that_drops_one_unit_fails_rho_xi_and_representative_ind
         return honest(Matrix.from_nonzeros(m.ring, m.rows, m.cols, kept))
 
     monkeypatch.setattr(canonical, "canonical_map_c", dropped)
-    rho = rho_xi_check(ring, n, fresh_rng("dropped unit"), trials=0)
+    rho = rho_xi_check(ring, n)
     assert rho.details == ["(Id + tau) c(E_ij) is not trace(E_ij) Id on unit (0, 0)"]
-    out = check_representative_independence(canonical_semitrace(ring, n), fresh_rng("dropped unit"), trials=0)
+    out = check_representative_independence(canonical_semitrace(ring, n))
     assert not out.passed
     assert f"c(E_(0,0) - E_(1,1)) is not alternating over gf3, n={n}" in out.details
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_semitrace_defining_n4(ring):
-    out = check_semitrace_defining(canonical_semitrace(ring, 4), fresh_rng(f"def:{ring.name}"), trials=25)
+    out = check_semitrace_defining(canonical_semitrace(ring, 4))
+    out.merge(semitrace_defining(ring, 4, fresh_rng(f"def:{ring.name}"), trials=25))
     assert out.passed, out.details
 
 
 def test_semitrace_walk_fails_when_tau_flips_one_even_unit(monkeypatch):
     # tau(E_ab) = +-E_rc with its sign flipped on the one even unit whose
-    # image reads a nonzero l[c, r]: with the trial loop off, the walk names
-    # that unit on one line
+    # image reads a nonzero l[c, r]: the walk names that unit on one line
     ring, n = GF3, 4
     f = canonical_semitrace(ring, n)
     honest = canonical.tau_unit
@@ -292,7 +301,7 @@ def test_semitrace_walk_fails_when_tau_flips_one_even_unit(monkeypatch):
         return parity ^ ((r, c) == (a, b)), rr, cc
 
     monkeypatch.setattr(canonical, "tau_unit", flipped)
-    out = check_semitrace_defining(f, fresh_rng("flipped tau"), trials=0)
+    out = check_semitrace_defining(f)
     assert out.details == [f"f(E_ab + tau E_ab) is not trace(E_ab) on unit {(a, b)}"]
 
 
@@ -300,15 +309,13 @@ def test_semitrace_walk_fails_when_tau_flips_one_even_unit(monkeypatch):
 def test_semitrace_walk_fails_on_a_representative_shifted_by_a_non_alternating_unit(ring):
     # l' = l + E_u for the even unit u = (0, 3), which tau moves to (12, 15):
     # l' + tau l' = 1 + E_u + tau E_u != 1, so SemiTrace refuses l' and the
-    # test builds it around that check; with the trial loop off, the walk
-    # names the two units that read E_u on one line
+    # test builds it around that check; the walk names the two units that
+    # read E_u on one line
     n = 4
     rep = canonical_semitrace(ring, n).rep + CliffordElement(ring, n, unit_matrix(ring, 16, 0, 3))
     with pytest.raises(DomainError):
         SemiTrace(rep)
-    f = SemiTrace.__new__(SemiTrace)
-    f.ring, f.n, f.rep = ring, n, rep
-    out = check_semitrace_defining(f, fresh_rng("shifted walk"), trials=0)
+    out = check_semitrace_defining(_bare_semitrace(rep))
     assert out.details == ["f(E_ab + tau E_ab) is not trace(E_ab) on unit (3, 0) and 1 more unit"]
 
 
@@ -391,14 +398,13 @@ def test_rank_one_routes_refuse_a_mixed_or_foreign_vector():
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
 def test_correspondence_fails_for_a_semitrace_off_the_canonical_class(ring):
     # l' = l + E_u carries another semi-trace (`off_canonical_semitraces`),
-    # which the check must refuse
+    # which the certificate must refuse
     honest = canonical_semitrace(ring, 4)
     shifted = off_canonical_semitraces(ring, 4)
     assert len(shifted) == 16
     for (a, _), f in shifted:
         assert not f.agrees_with(honest)
-        out = correspondence_with_q_wedge(f, fresh_rng(f"shifted:{ring.name}:{a}"), trials=25)
-        assert not out.passed
+        assert not correspondence_with_q_wedge(f).passed
 
 
 @pytest.mark.parametrize("ring", (GF2, GF4), ids=lambda r: r.name)
@@ -408,19 +414,83 @@ def test_canonical_semitrace_cell_refuses_a_semitrace_off_the_canonical_class(ri
     # trace(l' (x + tau x)) = trace((l' + tau l') x) holds for every
     # semi-trace, so it accepts each one
     for (a, b), f in off_canonical_semitraces(ring, 4):
-        out = check_representative_independence(f, fresh_rng(f"shifted ind:{ring.name}:{a}"), trials=3)
+        out = check_representative_independence(f)
         assert not out.passed, (a, b)
         assert [line for line in out.details if line.startswith("f is not")] == [
             "f is not the semi-trace of c(E) for the trace-1 unit E = E_(7,7)"
         ]
         assert len(out.details) == 3  # the two certificates' notes around it
-        assert check_semitrace_defining(f, fresh_rng(f"shifted def:{ring.name}:{a}"), trials=25).passed, (a, b)
+        assert check_semitrace_defining(f).passed, (a, b)
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
 def test_correspondence_random(ring):
-    out = correspondence_with_q_wedge(canonical_semitrace(ring, 4), fresh_rng(f"corr:{ring.name}"), trials=25)
+    out = correspondence_with_q_wedge(canonical_semitrace(ring, 4))
+    out.merge(rank_one_values(ring, 4, fresh_rng(f"corr:{ring.name}"), trials=25))
     assert out.passed, out.details
+
+
+@pytest.mark.parametrize("ring, n, compared", [(GF2, 4, 24), (GF3, 4, 24), (QQ, 4, 24), (GF2, 6, 96), (GF3, 8, 384)])
+def test_correspondence_certificate_compares_every_nonzero_coefficient(ring, n, compared):
+    # the 2^n basis vectors and the 2^(n-1) complementary pairs; the
+    # canonical Q has no nonzero coefficient elsewhere
+    out = correspondence_with_q_wedge(canonical_semitrace(ring, n))
+    assert out.details == [
+        f"f(b(x, _) x) = q(x) on both parity blocks: {compared} coefficients agree, every other "
+        f"one is 0 as the polar of q_wedge is the pairing (`polar` at n={n}, {ring.name})"
+    ]
+
+
+def _bare_semitrace(rep):
+    # a SemiTrace around rep without the check l + tau(l) = 1
+    f = SemiTrace.__new__(SemiTrace)
+    f.ring, f.n, f.rep = rep.ring, rep.n, rep
+    return f
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
+def test_correspondence_certificate_fails_on_a_representative_with_one_nonzero_dropped(ring):
+    n = 4
+    l = canonical_semitrace(ring, n).rep.matrix
+    nonzeros = list(l.nonzeros())
+    assert len(nonzeros) == 8
+    for dropped in nonzeros:
+        kept = [t for t in nonzeros if t != dropped]
+        f = _bare_semitrace(CliffordElement(ring, n, Matrix.from_nonzeros(ring, l.rows, l.cols, kept)))
+        out = correspondence_with_q_wedge(f)
+        assert not out.passed and all(line.startswith("coefficient of x_") for line in out.details), dropped
+
+
+def _q_wedge_off_on(monkeypatch, masks):
+    # q_wedge plus 1 on the vector e_I + ... for the masks I, and honest elsewhere
+    honest = canonical.q_wedge
+
+    def off(x):
+        value = honest(x)
+        return x.ring.add(value, x.ring.one) if set(x.terms) == set(masks) else value
+
+    monkeypatch.setattr(canonical, "q_wedge", off)
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3), ids=lambda r: r.name)
+def test_correspondence_certificate_fails_on_a_q_wedge_off_on_one_basis_vector(monkeypatch, ring):
+    # v2 v3 is mask 6, whose complement is 9: the basis vector fails, and so
+    # does the polar of the one compared pair that holds it
+    f = canonical_semitrace(ring, 4)
+    _q_wedge_off_on(monkeypatch, [6])
+    out = correspondence_with_q_wedge(f)
+    assert not out.passed
+    assert out.details[0] == "coefficient of x_6 x_6: f(b(x, _) x) gives 0, q_wedge 1"
+    assert [line.split(":")[0] for line in out.details] == ["coefficient of x_6 x_6", "coefficient of x_6 x_9"]
+
+
+@pytest.mark.parametrize("ring", (GF2, GF3), ids=lambda r: r.name)
+def test_correspondence_certificate_fails_on_a_q_wedge_off_on_one_complementary_pair(monkeypatch, ring):
+    f = canonical_semitrace(ring, 4)
+    _q_wedge_off_on(monkeypatch, [6, 9])
+    out = correspondence_with_q_wedge(f)
+    assert not out.passed
+    assert [line.split(":")[0] for line in out.details] == ["coefficient of x_6 x_9"]
 
 
 def test_degree4_alt_report():

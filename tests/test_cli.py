@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import cliffqp
-from cliffqp import canonical, clifford, forms
+from cliffqp import canonical, clifford, forms, group, sampling
 from cliffqp.cli import CHECKS, MAX_N, main, run
+from cliffqp.clifford import CliffordElement
+from cliffqp.exterior import ExteriorVector
+from cliffqp.involution import SemiTrace
 from cliffqp.linalg import Matrix
-from cliffqp.rings import ring_by_name
+from cliffqp.rings import GF3, ring_by_name
 
 
 def run_json(capsys, args):
@@ -63,6 +66,7 @@ FIRST_CALL = {
     "degree4-alt": (canonical, "degree4_alt_report"),
     "degree4-counterexample": (canonical, "degree4_no_canonical"),
     "base-change": (canonical, "base_change_report"),
+    "cross-check": (sampling, "phi_square"),
 }
 
 
@@ -245,11 +249,128 @@ def test_sl_into_alt_runs_at_rank_8(capsys):
     assert doc["reports"][0]["n"] == 8
 
 
-def test_canonical_semitrace_draws_at_most_ten_trace_zero_matrices(capsys):
-    for trials, drawn in (("1", 1), ("100", 10)):
-        args = ["canonical-semitrace", "--n", "4", "--ring", "gf2", "--trials", trials]
-        details = run_json(capsys, args)[1]["reports"][0]["details"]
-        assert f"63 basis elements of sl_8 and {drawn} random trace-zero matrices map into Alt (n=4, gf2)" in details
+def test_cross_check_draws_exactly_trials_per_route(capsys, monkeypatch):
+    # (4, gf3) runs all seven routes; each sampler is counted as it is called
+    calls = {}
+    for name in ("random_matrix", "random_trace_zero", "random_even_element", "random_clifford_element",
+                 "random_exterior", "sample_orthogonal"):
+        def counted(*args, _honest=getattr(sampling, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _honest(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, name, counted)
+    for trials in (1, 7):
+        calls.clear()
+        args = ["cross-check", "--n", "4", "--ring", "gf3", "--trials", str(trials)]
+        (report,) = run_json(capsys, args)[1]["reports"]
+        assert report["status"] == "pass"
+        assert len(report["details"]) == 7
+        assert all(line.startswith(f"{trials} random ") for line in report["details"])
+        assert calls == {
+            "random_clifford_element": 2 * trials,  # a pair per trial
+            "random_matrix": 3 * trials,  # one per dense M, and one inside each random_clifford_element
+            "random_trace_zero": trials,
+            "random_even_element": trials,
+            "random_exterior": 2 * trials,  # trials per parity block
+            "sample_orthogonal": trials,
+        }
+
+
+PALETTE_NAMES = ("gf2", "gf3", "gf4", "q")
+
+# Each route's cells, written out rather than read from CHECKS: the default
+# cells of its home checks where the route is defined.  They are the cells
+# whose certified checks drew these inputs when each ran its own random
+# cross-check, so that no cell lost one; their union is the cross-check grid.
+ROUTE_CELLS = {
+    "phi_square": [(n, r) for n in (1, 2, 3, 4, 5, 6) for r in PALETTE_NAMES],  # relations
+    "involution_pairs": [(n, r) for n in (1, 2, 3, 4) for r in PALETTE_NAMES],  # gram at n <= 4
+    "trace_zero_into_alt": [(3, "gf2"), (3, "gf3"), (4, "gf2"), (4, "gf3"), (4, "q"), (6, "gf2")],
+    "dense_rho_xi": [(n, r) for n in (2, 3, 4) for r in PALETTE_NAMES],
+    "semitrace_defining": [(4, "gf2"), (4, "gf3"), (4, "q"), (6, "gf2")],
+    "rank_one_values": [(4, "gf2"), (4, "gf3"), (4, "q"), (6, "gf2")],
+    "orthogonal_words": [(4, "gf2"), (4, "gf3"), (6, "gf2"), (6, "gf4"), (8, "gf2"), (8, "gf3")],
+}
+
+
+def test_cross_check_runs_each_route_at_its_home_cells(monkeypatch):
+    ran = []
+    for name in ROUTE_CELLS:
+        def recorded(ring, n, rng, trials, _honest=getattr(sampling, name), _name=name):
+            out = _honest(ring, n, rng, trials)  # raises where the route is not defined
+            ran.append((n, ring.name, _name))
+            return out
+
+        monkeypatch.setattr(sampling, name, recorded)
+    reports = run("cross-check", None, None, 1, 0)
+    assert [r.status for r in reports] == ["pass"] * 26
+    grid = {(n, r) for cells in ROUTE_CELLS.values() for n, r in cells}
+    assert {(r.n, r.ring) for r in reports} == grid
+    assert grid == {(n, r) for n in (1, 2, 3, 4, 5, 6) for r in PALETTE_NAMES} | {(8, "gf2"), (8, "gf3")}
+    for name, cells in ROUTE_CELLS.items():
+        assert [(n, r) for n, r, route in ran if route == name] == cells, name
+    order = list(ROUTE_CELLS)
+    for n, r in grid:
+        routes = [route for cn, cr, route in ran if (cn, cr) == (n, r)]
+        assert routes == sorted(routes, key=order.index), (n, r)
+
+
+def test_a_cell_without_a_route_is_a_declared_skip(capsys):
+    for args in (["--ring", "z"], ["--n", "7"], ["--n", "8", "--ring", "q"]):
+        code, doc = run_json(capsys, ["cross-check", *args, "--trials", "1"])
+        assert code == 0 and doc["passed"] == doc["failed"] == 0 and doc["skipped"] == len(doc["reports"]) > 0
+        for report in doc["reports"]:
+            assert report["details"] == [f"no random comparison is cross-checked at n={report['n']} over {report['ring']}"]
+
+
+def _dense(x) -> bool:
+    """Whether an input holds more than one nonzero: the certificates read units only."""
+    if isinstance(x, CliffordElement):
+        x = x.matrix
+    if isinstance(x, Matrix):
+        return len(list(x.nonzeros())) > 1
+    if isinstance(x, ExteriorVector):
+        return len(x.terms) > 1
+    return sum(1 for c in x if c) > 1  # module coefficients
+
+
+ONE = CliffordElement.identity(GF3, 4)
+
+def _plus_one(honest, at=-1):
+    """honest plus 1 on a dense argument (the one at position `at`)."""
+    def wrong(*args):
+        value = honest(*args)
+        if not _dense(args[at]):
+            return value
+        return value + ONE if isinstance(value, CliffordElement) else GF3.add(value, GF3.one)
+
+    return wrong
+
+
+# Each route's fast side, made wrong on dense input at (4, gf3): (owner,
+# attribute, wrong version of the honest one, the witness of the route).
+WRONG_ON_DENSE = {
+    "phi_square": (sampling, "phi_vector", _plus_one, "Phi(m)^2 != q(m) Id"),
+    "involution_pairs": (sampling, "tau_relabel", _plus_one, "canonical_involution is not the unit rule"),
+    "trace_zero_into_alt": (
+        sampling, "in_alternating", lambda honest: lambda x: honest(x) and not _dense(x), "c(M) not alternating"
+    ),
+    "dense_rho_xi": (sampling, "canonical_map_c", _plus_one, "(Id + tau) c(M) is not trace(M) Id"),
+    "semitrace_defining": (SemiTrace, "evaluate", _plus_one, "f(x + tau x) ="),
+    "rank_one_values": (SemiTrace, "evaluate_rank_one", _plus_one, "f(rank-one) ="),
+    "orthogonal_words": (
+        group, "lifted_generator", lambda honest: lambda *a: (honest(*a)[0], ONE, ONE), "the lift does not induce the generator"
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(WRONG_ON_DENSE))
+def test_the_cross_check_fails_when_a_fast_route_is_wrong_on_dense_input(monkeypatch, route):
+    owner, name, wrong, witness = WRONG_ON_DENSE[route]
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    (report,) = run("cross-check", 4, GF3, 3, 0)
+    assert report.status == "fail"
+    assert any(witness in line for line in report.details), report.details
 
 
 def test_degree4_checks_skip_other_ranks(capsys):
@@ -282,7 +403,7 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
         (["rho-xi", "--n", "3", "--ring", "z", "--seed", "3"], 1),
         (["gram", "--n", "3", "--ring", "gf4", "--seed", "3"], 1),
         (["canonical-semitrace", "--n", "4", "--ring", "gf2", "--seed", "3"], 1),
-        (["all", "--trials", "1", "--seed", "0"], 132),
+        (["all", "--trials", "1", "--seed", "0"], 159),
     ):
         texts = []
         for _ in range(2):
@@ -306,6 +427,23 @@ def test_checks_at_their_default_trials_match_their_golden_files(capsys, check):
     assert main([check, "--seed", "0", "--json"]) == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
     assert text == (Path(__file__).parent / "golden" / f"{check}-seed0.json").read_text()
+
+
+def test_only_the_cross_check_reads_the_seed_and_the_trials(capsys):
+    # every certificate draws nothing: its reports do not move with --seed
+    # or --trials, and the cross-check cells are the only ones that may
+    docs = [run_json(capsys, ["all", "--seed", seed, "--trials", n])[1] for seed, n in (("0", "1"), ("5", "7"))]
+    certified = [
+        [{**r, "elapsed_ms": 0, "seed": 0} for r in doc["reports"] if r["check"] != "cross-check"] for doc in docs
+    ]
+    assert len(certified[0]) == 134 and certified[0] == certified[1]
+    crossed = [[r["details"] for r in doc["reports"] if r["check"] == "cross-check"] for doc in docs]
+    assert len(crossed[0]) == 26 and crossed[0] != crossed[1]
+
+
+def test_every_q_wedge_cell_has_its_polar_premise():
+    # the coefficient certificate presumes that polar(q_wedge) is the pairing
+    assert set(CHECKS["q-wedge-correspondence"][0]) <= set(CHECKS["polar"][0])
 
 
 def test_same_seed_gives_identical_json_across_processes():

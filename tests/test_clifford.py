@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from cliffqp import cli, clifford, involution
+from cliffqp import cli, clifford, involution, sampling
 from cliffqp.clifford import (
     CliffordElement,
     canonical_involution,
@@ -25,7 +25,7 @@ from cliffqp.exterior import mask_size
 from cliffqp.forms import b_wedge_gram
 from cliffqp.linalg import Matrix, SignedPermutation, rref, signed_perm_inverse, trace_of_product
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, ZZ
-from cliffqp.sampling import random_clifford_element, random_even_element
+from cliffqp.sampling import involution_pairs, phi_square, random_clifford_element, random_even_element
 
 from conftest import ALL_RINGS, PALETTE, fresh_rng
 from oracles import entries, from_rows, generator_by_wedge, phi_vector_by_combination, recompose, word_by_products
@@ -89,7 +89,7 @@ def test_phi_word_rejects_bad_label():
 @pytest.mark.parametrize("ring", PALETTE + (GF5,))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_relation_suite_small(ring, n):
-    out = relation_suite(ring, n, fresh_rng(f"rel:{ring.name}:{n}"), trials=25)
+    out = relation_suite(ring, n).merge(phi_square(ring, n, fresh_rng(f"rel:{ring.name}:{n}"), trials=25))
     assert out.passed, out.details
 
 
@@ -123,31 +123,31 @@ def _phi_without_dual_signs(ring, n, coeffs):
 def test_relation_trials_catch_a_phi_without_the_dual_signs(monkeypatch):
     # the generator relations read the composed generator supports, so
     # they still hold; the premise phi_vector(e_k) = Phi(e_k) names the
-    # first dual generator v3* (v1* has no sign to drop), and the trials fail
+    # first dual generator v3* (v1* has no sign to drop), and the random
+    # module elements of the cross-check fail
     ring, n = GF3, 3
-    assert relation_suite(ring, n, fresh_rng("phi-signs"), trials=20).passed
+    assert relation_suite(ring, n).passed
+    assert phi_square(ring, n, fresh_rng("phi-signs"), trials=20).passed
     monkeypatch.setattr(clifford, "phi_vector", _phi_without_dual_signs)
-    out = relation_suite(ring, n, fresh_rng("phi-signs"), trials=20)
-    assert not out.passed
-    premises = [line for line in out.details if line.startswith("phi_vector(e_")]
-    assert premises == [
+    monkeypatch.setattr(sampling, "phi_vector", _phi_without_dual_signs)
+    assert relation_suite(ring, n).details == [
         "phi_vector(e_3) is not the generator matrix of v3*",
         "phi_vector(e_4) is not the generator matrix of v2*",
     ]
-    trials = [line for line in out.details if line.startswith("Phi(m)^2 != q(m) Id")]
-    assert trials and len(premises) + len(trials) == len(out.details)
+    out = phi_square(ring, n, fresh_rng("phi-signs"), trials=20)
+    assert not out.passed and all(line.startswith("Phi(m)^2 != q(m) Id") for line in out.details)
 
 
 def test_relation_certificate_fails_on_overlapping_generator_supports(monkeypatch, fresh_generator_caches):
     # v2 at n=2 moves its nonzero of column 0 from row 2 to row 1, where v1
     # has one: each support still hits a row and a column at most once, and
-    # with the trial loop off the disjointness premise names the position
+    # the disjointness premise names the position
     units = clifford._generator_units
     v1, (_, *v2_rest) = units(2, 0), units(2, 1)
     moved = (v1[0], *v2_rest)
     assert v1[0][:2] == (1, 0)
     monkeypatch.setattr(clifford, "_generator_units", lambda n, k: moved if (n, k) == (2, 1) else units(n, k))
-    out = relation_suite(GF3, 2, fresh_rng("overlap"), trials=0)
+    out = relation_suite(GF3, 2)
     assert not out.passed
     assert "the supports of v1 and v2 overlap on unit (1, 0)" in out.details
 
@@ -160,7 +160,7 @@ def test_relation_certificate_names_each_pair_a_flipped_generator_sign_breaks(mo
     (r, c, parity), *rest = units(3, 0)
     flipped = ((r, c, parity ^ 1), *rest)
     monkeypatch.setattr(clifford, "_generator_units", lambda n, k: flipped if (n, k) == (3, 0) else units(n, k))
-    out = relation_suite(GF3, 3, fresh_rng("flip"), trials=0)
+    out = relation_suite(GF3, 3)
     assert out.details == [
         "v1 v2 + v2 v1 is not 0 Id on unit (3, 0)",
         "v1 v3 + v3 v1 is not 0 Id on unit (5, 0)",
@@ -168,18 +168,18 @@ def test_relation_certificate_names_each_pair_a_flipped_generator_sign_breaks(mo
         "v1 v2* + v2* v1 is not 0 Id on unit (1, 2)",
         "v1 v1* + v1* v1 is not 1 Id on unit (0, 0)",
     ]
-    assert relation_suite(GF2, 3, fresh_rng("flip"), trials=0).passed
+    assert relation_suite(GF2, 3).passed
 
 
 def test_relation_certificate_fails_on_a_form_the_identities_do_not_name(monkeypatch):
     # a hyperbolic form that pairs v1 with v2 as well: the generator
-    # identities still hold, and with the trial loop off only the form's
-    # values on the generator pairs can see it
+    # identities still hold, and only the form's values on the generator
+    # pairs can see it
     honest = clifford.HyperbolicSpace.q
     monkeypatch.setattr(
         clifford.HyperbolicSpace, "q", lambda self, m: GF3.add(honest(self, m), GF3.mul(m[0], m[1]))
     )
-    out = relation_suite(GF3, 2, fresh_rng("form"), trials=0)
+    out = relation_suite(GF3, 2)
     assert out.details == ["b(v1, v2) = 1, but the generator identities need 0"]
 
 
@@ -199,16 +199,18 @@ def test_relations_read_the_form_of_each_generator_into_its_polars(monkeypatch):
     ]
 
 
-def test_certified_checks_cap_their_trials_in_the_cli_only():
-    # the CLI runs min(--trials, 10) cross-checking trials in the certified
-    # cells; a library call runs what it is given
-    (relations,) = cli.run("relations", 8, GF2, 100, 0)
+def test_certified_checks_leave_every_draw_to_the_cross_check():
+    # the certified cells draw nothing, whatever --trials asks for; the
+    # cross-check cell at the same (n, ring) draws exactly --trials per route
+    (relations,) = cli.run("relations", 6, GF2, 100, 0)
     (semitrace,) = cli.run("canonical-semitrace", 6, GF2, 100, 0)
     assert relations.status == semitrace.status == "pass"
-    assert relations.details[-1].endswith("; 10 random module elements agree")
-    assert semitrace.details[-1].endswith("; 10 random even elements agree")
-    out = relation_suite(GF2, 3, fresh_rng("cap"), trials=25)
-    assert out.passed and out.details[-1].endswith("; 25 random module elements agree")
+    assert relations.details[-1].endswith("by polarization over all 144 generator pairs")
+    assert semitrace.details[-1].endswith("on all 2048 even units, so on every even element")
+    (cross,) = cli.run("cross-check", 6, GF2, 25, 0)
+    assert cross.status == "pass"
+    assert "25 random module elements agree: Phi(m)^2 = q(m) Id" in cross.details
+    assert "25 random even elements agree: f(x + tau x) = trace(x)" in cross.details
 
 
 def test_phi_square_is_form_value():
@@ -310,7 +312,8 @@ def test_involution_anti_multiplicative(ring):
 
 
 def test_involution_suite_runs():
-    assert involution_suite(GF3, 2, fresh_rng("isuite"), trials=10).passed
+    assert involution_suite(GF3, 2).passed
+    assert involution_pairs(GF3, 2, fresh_rng("isuite"), trials=10).passed
 
 
 def test_involution_on_n2_blocks_swaps_diagonal():
@@ -494,7 +497,7 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
     # E_{1, 2} is a fixed unit at n = 2, so a flipped sign still squares to
     # the identity; only the comparison with the adjoint sees it
     ring, n = GF3, 2
-    assert involution_suite(ring, n, fresh_rng("unit-sign"), trials=0).passed
+    assert involution_suite(ring, n).passed
     unit = clifford.tau_unit
 
     def flipped(n, a, b):
@@ -502,7 +505,7 @@ def test_involution_suite_catches_a_wrong_unit_sign(monkeypatch):
         return (parity + ((a, b) == (1, 2))) % 2, r, c
 
     monkeypatch.setattr(clifford, "tau_unit", flipped)
-    out = involution_suite(ring, n, fresh_rng("unit-sign"), trials=0)
+    out = involution_suite(ring, n)
     assert not out.passed
     assert out.details == ["involution is not the adjoint G^-1 x^T G on unit (1, 2)"]
 
@@ -518,7 +521,7 @@ def test_unit_walks_report_each_kind_of_failure_once(monkeypatch):
 
     monkeypatch.setattr(clifford, "tau_unit", shifted)
     monkeypatch.setattr(involution, "tau_unit", shifted)
-    assert involution_suite(GF3, 6, fresh_rng("shifted"), trials=0).details == [
+    assert involution_suite(GF3, 6).details == [
         "involution does not square to the identity on unit (0, 0) and 2047 more units",
         "involution is not the adjoint G^-1 x^T G on unit (1, 0) and 2047 more units",
     ]
@@ -533,9 +536,9 @@ def test_relation_witness_shows_ring_elements(monkeypatch):
     # prints m as GF(4) elements, not as their stored ints
     honest = clifford.phi_vector
     monkeypatch.setattr(
-        clifford, "phi_vector", lambda ring, n, coeffs: honest(ring, n, coeffs) + CliffordElement.identity(ring, n)
+        sampling, "phi_vector", lambda ring, n, coeffs: honest(ring, n, coeffs) + CliffordElement.identity(ring, n)
     )
-    out = relation_suite(GF4, 2, fresh_rng("witness"), trials=20)
+    out = phi_square(GF4, 2, fresh_rng("witness"), trials=20)
     assert not out.passed
     assert any("1+w" in line for line in out.details)
     assert not any("4294967296" in line for line in out.details)
@@ -544,8 +547,10 @@ def test_relation_witness_shows_ring_elements(monkeypatch):
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ), ids=lambda r: r.name)
 def test_gram_cells_catch_a_negated_row_of_the_gram_inverse(monkeypatch, ring):
     # a row of G^-1 negated by D makes canonical_involution x -> D tau(x) D,
-    # still anti-multiplicative, so only the comparison with the unit rule
-    # names a pair; in characteristic 2, -1 = 1 and nothing changes
+    # which moves the generators with a nonzero in row or column 0, and is
+    # still anti-multiplicative, so among the random pairs only the
+    # comparison with the unit rule names one; in characteristic 2, -1 = 1
+    # and nothing changes
     honest = clifford._gram_inverse
 
     def negated(ring, n):
@@ -553,13 +558,18 @@ def test_gram_cells_catch_a_negated_row_of_the_gram_inverse(monkeypatch, ring):
         return SignedPermutation(ring, ginv.perm, ginv.negated ^ {0})
 
     monkeypatch.setattr(clifford, "_gram_inverse", negated)
-    for report in cli.run("gram", None, ring, 100, 0):
+    for report in cli.run("gram", None, ring, 10, 0):
         if ring.char == 2:
             assert report.status == "pass", report.details
-        elif report.n <= 4:
+        else:
             assert report.status == "fail"
-            assert any(line.startswith("canonical_involution is not the unit rule on random pair") for line in report.details)
-            assert not any("anti-multiplicative on random pair" in line for line in report.details)
+            assert "involution moves generator v1" in report.details
+    for n in range(1, 5):
+        out = involution_pairs(ring, n, fresh_rng(f"negated:{ring.name}:{n}"), trials=10)
+        assert out.passed == (ring.char == 2)
+        if ring.char != 2:
+            witness = "canonical_involution is not the unit rule on random pair"
+            assert all(line.startswith(witness) for line in out.details)
 
 
 def _gram_with(monkeypatch, entry):
@@ -579,7 +589,7 @@ def _gram_with(monkeypatch, entry):
 @pytest.mark.parametrize("n", (1, 3))
 def test_involution_suite_refuses_a_gram_entry_that_does_not_square_to_one(monkeypatch, ring, n):
     _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.from_int(2)))
-    out = involution_suite(ring, n, fresh_rng("gram-two"), trials=10)
+    out = involution_suite(ring, n)
     assert out.details == ["the Gram entry g_a of row 0 does not square to 1"]
 
 
@@ -588,7 +598,7 @@ def test_involution_suite_refuses_a_gram_entry_that_does_not_square_to_one(monke
 def test_involution_suite_refuses_a_gram_that_hits_a_column_twice(monkeypatch, ring, n):
     # row 0 moved onto row 1's column; signed_perm_inverse would raise on it
     _gram_with(monkeypatch, lambda ring, n, c, v: (c ^ 1, v))
-    out = involution_suite(ring, n, fresh_rng("gram-column"), trials=10)
+    out = involution_suite(ring, n)
     assert out.details == ["the Gram matrix hits a column twice, so pi is not injective"]
 
 
@@ -608,5 +618,5 @@ def test_tau_relabel_is_the_adjoint(ring, n):
 
 def test_involution_suite_refuses_a_gram_with_an_empty_row(monkeypatch):
     _gram_with(monkeypatch, lambda ring, n, c, v: (c, ring.zero))
-    out = involution_suite(GF3, 2, fresh_rng("gram-row"), trials=10)
+    out = involution_suite(GF3, 2)
     assert out.details == ["the Gram matrix does not hold exactly one nonzero per row"]

@@ -24,7 +24,7 @@ from cliffqp.forms import HyperbolicSpace
 from cliffqp.involution import in_alternating
 from cliffqp.linalg import Matrix, matmul
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME
-from cliffqp.sampling import random_clifford_element, random_even_element
+from cliffqp.sampling import orthogonal_words, random_clifford_element, random_even_element
 
 from conftest import fresh_rng, off_canonical_semitraces
 from oracles import eichler_dv, eichler_vd, from_rows, hyperbolic_scale, mat_vec
@@ -152,10 +152,11 @@ def test_action_commutes_with_involution_samples():
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
 def test_pgo_invariance_small_sample(ring):
-    out = pgo_invariance(canonical_semitrace(ring, 4), fresh_rng(f"pgo:{ring.name}"), trials=8)
+    out = pgo_invariance(canonical_semitrace(ring, 4))
     assert out.passed, out.details
     assert "the group generated by the 6 named generators, all parameter values" in out.details[-1]
-    assert "8 random words agree" in out.details[-1]
+    words = orthogonal_words(ring, 4, fresh_rng(f"pgo:{ring.name}"), trials=8)
+    assert words.details == ["8 random words agree: they preserve the semi-trace and the involution"]
 
 
 def test_pgo_invariance_rejects_ineligible():
@@ -234,11 +235,11 @@ def test_pgo_invariance_fails_with_a_wrong_eichler_lift_sign(monkeypatch):
     # the lift of eichler_vv(-t) in place of eichler_vv(t): the certificate
     # alone, with no random word, must see it
     _mutate(monkeypatch, "eichler_vv", _eichler_flipped)
-    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng("pgo:flip"), trials=0)
+    out = pgo_invariance(canonical_semitrace(GF3, 4))
     assert not out.passed
     assert "eichler_vv12: the lift does not induce the generator" in out.details
     # -t = t in characteristic 2, so there the flipped lift is the right one
-    assert pgo_invariance(canonical_semitrace(GF2, 4), fresh_rng("pgo:flip"), trials=10).passed
+    assert pgo_invariance(canonical_semitrace(GF2, 4)).passed
 
 
 def _swap_plus(ring, n, i, b, g, g_inv):
@@ -267,7 +268,7 @@ def _scale_inverted(ring, n, i, b, g, g_inv):
 )
 def test_each_certificate_family_catches_its_mutated_lift(monkeypatch, kind, mutation, names):
     _mutate(monkeypatch, kind, mutation)
-    out = pgo_invariance(canonical_semitrace(GF3, 4), fresh_rng(f"pgo:mutant:{kind}"), trials=0)
+    out = pgo_invariance(canonical_semitrace(GF3, 4))
     assert _failures(out) == [f"{name}: the lift does not induce the generator" for name in names]
 
 
@@ -287,7 +288,7 @@ def test_pgo_invariance_certificate_refuses_a_semitrace_off_the_canonical_class(
     shifted = off_canonical_semitraces(ring, 4)
     assert len(shifted) == 16
     for (a, b), f in shifted:
-        out = pgo_invariance(f, fresh_rng("pgo:shifted"), trials=0)
+        out = pgo_invariance(f)
         assert not out.passed, (a, b)
         assert all(line.endswith("the semi-trace moved on the symmetric elements") for line in _failures(out))
 
@@ -368,5 +369,6 @@ def test_non_clifford_conjugator_moves_the_semitrace(ring):
 
 
 def test_pgo_invariance_runs_at_rank_6():
-    out = pgo_invariance(canonical_semitrace(GF2, 6), fresh_rng("pgo:6"), trials=5)
+    out = pgo_invariance(canonical_semitrace(GF2, 6))
+    out.merge(orthogonal_words(GF2, 6, fresh_rng("pgo:6"), trials=5))
     assert out.passed, out.details
