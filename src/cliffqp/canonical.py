@@ -2,11 +2,11 @@
 algebra, the canonical semi-trace it induces, and the degree-4 negative
 result.
 
-The canonical map sends a 2n x 2n matrix, decomposed through the polar
-pairing into rank-one tensors, to the corresponding sum of generator
-pair products; each pair product is a signed partial permutation, so
-the sum is taken in one pass over the composed supports
-(`clifford.word_support`), with no product and no pair matrix.
+The canonical map c sends each matrix unit E_ij, a rank-one pairing
+through the polar form, to a generator pair product, a signed partial
+permutation: `c_unit` is its ring-free signed support, `canonical_map_c`
+the rule's linear extension, and the `rho-xi` and `sl-into-alt` walks
+read the rule, summing +-1 over Z and deciding each sum in the ring.
 Trace-zero matrices land among the alternating elements once n >= 3, so
 by linearity any trace-1 matrix yields the same semi-trace; at
 n = 2 the alternating subspace is too small: over any base R of
@@ -23,6 +23,7 @@ a quadratic form whose coefficients one pass over l gives.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
@@ -42,7 +43,7 @@ from .errors import EligibilityError, UsageError
 from .exterior import ExteriorVector, mask_size, sign_exponent
 from .forms import HyperbolicSpace, b_wedge_gram, q_wedge, q_wedge_polar_gram
 from .group import conjugation_move, lift_polynomial, lift_problem
-from .involution import SemiTrace, alt_basis, in_alternating, trace_orthogonality
+from .involution import SemiTrace, alt_basis, alternating_units, in_alternating, trace_orthogonality
 from .linalg import Matrix
 from .reporting import CheckOutcome
 from .rings import Element, Ring, RingMorphism, gf2_into_gf4
@@ -62,21 +63,23 @@ def phi_b_unit(ring: Ring, n: int, k: int, l: int) -> Matrix:
     return Matrix.from_nonzeros(ring, dim, dim, [(l, dim - 1 - k, ring.one)])
 
 
-def canonical_map_c(m: Matrix) -> CliffordElement:
-    """Canonical mapping of a 2n x 2n matrix into the even Clifford algebra.
+def c_unit(n: int, i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """c's unit rule: the signed support of c(E_ij), one (row, col, sign
+    parity) per nonzero, a +-1, with no ring.  Under the polar form E_ij is
+    b(e_k, _) e_i with k = 2n - 1 - j, and c sends it to the generator pair
+    product Phi(e_k) Phi(e_i), whose support `word_support` composes."""
+    return word_support(n, (2 * n - 1 - j, i))
 
-    The matrix is written as a sum of rank-one pairings through the polar
-    form: its unit E_lj is b(e_k, _) e_l with k = 2n - 1 - j, and goes to
-    the generator pair product Phi(e_k) Phi(e_l), a signed partial
-    permutation whose support `word_support` composes.  The image sums the
-    entries of m over those supports in one pass (`Matrix.linear_image`).
-    """
+
+def canonical_map_c(m: Matrix) -> CliffordElement:
+    """Canonical mapping of a 2n x 2n matrix into the even Clifford algebra:
+    the linear extension of the unit rule `c_unit`, which sums the entries
+    of m over their units' supports in one pass (`Matrix.linear_image`)."""
     if m.rows != m.cols or m.rows % 2 != 0:
         raise UsageError("the canonical mapping needs a square even-size matrix")
     n = m.rows // 2
     dim = 1 << n
-    image = Matrix.linear_image(m, dim, dim, lambda l, j: word_support(n, (2 * n - 1 - j, l)))
-    return CliffordElement(m.ring, n, image)
+    return CliffordElement(m.ring, n, Matrix.linear_image(m, dim, dim, partial(c_unit, n)))
 
 
 # --- rho/xi compatibility ----------------------------------------------------
@@ -84,42 +87,44 @@ def canonical_map_c(m: Matrix) -> CliffordElement:
 
 def rho_xi_check(ring: Ring, n: int) -> CheckOutcome:
     """(Id + tau) c(M) = trace(M) Id for every M, certified on the (2n)^2
-    units E_ij, as both sides are linear in M: the walk reads each c(E_ij)
-    and moves its nonzeros by the unit rule `tau_unit`, as `tau_relabel`
-    does."""
-    out = CheckOutcome()
-    size, zero, ops = 2 * n, ring.zero, (ring.add, ring.sub)
-    for i, j in product(range(size), repeat=2):
-        image = canonical_map_c(Matrix.from_nonzeros(ring, size, size, [(i, j, ring.one)]))
-        total = {(d, d): ring.sign(1) for d in range(1 << n)} if i == j else {}  # - trace(E_ij) Id
-        for a, b, v in image.matrix.nonzeros():
-            for parity, r, c in ((0, a, b), tau_unit(n, a, b)):
-                total[r, c] = ops[parity](total.get((r, c), zero), v)
-        if not all(map(ring.is_zero, total.values())):
+    units E_ij, as both sides are linear in M: the walk sums +-1 over Z on
+    each support `c_unit(n, i, j)` and on its `tau_unit` image, as
+    `tau_relabel` moves it, and every sum must map to 0 in the ring."""
+    out, size = CheckOutcome(), 2 * n
+    for units, (i, j) in enumerate(product(range(size), repeat=2), 1):
+        total = {(d, d): -1 for d in range(1 << n)} if i == j else {}  # - trace(E_ij) Id
+        for a, b, p in c_unit(n, i, j):
+            parity, r, c = tau_unit(n, a, b)
+            total[a, b] = total.get((a, b), 0) + 1 - 2 * p
+            total[r, c] = total.get((r, c), 0) + 1 - 2 * (p ^ parity)
+        if not all([ring.is_zero(ring.from_int(x)) for x in total.values()]):
             out.fail_unit("(Id + tau) c(E_ij) is not trace(E_ij) Id", (i, j))
     if out.passed:
-        out.note(f"(Id + tau) c = trace Id on all {size * size} units E_ij")
+        out.note(f"(Id + tau) c = trace Id on all {units} units E_ij")
     return out
 
 
 # --- trace-zero matrices land in Alt -----------------------------------------
 
 
-def sl_basis(ring: Ring, n: int) -> list[tuple[str, Matrix]]:
-    """The standard basis of sl_2n with labels: the off-diagonal units E_ij
-    and the differences E_kk - E_(k+1)(k+1), 4n^2 - 1 matrices."""
-    dim, one, minus_one = 2 * n, ring.one, ring.sign(1)
-    basis = [(f"E_({i},{j})", [(i, j, one)]) for i in range(dim) for j in range(dim) if i != j]
+def sl_basis(n: int) -> list[tuple[str, tuple[tuple[int, int, int], ...]]]:
+    """The standard basis of sl_2n with labels, ring-free: the off-diagonal
+    units E_ij and the differences E_kk - E_(k+1)(k+1), 4n^2 - 1 elements,
+    each as its (row, col, integer coefficient) terms."""
+    dim = 2 * n
+    basis = [(f"E_({i},{j})", ((i, j, 1),)) for i in range(dim) for j in range(dim) if i != j]
     for k in range(dim - 1):
-        basis.append((f"E_({k},{k}) - E_({k + 1},{k + 1})", [(k, k, one), (k + 1, k + 1, minus_one)]))
-    return [(label, Matrix.from_nonzeros(ring, dim, dim, triples)) for label, triples in basis]
+        basis.append((f"E_({k},{k}) - E_({k + 1},{k + 1})", ((k, k, 1), (k + 1, k + 1, -1))))
+    return basis
 
 
 def check_sl_into_alt(ring: Ring, n: int) -> CheckOutcome:
     """Trace-zero matrices map into the alternating elements when n >= 3.
 
     c is linear, so the standard basis of sl_2n covers every trace-zero
-    matrix.  At n = 2 this runs as a negative control: the rank-one tensor
+    matrix; the walk sums each image over Z on the supports `c_unit`, and
+    the nonzero sums, mapped into the ring, go to `alternating_units`.  At
+    n = 2 this runs as a negative control: the rank-one tensor
     v_1 (x) v_2 is trace zero but its image is not alternating.
     """
     out = CheckOutcome()
@@ -141,12 +146,16 @@ def check_sl_into_alt(ring: Ring, n: int) -> CheckOutcome:
         return out
     if n < 3:
         raise EligibilityError("the trace-zero inclusion needs n >= 3 (n = 2 is the negative control)")
-    basis = sl_basis(ring, n)
-    for label, m in basis:
-        if not in_alternating(canonical_map_c(m)):
+    for elements, (label, terms) in enumerate(sl_basis(n), 1):
+        image: dict = {}  # c of the basis element over Z
+        for i, j, x in terms:
+            for a, b, p in c_unit(n, i, j):
+                image[a, b] = image.get((a, b), 0) + (-x if p else x)
+        values = {u: v for u, s in image.items() if not ring.is_zero(v := ring.from_int(s))}
+        if not alternating_units(ring, n, values):
             out.fail(f"c({label}) is not alternating over {ring.name}, n={n}")
     if out.passed:
-        out.note(f"{len(basis)} basis elements of sl_{2 * n} map into Alt (n={n}, {ring.name})")
+        out.note(f"{elements} basis elements of sl_{2 * n} map into Alt (n={n}, {ring.name})")
     return out
 
 

@@ -10,6 +10,7 @@ q(x + y) - q(x) - q(y), with q of each vector evaluated once per walk.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 from .errors import UsageError
@@ -119,14 +120,15 @@ def q_wedge(x: ExteriorVector) -> Element:
 
 def _polar_gram(ring: Ring, vectors: list[ExteriorVector]) -> Matrix:
     """Gram matrix of the polar form q(x + y) - q(x) - q(y) of q_wedge on
-    the given vectors, computed literally, q of each vector once."""
+    the given vectors, computed literally, q of each vector once and
+    subtracted only where it is nonzero."""
     dim, sub, is_zero = len(vectors), ring.sub, ring.is_zero
-    with_q = [(x, q_wedge(x)) for x in vectors]
+    with_q = [(x, () if is_zero(q := q_wedge(x)) else (q,)) for x in vectors]
     triples = (
         (r, c, v)
         for r, (x, qx) in enumerate(with_q)
         for c, (y, qy) in enumerate(with_q)
-        if not is_zero(v := sub(sub(q_wedge(x + y), qx), qy))
+        if not is_zero(v := reduce(sub, qx + qy, q_wedge(x + y)))
     )
     return Matrix.from_nonzeros(ring, dim, dim, triples)
 

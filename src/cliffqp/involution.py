@@ -75,19 +75,19 @@ def sym_basis(ring: Ring, n: int) -> Matrix:
 
 
 def in_alternating(x: CliffordElement) -> bool:
-    """Membership of an even element in the alternating subspace, orbit by
-    orbit (see `alt_basis`): a two-unit orbit tau(E_u) = sign * E_p needs
-    x[p] = -sign * x[u], and a fixed unit is zero unless its sign is -1 != 1.
-    x's nonzeros are read once, and an odd one raises UsageError.
-    """
-    ring, n = x.ring, x.n
+    """Membership of an even element in Alt, its nonzeros read once (`alternating_units`)."""
+    return alternating_units(x.ring, x.n, {(r, c): v for r, c, v in x.matrix.nonzeros()})
+
+
+def alternating_units(ring: Ring, n: int, values: dict) -> bool:
+    """Whether the element x with the nonzero values[r, c] at its units E_rc
+    is alternating, decided orbit by orbit (see `alt_basis`): a two-unit
+    orbit tau(E_u) = sign * E_p needs x[p] = -sign * x[u], and a fixed unit
+    is zero unless its sign is -1 != 1.  An odd unit raises UsageError."""
     if not ring.is_field:
         raise UnsupportedRingError(f"membership tests need a field, not {ring.name}")
-    values = {}
-    for r, c, v in x.matrix.nonzeros():
-        if mask_size(r ^ c) & 1:  # |r| and |c| of different parity
-            raise UsageError("alternating membership is defined for even elements")
-        values[r, c] = v
+    if any(mask_size(r ^ c) & 1 for r, c in values):  # |r| and |c| of different parity
+        raise UsageError("alternating membership is defined for even elements")
     neg_sign, sign_is_one = (ring.sign(1), ring.one), (True, ring.eq(ring.sign(1), ring.one))
     for (r, c), v in values.items():
         parity, pr, pc = tau_unit(n, r, c)

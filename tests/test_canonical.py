@@ -5,6 +5,7 @@ import pytest
 from cliffqp import canonical
 from cliffqp.canonical import (
     base_change_report,
+    c_unit,
     canonical_map_c,
     canonical_semitrace,
     check_representative_independence,
@@ -19,6 +20,7 @@ from cliffqp.canonical import (
     rho_xi_check,
     sl_basis,
 )
+from cliffqp.cli import CHECKS
 from cliffqp.clifford import CliffordElement, canonical_involution, phi_word, predicted_even_involution
 from cliffqp.errors import DomainError, EligibilityError, UsageError
 from cliffqp.exterior import ExteriorVector
@@ -42,6 +44,11 @@ from oracles import canonical_map_by_products, degree4_stable_candidates, entrie
 
 def unit_matrix(ring, size, r, c):
     return Matrix.from_nonzeros(ring, size, size, [(r, c, ring.one)])
+
+
+def sl_matrix(ring, n, terms):
+    # the matrix of a ring-free element of `sl_basis`
+    return Matrix.from_nonzeros(ring, 2 * n, 2 * n, [(i, j, ring.from_int(x)) for i, j, x in terms])
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3, QQ))
@@ -73,11 +80,40 @@ def test_canonical_map_single_tensor():
     assert canonical_map_c(m) == phi_word(ring, n, ["v1", "v2"])
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_canonical_map_is_the_linear_extension_of_its_unit_rule(ring, n):
+    # c(E_ij) is +-1 placed on the ring-free support c_unit(n, i, j)
+    size, dim = 2 * n, 1 << n
+    for i in range(size):
+        for j in range(size):
+            want = Matrix.from_places(ring, dim, dim, (ring.one, ring.sign(1)), c_unit(n, i, j))
+            assert canonical_map_c(unit_matrix(ring, size, i, j)).matrix == want, (i, j)
+
+
 @pytest.mark.parametrize("ring", (GF2, GF3, GF4, GF5, QQ))
 @pytest.mark.parametrize("n", (2, 3))
 def test_rho_xi(ring, n):
     out = rho_xi_check(ring, n).merge(dense_rho_xi(ring, n, fresh_rng(f"rhoxi:{ring.name}:{n}"), trials=25))
     assert out.passed, out.details
+
+
+def _ring_ids(value):
+    return getattr(value, "name", str(value))
+
+
+@pytest.mark.parametrize(("n", "ring"), [*CHECKS["rho-xi"][0], (6, GF2), (8, GF2)], ids=_ring_ids)
+def test_rho_xi_reports_the_units_it_walked(n, ring):
+    # the count comes from the walk: a walk over fewer units says so
+    assert rho_xi_check(ring, n).details == [f"(Id + tau) c = trace Id on all {(2 * n) ** 2} units E_ij"]
+
+
+@pytest.mark.parametrize(
+    ("n", "ring"), [(n, r) for n, r in CHECKS["sl-into-alt"][0] if n >= 3] + [(6, GF2), (8, GF2)], ids=_ring_ids
+)
+def test_sl_into_alt_reports_the_basis_elements_it_walked(n, ring):
+    want = f"{4 * n * n - 1} basis elements of sl_{2 * n} map into Alt (n={n}, {ring.name})"
+    assert check_sl_into_alt(ring, n).details == [want]
 
 
 def test_rho_xi_zero_matrix():
@@ -89,21 +125,29 @@ def test_rho_xi_zero_matrix():
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_sl_basis_is_a_basis_of_sl(ring, n):
     # 4n^2 - 1 independent trace-zero matrices: a basis of sl_2n
-    basis = [m for _, m in sl_basis(ring, n)]
+    basis = [sl_matrix(ring, n, terms) for _, terms in sl_basis(n)]
     assert len(basis) == 4 * n * n - 1
     assert all(ring.is_zero(m.trace()) for m in basis)
     assert rank(from_rows(ring, [entries(m) for m in basis])) == len(basis)
 
 
 def test_sl_into_alt_fails_when_c_is_perturbed(monkeypatch):
-    # the basis alone catches an image pushed off Alt: c(M) + 1 is never alternating
+    # the unit rule with the identity's support added to every unit: c then
+    # gains (sum of the entries of M) Id, which the basis catches on every
+    # off-diagonal unit, as Id is not alternating over gf3, and which cancels
+    # on the differences E_kk - E_(k+1)(k+1)
     ring, n = GF3, 3
-    honest = canonical.canonical_map_c
-    monkeypatch.setattr(canonical, "canonical_map_c", lambda m: honest(m) + CliffordElement.identity(ring, n))
+    honest = canonical.c_unit
+
+    def shifted(n_, i, j):
+        return honest(n_, i, j) + tuple((d, d, 0) for d in range(1 << n_))
+
+    monkeypatch.setattr(canonical, "c_unit", shifted)
     out = check_sl_into_alt(ring, n)
     assert not out.passed
-    assert len(out.details) == 4 * n * n - 1
+    assert len(out.details) == 4 * n * n - 2 * n
     assert "c(E_(0,1)) is not alternating over gf3, n=3" in out.details
+    assert not [d for d in out.details if " - E_(" in d]
 
 
 @pytest.mark.parametrize("ring", (GF2, GF3))
@@ -144,7 +188,7 @@ def test_sl_into_alt_row_identity_example():
     # matrix is the negative of the basis element E_(n-1)(n-1) - E_nn
     ring, n = GF3, 4
     m = phi_b_unit(ring, n, n - 1, n) - phi_b_unit(ring, n, n, n - 1)
-    assert -m == dict(sl_basis(ring, n))[f"E_({n - 1},{n - 1}) - E_({n},{n})"]
+    assert -m == sl_matrix(ring, n, dict(sl_basis(n))[f"E_({n - 1},{n - 1}) - E_({n},{n})"])
     image = canonical_map_c(m)
     w = phi_word(ring, n, [f"v{n}", f"v{n}*"])
     assert image == w - canonical_involution(w)
@@ -262,17 +306,12 @@ def test_rho_xi_walk_fails_when_the_unit_rule_flips_one_unit(monkeypatch):
 
 
 def test_a_canonical_map_that_drops_one_unit_fails_rho_xi_and_representative_independence(monkeypatch):
-    # c with the image of E_(0,0) dropped: (Id + tau) c(E_(0,0)) is 0, not Id,
-    # and c(E_(0,0) - E_(1,1)) = -c(E_(1,1)) leaves Alt; the canonical
-    # representative c(E_(7,7)) is unchanged, so f is still built
+    # c's unit rule with the image of E_(0,0) dropped: (Id + tau) c(E_(0,0))
+    # is 0, not Id, and c(E_(0,0) - E_(1,1)) = -c(E_(1,1)) leaves Alt; the
+    # canonical representative c(E_(7,7)) is unchanged, so f is still built
     ring, n = GF3, 4
-    honest = canonical.canonical_map_c
-
-    def dropped(m):
-        kept = [(r, c, v) for r, c, v in m.nonzeros() if (r, c) != (0, 0)]
-        return honest(Matrix.from_nonzeros(m.ring, m.rows, m.cols, kept))
-
-    monkeypatch.setattr(canonical, "canonical_map_c", dropped)
+    honest = canonical.c_unit
+    monkeypatch.setattr(canonical, "c_unit", lambda n_, i, j: () if (i, j) == (0, 0) else honest(n_, i, j))
     rho = rho_xi_check(ring, n)
     assert rho.details == ["(Id + tau) c(E_ij) is not trace(E_ij) Id on unit (0, 0)"]
     out = check_representative_independence(canonical_semitrace(ring, n))

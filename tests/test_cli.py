@@ -417,6 +417,17 @@ def test_same_seed_gives_identical_json_in_one_process(capsys):
     assert texts[0] == (Path(__file__).parent / "golden" / "all-trials1-seed0.json").read_text()
 
 
+@pytest.mark.parametrize(("ring", "passed", "skipped"), [("z", 30, 18), ("gf5", 35, 13)])
+def test_all_over_another_ring_matches_its_golden_file(capsys, ring, passed, skipped):
+    # the whole grid over z and over gf5, against its recorded text: a ring
+    # guard that stops refusing would turn one of the declared skips into a pass
+    assert main(["all", "--ring", ring, "--seed", "0", "--json"]) == 0
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    doc = json.loads(text)
+    assert (doc["passed"], doc["failed"], doc["skipped"]) == (passed, 0, skipped)
+    assert text == (Path(__file__).parent / "golden" / f"all-ring-{ring}-seed0.json").read_text()
+
+
 @pytest.mark.parametrize(
     "check", ["relations", "rho-xi", "pgo-invariance", "gram", "canonical-semitrace", "q-wedge-correspondence"]
 )
