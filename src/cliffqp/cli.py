@@ -138,13 +138,14 @@ ROUTES: tuple[tuple[tuple[str, ...], Runner], ...] = (
 
 
 def _cross_check(ring: Ring, n: int, rng: random.Random, trials: int) -> CheckOutcome:
-    """`trials` draws per route at this cell (see ROUTES); no route is a declared skip."""
+    """`trials` draws per route at this cell (see ROUTES); a route not defined
+    here is left out, and the cell is a declared skip only when every route is."""
     out, ran = CheckOutcome(), False
     for homes, route in ROUTES:
         if any((n, ring) in CHECKS[home][0] for home in homes):
             try:
                 outcome = route(ring, n, rng, trials)
-            except EligibilityError:
+            except (EligibilityError, UnsupportedRingError):
                 continue
             out, ran = out.merge(outcome), True
     if not ran:

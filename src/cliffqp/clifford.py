@@ -282,8 +282,9 @@ def relation_suite(ring: Ring, n: int) -> CheckOutcome:
     hs = HyperbolicSpace(ring, n)
     dim, labels = 1 << n, hs.labels()
     e = [[ring.one if i == k else ring.zero for i in range(2 * n)] for k in range(2 * n)]
-    (qe, polars), owner = hs.polars(e), {}
+    (qe, polars), owner, pairs = hs.polars(e), {}, 0
     for k, label in enumerate(labels):
+        pairs += 1  # (k, k)
         if word_support(n, (k, k)):
             out.fail(f"{label}^2 is not 0")
         for l in range(k, 2 * n):
@@ -294,6 +295,7 @@ def relation_suite(ring: Ring, n: int) -> CheckOutcome:
                 out.fail(f"{form} = {ring.show(got)}, but the generator identities need {polar}")
             if k == l:
                 continue
+            pairs += 2  # (k, l) and (l, k)
             # Phi(e_k) Phi(e_l) + Phi(e_l) Phi(e_k) - b(e_k, e_l) Id, over Z
             diff = {(c, c): -1 for c in range(dim)} if polar else {}
             for r, c, p in word_support(n, (k, l)) + word_support(n, (l, k)):
@@ -313,7 +315,7 @@ def relation_suite(ring: Ring, n: int) -> CheckOutcome:
     if out.passed:
         out.note(
             f"relations hold for n={n} over {ring.name}: Phi(m)^2 = q(m) Id for every m, by "
-            f"polarization over all {4 * n * n} generator pairs"
+            f"polarization over all {pairs} generator pairs"
         )
     return out
 
@@ -400,7 +402,9 @@ def involution_suite(ring: Ring, n: int) -> CheckOutcome:
     tau(E_cd) tau(E_ab) = g_c g_d g_a g_b E_{pi(d), pi(c)} E_{pi(b), pi(a)}
     = [b == c] g_a g_d E_{pi(d), pi(a)} = tau(E_ab E_cd), since pi(c) = pi(b)
     only when c = b (pi injective), and then g_b^2 = 1.  By bilinearity
-    tau(xy) = tau(y) tau(x) for every pair x, y, at every n.
+    tau(xy) = tau(y) tau(x) for every pair x, y, at every n.  The note
+    counts the units the walk visited; the 16^n unit pairs follow from
+    this argument, not from a walk.
     """
     out = CheckOutcome()
     dim = 1 << n
@@ -415,8 +419,10 @@ def involution_suite(ring: Ring, n: int) -> CheckOutcome:
         out.fail(f"the Gram entry g_a of row {unsquared[0]}{more} does not square to 1")
     if not out.passed:
         return out
+    units = 0
     for a in range(dim):
         for b in range(dim):
+            units += 1
             p1, r1, c1 = tau_unit(n, a, b)
             (pa, ga), (pb, gb) = gram[a], gram[b]
             if (r1, c1) != (pb, pa) or not ring.eq(ring.sign(p1), ring.mul(ga, gb)):
@@ -430,7 +436,7 @@ def involution_suite(ring: Ring, n: int) -> CheckOutcome:
             out.fail(f"involution moves generator {label}")
     if out.passed:
         out.note(
-            f"involution is the adjoint on all {4 ** n} units, squares to the identity, fixes all "
+            f"involution is the adjoint on all {units} units, squares to the identity, fixes all "
             f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n})"
         )
     return out

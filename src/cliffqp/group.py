@@ -209,16 +209,14 @@ def conjugation_move(l: CliffordElement, g: dict, g_inv: dict) -> dict:
     return {k: c for k, c in moved.items() if not c.matrix.is_zero()}
 
 
-def sample_orthogonal(
-    ring: Ring, n: int, rng, max_word: int = 3
-) -> tuple[str, Matrix, tuple[CliffordElement, CliffordElement]]:
+def sample_orthogonal(ring: Ring, n: int, rng) -> tuple[str, Matrix, tuple[CliffordElement, CliffordElement]]:
     """A certified orthogonal element, a short word in the generators of
     `lifted_generator`, with the word's lift (g, g^-1): g is the product of
     the generator lifts."""
     if n < 2:
         raise UsageError("sampling needs at least two hyperbolic pairs")
     kinds = ["swap", "perm", "scale", "eichler_vv"]
-    word_len = rng.randint(1, max_word)
+    word_len = rng.randint(1, 3)
     m = Matrix.identity(ring, 2 * n)
     g = g_inv = CliffordElement.identity(ring, n)
     parts = []

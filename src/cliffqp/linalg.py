@@ -12,7 +12,9 @@ once, each put at its (row, col) places; `from_nonzeros`, `zeros`,
 Products, `scale`, `linear_image` (the image of a matrix under a linear
 map given by the signed units each matrix unit goes to),
 `trace_of_product` and `apply` multiply stored ints, sum the products
-and reduce them with `Ring.lower`, one kernel per job for all six rings;
+and reduce them with `Ring.lower`, one kernel per job for all six rings:
+the product sums each output row in one dict of the columns it reaches,
+and `trace_of_product` walks the nonzeros of its first factor;
 `+` and `-` apply the ring's `add` and `sub` to the stored ints entry by
 entry.  Row reduction exists once, as `rref` on element rows over a
 field; `SpanChecker` answers span membership from its reduced rows, and
@@ -277,9 +279,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
     A `SignedPermutation` on the left moves and negates rows of the right
     factor.  Otherwise each output row sums products of stored ints in a
-    list over every column when both factors are dense (4 * nonzeros >=
-    entries, summed over the two), in a dict of the columns it reaches
-    otherwise; the factor 4 was timed against 2 and 8 (`BENCH_3.json`).
+    dict of the columns it reaches.
     """
     ring = a.ring
     if a.cols != b.rows or (ring is not b.ring and ring != b.ring):  # as in _check_shape
@@ -292,36 +292,26 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
             if out[r]:
                 out[r] = {j: neg(w) for j, w in out[r].items()}
         return Matrix._canonical(ring, a.rows, b.cols, out, b._scale)
-    dense = 4 * (sum(map(len, a._rows)) + sum(map(len, brows))) >= a.rows * a.cols + b.rows * b.cols
-    sums = ring.lower(_row_sums(a._rows, brows, b.cols, dense))
+    sums = ring.lower(_row_sums(a._rows, brows))
     return Matrix._canonical(ring, a.rows, b.cols, sums, a._scale * b._scale)
 
 
-def _row_sums(arows: list, brows: list, cols: int, dense: bool) -> Iterator:
+def _row_sums(arows: list, brows: list) -> Iterator:
     """The (col, int sum) pairs of each row of a * b, one row at a time as
     `Ring.lower` takes them, so one accumulator is alive at a time."""
     for row in arows:
-        if dense:
-            acc = [0] * cols
-            for k, aik in row.items():
-                for j, v in brows[k].items():
-                    acc[j] += aik * v
-            yield enumerate(acc)
-        else:
-            sparse: dict = {}
-            for k, aik in row.items():
-                for j, v in brows[k].items():
-                    sparse[j] = sparse.get(j, 0) + aik * v
-            yield sparse.items()
+        acc: dict = {}
+        for k, aik in row.items():
+            for j, v in brows[k].items():
+                acc[j] = acc.get(j, 0) + aik * v
+        yield acc.items()
 
 
 def trace_of_product(a: Matrix, b: Matrix) -> Element:
     """trace(a * b) without forming the product: the sum of a[r, c] * b[c, r]
-    over the stored nonzeros of the sparser factor."""
+    over the stored nonzeros of a, so the sparser factor goes first."""
     if a.rows != b.cols or a.cols != b.rows or (a.ring is not b.ring and a.ring != b.ring):
         raise UsageError(f"no trace of {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    if sum(map(len, b._rows)) < sum(map(len, a._rows)):
-        a, b = b, a
     brows = b._rows
     total = 0
     for r, row in enumerate(a._rows):

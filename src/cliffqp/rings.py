@@ -7,17 +7,16 @@ elements is structural and exact in every ring.  A `Matrix` stores ints:
 `lift` maps elements to them, `lower` reduces int sums of products back
 to stored ints, and `element` reads one stored int as an element.
 Every ring lists in `draws` the values its random elements are drawn from,
-uniformly, and `samples(rng, count)` draws count of them in one batch:
-draw i is `draws[randrange(len(draws))]`, with the values and words of
-count calls of CPython's `randrange` (`_draws_below`).
+uniformly, and `samples(rng, count)` draws count of them, one
+`draws[rng.randrange(len(draws))]` per value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from math import lcm
+from functools import cached_property
+from math import isqrt, lcm
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -91,10 +90,9 @@ class Ring:
         raise NotImplementedError(f"{self.name} is not finite")
 
     def samples(self, rng, count: int) -> list[Element]:
-        """count entries of `draws`, drawn uniformly from rng in one batch; an
-        index reads one byte of a word, so len(draws) < 256."""
-        draws = self.draws
-        return [draws[i] for i in _draws_below(rng, len(draws), count)]
+        """count entries of `draws`, each drawn uniformly by rng.randrange."""
+        draws, below = self.draws, rng.randrange
+        return [draws[below(len(draws))] for _ in range(count)]
 
     def show(self, a: Element) -> str:
         return str(a)
@@ -110,11 +108,11 @@ class Ring:
 
 
 class PrimeField(Ring):
-    """GF(p) for a prime p < 256 (a draw reads one byte); elements are ints in [0, p)."""
+    """GF(p) for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or p > 255 or any(p % d == 0 for d in range(2, p)):
-            raise DomainError(f"{p} is not a prime below 256")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise DomainError(f"{p} is not a prime")
         self.p = p
         self.name = f"gf{p}"
         self.char = p
@@ -154,9 +152,6 @@ class PrimeField(Ring):
 
     def elements(self):
         return iter(range(self.p))
-
-    def samples(self, rng, count):
-        return list(_draws_below(rng, self.p, count))  # draws[i] is i: no lookup per draw
 
 
 W = 1 << 32  # the element w of GF(4)
@@ -291,27 +286,6 @@ class Integers(_PythonNumbers):
 
     def lift(self, values):
         return values, 1
-
-
-@cache
-def _below_tables(bound: int) -> tuple[bytes, bytes]:
-    """Top byte -> drawn value, and the top bytes that randrange(bound) redraws."""
-    shift = 8 - bound.bit_length()
-    return bytes(v >> shift for v in range(256)), bytes(v for v in range(256) if v >> shift >= bound)
-
-
-def _draws_below(rng, bound: int, count: int) -> bytes:
-    """count draws of rng.randrange(bound), 0 < bound < 256, from the same words:
-    randrange(b) takes the top b.bit_length() bits of a 32-bit word and redraws
-    while they are b or more.  A round draws a word per value still needed and
-    keeps the top bytes that pass (`bytes.translate` maps and deletes in C); a
-    value takes a word at least, so no word is drawn ahead of randrange."""
-    table, rejected = _below_tables(bound)
-    out = b""
-    while len(out) < count:
-        words = count - len(out)  # the top byte of each word, in draw order
-        out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, rejected)
-    return out
 
 
 GF2 = PrimeField(2)

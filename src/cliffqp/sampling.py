@@ -1,16 +1,16 @@
 """Deterministic random inputs, and the package's only random comparisons.
 
 Every sampler takes an explicit random.Random so runs are reproducible
-from a seed, and draws all its entries in one `Ring.samples` batch,
-uniformly from the ring's `draws`; a random vector is such a batch.  Each
-route draws `trials` inputs and compares a fast route with its generic
-route on them, a cross-check of what a certificate proves; it raises
-EligibilityError where it is not defined.
+from a seed, and draws all its entries in one `Ring.samples` call, each
+entry one `randrange` over the ring's `draws`; a random vector is one
+such call.  Each route draws `trials` inputs and compares a fast route
+with its generic route on them, a cross-check of what a certificate
+proves; it raises EligibilityError where it is not defined.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 
 from .canonical import canonical_map_c, canonical_semitrace
 from .clifford import CliffordElement, canonical_involution, parity_masks, phi_vector, reduced_trace, tau_relabel
@@ -35,20 +35,14 @@ def random_trace_zero(ring: Ring, size: int, rng) -> Matrix:
     return Matrix(ring, size, size, entries)
 
 
-@cache
-def _even_units(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rows and columns of the even matrix units in draw order: both parity
-    blocks, the even block row-major first; built once per n."""
-    units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
-    return tuple(r for r, _ in units), tuple(c for _, c in units)
-
-
 def random_even_element(ring: Ring, n: int, rng) -> CliffordElement:
-    """One draw per even unit, placed on the unit."""
-    rows, cols = _even_units(n)
-    values = ring.samples(rng, len(rows))
+    """One draw per even unit, placed on the unit: both parity blocks, the
+    even block row-major first."""
+    units = [(r, c) for masks in parity_masks(n) for r in masks for c in masks]
+    values = ring.samples(rng, len(units))
     dim = 1 << n
-    return CliffordElement(ring, n, Matrix.from_places(ring, dim, dim, values, zip(rows, cols, range(len(rows)))))
+    places = ((r, c, i) for i, (r, c) in enumerate(units))
+    return CliffordElement(ring, n, Matrix.from_places(ring, dim, dim, values, places))
 
 
 def random_clifford_element(ring: Ring, n: int, rng) -> CliffordElement:

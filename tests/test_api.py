@@ -142,8 +142,6 @@ def test_no_module_imports_a_sibling_inside_a_function():
 # rings' batch draw and the word sampler of the group, which `sampling` calls.
 DRAWING = {
     "rings.Ring.samples",
-    "rings.PrimeField.samples",
-    "rings._draws_below",
     "group._nonzero",
     "group.sample_orthogonal",
 }

@@ -21,10 +21,17 @@ from cliffqp.canonical import (
     sl_basis,
 )
 from cliffqp.cli import CHECKS
-from cliffqp.clifford import CliffordElement, canonical_involution, phi_word, predicted_even_involution
+from cliffqp.clifford import (
+    CliffordElement,
+    canonical_involution,
+    involution_suite,
+    phi_word,
+    predicted_even_involution,
+    relation_suite,
+)
 from cliffqp.errors import DomainError, EligibilityError, UsageError
 from cliffqp.exterior import ExteriorVector
-from cliffqp.forms import q_wedge
+from cliffqp.forms import gram_agreement_suite, q_wedge
 from cliffqp.involution import SemiTrace, in_alternating
 from cliffqp.linalg import Matrix
 from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, RING_BY_NAME, RingMorphism
@@ -114,6 +121,38 @@ def test_rho_xi_reports_the_units_it_walked(n, ring):
 def test_sl_into_alt_reports_the_basis_elements_it_walked(n, ring):
     want = f"{4 * n * n - 1} basis elements of sl_{2 * n} map into Alt (n={n}, {ring.name})"
     assert check_sl_into_alt(ring, n).details == [want]
+
+
+def _with_wide_gf2(check):
+    return [*CHECKS[check][0], *((n, GF2) for n in (6, 8) if (n, GF2) not in CHECKS[check][0])]
+
+
+@pytest.mark.parametrize(("n", "ring"), _with_wide_gf2("relations"), ids=_ring_ids)
+def test_relation_suite_reports_the_generator_pairs_it_walked(n, ring):
+    want = (
+        f"relations hold for n={n} over {ring.name}: Phi(m)^2 = q(m) Id for every m, by "
+        f"polarization over all {4 * n * n} generator pairs"
+    )
+    assert relation_suite(ring, n).details == [want]
+
+
+@pytest.mark.parametrize(("n", "ring"), _with_wide_gf2("gram"), ids=_ring_ids)
+def test_gram_walks_report_the_units_and_pairs_they_walked(n, ring):
+    # the 16^n unit pairs of the involution follow from its argument, not a walk
+    assert involution_suite(ring, n).details == [
+        f"involution is the adjoint on all {4 ** n} units, squares to the identity, fixes all "
+        f"generators and is anti-multiplicative on all {16 ** n} unit pairs (n={n})"
+    ]
+    assert gram_agreement_suite(ring, n).details == [
+        f"pairing formula matches on all {4 ** n} basis pairs; "
+        f"Gram invertible; hyperbolic witness in block form (n={n}, {ring.name})"
+    ]
+
+
+@pytest.mark.parametrize(("n", "ring"), _with_wide_gf2("canonical-semitrace"), ids=_ring_ids)
+def test_semitrace_defining_reports_the_even_units_it_walked(n, ring):
+    want = f"f(x + tau x) = trace(x) on all {2 * 4 ** (n - 1)} even units, so on every even element"
+    assert check_semitrace_defining(canonical_semitrace(ring, n)).details == [want]
 
 
 def test_rho_xi_zero_matrix():

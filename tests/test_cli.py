@@ -13,6 +13,7 @@ import cliffqp
 from cliffqp import canonical, clifford, forms, group, sampling
 from cliffqp.cli import CHECKS, MAX_N, main, run
 from cliffqp.clifford import CliffordElement
+from cliffqp.errors import UnsupportedRingError
 from cliffqp.exterior import ExteriorVector
 from cliffqp.involution import SemiTrace
 from cliffqp.linalg import Matrix
@@ -438,6 +439,19 @@ def test_checks_at_their_default_trials_match_their_golden_files(capsys, check):
     assert main([check, "--seed", "0", "--json"]) == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
     assert text == (Path(__file__).parent / "golden" / f"{check}-seed0.json").read_text()
+
+
+def test_a_route_undefined_over_the_ring_leaves_the_other_routes_running(capsys, monkeypatch):
+    # a route that refuses the ring drops out of the cell, as an ineligible
+    # one does; the cell still reports the other six routes
+    def refuse(*cell):
+        raise UnsupportedRingError("phi_square refuses this ring")
+
+    monkeypatch.setattr(sampling, "phi_square", refuse)
+    status, doc = run_json(capsys, ["cross-check", "--n", "4", "--ring", "gf3"])
+    [report] = doc["reports"]
+    assert status == 0 and report["status"] == "pass"
+    assert len(report["details"]) == 6 and not any("Phi(m)^2" in d for d in report["details"])
 
 
 def test_only_the_cross_check_reads_the_seed_and_the_trials(capsys):

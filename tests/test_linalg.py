@@ -251,8 +251,8 @@ def assert_product_exact(a, b):
 
 
 def below_cutoff(a, b):
-    """The product takes the dict accumulator: fewer than a quarter of the
-    operands' entries are nonzero."""
+    """Fewer than a quarter of the operands' entries are nonzero, the
+    sparse operands the checks multiply."""
     nonzeros = sum(1 for _ in a.nonzeros()) + sum(1 for _ in b.nonzeros())
     return 4 * nonzeros < a.rows * a.cols + b.rows * b.cols
 
@@ -279,11 +279,11 @@ def lowered_as(a, b):
 
 def test_kernel_lowers_each_product_once_in_every_ring():
     # every ring multiplies stored ints and lowers the whole product in one
-    # call: a list per output row above the cutoff (enumerated), a dict below
+    # call, a dict of the columns reached per output row, dense or sparse
     for ring in KERNEL_RINGS:
         dense, sparse = Matrix(ring, 2, 2, [ring.one] * 4), Matrix.identity(ring, 8)
         assert not below_cutoff(dense, dense) and below_cutoff(sparse, sparse)
-        assert lowered_as(dense, dense) == [{"enumerate"}]
+        assert lowered_as(dense, dense) == [{"dict_items"}]
         assert lowered_as(sparse, sparse) == [{"dict_items"}]
 
 

@@ -1,15 +1,31 @@
 """Ring axioms, inverses, characteristics, and morphisms."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cliffqp import sampling
 from cliffqp.errors import DomainError
-from cliffqp.rings import GF2, GF3, GF4, GF5, QQ, ZZ, GaloisField4, PrimeField, gf2_into_gf4, ring_by_name
+from cliffqp.group import sample_orthogonal
+from cliffqp.rings import (
+    GF2,
+    GF3,
+    GF4,
+    GF5,
+    QQ,
+    RING_BY_NAME,
+    ZZ,
+    GaloisField4,
+    PrimeField,
+    gf2_into_gf4,
+    ring_by_name,
+)
 
 from conftest import ALL_RINGS, FINITE_RINGS
 from oracles import gf4_bit_pair_mul, gf4_lower_by_bits, gf4_pair
@@ -234,8 +250,8 @@ def test_samples_cover_fails_on_a_gf4_that_never_draws_one_plus_w():
 @pytest.mark.parametrize("count", (0, 1, 2, 7, 256, 1000))
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
 def test_samples_match_randrange_draw_for_draw(ring, count):
-    # the batch reads the interpreter's own Mersenne words, so this checks
-    # the bit layout of randrange on the Python running the tests
+    # the batch is count one-at-a-time draws, values and words; the golden
+    # draws file pins what randrange itself gives
     for seed in (0, 1, 14, 2023):
         rng, again = random.Random(seed), random.Random(seed)
         drawn = ring.samples(rng, count)
@@ -244,13 +260,53 @@ def test_samples_match_randrange_draw_for_draw(ring, count):
         assert rng.random() == again.random()  # the same number of words drawn
 
 
-def test_prime_fields_stop_below_256():
-    # a GF(p) draw reads the top byte of one word, so p must fit in it
-    rng, again = random.Random(251), random.Random(251)
-    assert PrimeField(251).samples(rng, 300) == [again.randrange(251) for _ in range(300)]
-    for p in (1, 4, 257):
+def test_prime_fields_refuse_non_primes():
+    # a GF(p) draw is one randrange(p), at any p
+    for p in (251, 257, 65537):
+        rng, again = random.Random(p), random.Random(p)
+        assert PrimeField(p).samples(rng, 300) == [again.randrange(p) for _ in range(300)]
+        assert rng.random() == again.random()
+    for p in (0, 1, 4, 9, 255, 65535):
         with pytest.raises(DomainError):
             PrimeField(p)
+
+
+# One output of each sampler, each from its own rng: (name, call on that rng)
+SAMPLER_DRAWS = (
+    ("random_matrix q 3x2", lambda rng: sampling.random_matrix(QQ, 3, 2, rng)),
+    ("random_trace_zero gf5 3", lambda rng: sampling.random_trace_zero(GF5, 3, rng)),
+    ("random_even_element gf4 n=2", lambda rng: sampling.random_even_element(GF4, 2, rng)),
+    ("random_clifford_element z n=1", lambda rng: sampling.random_clifford_element(ZZ, 1, rng)),
+    ("random_exterior gf3 n=3", lambda rng: sampling.random_exterior(GF3, 3, rng)),
+    ("random_exterior gf2 n=3 odd", lambda rng: sampling.random_exterior(GF2, 3, rng, parity=1)),
+    ("sample_orthogonal gf3 n=2", lambda rng: sample_orthogonal(GF3, 2, rng)[:2]),
+    ("sample_orthogonal q n=3", lambda rng: sample_orthogonal(QQ, 3, rng)[:2]),
+    ("sample_orthogonal gf4 n=3", lambda rng: sample_orthogonal(GF4, 3, rng)[:2]),  # a word of length 3
+)
+
+
+def draws_document() -> str:
+    """What the seeded draws give: per ring, the shown values of
+    `samples(Random(0), 64)`, and per sampler its output; each with the
+    rng's next `random()`, which pins the words the draws consumed."""
+    rings = {}
+    for name, ring in RING_BY_NAME.items():
+        rng = random.Random(0)
+        shown = " ".join(map(ring.show, ring.samples(rng, 64)))
+        rings[name] = {"samples": shown, "next_random": rng.random()}
+    samplers = {}
+    for name, draw in SAMPLER_DRAWS:
+        rng = random.Random(f"draws:{name}")
+        samplers[name] = {"value": repr(draw(rng)), "next_random": rng.random()}
+    return json.dumps({"rings": rings, "samplers": samplers}, indent=2) + "\n"
+
+
+def test_draws_match_their_golden_file():
+    # no report shows a drawn value unless a check fails, so the streams are
+    # pinned here: a Python whose randrange draws differently, or a sampler
+    # that draws other words, fails this test instead of changing a
+    # cross-check silently.  The file holds `draws_document()` as recorded.
+    assert draws_document() == (Path(__file__).parent / "golden" / "draws-seed0.json").read_text()
 
 
 def test_ring_by_name():
